@@ -42,7 +42,7 @@ from .errors import (
     Unsolved,
     ZeroDegree,
 )
-from .fields import check_weight_ratio_bounds, field_summary
+from .fields import check_weight_ratio_bounds
 from .matrices import assemble_weight_matrix, bound_suite
 from .oracle import cauchy_quadrature, exact_count, total_identity_check
 from .parallel import set_default_threads
@@ -156,12 +156,10 @@ def cmd_solve(args) -> int:
     report = solve(seq, strategy=strategy, tol=args.tol, budget=args.budget)
     payload = report.to_json_dict()
     if args.dump_field:
-        payload["field"] = field_summary(
-            report.beta_star.beta, seq.n, seq.r, budget=args.budget
-        ).to_json_dict()
+        payload["field"] = report.field.to_json_dict()
     if args.dump_matrix:
         matrix = assemble_weight_matrix(
-            report.beta_star.beta, seq.n, seq.r, budget=args.budget
+            report.beta_star.beta, seq.n, seq.r, field=report.field
         )
         with open(args.dump_matrix, "w", encoding="utf-8") as handle:
             for row in matrix.entries:
@@ -207,28 +205,28 @@ def cmd_models(args) -> int:
     warn_hypotheses(seq)
     pairs = [p.strip() for p in args.compare.split(",") if p.strip()]
     rows = []
+    d_point = None  # the D model, evaluated once at the first pair
     for pair in pairs:
         if pair not in models.RATIO_PAIRS:
             raise InvalidInstance(f"unknown comparison pair {pair!r}")
         prediction = models.predicted_ratio(seq, pair)
-        try:
-            measured = models.measured_ratio(
-                seq, pair, normalizer=args.normalizer, d_model="D-exact",
-                budget=args.budget,
-            )
-            d_model = "D-exact"
-        except BudgetExceeded:
-            measured = models.measured_ratio(
-                seq, pair, normalizer=args.normalizer, d_model="D-asymptotic",
-                budget=args.budget,
-            )
-            d_model = "D-asymptotic"
+        if d_point is None:
+            try:
+                d_point = models.prob_model(seq, "D-exact", budget=args.budget)
+            except BudgetExceeded:
+                d_point = models.prob_model(
+                    seq, "D-asymptotic", budget=args.budget
+                )
+        measured = models.measured_ratio(
+            seq, pair, normalizer=args.normalizer, budget=args.budget,
+            d_point=d_point,
+        )
         rows.append(
             {
                 **prediction,
                 "measured_ln_ratio": measured,
                 "difference": measured - prediction["predicted_ln_ratio"],
-                "d_model": d_model,
+                "d_model": d_point.model,
                 "normalizer": args.normalizer,
             }
         )
@@ -255,8 +253,8 @@ def cmd_sample(args) -> int:
 def cmd_audit(args) -> int:
     seq = load_instance(args.input)
     warn_hypotheses(seq)
-    audit = symmetry_audit(seq, budget=args.budget)
     report = solve(seq, budget=args.budget)
+    audit = symmetry_audit(seq, budget=args.budget, report=report)
     beta = report.beta_star.beta
     delta_hat = max(report.spread * seq.r, 1e-6)
     matrix_checks = bound_suite(beta, seq.n, seq.r, delta_hat, budget=args.budget)
@@ -329,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare degree-sequence probability models.",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker pool cap (default: available parallelism)")
+                        help="quadrature worker pool cap (default: available "
+                        "parallelism); subset sweeps are serial")
     parser.add_argument("--budget", type=int, default=None,
                         help="override enumeration budgets")
     parser.add_argument("--pretty", action="store_true",

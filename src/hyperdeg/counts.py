@@ -118,14 +118,20 @@ def estimate_general(
     canonical, transform = canonicalize_first_quadrant(seq)
     if report is None:
         report = solve(canonical, tol=tol, budget=budget, threads=threads)
-        beta = report.beta_star.beta
+        beta, field = report.beta_star.beta, report.field
     else:
         require_converged(report)
         beta = apply_beta_symmetry(
             report.beta_star.beta, transform, seq.n, seq.r
         )
+        # the report's field sweep was taken at this beta only if no
+        # transform moved it
+        identity = transform is QuadrantTransform.IDENTITY
+        field = report.field if identity else None
     n, r = canonical.n, canonical.r
-    matrix = assemble_weight_matrix(beta, n, r, budget=budget, threads=threads)
+    matrix = assemble_weight_matrix(
+        beta, n, r, budget=budget, threads=threads, field=field
+    )
     ln_value = (
         math.log(r)
         - n * math.log(2.0)
@@ -241,17 +247,26 @@ def symmetry_audit(
     rng_seed: int = 2024,
     budget: int | None = None,
     threads: int | None = None,
+    report: SolveReport | None = None,
 ) -> QuadrantAudit:
     """Solve all four quadrant images and compare the general estimates.
 
     Also verifies the determinant ratios ((n-r)/r)^2 between images and
     spot-checks the edge-weight transfer identities on random subsets.
+    A given converged ``report`` for ``seq`` is used as the base solve
+    instead of solving again.
     """
     n, r = seq.n, seq.r
-    base_report = solve(seq, tol=tol, budget=budget, threads=threads)
+    if report is None:
+        base_report = solve(seq, tol=tol, budget=budget, threads=threads)
+    else:
+        base_report = require_converged(report)
     base_beta = base_report.beta_star.beta
     base_logdet = logdet_pd(
-        assemble_weight_matrix(base_beta, n, r, budget=budget, threads=threads)
+        assemble_weight_matrix(
+            base_beta, n, r, budget=budget, threads=threads,
+            field=base_report.field,
+        )
     )
 
     ln_values: dict = {}
@@ -271,7 +286,8 @@ def symmetry_audit(
         image_beta = report.beta_star.beta
         image_logdet = logdet_pd(
             assemble_weight_matrix(
-                image_beta, image.n, image.r, budget=budget, threads=threads
+                image_beta, image.n, image.r, budget=budget, threads=threads,
+                field=report.field,
             )
         )
         if t in (QuadrantTransform.EDGE_COMPLEMENT, QuadrantTransform.BOTH):

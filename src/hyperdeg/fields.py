@@ -7,9 +7,9 @@ per-vertex sums, per-pair variance weights, the average weight, the average
 variance weight, the entropy sum, and the log-prefactor of the exact
 coefficient-extraction identity.
 
-All sweeps run over fixed 4096-subset colex chunks, with per-chunk numpy
-arithmetic and twofold-compensated combination in chunk order, so results do
-not depend on the worker count.
+All sweeps share one chunk kernel over fixed 4096-subset colex chunks and
+fold the chunks serially, in chunk order, with twofold compensation, so
+every result is a fixed function of its inputs.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ import numpy as np
 
 from .budgets import check_subset_budget
 from .core import DegreeSequence
-from .parallel import Twofold, map_chunks
+from .parallel import Twofold
 from .subsets import CHUNK, all_subsets, iter_chunks
 
 LOG_2PI = math.log(2.0 * math.pi)
+PAIR_BLOCK = 1 << 20
 
 
 @dataclass
@@ -111,24 +112,58 @@ class FieldSummary:
         }
 
 
-def _field_chunk(args):
-    idx, beta = args
+# the terms a sweep can accumulate; ``want`` names a subset of them
+FIELD_TERMS = ("lam", "q", "vertex_lam", "vertex_q", "pair_q")
+PREFACTOR_TERMS = ("softplus", "entropy")
+
+
+def _chunk_terms(idx: np.ndarray, beta: np.ndarray, want) -> dict:
+    """Sums of the wanted terms over one chunk of subsets.
+
+    Vertex and pair sums are ``np.bincount`` over the column-major indices
+    (pairs in (a, b) order, a < b), so every entry adds its rows in the
+    same order as a per-column ``np.add.at`` loop, starting from zero.
+    """
     s = beta[idx].sum(axis=1)
     lam = logistic(s)
-    # variance weight as a product of the two logistic branches, never
-    # as lam - lam**2, to keep accuracy near weights 0 and 1
-    q = lam * logistic(-s)
-    n = beta.size
-    vertex_lam = np.zeros(n)
-    vertex_q = np.zeros(n)
-    pair_q = np.zeros((n, n))
-    r = idx.shape[1]
-    for a in range(r):
-        np.add.at(vertex_lam, idx[:, a], lam)
-        np.add.at(vertex_q, idx[:, a], q)
-        for b in range(a + 1, r):
-            np.add.at(pair_q, (idx[:, a], idx[:, b]), q)
-    return lam.sum(), q.sum(), vertex_lam, vertex_q, pair_q
+    out = {}
+    if "pair_q" in want:
+        n, r = beta.size, idx.shape[1]
+        # variance weight as a product of the two logistic branches, never
+        # as lam - lam**2, to keep accuracy near weights 0 and 1
+        q = lam * logistic(-s)
+        flat = idx.T.ravel()
+        a, b = np.triu_indices(r, 1)
+        keys = (idx[:, a] * n + idx[:, b]).T.ravel()
+        out["lam"] = lam.sum()
+        out["q"] = q.sum()
+        out["vertex_lam"] = np.bincount(flat, np.tile(lam, r), minlength=n)
+        out["vertex_q"] = np.bincount(flat, np.tile(q, r), minlength=n)
+        out["pair_q"] = np.bincount(
+            keys, np.tile(q, a.size), minlength=n * n
+        ).reshape(n, n)
+    if "entropy" in want:
+        sp = softplus(s)
+        out["softplus"] = sp.sum()
+        # -lam*log(lam) - (1-lam)*log(1-lam) == softplus(s) - lam*s
+        out["entropy"] = (sp - lam * s).sum()
+    return {name: out[name] for name in want}
+
+
+def _sweep(beta: np.ndarray, n: int, r: int, want) -> dict:
+    """Sum the requested terms over all r-subsets.
+
+    Chunks are folded serially in colex chunk order with twofold
+    compensation, so the result is a fixed function of (beta, n, r).
+    """
+    acc: dict = {}
+    for idx in iter_chunks(n, r, CHUNK):
+        for name, value in _chunk_terms(idx, beta, want).items():
+            if name not in acc:
+                acc[name] = Twofold(np.zeros_like(value))
+            acc[name].add(value)
+    # with no subsets at all (r > n) every sum is zero
+    return {name: acc[name].value() if acc else 0.0 for name in want}
 
 
 def field_summary(
@@ -138,51 +173,25 @@ def field_summary(
     budget: int | None = None,
     threads: int | None = None,
 ) -> FieldSummary:
-    """One deterministic sweep over all C(n, r) subsets."""
+    """One deterministic sweep over all C(n, r) subsets.
+
+    ``threads`` is accepted for interface stability; sweeps run serially.
+    """
     arr = as_beta_array(beta, n)
     total = math.comb(n, r)
     check_subset_budget(total, budget)
-
-    sum_lam = Twofold(0.0)
-    sum_q = Twofold(0.0)
-    vertex_lam = Twofold(np.zeros(n))
-    vertex_q = Twofold(np.zeros(n))
-    pair_q = Twofold(np.zeros((n, n)))
-
-    def combine(_, result):
-        cl, cq, vl, vq, pq = result
-        sum_lam.add(cl)
-        sum_q.add(cq)
-        vertex_lam.add(vl)
-        vertex_q.add(vq)
-        pair_q.add(pq)
-
-    map_chunks(
-        ((idx, arr) for idx in iter_chunks(n, r, CHUNK)),
-        _field_chunk,
-        combine,
-        threads=threads,
-    )
-
-    pw = pair_q.value()
+    sums = _sweep(arr, n, r, FIELD_TERMS)
+    pw = sums["pair_q"]
     pw = pw + pw.T
-    np.fill_diagonal(pw, vertex_q.value())
+    np.fill_diagonal(pw, sums["vertex_q"])
     return FieldSummary(
         n=n,
         r=r,
-        vertex_sums=vertex_lam.value(),
+        vertex_sums=sums["vertex_lam"],
         pair_weights=pw,
-        avg_lambda=sum_lam.value() / total,
-        big_lambda=sum_q.value() / total,
+        avg_lambda=sums["lam"] / total,
+        big_lambda=sums["q"] / total,
     )
-
-
-def _entropy_chunk(args):
-    idx, beta = args
-    s = beta[idx].sum(axis=1)
-    lam = logistic(s)
-    # -lam*log(lam) - (1-lam)*log(1-lam) == softplus(s) - lam*s
-    return (float((softplus(s) - lam * s).sum()),)
 
 
 def entropy_sum(
@@ -199,14 +208,7 @@ def entropy_sum(
     """
     arr = as_beta_array(beta, n)
     check_subset_budget(math.comb(n, r), budget)
-    acc = Twofold(0.0)
-    map_chunks(
-        ((idx, arr) for idx in iter_chunks(n, r, CHUNK)),
-        _entropy_chunk,
-        lambda _, res: acc.add(res[0]),
-        threads=threads,
-    )
-    return acc.value()
+    return _sweep(arr, n, r, ("entropy",))["entropy"]
 
 
 @dataclass
@@ -232,30 +234,10 @@ def log_prefactor(
     arr = as_beta_array(beta, seq.n)
     n, r = seq.n, seq.r
     check_subset_budget(math.comb(n, r), budget)
-
-    soft = Twofold(0.0)
-    ent = Twofold(0.0)
-
-    def chunk_fn(args):
-        idx, b = args
-        s = b[idx].sum(axis=1)
-        lam = logistic(s)
-        sp = softplus(s)
-        return float(sp.sum()), float((sp - lam * s).sum())
-
-    def combine(_, res):
-        soft.add(res[0])
-        ent.add(res[1])
-
-    map_chunks(
-        ((idx, arr) for idx in iter_chunks(n, r, CHUNK)),
-        chunk_fn,
-        combine,
-        threads=threads,
-    )
+    sums = _sweep(arr, n, r, PREFACTOR_TERMS)
     degree_dot = float(arr @ np.asarray(seq.degrees, dtype=np.float64))
-    direct = -n * LOG_2PI - degree_dot + soft.value()
-    entropy_form = -n * LOG_2PI + ent.value()
+    direct = -n * LOG_2PI - degree_dot + sums["softplus"]
+    entropy_form = -n * LOG_2PI + sums["entropy"]
     return PrefactorResult(
         value=entropy_form, discrepancy=abs(direct - entropy_form)
     )
@@ -315,15 +297,24 @@ def check_weight_ratio_bounds(
     s = inc @ arr
     lam = logistic(s)
     one_minus = logistic(-s)
-    overlap = inc @ inc.T  # |W cap W'| for every pair
-    allowance = delta_hat * (1.0 - overlap / r)
-
     log_lam = np.log(lam)
     log_one = np.log(one_minus)
-    gap_lam = np.abs(log_lam[:, None] - log_lam[None, :])
-    gap_one = np.abs(log_one[:, None] - log_one[None, :])
-    slack_lam = float((allowance - gap_lam).min())
-    slack_one = float((allowance - gap_one).min())
+
+    # the pair comparison in row blocks of about PAIR_BLOCK entries; the
+    # overlaps are exact small integers and min is exact, so the slacks do
+    # not depend on the blocking
+    rows = max(1, PAIR_BLOCK // max(total, 1))
+    mins_lam, mins_one = [], []
+    for lo in range(0, total, rows):
+        hi = min(lo + rows, total)
+        overlap = inc[lo:hi] @ inc.T  # |W cap W'| for every pair
+        allowance = delta_hat * (1.0 - overlap / r)
+        gap_lam = np.abs(log_lam[lo:hi, None] - log_lam[None, :])
+        gap_one = np.abs(log_one[lo:hi, None] - log_one[None, :])
+        mins_lam.append((allowance - gap_lam).min())
+        mins_one.append((allowance - gap_one).min())
+    slack_lam = float(np.min(mins_lam))
+    slack_one = float(np.min(mins_one))
 
     avg = float(lam.mean())
     big = float((lam * one_minus).mean())

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .budgets import check_subset_budget
 from .errors import DegenerateDenominator
-from .subsets import iter_colex
+from .subsets import all_subsets
 
 SCOPES = ("all", "vertex", "pair")
 
@@ -208,7 +208,7 @@ def brute_sum(
     if ell is not None:
         needed.update({ell, ell + 1})
     total = Fraction(0)
-    for w in iter_colex(n, r):
+    for w in all_subsets(n, r).tolist():
         if scope == "vertex" and j not in w:
             continue
         if scope == "pair" and not (j in w and k in w):

@@ -298,10 +298,17 @@ def measured_ratio(
     d_model: str = "D-exact",
     budget: int | None = None,
     threads: int | None = None,
+    d_point: ModelPoint | None = None,
 ) -> float:
-    """Measured ln(Prob_D / Prob_other) from the model probabilities."""
+    """Measured ln(Prob_D / Prob_other) from the model probabilities.
+
+    A given ``d_point`` is used as the D-model probability instead of
+    evaluating ``d_model``, so several pairs can share one exact count.
+    """
     other = "B" if pair in ("b-vs-d", "klw") else "T"
-    pd = prob_model(seq, d_model, budget=budget, threads=threads)
+    pd = d_point
+    if pd is None:
+        pd = prob_model(seq, d_model, budget=budget, threads=threads)
     po = prob_model(seq, other, normalizer=normalizer, budget=budget)
     return pd.ln_prob - po.ln_prob
 

@@ -30,7 +30,7 @@ from .core import DegreeSequence, QuadrantTransform, apply_symmetry
 from .errors import BudgetExceeded
 from .fields import as_beta_array, logistic, softplus
 from .parallel import Twofold, map_chunks
-from .subsets import all_subsets, iter_colex
+from .subsets import all_subsets
 
 # Below this many DP states a dict of Python ints beats the per-step
 # overhead of numpy arrays.
@@ -64,7 +64,7 @@ def _colex_plan(n: int, r: int, width: int):
     """
     field = width + 1
     ones = (1 << width) - 1
-    subsets = list(iter_colex(n, r))
+    subsets = all_subsets(n, r).tolist()
     blocks = []
     for w in subsets:
         p = 0
@@ -181,7 +181,7 @@ def _count_dense(n: int, r: int, degrees: tuple[int, ...]) -> int:
     grid = np.zeros(shape, dtype=np.int64)
     grid[(0,) * n] = 1
     full = slice(None)
-    for w in iter_colex(n, r):
+    for w in all_subsets(n, r).tolist():
         src = [full] * n
         dst = [full] * n
         for j in w:

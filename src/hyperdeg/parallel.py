@@ -4,7 +4,9 @@ Work is split into fixed chunks, each chunk is evaluated by a pure function,
 and the partial results are combined in chunk order with twofold (Kahan)
 compensated accumulation.  The thread pool only decides *which worker*
 evaluates a chunk; the arithmetic per chunk and the combination order are
-fixed, so results are bit-identical for any worker count.
+fixed, so results are bit-identical for any worker count.  The
+coefficient-extraction quadrature is its one user: subset sweeps are cheaper
+serial than pooled, so they fold their chunks in a plain loop.
 """
 
 from __future__ import annotations

@@ -31,8 +31,14 @@ from .errors import (
     Unsolved,
     ZeroDegree,
 )
-from .fields import BetaVector, as_beta_array, field_summary, logistic
-from .parallel import Twofold, map_chunks
+from .fields import (
+    BetaVector,
+    FieldSummary,
+    as_beta_array,
+    field_summary,
+    logistic,
+)
+from .parallel import Twofold
 from .subsets import CHUNK, iter_chunks
 
 SPREAD_GUARD = 50.0
@@ -49,6 +55,8 @@ class SolveReport:
     spread: float
     converged: bool
     seed_used: str
+    # the field sweep at beta_star, taken by the last Newton evaluation
+    field: FieldSummary | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,24 +152,6 @@ def initial_beta(
     raise ValueError(f"unknown seed strategy {strategy!r}")
 
 
-def _vertex_sums(beta: np.ndarray, n: int, r: int, threads=None) -> np.ndarray:
-    acc = Twofold(np.zeros(n))
-
-    def chunk_fn(idx):
-        s = beta[idx].sum(axis=1)
-        lam = logistic(s)
-        out = np.zeros(n)
-        for a in range(idx.shape[1]):
-            np.add.at(out, idx[:, a], lam)
-        return (out,)
-
-    map_chunks(
-        iter_chunks(n, r, CHUNK), chunk_fn, lambda _, res: acc.add(res[0]),
-        threads=threads,
-    )
-    return acc.value()
-
-
 def solve(
     seq: DegreeSequence,
     seed_beta=None,
@@ -178,6 +168,11 @@ def solve(
     spread guard aborts once ``spread * r`` exceeds 50 (far outside any
     regime with a solution).  Convergence means
     ``max_j |residual_j| <= tol * max(d, 1)``.
+
+    Every point is evaluated by one field sweep, which gives both its
+    residual and its Jacobian: a solve costs 1 + iterations + halvings
+    sweeps.  ``threads`` is accepted for interface stability; sweeps run
+    serially.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -195,7 +190,8 @@ def solve(
 
     degrees = np.asarray(seq.degrees, dtype=np.float64)
     target = tol * max(params.d, 1.0)
-    residual = _vertex_sums(beta, n, r, threads) - degrees
+    field = field_summary(beta, n, r, budget=budget)
+    residual = field.vertex_sums - degrees
     res_norm = float(np.abs(residual).max())
 
     for iteration in range(max_iter + 1):
@@ -207,10 +203,10 @@ def solve(
                 spread=float(beta.max() - beta.min()),
                 converged=True,
                 seed_used=seed_used,
+                field=field,
             )
         if iteration == max_iter:
             break
-        field = field_summary(beta, n, r, budget=budget, threads=threads)
         jacobian = field.pair_weights  # equals 2A exactly
         try:
             factor = scipy.linalg.cho_factor(jacobian, check_finite=False)
@@ -223,7 +219,8 @@ def solve(
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = beta + scale * step
-            cand_residual = _vertex_sums(candidate, n, r, threads) - degrees
+            cand_field = field_summary(candidate, n, r, budget=budget)
+            cand_residual = cand_field.vertex_sums - degrees
             cand_norm = float(np.abs(cand_residual).max())
             if cand_norm < res_norm:
                 break
@@ -233,7 +230,8 @@ def solve(
                 f"{MAX_HALVINGS} step halvings without residual decrease "
                 f"(residual {res_norm:.3e})"
             )
-        beta, residual, res_norm = candidate, cand_residual, cand_norm
+        beta, field = candidate, cand_field
+        residual, res_norm = cand_residual, cand_norm
         spread = float(beta.max() - beta.min())
         if spread * r > SPREAD_GUARD:
             raise NonConvergence(
@@ -293,17 +291,12 @@ def uniqueness_diagnostic(
     ys = np.linspace(0.0, 1.0, grid_points)
     acc = Twofold(np.zeros(grid_points))
 
-    def chunk_fn(idx):
+    for idx in iter_chunks(n, r, CHUNK):
         la = logistic(a[idx].sum(axis=1))
         lb = logistic(b[idx].sum(axis=1))
         diff2 = (lb - la) ** 2
         xi = (1.0 - ys[:, None]) * la[None, :] + ys[:, None] * lb[None, :]
-        return ((diff2[None, :] / (xi * (1.0 - xi))).sum(axis=1),)
-
-    map_chunks(
-        iter_chunks(n, r, CHUNK), chunk_fn, lambda _, res: acc.add(res[0]),
-        threads=threads,
-    )
+        acc.add((diff2[None, :] / (xi * (1.0 - xi))).sum(axis=1))
     return float(acc.value().min())
 
 

@@ -37,36 +37,49 @@ def colex_unrank(rank: int, n: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def iter_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    """Yield all r-subsets of {0..n-1} in colex order."""
-    if r == 0:
-        yield ()
-        return
-    if r > n:
-        return
-    for c in range(r - 1, n):
-        for rest in iter_colex(c, r - 1):
-            yield rest + (c,)
+def _rank_tables(n: int, r: int) -> list[np.ndarray]:
+    """``tables[k][c] = min(C(c, k), C(n, r))`` for c < n and k = 1..r.
+
+    The cap keeps every entry within int64 where C(c, k) for k < r exceeds
+    it (C(69, 34) > 2^63 while C(70, 68) = 2415); a rank is always below
+    C(n, r), so a capped entry is never picked.
+    """
+    total = comb(n, r)
+    return [np.zeros(0, dtype=np.int64)] + [
+        np.array([min(comb(c, k), total) for c in range(n)], dtype=np.int64)
+        for k in range(1, r + 1)
+    ]
+
+
+def _unrank_range(start: int, end: int, r: int, tables) -> np.ndarray:
+    """Rows ``start..end-1`` of the colex order as an (end - start, r) array.
+
+    Position k - 1 of each row is the largest c with C(c, k) at most the
+    remaining rank, for k = r down to 1.
+    """
+    rank = np.arange(start, end, dtype=np.int64)
+    out = np.empty((rank.size, r), dtype=np.int64)
+    for k in range(r, 0, -1):
+        table = tables[k]
+        c = np.searchsorted(table, rank, side="right") - 1
+        rank -= table[c]
+        out[:, k - 1] = c
+    return out
 
 
 def iter_chunks(n: int, r: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
     """Yield (c, r) integer arrays of consecutive colex subsets.
 
     Every chunk except possibly the last has exactly ``chunk`` rows; chunk
-    boundaries depend only on (n, r, chunk), never on the consumer.
+    boundaries depend only on (n, r, chunk), never on the consumer.  Each
+    chunk is unranked from its rank range in vectorised form.
     """
-    buf: list[tuple[int, ...]] = []
-    for subset in iter_colex(n, r):
-        buf.append(subset)
-        if len(buf) == chunk:
-            yield np.array(buf, dtype=np.int64)
-            buf = []
-    if buf:
-        yield np.array(buf, dtype=np.int64)
+    total = comb(n, r)
+    tables = _rank_tables(n, r)
+    for start in range(0, total, chunk):
+        yield _unrank_range(start, min(start + chunk, total), r, tables)
 
 
 def all_subsets(n: int, r: int) -> np.ndarray:
     """All r-subsets in colex order as one (comb(n, r), r) array."""
-    if r == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.array(list(iter_colex(n, r)), dtype=np.int64)
+    return _unrank_range(0, comb(n, r), r, _rank_tables(n, r))

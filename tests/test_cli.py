@@ -108,6 +108,51 @@ def test_models_falls_back_to_asymptotic_beyond_budget():
     assert payload["comparisons"][0]["d_model"] == "D-asymptotic"
 
 
+def test_models_counts_the_instance_once_for_all_pairs(monkeypatch):
+    from hyperdeg import models, oracle
+    from hyperdeg.cli import load_instance
+
+    path = str(INSTANCES / "reg6.json")
+    seq = load_instance(path)
+    pairs = ("d-vs-t", "b-vs-d", "klw")
+    one_by_one = [models.measured_ratio(seq, pair) for pair in pairs]
+    calls = []
+    original = oracle._count_sparse
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(oracle, "_count_sparse", counted)
+    code, out, _ = invoke(["models", "--input", path, "--compare", ",".join(pairs)])
+    assert code == 0
+    assert len(calls) == 1
+    rows = json.loads(out)["comparisons"]
+    assert [row["d_model"] for row in rows] == ["D-exact"] * 3
+    assert [row["measured_ln_ratio"] for row in rows] == one_by_one
+
+
+def test_models_falls_back_once_for_all_pairs(monkeypatch):
+    from hyperdeg import oracle
+
+    calls = []
+    original = oracle.exact_count
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "exact_count", counted)
+    code, out, _ = invoke(
+        ["--budget", "1000", "models", "--input", str(INSTANCES / "near8.json"),
+         "--compare", "d-vs-t,b-vs-d,klw"]
+    )
+    assert code == 0
+    assert len(calls) == 1
+    rows = json.loads(out)["comparisons"]
+    assert [row["d_model"] for row in rows] == ["D-asymptotic"] * 3
+
+
 def test_models_clt_normalizer_flag():
     code, out, _ = invoke(
         ["models", "--input", str(INSTANCES / "tiny4.json"),
@@ -150,6 +195,24 @@ def test_audit_command():
     assert payload["quadrants"]["max_ln_gap"] <= 1e-8
     statuses = {c["status"] for c in payload["matrix_checks"]}
     assert "fail" not in statuses
+
+
+def test_audit_solves_the_base_instance_once(monkeypatch):
+    from hyperdeg import cli, counts
+
+    seeded = []
+    original = counts.solve
+
+    def counted(*args, **kwargs):
+        seeded.append(kwargs.get("seed_beta") is not None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(counts, "solve", counted)
+    monkeypatch.setattr(cli, "solve", counted)
+    code, _, _ = invoke(["audit", "--input", str(INSTANCES / "skew6.json")])
+    assert code == 0
+    # one base solve, then one seeded solve per quadrant image
+    assert seeded == [False] + [True] * 4
 
 
 def test_selftest_commands():

@@ -172,6 +172,11 @@ def test_symmetry_audit_skew():
     )
 
 
+def test_symmetry_audit_reuses_a_given_base_report():
+    fresh = symmetry_audit(SKEW6).to_json_dict()
+    assert symmetry_audit(SKEW6, report=solve(SKEW6)).to_json_dict() == fresh
+
+
 def test_general_formula_against_high_precision_oracle():
     """Re-evaluate the whole general formula at the solved point with
     50-digit arithmetic: weights, entropy sum, matrix, determinant."""

@@ -3,8 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hyperdeg.core import DegreeSequence
+from hyperdeg.core import DegreeSequence, derive
 from hyperdeg.errors import BudgetExceeded
 from hyperdeg.fields import (
     BetaVector,
@@ -15,8 +16,10 @@ from hyperdeg.fields import (
     log_prefactor,
     logistic,
 )
-from hyperdeg.parallel import resolve_threads
-from hyperdeg.solver import solve
+from hyperdeg import fields
+from hyperdeg.parallel import Twofold, resolve_threads
+from hyperdeg.solver import initial_beta, solve
+from hyperdeg.subsets import iter_chunks
 
 E = math.e
 
@@ -204,3 +207,113 @@ def test_logistic_extreme_arguments_saturate_without_overflow():
     assert vals[0] == 0.0 and vals[1] == 1.0
     mid = logistic(np.array([0.0]))
     assert mid[0] == 0.5
+
+
+def reference_field_summary(beta, n, r):
+    """Reference: the per-column ``np.add.at`` chunk kernel that the
+    bincount kernel replaces, folded in chunk order."""
+    beta = np.asarray(beta, dtype=np.float64)
+    acc = [Twofold(0.0), Twofold(0.0), Twofold(np.zeros(n)), Twofold(np.zeros(n)),
+           Twofold(np.zeros((n, n)))]
+    for idx in iter_chunks(n, r):
+        s = beta[idx].sum(axis=1)
+        lam = logistic(s)
+        q = lam * logistic(-s)
+        vertex_lam, vertex_q, pair_q = np.zeros(n), np.zeros(n), np.zeros((n, n))
+        for a in range(r):
+            np.add.at(vertex_lam, idx[:, a], lam)
+            np.add.at(vertex_q, idx[:, a], q)
+            for b in range(a + 1, r):
+                np.add.at(pair_q, (idx[:, a], idx[:, b]), q)
+        for total, part in zip(acc, (lam.sum(), q.sum(), vertex_lam, vertex_q, pair_q)):
+            total.add(part)
+    sum_lam, sum_q, vertex_lam, vertex_q, pair_q = (t.value() for t in acc)
+    pw = pair_q + pair_q.T
+    np.fill_diagonal(pw, vertex_q)
+    total = math.comb(n, r)
+    return vertex_lam, pw, sum_lam / total, sum_q / total
+
+
+def reference_solve(seq, seed_beta=None, tol=1e-10):
+    """Reference: damped Newton with a separate vertex-sum sweep for each
+    candidate and a fresh field sweep for each Jacobian."""
+    n, r = seq.n, seq.r
+    beta = initial_beta(seq)[0].beta if seed_beta is None else seed_beta
+    degrees = np.asarray(seq.degrees, dtype=np.float64)
+    target = tol * max(derive(seq).d, 1.0)
+    residual = reference_field_summary(beta, n, r)[0] - degrees
+    res_norm = float(np.abs(residual).max())
+    for iteration in range(101):
+        if res_norm <= target:
+            return beta, res_norm, iteration
+        jacobian = reference_field_summary(beta, n, r)[1]
+        factor = scipy.linalg.cho_factor(jacobian, check_finite=False)
+        step = scipy.linalg.cho_solve(factor, -residual, check_finite=False)
+        scale = 1.0
+        while True:
+            candidate = beta + scale * step
+            cand_residual = reference_field_summary(candidate, n, r)[0] - degrees
+            cand_norm = float(np.abs(cand_residual).max())
+            if cand_norm < res_norm:
+                break
+            scale *= 0.5
+        beta, residual, res_norm = candidate, cand_residual, cand_norm
+    raise AssertionError("reference solve did not converge")
+
+
+@pytest.mark.parametrize("n,r", [(9, 1), (9, 2), (20, 4), (12, 5), (24, 5)])
+def test_bincount_kernel_is_bit_identical_to_add_at(n, r):
+    rng = np.random.default_rng(n * 10 + r)
+    beta = rng.normal(scale=0.4, size=n) - 0.3
+    f = field_summary(beta, n, r)
+    vertex, pair, avg, big = reference_field_summary(beta, n, r)
+    assert np.array_equal(f.vertex_sums, vertex)
+    assert np.array_equal(f.pair_weights, pair)
+    assert f.avg_lambda == avg
+    assert f.big_lambda == big
+
+
+def test_entropy_and_prefactor_sweeps_are_bit_identical_to_per_chunk_sums():
+    seq = DegreeSequence(13, 4, (60,) * 12 + (64,))
+    beta = np.random.default_rng(2).normal(scale=0.2, size=13) - 0.9
+    soft, ent = Twofold(0.0), Twofold(0.0)
+    for idx in iter_chunks(13, 4):
+        s = beta[idx].sum(axis=1)
+        sp = fields.softplus(s)
+        soft.add(float(sp.sum()))
+        ent.add(float((sp - logistic(s) * s).sum()))
+    assert entropy_sum(beta, 13, 4) == ent.value()
+    res = log_prefactor(beta, seq)
+    degree_dot = float(beta @ np.asarray(seq.degrees, dtype=np.float64))
+    entropy_form = -13 * fields.LOG_2PI + ent.value()
+    assert res.value == entropy_form
+    assert res.discrepancy == abs(-13 * fields.LOG_2PI - degree_dot + soft.value() - entropy_form)
+
+
+@pytest.mark.parametrize("degrees,seed", [
+    ((6, 5, 5, 5, 5, 4), None),
+    ((20, 22, 25, 27, 30, 31, 33, 35, 36, 38, 41, 43), None),
+    # a far seed: 7 iterations with 10 step halvings
+    ((4, 1, 1, 2, 5, 8, 9, 9, 9, 9, 9, 9), -3.0),
+])
+def test_solve_is_bit_identical_to_the_reference_path(degrees, seed):
+    n = len(degrees)
+    seq = DegreeSequence(n, 3, degrees)
+    seed_beta = None if seed is None else np.full(n, seed)
+    report = solve(seq, seed_beta=seed_beta)
+    beta, residual, iterations = reference_solve(seq, seed_beta)
+    assert np.array_equal(report.beta_star.beta, beta)
+    assert report.residual_inf == residual
+    assert report.iterations == iterations
+
+
+def test_ratio_bounds_do_not_depend_on_the_row_blocking(monkeypatch):
+    rng = np.random.default_rng(21)
+    beta = -0.4 + rng.uniform(-0.05, 0.05, size=9)
+    whole = check_weight_ratio_bounds(beta, 9, 4, delta_hat=0.5)
+    for block in (1, 7, 130):
+        monkeypatch.setattr(fields, "PAIR_BLOCK", block)
+        blocked = check_weight_ratio_bounds(beta, 9, 4, delta_hat=0.5)
+        assert [(c.name, c.status, c.slack) for c in blocked] == [
+            (c.name, c.status, c.slack) for c in whole
+        ]

@@ -10,20 +10,42 @@ from hyperdeg.subsets import (
     colex_rank,
     colex_unrank,
     iter_chunks,
-    iter_colex,
 )
 
 
+def iter_colex(n, r):
+    """Reference: the recursive colex generator the vectorised chunks replace."""
+    if r == 0:
+        yield ()
+        return
+    if r > n:
+        return
+    for c in range(r - 1, n):
+        for rest in iter_colex(c, r - 1):
+            yield rest + (c,)
+
+
+def colex_combinations(n, r):
+    """All r-subsets from itertools, sorted into colex order."""
+    return sorted(combinations(range(n), r), key=lambda w: w[::-1])
+
+
+def rows(array):
+    return [tuple(row) for row in array.tolist()]
+
+
 def test_colex_order_small():
-    got = list(iter_colex(4, 2))
-    assert got == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    expected = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    assert list(iter_colex(4, 2)) == expected
+    assert rows(all_subsets(4, 2)) == expected
 
 
 def test_enumeration_is_complete():
     for n, r in [(6, 3), (7, 4), (5, 1), (4, 4)]:
-        got = list(iter_colex(n, r))
+        got = rows(all_subsets(n, r))
         assert len(got) == math.comb(n, r)
         assert set(got) == set(combinations(range(n), r))
+        assert got == list(iter_colex(n, r))
 
 
 def test_rank_matches_enumeration_order():
@@ -55,3 +77,31 @@ def test_chunk_boundaries_fixed():
     assert sizes == [10] * 5 + [6]
     stacked = np.vstack(chunks)
     assert np.array_equal(stacked, all_subsets(8, 3))
+
+
+def test_chunks_match_the_recursive_reference():
+    for n, r, chunk in [(9, 4, 7), (12, 3, 64), (20, 4, 4096), (11, 1, 3), (10, 6, 50)]:
+        chunks = list(iter_chunks(n, r, chunk=chunk))
+        assert all(c.dtype == np.int64 and c.shape[1] == r for c in chunks)
+        assert [c.shape[0] for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+        assert rows(np.vstack(chunks)) == list(iter_colex(n, r))
+
+
+def test_unranking_without_int64_overflow_near_r_equals_n():
+    # C(69, 34) > 2^63 while C(70, 68) = 2415
+    got = rows(np.vstack(list(iter_chunks(70, 68, chunk=1000))))
+    assert got == colex_combinations(70, 68)
+    assert rows(all_subsets(70, 68)) == got
+    assert rows(all_subsets(66, 64)[-3:]) == colex_combinations(66, 64)[-3:]
+
+
+def test_degenerate_edge_sizes():
+    for n in (0, 1, 5):
+        # r = 0: one empty row, which the product seed relies on at r - 1
+        for got in (np.vstack(list(iter_chunks(n, 0))), all_subsets(n, 0)):
+            assert got.shape == (1, 0)
+        full = list(iter_chunks(n, n))
+        assert len(full) == 1 and rows(full[0]) == colex_combinations(n, n)
+        assert rows(all_subsets(n, n)) == [tuple(range(n))]
+        assert list(iter_chunks(n, n + 1)) == []
+        assert all_subsets(n, n + 2).shape == (0, n + 2)
