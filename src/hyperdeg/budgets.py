@@ -4,12 +4,13 @@ Every operation that enumerates r-subsets, DP states, or quadrature grid
 points checks an operation count against a budget before starting.  Budgets
 are hard guards, not hints: exceeding one raises ``BudgetExceeded`` rather
 than silently truncating.  The environment variable ``HYPERDEG_BUDGET``
-overrides all three defaults at once; individual calls may also pass an
-explicit budget.
+overrides all three defaults at once and must be a finite number of at
+least 1; individual calls may also pass an explicit budget.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import BudgetExceeded, GridBudgetExceeded
@@ -21,33 +22,44 @@ GRID_BUDGET_DEFAULT = 10**9
 _ENV_VAR = "HYPERDEG_BUDGET"
 
 
-def _env_override() -> int | None:
+def env_budget() -> int | None:
+    """The budget set by ``HYPERDEG_BUDGET``, or None when it is unset.
+
+    The value is read as a number and truncated (``1e3`` is 1000); a value
+    that is not a finite number, or is below 1, raises ``ValueError``.
+    """
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return None
     try:
-        value = int(float(raw))
+        value = float(raw)
     except ValueError:
-        return None
-    return value if value > 0 else None
+        value = math.nan
+    if not (math.isfinite(value) and value >= 1):
+        raise ValueError(
+            f"{_ENV_VAR}={raw!r} is not a finite number of at least 1"
+        )
+    return int(value)
+
+
+def _limit(override: int | None, default: int) -> int:
+    """An explicit budget, else ``HYPERDEG_BUDGET``, else the default."""
+    if override is not None:
+        return int(override)
+    env = env_budget()
+    return default if env is None else env
 
 
 def subset_budget(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    return _env_override() or SUBSET_BUDGET_DEFAULT
+    return _limit(override, SUBSET_BUDGET_DEFAULT)
 
 
 def dp_budget(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    return _env_override() or DP_BUDGET_DEFAULT
+    return _limit(override, DP_BUDGET_DEFAULT)
 
 
 def grid_budget(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    return _env_override() or GRID_BUDGET_DEFAULT
+    return _limit(override, GRID_BUDGET_DEFAULT)
 
 
 def check_subset_budget(count: int, override: int | None = None) -> None:

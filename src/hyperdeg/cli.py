@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import os
 
-# Pin BLAS pools before numpy loads: worker-count independence of the
-# output bytes is part of the CLI contract.
+# Pin BLAS pools to one thread before numpy loads, so that no library
+# reduction depends on the machine's core count.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import identities, models
+from . import budgets, identities, models
 from .core import DegreeSequence, derive
 from .counts import (
     estimate_corollary,
@@ -45,7 +45,6 @@ from .errors import (
 from .fields import check_weight_ratio_bounds
 from .matrices import assemble_weight_matrix, bound_suite
 from .oracle import cauchy_quadrature, exact_count, total_identity_check
-from .parallel import set_default_threads
 from .solver import solve
 
 
@@ -327,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare degree-sequence probability models.",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="quadrature worker pool cap (default: available "
-                        "parallelism); subset sweeps are serial")
+                        help="accepted and ignored: all work is serial")
     parser.add_argument("--budget", type=int, default=None,
                         help="override enumeration budgets")
     parser.add_argument("--pretty", action="store_true",
@@ -349,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=["general", "near-regular", "corollary", "exact",
                             "quadrature"])
-    p.add_argument("--json", action="store_true",
-                   help="force JSON output (the default)")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("models", help="compare degree-sequence models")
@@ -391,8 +387,8 @@ def run(argv=None) -> int:
         # part of the effective configuration, so part of the echo
         echo += f"  [HYPERDEG_BUDGET={env_budget}]"
     sys.stderr.write(echo + "\n")
-    set_default_threads(args.threads)
     try:
+        budgets.env_budget()  # a malformed HYPERDEG_BUDGET is invalid input
         return args.fn(args)
     except (InvalidInstance, DensityDegenerate, ZeroDegree, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -104,7 +104,6 @@ def estimate_general(
     report: SolveReport | None = None,
     tol: float = 1e-10,
     budget: int | None = None,
-    threads: int | None = None,
 ) -> LogEstimate:
     """General-formula estimate: solve, assemble, take logs.
 
@@ -117,7 +116,7 @@ def estimate_general(
         raise DensityDegenerate("empty or complete instance; use the exact oracle")
     canonical, transform = canonicalize_first_quadrant(seq)
     if report is None:
-        report = solve(canonical, tol=tol, budget=budget, threads=threads)
+        report = solve(canonical, tol=tol, budget=budget)
         beta, field = report.beta_star.beta, report.field
     else:
         require_converged(report)
@@ -129,15 +128,13 @@ def estimate_general(
         identity = transform is QuadrantTransform.IDENTITY
         field = report.field if identity else None
     n, r = canonical.n, canonical.r
-    matrix = assemble_weight_matrix(
-        beta, n, r, budget=budget, threads=threads, field=field
-    )
+    matrix = assemble_weight_matrix(beta, n, r, budget=budget, field=field)
     ln_value = (
         math.log(r)
         - n * math.log(2.0)
         - 0.5 * n * math.log(math.pi)
         - 0.5 * logdet_pd(matrix)
-        + entropy_sum(beta, n, r, budget=budget, threads=threads)
+        + entropy_sum(beta, n, r, budget=budget)
     )
     return LogEstimate(
         ln_value=ln_value,
@@ -246,7 +243,6 @@ def symmetry_audit(
     spot_checks: int = 100,
     rng_seed: int = 2024,
     budget: int | None = None,
-    threads: int | None = None,
     report: SolveReport | None = None,
 ) -> QuadrantAudit:
     """Solve all four quadrant images and compare the general estimates.
@@ -258,15 +254,12 @@ def symmetry_audit(
     """
     n, r = seq.n, seq.r
     if report is None:
-        base_report = solve(seq, tol=tol, budget=budget, threads=threads)
+        base_report = solve(seq, tol=tol, budget=budget)
     else:
         base_report = require_converged(report)
     base_beta = base_report.beta_star.beta
     base_logdet = logdet_pd(
-        assemble_weight_matrix(
-            base_beta, n, r, budget=budget, threads=threads,
-            field=base_report.field,
-        )
+        assemble_weight_matrix(base_beta, n, r, budget=budget, field=base_report.field)
     )
 
     ln_values: dict = {}
@@ -277,17 +270,14 @@ def symmetry_audit(
     for t in QuadrantTransform:
         image = apply_symmetry(seq, t)
         seed = apply_beta_symmetry(base_beta, t, n, r)
-        report = solve(image, seed_beta=seed, tol=tol, budget=budget, threads=threads)
-        estimate = estimate_general(
-            image, report=report, budget=budget, threads=threads
-        )
+        report = solve(image, seed_beta=seed, tol=tol, budget=budget)
+        estimate = estimate_general(image, report=report, budget=budget)
         ln_values[t.value] = estimate.ln_value
 
         image_beta = report.beta_star.beta
         image_logdet = logdet_pd(
             assemble_weight_matrix(
-                image_beta, image.n, image.r, budget=budget, threads=threads,
-                field=report.field,
+                image_beta, image.n, image.r, budget=budget, field=report.field
             )
         )
         if t in (QuadrantTransform.EDGE_COMPLEMENT, QuadrantTransform.BOTH):

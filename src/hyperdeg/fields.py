@@ -22,8 +22,7 @@ import numpy as np
 
 from .budgets import check_subset_budget
 from .core import DegreeSequence
-from .parallel import Twofold
-from .subsets import CHUNK, all_subsets, iter_chunks
+from .subsets import CHUNK, incidence, iter_chunks
 
 LOG_2PI = math.log(2.0 * math.pi)
 PAIR_BLOCK = 1 << 20
@@ -112,6 +111,25 @@ class FieldSummary:
         }
 
 
+class Twofold:
+    """Compensated accumulator for a scalar or a fixed-shape ndarray."""
+
+    def __init__(self, zero):
+        self.total = np.asarray(zero, dtype=np.float64).copy()
+        self.comp = np.zeros_like(self.total)
+
+    def add(self, value) -> None:
+        value = np.asarray(value, dtype=np.float64)
+        y = value - self.comp
+        t = self.total + y
+        self.comp = (t - self.total) - y
+        self.total = t
+
+    def value(self):
+        out = self.total
+        return float(out) if out.ndim == 0 else out.copy()
+
+
 # the terms a sweep can accumulate; ``want`` names a subset of them
 FIELD_TERMS = ("lam", "q", "vertex_lam", "vertex_q", "pair_q")
 PREFACTOR_TERMS = ("softplus", "entropy")
@@ -171,12 +189,8 @@ def field_summary(
     n: int,
     r: int,
     budget: int | None = None,
-    threads: int | None = None,
 ) -> FieldSummary:
-    """One deterministic sweep over all C(n, r) subsets.
-
-    ``threads`` is accepted for interface stability; sweeps run serially.
-    """
+    """One deterministic sweep over all C(n, r) subsets."""
     arr = as_beta_array(beta, n)
     total = math.comb(n, r)
     check_subset_budget(total, budget)
@@ -199,7 +213,6 @@ def entropy_sum(
     n: int,
     r: int,
     budget: int | None = None,
-    threads: int | None = None,
 ) -> float:
     """Sum over subsets of the binary entropy of the edge weight.
 
@@ -221,7 +234,6 @@ def log_prefactor(
     beta,
     seq: DegreeSequence,
     budget: int | None = None,
-    threads: int | None = None,
 ) -> PrefactorResult:
     """Log of the coefficient-extraction prefactor, by both algebraic forms.
 
@@ -266,7 +278,7 @@ def check_weight_ratio_bounds(
 
     Checks, with s = spread(beta) * r <= delta_hat required:
 
-    * for all subsets W, W': |log(lambda_W / lambda_W')| and
+    * for all distinct subsets W, W': |log(lambda_W / lambda_W')| and
       |log((1-lambda_W) / (1-lambda_W'))| at most
       delta_hat * (1 - |W cap W'| / r);
     * for all W: |log(lambda_W / avg)| <= delta_hat and
@@ -291,9 +303,7 @@ def check_weight_ratio_bounds(
             )
         ]
 
-    subsets = all_subsets(n, r)
-    inc = np.zeros((total, n))
-    np.put_along_axis(inc, subsets, 1.0, axis=1)
+    inc = incidence(n, r)
     s = inc @ arr
     lam = logistic(s)
     one_minus = logistic(-s)
@@ -302,17 +312,19 @@ def check_weight_ratio_bounds(
 
     # the pair comparison in row blocks of about PAIR_BLOCK entries; the
     # overlaps are exact small integers and min is exact, so the slacks do
-    # not depend on the blocking
+    # not depend on the blocking.  A subset paired with itself has allowance
+    # and gap both 0 and is left out, or every slack would read 0.
     rows = max(1, PAIR_BLOCK // max(total, 1))
     mins_lam, mins_one = [], []
     for lo in range(0, total, rows):
         hi = min(lo + rows, total)
         overlap = inc[lo:hi] @ inc.T  # |W cap W'| for every pair
         allowance = delta_hat * (1.0 - overlap / r)
-        gap_lam = np.abs(log_lam[lo:hi, None] - log_lam[None, :])
-        gap_one = np.abs(log_one[lo:hi, None] - log_one[None, :])
-        mins_lam.append((allowance - gap_lam).min())
-        mins_one.append((allowance - gap_one).min())
+        own = (np.arange(hi - lo), np.arange(lo, hi))
+        for log_w, mins in ((log_lam, mins_lam), (log_one, mins_one)):
+            slack = allowance - np.abs(log_w[lo:hi, None] - log_w[None, :])
+            slack[own] = np.inf
+            mins.append(slack.min())
     slack_lam = float(np.min(mins_lam))
     slack_one = float(np.min(mins_one))
 

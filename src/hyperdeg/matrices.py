@@ -37,12 +37,11 @@ def assemble_weight_matrix(
     n: int,
     r: int,
     budget: int | None = None,
-    threads: int | None = None,
     field: FieldSummary | None = None,
 ) -> WeightMatrix:
     """Half the pair-weight sums of a field summary, as a dense matrix."""
     if field is None:
-        field = field_summary(beta, n, r, budget=budget, threads=threads)
+        field = field_summary(beta, n, r, budget=budget)
     return WeightMatrix(entries=0.5 * field.pair_weights, source="assembled")
 
 
@@ -126,7 +125,6 @@ def bound_suite(
     r: int,
     delta_hat: float,
     budget: int | None = None,
-    threads: int | None = None,
 ) -> MatrixBoundReport:
     """Entry-ratio, sandwich, determinant, and inverse-entry checks.
 
@@ -170,7 +168,7 @@ def bound_suite(
             ]
         )
 
-    field = field_summary(arr, n, r, budget=budget, threads=threads)
+    field = field_summary(arr, n, r, budget=budget)
     mat = assemble_weight_matrix(arr, n, r, field=field)
     a = mat.entries
     big = field.big_lambda

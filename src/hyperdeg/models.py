@@ -169,7 +169,6 @@ def prob_model(
     normalizer: str = "dp",
     estimate_method: str = "near-regular",
     budget: int | None = None,
-    threads: int | None = None,
 ) -> ModelPoint:
     """Log-probability of one degree vector under one model."""
     n, r = seq.n, seq.r
@@ -222,7 +221,7 @@ def prob_model(
         from . import counts
 
         if estimate_method == "general":
-            est = counts.estimate_general(seq, budget=budget, threads=threads)
+            est = counts.estimate_general(seq, budget=budget)
         elif estimate_method == "corollary":
             est = counts.estimate_corollary(seq)
         else:
@@ -297,7 +296,6 @@ def measured_ratio(
     normalizer: str = "dp",
     d_model: str = "D-exact",
     budget: int | None = None,
-    threads: int | None = None,
     d_point: ModelPoint | None = None,
 ) -> float:
     """Measured ln(Prob_D / Prob_other) from the model probabilities.
@@ -308,7 +306,7 @@ def measured_ratio(
     other = "B" if pair in ("b-vs-d", "klw") else "T"
     pd = d_point
     if pd is None:
-        pd = prob_model(seq, d_model, budget=budget, threads=threads)
+        pd = prob_model(seq, d_model, budget=budget)
     po = prob_model(seq, other, normalizer=normalizer, budget=budget)
     return pd.ln_prob - po.ln_prob
 
@@ -373,7 +371,7 @@ def sample_degree_batch(
     """Batched sampling with fixed stream-splitting.
 
     Sample i is drawn from the stream spawned for batch i // batch, so the
-    output is independent of any parallel scheduling of the batches.
+    output does not depend on the order in which batches are drawn.
     """
     seeds = np.random.SeedSequence(rng_seed).spawn((count + batch - 1) // batch)
     out = np.empty((count, n), dtype=np.int64)

@@ -10,11 +10,13 @@ peak state count is 70, 733, 16,023, 178,745 and 1.9 million for
 half-density r = 3 instances at n = 6..10.
 
 ``cauchy_quadrature`` evaluates the same coefficient as a prefactor times a
-tensor-grid sum of the extraction integrand.  The integrand is a
-trigonometric polynomial whose per-axis frequencies lie in
-``[-d_j, C(n-1, r-1) - d_j]``, so a grid of ``M = 2 C(n-1, r-1) + 1``
-points per axis makes the quadrature exact up to floating rounding, for any
-finite contour vector beta.
+tensor-grid sum of the extraction integrand.  Write T = C(n-1, r-1), the
+largest possible degree.  The integrand is a trigonometric polynomial whose
+frequencies on axis j are the T + 1 consecutive integers ``-d_j .. T - d_j``,
+and an M-point rule on that axis sums frequency k to 0 unless M divides k.
+With ``M = T + 1`` every nonzero frequency has ``|k| <= T < M``, so only
+frequency 0 survives, and the grid sum is the constant term exactly, up to
+floating rounding, for any finite contour vector beta.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ import numpy as np
 from .budgets import check_dp_budget, check_grid_budget, check_subset_budget
 from .core import DegreeSequence, QuadrantTransform, apply_symmetry
 from .errors import BudgetExceeded
-from .fields import as_beta_array, logistic, softplus
-from .parallel import Twofold, map_chunks
-from .subsets import all_subsets
+from .fields import Twofold, as_beta_array, logistic, softplus
+from .subsets import all_subsets, incidence
 
 # Below this many DP states a dict of Python ints beats the per-step
 # overhead of numpy arrays.
 VECTOR_MIN_STATES = 128
+# quadrature grid points evaluated per chunk
+GRID_CHUNK = 1 << 15
 
 
 @dataclass
@@ -257,15 +260,15 @@ def cauchy_quadrature(
     beta=None,
     n_guard: int = 6,
     budget: int | None = None,
-    threads: int | None = None,
-    chunk: int = 1 << 15,
 ) -> QuadratureResult:
     """Coefficient extraction on a tensor grid; exact up to rounding.
 
     Valid at any finite contour vector beta (default all zeros): the result
     is independent of the contour because the summed integrand is the same
-    trigonometric polynomial on every contour.  The imaginary part of the
-    accumulated sum is returned as a residual diagnostic.
+    trigonometric polynomial on every contour.  The grid is walked in fixed
+    chunks of ``GRID_CHUNK`` points, folded in order with twofold
+    compensation.  The imaginary part of the accumulated sum is returned as
+    a residual diagnostic.
     """
     n, r = seq.n, seq.r
     if n > n_guard:
@@ -276,15 +279,13 @@ def cauchy_quadrature(
     arr = (
         np.zeros(n) if beta is None else as_beta_array(beta, n)
     )
-    m_axis = 2 * math.comb(n - 1, r - 1) + 1
+    m_axis = math.comb(n - 1, r - 1) + 1
     grid_total = m_axis**n
     check_grid_budget(grid_total, budget)
 
-    subsets = all_subsets(n, r)
-    check_subset_budget(subsets.shape[0], budget)
-    incidence = np.zeros((subsets.shape[0], n))
-    np.put_along_axis(incidence, subsets, 1.0, axis=1)
-    s_w = incidence @ arr
+    check_subset_budget(math.comb(n, r), budget)
+    inc = incidence(n, r)
+    s_w = inc @ arr
     lam = logistic(s_w)
     degrees = np.asarray(seq.degrees, dtype=np.float64)
 
@@ -297,28 +298,18 @@ def cauchy_quadrature(
     thetas = -math.pi + 2.0 * math.pi * (np.arange(m_axis) + 1.0) / m_axis
     powers = m_axis ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
-    def chunk_fn(bounds):
-        lo, hi = bounds
-        linear = np.arange(lo, hi, dtype=np.int64)
+    real_acc = Twofold(0.0)
+    imag_acc = Twofold(0.0)
+    for lo in range(0, grid_total, GRID_CHUNK):
+        linear = np.arange(lo, min(lo + GRID_CHUNK, grid_total), dtype=np.int64)
         digits = (linear[:, None] // powers[None, :]) % m_axis
         theta = thetas[digits]
-        phase = theta @ incidence.T
+        phase = theta @ inc.T
         factors = 1.0 + lam[None, :] * (np.exp(1j * phase) - 1.0)
         values = factors.prod(axis=1) * np.exp(-1j * (theta @ degrees))
         total_c = values.sum()
-        return float(total_c.real), float(total_c.imag)
-
-    real_acc = Twofold(0.0)
-    imag_acc = Twofold(0.0)
-
-    def combine(_, res):
-        real_acc.add(res[0])
-        imag_acc.add(res[1])
-
-    bounds = [
-        (lo, min(lo + chunk, grid_total)) for lo in range(0, grid_total, chunk)
-    ]
-    map_chunks(bounds, chunk_fn, combine, threads=threads)
+        real_acc.add(float(total_c.real))
+        imag_acc.add(float(total_c.imag))
 
     return QuadratureResult(
         value=scale * real_acc.value(),

@@ -34,11 +34,11 @@ from .errors import (
 from .fields import (
     BetaVector,
     FieldSummary,
+    Twofold,
     as_beta_array,
     field_summary,
     logistic,
 )
-from .parallel import Twofold
 from .subsets import CHUNK, iter_chunks
 
 SPREAD_GUARD = 50.0
@@ -159,7 +159,6 @@ def solve(
     tol: float = 1e-10,
     max_iter: int = 100,
     budget: int | None = None,
-    threads: int | None = None,
 ) -> SolveReport:
     """Solve the degree system by damped Newton iteration.
 
@@ -171,8 +170,7 @@ def solve(
 
     Every point is evaluated by one field sweep, which gives both its
     residual and its Jacobian: a solve costs 1 + iterations + halvings
-    sweeps.  ``threads`` is accepted for interface stability; sweeps run
-    serially.
+    sweeps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -275,7 +273,6 @@ def uniqueness_diagnostic(
     beta_b,
     grid_points: int = 33,
     budget: int | None = None,
-    threads: int | None = None,
 ) -> float:
     """Minimum curvature of the segment entropy between two vectors.
 
@@ -317,7 +314,6 @@ def inverse_jacobian_bound_check(
     delta2: float,
     constant: float,
     budget: int | None = None,
-    threads: int | None = None,
 ) -> InverseJacobianCheck:
     """Check the inverse-Jacobian sup-norm bound at a perturbed point.
 
@@ -334,7 +330,7 @@ def inverse_jacobian_bound_check(
     spread = float(center.max() - center.min())
     offset = float(np.abs(point - center).max())
 
-    field_c = field_summary(center, n, r, budget=budget, threads=threads)
+    field_c = field_summary(center, n, r, budget=budget)
     avg = field_c.avg_lambda
     reasons = []
     if spread * r > delta1 * (1 + 1e-12):
@@ -351,7 +347,7 @@ def inverse_jacobian_bound_check(
             detail="; ".join(reasons),
         )
 
-    field_b = field_summary(point, n, r, budget=budget, threads=threads)
+    field_b = field_summary(point, n, r, budget=budget)
     inv = np.linalg.inv(field_b.pair_weights)  # (2A)^{-1}
     lhs = float(np.abs(inv).sum(axis=1).max())
     rhs = (

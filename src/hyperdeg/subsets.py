@@ -83,3 +83,11 @@ def iter_chunks(n: int, r: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
 def all_subsets(n: int, r: int) -> np.ndarray:
     """All r-subsets in colex order as one (comb(n, r), r) array."""
     return _unrank_range(0, comb(n, r), r, _rank_tables(n, r))
+
+
+def incidence(n: int, r: int) -> np.ndarray:
+    """The (comb(n, r), n) 0/1 float matrix of the r-subsets in colex order."""
+    subsets = all_subsets(n, r)
+    out = np.zeros((subsets.shape[0], n))
+    np.put_along_axis(out, subsets, 1.0, axis=1)
+    return out

@@ -46,7 +46,12 @@ from hyperdeg.models import (
     stirling_log_binom,
     tail_bound_report,
 )
-from hyperdeg.oracle import cauchy_quadrature, exact_count, total_identity_check
+from hyperdeg.oracle import (
+    _compositions,
+    cauchy_quadrature,
+    exact_count,
+    total_identity_check,
+)
 from hyperdeg.solver import initial_beta, solve, uniqueness_diagnostic
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
@@ -56,16 +61,6 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
     status = "PASS" if passed else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"acceptance {number:02d} {name}: {status}{suffix}")
-
-
-def _compositions(total, parts, cap):
-    if parts == 1:
-        if 0 <= total <= cap:
-            yield (total,)
-        return
-    for head in range(min(total, cap) + 1):
-        for rest in _compositions(total - head, parts - 1, cap):
-            yield (head,) + rest
 
 
 def test_criterion_01_exact_oracle_completeness():
@@ -102,7 +97,9 @@ def test_criterion_02_cauchy_integral_identity():
         second = _solved_or_fallback_contour(seq)
         contours = [np.zeros(seq.n)] + ([second] if second is not None else [])
         for beta in contours:
-            value = cauchy_quadrature(seq, beta=beta).value
+            result = cauchy_quadrature(seq, beta=beta)
+            assert result.points_per_axis == math.comb(seq.n - 1, seq.r - 1) + 1
+            value = result.value
             gap = abs(value - exact) / max(1.0, exact)
             worst = max(worst, gap)
             assert gap <= 1e-8, (seq, exact, value)

@@ -39,7 +39,7 @@ def test_bad_parity_exits_two_and_names_the_violation():
 def test_count_near_regular_json_fields():
     code, out, _ = invoke(
         ["count", "--input", str(INSTANCES / "reg6.json"), "--method",
-         "near-regular", "--json"]
+         "near-regular"]
     )
     assert code == 0
     payload = json.loads(out)
@@ -83,7 +83,7 @@ def test_quadrature_method():
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(1.0, abs=1e-9)
-    assert payload["points_per_axis"] == 7
+    assert payload["points_per_axis"] == 4  # C(3, 2) + 1
 
 
 def test_models_command():
@@ -223,8 +223,7 @@ def test_selftest_commands():
 
 def test_unknown_method_exits_two():
     code, _, err = invoke(
-        ["count", "--input", str(INSTANCES / "tiny4.json"), "--method", "exact",
-         "--json"]
+        ["count", "--input", str(INSTANCES / "tiny4.json"), "--method", "exact"]
     )
     assert code == 0
     code, _, err = invoke(
@@ -320,6 +319,32 @@ def test_env_budget_override(monkeypatch):
         ["count", "--input", str(INSTANCES / "reg6.json"), "--method", "exact"]
     )
     assert code == 0 and json.loads(out)["count"] == 1044
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "inf", "-5", "nan", "0.5"])
+def test_malformed_env_budget_exits_two(monkeypatch, raw):
+    monkeypatch.setenv("HYPERDEG_BUDGET", raw)
+    # near-regular reads no budget; the variable is checked before any work
+    code, out, err = invoke(
+        ["count", "--input", str(INSTANCES / "reg6.json"), "--method", "near-regular"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: HYPERDEG_BUDGET" in err
+    assert "Traceback" not in err
+
+
+def test_env_budget_in_exponent_form(monkeypatch):
+    monkeypatch.setenv("HYPERDEG_BUDGET", "1e3")
+    code, _, err = invoke(
+        ["count", "--input", str(INSTANCES / "reg6.json"), "--method", "exact"]
+    )
+    assert code == 4
+    assert "exceeds budget 1000\n" in err
+    code, out, _ = invoke(
+        ["count", "--input", str(INSTANCES / "tiny4.json"), "--method", "exact"]
+    )
+    assert code == 0 and json.loads(out)["count"] == 1
 
 
 def test_render_json_17_digit_floats():

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hyperdeg.core import (
     in_first_quadrant,
     validate,
 )
+import hyperdeg
 from hyperdeg.errors import DimensionMismatch, ParityViolation, RangeViolation
 
 
@@ -174,3 +176,11 @@ def test_second_form_of_q_is_exact():
 def test_json_round_trip():
     seq = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
     assert DegreeSequence.from_json_dict(seq.to_json_dict()) == seq
+
+
+def test_no_public_function_takes_a_thread_count():
+    # all work is serial; the CLI's --threads is parsed and ignored
+    for name in hyperdeg.__all__:
+        obj = getattr(hyperdeg, name)
+        if inspect.isfunction(obj):
+            assert "threads" not in inspect.signature(obj).parameters, name

@@ -17,7 +17,7 @@ from hyperdeg.fields import (
     logistic,
 )
 from hyperdeg import fields
-from hyperdeg.parallel import Twofold, resolve_threads
+from hyperdeg.fields import Twofold
 from hyperdeg.solver import initial_beta, solve
 from hyperdeg.subsets import iter_chunks
 
@@ -108,18 +108,6 @@ def test_vertex_sum_identity_and_row_identity():
     assert 0.0 < f.big_lambda <= 0.25
 
 
-def test_field_summary_thread_count_invariance():
-    rng = np.random.default_rng(3)
-    beta = rng.normal(scale=0.3, size=9)
-    base = field_summary(beta, 9, 4, threads=1)
-    for threads in (2, 4, resolve_threads(None)):
-        other = field_summary(beta, 9, 4, threads=threads)
-        assert np.array_equal(base.vertex_sums, other.vertex_sums)
-        assert np.array_equal(base.pair_weights, other.pair_weights)
-        assert base.avg_lambda == other.avg_lambda
-        assert base.big_lambda == other.big_lambda
-
-
 def test_entropy_sum_values():
     assert entropy_sum(np.zeros(6), 6, 3) == pytest.approx(20 * math.log(2), rel=1e-15)
     # all weights 2/3: frozen from a 50-digit evaluation of 20*h(2/3)
@@ -200,6 +188,30 @@ def test_ratio_bounds_skipped_outside_precondition():
     beta = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
     checks = check_weight_ratio_bounds(beta, 6, 3, delta_hat=0.01)
     assert all(c.status == "skipped" for c in checks)
+
+
+def test_pair_ratio_slack_is_positive_inside_the_spread_bound():
+    # a subset paired with itself has allowance and gap both 0; only
+    # distinct pairs count, so an interior beta leaves room on both checks
+    rng = np.random.default_rng(7)
+    for n, r, delta_hat in [(6, 3, 0.5), (8, 4, 0.2), (9, 3, 1.0)]:
+        beta = -0.3 + rng.uniform(-delta_hat / (2 * r), delta_hat / (2 * r), size=n)
+        slacks = {c.name: c.slack for c in check_weight_ratio_bounds(beta, n, r, delta_hat)}
+        assert slacks["pair-ratio-lambda"] > 0
+        assert slacks["pair-ratio-complement"] > 0
+
+
+def test_pair_ratio_checks_still_fail_on_a_violating_beta():
+    # the precondition admits spread * r up to delta_hat * (1 + 1e-12); with
+    # weights near 0 the log-weight gap of two disjoint subsets then exceeds
+    # the allowance by about 3e-12 (and the complement gap near weight 1)
+    delta_hat = 10.0
+    beta = np.full(6, -30.0)
+    beta[0] += delta_hat / 3 * (1 + 0.9e-12)
+    for sign, name in ((1, "pair-ratio-lambda"), (-1, "pair-ratio-complement")):
+        checks = {c.name: c for c in check_weight_ratio_bounds(sign * beta, 6, 3, delta_hat)}
+        assert checks[name].status == "fail"
+        assert -1e-11 < checks[name].slack < 0
 
 
 def test_logistic_extreme_arguments_saturate_without_overflow():

@@ -20,20 +20,10 @@ from hyperdeg.models import (
     stirling_log_binom,
     tail_bound_report,
 )
-from hyperdeg.oracle import exact_count
+from hyperdeg.oracle import _compositions, exact_count
 
 TINY = DegreeSequence(4, 3, (2, 2, 1, 1))
 REG6 = DegreeSequence(6, 3, (5,) * 6)
-
-
-def _compositions(total, parts, cap):
-    if parts == 1:
-        if 0 <= total <= cap:
-            yield (total,)
-        return
-    for head in range(min(total, cap) + 1):
-        for rest in _compositions(total - head, parts - 1, cap):
-            yield (head,) + rest
 
 
 def test_pmf_examples():

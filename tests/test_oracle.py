@@ -135,8 +135,8 @@ def test_total_identity_small_cases():
 def test_quadrature_equals_exact_at_zero_contour():
     seq = DegreeSequence(4, 3, (2, 2, 1, 1))
     res = cauchy_quadrature(seq)
-    assert res.points_per_axis == 7
-    assert res.grid_points == 7**4
+    assert res.points_per_axis == 4  # C(n-1, r-1) + 1
+    assert res.grid_points == 4**4
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.imag_residual <= 1e-9
 
@@ -173,9 +173,17 @@ def test_quadrature_guards():
         cauchy_quadrature(seq, n_guard=4)  # guard is overridable per call
 
 
-def test_quadrature_thread_invariance():
-    seq = DegreeSequence(5, 3, (3, 3, 2, 2, 2))
-    values = {
-        cauchy_quadrature(seq, threads=k, chunk=1 << 10).value for k in (1, 2, 4)
-    }
-    assert len(values) == 1
+@pytest.mark.parametrize(
+    "r, degrees, count",
+    [
+        (2, (4, 3, 3, 2, 2, 2), 27),  # 6 points per axis
+        (3, (5,) * 6, 1044),  # 11 points per axis, 1.8M grid points
+    ],
+)
+def test_quadrature_equals_exact_at_n6(r, degrees, count):
+    seq = DegreeSequence(6, r, degrees)
+    assert exact_count(seq).value == count
+    res = cauchy_quadrature(seq)
+    assert res.points_per_axis == math.comb(5, r - 1) + 1
+    assert res.value == pytest.approx(count, rel=1e-10)
+    assert res.imag_residual <= 1e-8 * count

@@ -9,6 +9,7 @@ from hyperdeg.subsets import (
     all_subsets,
     colex_rank,
     colex_unrank,
+    incidence,
     iter_chunks,
 )
 
@@ -105,3 +106,12 @@ def test_degenerate_edge_sizes():
         assert rows(all_subsets(n, n)) == [tuple(range(n))]
         assert list(iter_chunks(n, n + 1)) == []
         assert all_subsets(n, n + 2).shape == (0, n + 2)
+
+
+def test_incidence_rows_mark_the_colex_subsets():
+    for n, r in [(5, 2), (6, 3), (4, 0), (3, 4)]:
+        inc = incidence(n, r)
+        assert inc.shape == (math.comb(n, r), n)
+        rows = [tuple(np.flatnonzero(row)) for row in inc]
+        assert rows == [tuple(w) for w in all_subsets(n, r).tolist()]
+        assert set(np.unique(inc)) <= {0.0, 1.0}
