@@ -151,8 +151,7 @@ def warn_hypotheses(seq: DegreeSequence) -> None:
 def cmd_solve(args) -> int:
     seq = load_instance(args.input)
     warn_hypotheses(seq)
-    strategy = args.seed if args.seed != "auto" else "auto"
-    report = solve(seq, strategy=strategy, tol=args.tol, budget=args.budget)
+    report = solve(seq, strategy=args.seed, tol=args.tol, budget=args.budget)
     payload = report.to_json_dict()
     if args.dump_field:
         payload["field"] = report.field.to_json_dict()

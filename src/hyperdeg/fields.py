@@ -22,10 +22,9 @@ import numpy as np
 
 from .budgets import check_subset_budget
 from .core import DegreeSequence
-from .subsets import CHUNK, incidence, iter_chunks
+from .subsets import CHUNK, colex_rank, incidence, iter_chunks
 
 LOG_2PI = math.log(2.0 * math.pi)
-PAIR_BLOCK = 1 << 20
 
 
 @dataclass
@@ -286,10 +285,17 @@ def check_weight_ratio_bounds(
     * if avg <= 7/8: e^{-delta_hat}/256 * avg <= big_lambda <= avg.
 
     If the spread precondition fails, every check is reported as skipped.
+
+    The pair checks read only the pair that attains the largest gap for
+    each k = |W minus W'| = 1 .. min(r, n - r).  log lambda = -softplus(-s)
+    is increasing and concave in the subset sum s, so for W = C + A and
+    W' = C + B the gap log lambda(c + a) - log lambda(c + b) grows with a
+    and shrinks as b or c grows; by exchange, B holds the lowest betas, C
+    the next and A the highest.  log(1 - lambda) is the mirror image under
+    beta -> -beta.
     """
     arr = as_beta_array(beta, n)
-    total = math.comb(n, r)
-    check_subset_budget(total * total, budget)
+    check_subset_budget(math.comb(n, r), budget)
     spread = float(arr.max() - arr.min())
     if spread * r > delta_hat * (1 + 1e-12):
         return [
@@ -303,30 +309,28 @@ def check_weight_ratio_bounds(
             )
         ]
 
-    inc = incidence(n, r)
-    s = inc @ arr
+    s = incidence(n, r) @ arr
     lam = logistic(s)
     one_minus = logistic(-s)
     log_lam = np.log(lam)
     log_one = np.log(one_minus)
 
-    # the pair comparison in row blocks of about PAIR_BLOCK entries; the
-    # overlaps are exact small integers and min is exact, so the slacks do
-    # not depend on the blocking.  A subset paired with itself has allowance
-    # and gap both 0 and is left out, or every slack would read 0.
-    rows = max(1, PAIR_BLOCK // max(total, 1))
-    mins_lam, mins_one = [], []
-    for lo in range(0, total, rows):
-        hi = min(lo + rows, total)
-        overlap = inc[lo:hi] @ inc.T  # |W cap W'| for every pair
-        allowance = delta_hat * (1.0 - overlap / r)
-        own = (np.arange(hi - lo), np.arange(lo, hi))
-        for log_w, mins in ((log_lam, mins_lam), (log_one, mins_one)):
-            slack = allowance - np.abs(log_w[lo:hi, None] - log_w[None, :])
-            slack[own] = np.inf
-            mins.append(slack.min())
-    slack_lam = float(np.min(mins_lam))
-    slack_one = float(np.min(mins_one))
+    order = np.argsort(arr, kind="stable").tolist()
+
+    def row(vertices) -> int:
+        return colex_rank(sorted(vertices))
+
+    low, high = row(order[:r]), row(order[n - r:])
+    # k >= 1: a subset paired with itself has allowance and gap both 0 and
+    # is left out, or every slack would read 0
+    ks = range(1, min(r, n - r) + 1)
+    allowance = np.array([delta_hat * (1.0 - (r - k) / r) for k in ks])
+    up = np.array([row(order[k:r] + order[n - k:]) for k in ks], dtype=np.int64)
+    down = np.array([row(order[:k] + order[n - r:n - k]) for k in ks], dtype=np.int64)
+    gap_lam = np.abs(log_lam[up] - log_lam[low])
+    gap_one = np.abs(log_one[high] - log_one[down])
+    slack_lam = float(np.min(allowance - gap_lam, initial=np.inf))
+    slack_one = float(np.min(allowance - gap_one, initial=np.inf))
 
     avg = float(lam.mean())
     big = float((lam * one_minus).mean())

@@ -23,9 +23,7 @@ from .budgets import check_subset_budget
 from .errors import DegenerateDenominator
 from .subsets import all_subsets
 
-SCOPES = ("all", "vertex", "pair")
-
-# (scope, expression, takes_ell, minimum n offset checked at call time)
+# (scope, expression, takes_ell)
 FAMILIES: tuple[tuple[str, str, bool], ...] = (
     ("all", "gamma_l", True),
     ("all", "gamma1_gamma_l", True),

@@ -187,15 +187,12 @@ def bound_suite(
     slack_diag_sand = float(ratio_cap - np.abs(np.log(diag / mid_diag)).max())
 
     # a_jj = sum of off-diagonal row entries / (r-1); exact identity
-    if r >= 2:
-        row = (a.sum(axis=1) - diag) / (r - 1)
-        row_gap = float(np.abs(row - diag).max())
-        row_slack = 1e-10 * max(1.0, float(diag.max())) - row_gap
-        row_check = BoundCheck(
-            "row-identity", "pass" if row_slack >= 0 else "fail", row_slack
-        )
-    else:
-        row_check = BoundCheck("row-identity", "skipped", detail="r < 2")
+    row = (a.sum(axis=1) - diag) / (r - 1)
+    row_gap = float(np.abs(row - diag).max())
+    row_slack = 1e-10 * max(1.0, float(diag.max())) - row_gap
+    row_check = BoundCheck(
+        "row-identity", "pass" if row_slack >= 0 else "fail", row_slack
+    )
 
     logdet_a = logdet_pd(mat)
     ap = 0.5 * math.exp(2.0 * delta_hat) * big

@@ -92,7 +92,6 @@ def hypergeom_pmf(spec: HypergeomSpec, k: int) -> float:
 
 
 def _log_pmf_vector(spec: HypergeomSpec) -> np.ndarray:
-    ks = np.arange(spec.marked + 1)
     out = np.full(spec.marked + 1, LOG_ZERO)
     for k in spec.support():
         out[k] = hypergeom_log_pmf(spec, k)
@@ -111,6 +110,14 @@ def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if finite.any():
             out[shift] = float(logsumexp(terms[finite]))
     return out
+
+
+def _log_sum_pmf(pmf: np.ndarray, copies: int) -> np.ndarray:
+    """Log-pmf of the sum of ``copies`` iid draws, by repeated convolution."""
+    acc = pmf.copy()
+    for _ in range(copies - 1):
+        acc = _log_convolve(acc, pmf)
+    return acc
 
 
 def conditioned_sum_log_prob(
@@ -140,10 +147,7 @@ def conditioned_sum_log_prob(
     if method != "dp":
         raise ValueError(f"unknown normalizer method {method!r}")
     check_dp_budget(n * (spec.marked + 1) ** 2, budget)
-    pmf = _log_pmf_vector(spec)
-    acc = pmf.copy()
-    for _ in range(n - 1):
-        acc = _log_convolve(acc, pmf)
+    acc = _log_sum_pmf(_log_pmf_vector(spec), n)
     if not 0 <= target < acc.size:
         return LOG_ZERO
     return float(acc[target])
@@ -409,11 +413,8 @@ def conditioning_factor_report(
     sigma2 = spec.variance
     check_dp_budget(n * (spec.marked + 1) ** 2, budget)
     pmf = _log_pmf_vector(spec)
-    acc = pmf.copy()
-    for _ in range(n - 2):
-        acc = _log_convolve(acc, pmf)
-    ln_partial = acc  # sum of n-1 copies
-    full = _log_convolve(acc, pmf)
+    ln_partial = _log_sum_pmf(pmf, n - 1)
+    full = _log_convolve(ln_partial, pmf)
     ln_p = float(full[nd])
     out = []
     for y in y_values:

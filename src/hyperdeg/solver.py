@@ -44,8 +44,6 @@ from .subsets import CHUNK, iter_chunks
 SPREAD_GUARD = 50.0
 MAX_HALVINGS = 60
 
-SEED_STRATEGIES = ("auto", "regular", "product", "near-regular", "custom")
-
 
 @dataclass
 class SolveReport:

@@ -197,6 +197,18 @@ def test_audit_command():
     assert "fail" not in statuses
 
 
+def test_audit_within_budget_for_subsets_not_for_pairs():
+    # C(24, 4) = 10,626 subsets fit the default budget of 10^8, while the
+    # C(24, 4)^2 = 1.13e8 subset pairs would not
+    degrees = [300 + 25 * j for j in range(24)]
+    text = json.dumps({"n": 24, "r": 4, "degrees": degrees})
+    code, out, err = invoke(["audit", "--input", text])
+    assert code == 0, err
+    checks = {c["name"]: c for c in json.loads(out)["weight_ratio_checks"]}
+    assert checks["pair-ratio-lambda"]["status"] == "pass"
+    assert checks["pair-ratio-complement"]["status"] == "pass"
+
+
 def test_audit_solves_the_base_instance_once(monkeypatch):
     from hyperdeg import cli, counts
 

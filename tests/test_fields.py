@@ -19,7 +19,7 @@ from hyperdeg.fields import (
 from hyperdeg import fields
 from hyperdeg.fields import Twofold
 from hyperdeg.solver import initial_beta, solve
-from hyperdeg.subsets import iter_chunks
+from hyperdeg.subsets import incidence, iter_chunks
 
 E = math.e
 
@@ -319,13 +319,80 @@ def test_solve_is_bit_identical_to_the_reference_path(degrees, seed):
     assert report.iterations == iterations
 
 
-def test_ratio_bounds_do_not_depend_on_the_row_blocking(monkeypatch):
-    rng = np.random.default_rng(21)
-    beta = -0.4 + rng.uniform(-0.05, 0.05, size=9)
-    whole = check_weight_ratio_bounds(beta, 9, 4, delta_hat=0.5)
-    for block in (1, 7, 130):
-        monkeypatch.setattr(fields, "PAIR_BLOCK", block)
-        blocked = check_weight_ratio_bounds(beta, 9, 4, delta_hat=0.5)
-        assert [(c.name, c.status, c.slack) for c in blocked] == [
-            (c.name, c.status, c.slack) for c in whole
-        ]
+def reference_pair_slacks(beta, n, r, delta_hat, block=1 << 20):
+    """Reference: the pair-ratio slacks by comparing every pair of distinct
+    subsets, in row blocks of about ``block`` pairs."""
+    inc = incidence(n, r)
+    s = inc @ beta
+    logs = (np.log(logistic(s)), np.log(logistic(-s)))
+    total = math.comb(n, r)
+    rows = max(1, block // max(total, 1))
+    mins = ([], [])
+    for lo in range(0, total, rows):
+        hi = min(lo + rows, total)
+        overlap = inc[lo:hi] @ inc.T
+        allowance = delta_hat * (1.0 - overlap / r)
+        own = (np.arange(hi - lo), np.arange(lo, hi))
+        for log_w, found in zip(logs, mins):
+            slack = allowance - np.abs(log_w[lo:hi, None] - log_w[None, :])
+            slack[own] = np.inf
+            found.append(slack.min())
+    return tuple(float(np.min(found)) for found in mins)
+
+
+def _pair_checks(beta, n, r, delta_hat):
+    checks = {c.name: c for c in check_weight_ratio_bounds(beta, n, r, delta_hat)}
+    return tuple(checks[name] for name in ("pair-ratio-lambda", "pair-ratio-complement"))
+
+
+PAIR_CASES = [(6, 1), (6, 3), (7, 2), (7, 5), (7, 6), (9, 4), (10, 7), (12, 4), (13, 9)]
+
+
+@pytest.mark.parametrize("n,r", PAIR_CASES)
+def test_pair_ratio_slacks_equal_the_full_scan_on_generic_beta(n, r):
+    rng = np.random.default_rng(100 * n + r)
+    for _ in range(8):
+        delta_hat = float(rng.uniform(0.05, 3.0))
+        base = float(rng.uniform(-1.5, 0.5))
+        beta = base + rng.uniform(-delta_hat / (2 * r), delta_hat / (2 * r), size=n)
+        got = _pair_checks(beta, n, r, delta_hat)
+        want = reference_pair_slacks(beta, n, r, delta_hat)
+        assert tuple(c.slack for c in got) == want
+        assert tuple(c.status for c in got) == tuple(
+            "pass" if slack >= 0 else "fail" for slack in want
+        )
+
+
+@pytest.mark.parametrize("n,r", PAIR_CASES)
+def test_pair_ratio_slacks_match_the_full_scan_on_tied_beta(n, r):
+    """Beta with pairs whose gaps tie in exact arithmetic: repeated values,
+    one value plus 1e-15 noise, and saturated weights (|s| near 40, where
+    log lambda is linear in s to below rounding, so all pairs with the same
+    swapped parts have the same gap).  The scan's maximum then picks among
+    gaps that differ only by the rounding of the subset sums, so the slacks
+    agree to a few units in the last place of the largest |log weight|, and
+    a status can differ only where the slack is itself that small."""
+    rng = np.random.default_rng(1000 + 100 * n + r)
+    for trial in range(9):
+        delta_hat = float(rng.uniform(0.05, 2.0))
+        base = float(rng.uniform(-1.5, 0.5))
+        scale = max(1.0, delta_hat)
+        if trial % 3 == 0:
+            levels = rng.uniform(-delta_hat / (2 * r), delta_hat / (2 * r), size=3)
+            beta = base + levels[rng.integers(0, 3, size=n)]
+        elif trial % 3 == 1:
+            beta = base + rng.uniform(-1e-15, 1e-15, size=n)
+            if trial == 1:
+                # the spread bound met with equality: every slack is rounding
+                delta_hat = float(beta.max() - beta.min()) * r
+        else:
+            base = float(rng.choice([-40.0, 40.0])) / r
+            beta = base + rng.uniform(-delta_hat / (2 * r), delta_hat / (2 * r), size=n)
+            scale = max(scale, 40.0)
+        tol = 1e-14 * scale
+        got = _pair_checks(beta, n, r, delta_hat)
+        want = reference_pair_slacks(beta, n, r, delta_hat)
+        for check, slack in zip(got, want):
+            assert abs(check.slack - slack) <= tol, (trial, check, slack)
+            if abs(slack) > tol:
+                assert check.status == ("pass" if slack >= 0 else "fail")
