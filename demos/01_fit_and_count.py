@@ -29,7 +29,7 @@ print("deviation power sums:", params.r2, params.r3, params.r4)
 print("hypothesis flags:", params.flags)
 
 report = solve(seq)
-beta = report.beta_star.beta
+beta = report.beta_star
 print(f"\nsolved in {report.iterations} Newton steps, "
       f"residual {report.residual_inf:.2e}, spread {report.spread:.3f}")
 print("beta* =", np.round(beta, 6))

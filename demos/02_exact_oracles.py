@@ -37,7 +37,7 @@ for m in range(4):
 print("\ncontour independence of the quadrature oracle:")
 seq = DegreeSequence(5, 3, (3, 3, 2, 2, 2))
 exact = exact_count(seq).value
-beta = solve(seq).beta_star.beta
+beta = solve(seq).beta_star
 for label, contour in [("zero contour", None), ("solved contour", beta)]:
     res = cauchy_quadrature(seq, beta=contour)
     print(f"  {label}: {res.value:.12f} (exact {exact}, "

@@ -12,7 +12,6 @@ from hyperdeg import (
     DegreeSequence,
     QuadrantTransform,
     apply_symmetry,
-    assemble_weight_matrix,
     canonicalize_first_quadrant,
     derive,
     estimate_near_regular,
@@ -44,10 +43,10 @@ print("\ndeterminant transfer (the ratio ((n-r)/r)^2 is 1 at n = 6,")
 print("so the interesting case is n = 7):")
 seven = DegreeSequence(7, 3, (7, 6, 6, 6, 6, 6, 5))
 rep7 = solve(seven)
-base = logdet_pd(assemble_weight_matrix(rep7.beta_star.beta, 7, 3))
+base = logdet_pd(rep7.field.weight_matrix)
 image7 = apply_symmetry(seven, QuadrantTransform.EDGE_COMPLEMENT)
 rep7c = solve(image7)
-moved = logdet_pd(assemble_weight_matrix(rep7c.beta_star.beta, 7, 4))
+moved = logdet_pd(rep7c.field.weight_matrix)
 print(f"  log|A| base {base:.8f}, image {moved:.8f}, "
       f"difference {moved - base:.8f}, 2 log((n-r)/r) = "
       f"{2 * math.log(4 / 3):.8f}")

@@ -16,7 +16,7 @@ from hyperdeg.identities import FAMILIES, IdentityFamily, brute_sum, closed_sum
 
 seq = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
 report = solve(seq)
-beta = report.beta_star.beta
+beta = report.beta_star
 delta_hat = report.spread * seq.r
 print(f"solved instance, spread*r = {delta_hat:.4f}")
 

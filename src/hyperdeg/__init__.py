@@ -23,7 +23,6 @@ from .counts import (
     symmetry_audit,
 )
 from .fields import (
-    BetaVector,
     FieldSummary,
     entropy_sum,
     field_summary,
@@ -31,8 +30,6 @@ from .fields import (
     log_prefactor,
 )
 from .matrices import (
-    WeightMatrix,
-    assemble_weight_matrix,
     bound_suite,
     logdet_pd,
     regular_closed_form,
@@ -54,7 +51,6 @@ from .solver import SolveReport, initial_beta, solve, uniqueness_diagnostic
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaVector",
     "DegreeSequence",
     "DerivedParams",
     "ExactCount",
@@ -64,9 +60,7 @@ __all__ = [
     "ModelPoint",
     "QuadrantTransform",
     "SolveReport",
-    "WeightMatrix",
     "apply_symmetry",
-    "assemble_weight_matrix",
     "bound_suite",
     "canonicalize_first_quadrant",
     "cauchy_quadrature",

@@ -2,8 +2,9 @@
 
 JSON goes to stdout (floats printed with 17 significant digits for
 round-trip fidelity); the invocation echo, hypothesis warnings, and errors
-go to stderr.  Exit codes: 0 success, 2 invalid input, 3 solver
-non-convergence, 4 budget exceeded, 5 internal assertion.
+go to stderr.  Exit codes: 0 success, 2 invalid input or a file that
+cannot be read or written, 3 solver non-convergence, 4 budget exceeded,
+5 internal assertion.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     ZeroDegree,
 )
 from .fields import check_weight_ratio_bounds
-from .matrices import assemble_weight_matrix, bound_suite
+from .matrices import bound_suite
 from .oracle import cauchy_quadrature, exact_count, total_identity_check
 from .solver import solve
 
@@ -156,11 +157,8 @@ def cmd_solve(args) -> int:
     if args.dump_field:
         payload["field"] = report.field.to_json_dict()
     if args.dump_matrix:
-        matrix = assemble_weight_matrix(
-            report.beta_star.beta, seq.n, seq.r, field=report.field
-        )
         with open(args.dump_matrix, "w", encoding="utf-8") as handle:
-            for row in matrix.entries:
+            for row in report.field.weight_matrix:
                 handle.write(",".join(format(x, ".17g") for x in row) + "\n")
     emit(payload, args.pretty)
     return 0
@@ -253,7 +251,7 @@ def cmd_audit(args) -> int:
     warn_hypotheses(seq)
     report = solve(seq, budget=args.budget)
     audit = symmetry_audit(seq, budget=args.budget, report=report)
-    beta = report.beta_star.beta
+    beta = report.beta_star
     delta_hat = max(report.spread * seq.r, 1e-6)
     matrix_checks = bound_suite(beta, seq.n, seq.r, delta_hat, budget=args.budget)
     ratio_checks = check_weight_ratio_bounds(
@@ -389,7 +387,7 @@ def run(argv=None) -> int:
     try:
         budgets.env_budget()  # a malformed HYPERDEG_BUDGET is invalid input
         return args.fn(args)
-    except (InvalidInstance, DensityDegenerate, ZeroDegree, ValueError) as exc:
+    except (InvalidInstance, DensityDegenerate, ZeroDegree, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (NonConvergence, Unsolved, SingularJacobian) as exc:

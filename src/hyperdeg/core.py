@@ -16,6 +16,8 @@ into the "first quadrant" r <= n/2, m <= C(n, r)/2 by at most one of each.
 from __future__ import annotations
 
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,6 +25,7 @@ from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
+    NonIntegral,
     ParityViolation,
     RangeViolation,
 )
@@ -82,12 +85,21 @@ class DegreeSequence:
     @staticmethod
     def from_json_dict(data: dict) -> "DegreeSequence":
         try:
-            n = int(data["n"])
-            r = int(data["r"])
-            degrees = tuple(int(x) for x in data["degrees"])
+            n = _json_int(data["n"], "n")
+            r = _json_int(data["r"], "r")
+            degrees = tuple(_json_int(x, "degree") for x in data["degrees"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionMismatch(f"malformed instance JSON: {exc}") from exc
         return DegreeSequence(n, r, degrees)
+
+
+def _json_int(value, name: str) -> int:
+    """An instance value as an int; integral floats such as 5.0 count."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise NonIntegral(f"{name} {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -95,8 +107,8 @@ class DerivedParams:
     """Every scalar the closed formulas consume, plus hypothesis flags.
 
     ``d``, ``lambda`` and ``Q`` are kept as exact rationals alongside their
-    float values: the power sums must satisfy R_1 = 0 exactly, and Q must be
-    exactly invariant under the symmetries.
+    float values, so that Q is exactly invariant under the symmetries.  The
+    power sums R_s = sum_j (d_j - d)^s are summed exactly and rounded once.
     """
 
     n: int
@@ -105,7 +117,6 @@ class DerivedParams:
     m: int
     lambda_exact: Fraction
     q_exact: Fraction
-    delta: tuple[Fraction, ...]
     delta_max: float
     r2: float
     r3: float
@@ -143,12 +154,17 @@ def derive(seq: DegreeSequence) -> DerivedParams:
     cap = math.comb(n - 1, r - 1)
     lam = Fraction(d_exact, cap)
     q = (1 - lam) * (n - r) * d_exact
-    delta = tuple(Fraction(dj) - d_exact for dj in seq.degrees)
-    assert sum(delta) == 0
-    delta_max = max(max((abs(x) for x in delta), default=Fraction(0)), Fraction(1))
-    r2 = float(sum(x**2 for x in delta))
-    r3 = float(sum(x**3 for x in delta))
-    r4 = float(sum(x**4 for x in delta))
+    # d_j - d = (n d_j - total) / n: integer power sums over the distinct
+    # degrees, divided by n^s once
+    counts = Counter(seq.degrees)
+
+    def power_sum(s: int) -> float:
+        return float(Fraction(
+            sum(c * (n * dj - total) ** s for dj, c in counts.items()), n**s
+        ))
+
+    delta_max = max(max(abs(n * dj - total) for dj in counts) / n, 1.0)
+    r2, r3, r4 = power_sum(2), power_sum(3), power_sum(4)
 
     qf = float(q)
     flags = {
@@ -161,13 +177,13 @@ def derive(seq: DegreeSequence) -> DerivedParams:
         ),
         # near-regular criterion, implicit constant 1
         "near_regular": (
-            qf > 0 and float(delta_max) <= qf ** 0.6 * n ** (-0.6)
+            qf > 0 and delta_max <= qf ** 0.6 * n ** (-0.6)
         ),
         # proxy for the solved-spread condition: degree log-spread at most 1/r
         "degree_spread_ok": (
-            all(dj > 0 for dj in seq.degrees)
+            all(dj > 0 for dj in counts)
             and d_exact > 0
-            and max(abs(math.log(dj / float(d_exact))) for dj in seq.degrees)
+            and max(abs(math.log(dj / float(d_exact))) for dj in counts)
             <= 1.0 / r
         ),
         "first_quadrant": in_first_quadrant(seq),
@@ -179,8 +195,7 @@ def derive(seq: DegreeSequence) -> DerivedParams:
         m=m,
         lambda_exact=lam,
         q_exact=q,
-        delta=delta,
-        delta_max=float(delta_max),
+        delta_max=delta_max,
         r2=r2,
         r3=r3,
         r4=r4,

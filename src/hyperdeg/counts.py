@@ -30,8 +30,8 @@ from .core import (
     derive,
 )
 from .errors import DensityDegenerate
-from .fields import entropy_sum, lambda_of_subset
-from .matrices import assemble_weight_matrix, logdet_pd, regular_closed_form
+from .fields import entropy_sum, field_summary, lambda_of_subset
+from .matrices import logdet_pd, regular_closed_form
 from .solver import SolveReport, apply_beta_symmetry, require_converged, solve
 from .subsets import colex_unrank
 
@@ -117,23 +117,21 @@ def estimate_general(
     canonical, transform = canonicalize_first_quadrant(seq)
     if report is None:
         report = solve(canonical, tol=tol, budget=budget)
-        beta, field = report.beta_star.beta, report.field
+        beta, field = report.beta_star, report.field
     else:
         require_converged(report)
-        beta = apply_beta_symmetry(
-            report.beta_star.beta, transform, seq.n, seq.r
-        )
+        beta = apply_beta_symmetry(report.beta_star, transform, seq.n, seq.r)
         # the report's field sweep was taken at this beta only if no
         # transform moved it
-        identity = transform is QuadrantTransform.IDENTITY
-        field = report.field if identity else None
+        field = report.field if transform is QuadrantTransform.IDENTITY else None
     n, r = canonical.n, canonical.r
-    matrix = assemble_weight_matrix(beta, n, r, budget=budget, field=field)
+    if field is None:
+        field = field_summary(beta, n, r, budget=budget)
     ln_value = (
         math.log(r)
         - n * math.log(2.0)
         - 0.5 * n * math.log(math.pi)
-        - 0.5 * logdet_pd(matrix)
+        - 0.5 * logdet_pd(field.weight_matrix)
         + entropy_sum(beta, n, r, budget=budget)
     )
     return LogEstimate(
@@ -195,7 +193,7 @@ def estimate_corollary(seq: DegreeSequence) -> LogEstimate:
     lam, d = params.lam, params.d
     if not (0.0 < lam < 1.0):
         raise DensityDegenerate("empty or complete instance; use the exact oracle")
-    _, logdet0 = regular_closed_form(params)
+    _, _, logdet0 = regular_closed_form(params)
     r2, r3, r4 = params.r2, params.r3, params.r4
     corrections = (
         -(n - 1) * r2 / (2.0 * (1.0 - lam) * (n - r) * d)
@@ -257,10 +255,8 @@ def symmetry_audit(
         base_report = solve(seq, tol=tol, budget=budget)
     else:
         base_report = require_converged(report)
-    base_beta = base_report.beta_star.beta
-    base_logdet = logdet_pd(
-        assemble_weight_matrix(base_beta, n, r, budget=budget, field=base_report.field)
-    )
+    base_beta = base_report.beta_star
+    base_logdet = logdet_pd(base_report.field.weight_matrix)
 
     ln_values: dict = {}
     det_checks: dict = {}
@@ -274,12 +270,8 @@ def symmetry_audit(
         estimate = estimate_general(image, report=report, budget=budget)
         ln_values[t.value] = estimate.ln_value
 
-        image_beta = report.beta_star.beta
-        image_logdet = logdet_pd(
-            assemble_weight_matrix(
-                image_beta, image.n, image.r, budget=budget, field=report.field
-            )
-        )
+        image_beta = report.beta_star
+        image_logdet = logdet_pd(report.field.weight_matrix)
         if t in (QuadrantTransform.EDGE_COMPLEMENT, QuadrantTransform.BOTH):
             expected = base_logdet + 2.0 * math.log((n - r) / r)
         else:

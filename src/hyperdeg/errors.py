@@ -21,6 +21,10 @@ class DimensionMismatch(InvalidInstance):
     """Length of the degree vector disagrees with the vertex count."""
 
 
+class NonIntegral(InvalidInstance):
+    """An instance value that must be an integer is not a JSON integer."""
+
+
 class DensityDegenerate(HyperdegError):
     """Density is exactly 0 or 1; the requested operation is undefined there."""
 

@@ -7,9 +7,9 @@ per-vertex sums, per-pair variance weights, the average weight, the average
 variance weight, the entropy sum, and the log-prefactor of the exact
 coefficient-extraction identity.
 
-All sweeps share one chunk kernel over fixed 4096-subset colex chunks and
-fold the chunks serially, in chunk order, with twofold compensation, so
-every result is a fixed function of its inputs.
+Every sweep, here and in the solver's uniqueness diagnostic, folds a chunk
+kernel over fixed 4096-subset colex chunks, serially, in chunk order, with
+twofold compensation, so every result is a fixed function of its inputs.
 """
 
 from __future__ import annotations
@@ -27,31 +27,8 @@ from .subsets import CHUNK, colex_rank, incidence, iter_chunks
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass
-class BetaVector:
-    """A candidate or solved parameter vector.
-
-    ``spread`` is always recomputed from the entries; it is never cached.
-    """
-
-    beta: np.ndarray
-    residual_inf: float | None = None
-
-    def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=np.float64)
-
-    @property
-    def spread(self) -> float:
-        b = self.beta
-        return float(b.max() - b.min()) if b.size else 0.0
-
-    def __len__(self) -> int:
-        return int(self.beta.size)
-
-
 def as_beta_array(beta, n: int | None = None) -> np.ndarray:
-    arr = beta.beta if isinstance(beta, BetaVector) else np.asarray(beta, dtype=np.float64)
-    arr = np.atleast_1d(np.asarray(arr, dtype=np.float64))
+    arr = np.atleast_1d(np.asarray(beta, dtype=np.float64))
     if n is not None and arr.size != n:
         raise ValueError(f"beta has {arr.size} entries, expected {n}")
     return arr
@@ -98,6 +75,11 @@ class FieldSummary:
     pair_weights: np.ndarray
     avg_lambda: float
     big_lambda: float
+
+    @property
+    def weight_matrix(self) -> np.ndarray:
+        """The weight matrix A; the Jacobian of the degree system is 2A."""
+        return 0.5 * self.pair_weights
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,20 +149,21 @@ def _chunk_terms(idx: np.ndarray, beta: np.ndarray, want) -> dict:
     return {name: out[name] for name in want}
 
 
-def _sweep(beta: np.ndarray, n: int, r: int, want) -> dict:
-    """Sum the requested terms over all r-subsets.
+def _sweep(n: int, r: int, kernel) -> dict:
+    """Sum ``kernel(idx)`` over all r-subsets, chunk by chunk.
 
-    Chunks are folded serially in colex chunk order with twofold
-    compensation, so the result is a fixed function of (beta, n, r).
+    The kernel maps one chunk of subset rows to a dict of sums.  Chunks are
+    folded serially in colex chunk order with twofold compensation, so the
+    result is a fixed function of the kernel and (n, r).  The fold starts
+    from the kernel of an empty chunk, so with no subsets at all (r > n)
+    every sum is zero.
     """
-    acc: dict = {}
+    empty = np.empty((0, r), dtype=np.int64)
+    acc = {name: Twofold(zero) for name, zero in kernel(empty).items()}
     for idx in iter_chunks(n, r, CHUNK):
-        for name, value in _chunk_terms(idx, beta, want).items():
-            if name not in acc:
-                acc[name] = Twofold(np.zeros_like(value))
+        for name, value in kernel(idx).items():
             acc[name].add(value)
-    # with no subsets at all (r > n) every sum is zero
-    return {name: acc[name].value() if acc else 0.0 for name in want}
+    return {name: total.value() for name, total in acc.items()}
 
 
 def field_summary(
@@ -193,7 +176,7 @@ def field_summary(
     arr = as_beta_array(beta, n)
     total = math.comb(n, r)
     check_subset_budget(total, budget)
-    sums = _sweep(arr, n, r, FIELD_TERMS)
+    sums = _sweep(n, r, lambda idx: _chunk_terms(idx, arr, FIELD_TERMS))
     pw = sums["pair_q"]
     pw = pw + pw.T
     np.fill_diagonal(pw, sums["vertex_q"])
@@ -220,7 +203,7 @@ def entropy_sum(
     """
     arr = as_beta_array(beta, n)
     check_subset_budget(math.comb(n, r), budget)
-    return _sweep(arr, n, r, ("entropy",))["entropy"]
+    return _sweep(n, r, lambda idx: _chunk_terms(idx, arr, ("entropy",)))["entropy"]
 
 
 @dataclass
@@ -245,7 +228,7 @@ def log_prefactor(
     arr = as_beta_array(beta, seq.n)
     n, r = seq.n, seq.r
     check_subset_budget(math.comb(n, r), budget)
-    sums = _sweep(arr, n, r, PREFACTOR_TERMS)
+    sums = _sweep(n, r, lambda idx: _chunk_terms(idx, arr, PREFACTOR_TERMS))
     degree_dot = float(arr @ np.asarray(seq.degrees, dtype=np.float64))
     direct = -n * LOG_2PI - degree_dot + sums["softplus"]
     entropy_form = -n * LOG_2PI + sums["entropy"]

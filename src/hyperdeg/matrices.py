@@ -1,10 +1,10 @@
-"""The weight matrix, its regular closed form, and log-determinants.
+"""Log-determinants of the weight matrix, its regular closed form, and bounds.
 
-The matrix has entries a_jj = half the variance-weight sum over subsets
-containing j, and a_jk = half the sum over subsets containing both j and k.
-Twice this matrix is the Jacobian of the degree system, and its determinant
-enters the general counting formula.  For a regular instance the matrix is
-a closed-form combination aI + bJ with an explicit determinant.
+The weight matrix (``FieldSummary.weight_matrix``) has entries a_jj = half
+the variance-weight sum over subsets containing j, and a_jk = half the sum
+over subsets containing both j and k.  Its determinant enters the general
+counting formula.  For a regular instance the matrix is a closed-form
+combination aI + bJ with an explicit determinant.
 """
 
 from __future__ import annotations
@@ -17,32 +17,9 @@ import scipy.linalg
 
 from .core import DerivedParams
 from .errors import DensityDegenerate, NotPositiveDefinite
-from .fields import BoundCheck, FieldSummary, as_beta_array, field_summary
+from .fields import BoundCheck, as_beta_array, field_summary
 
 PIVOT_RTOL = 1e-13
-
-
-@dataclass
-class WeightMatrix:
-    entries: np.ndarray
-    source: str  # "assembled" | "closed-form"
-
-    @property
-    def n(self) -> int:
-        return int(self.entries.shape[0])
-
-
-def assemble_weight_matrix(
-    beta,
-    n: int,
-    r: int,
-    budget: int | None = None,
-    field: FieldSummary | None = None,
-) -> WeightMatrix:
-    """Half the pair-weight sums of a field summary, as a dense matrix."""
-    if field is None:
-        field = field_summary(beta, n, r, budget=budget)
-    return WeightMatrix(entries=0.5 * field.pair_weights, source="assembled")
 
 
 def aI_bJ_logdet(a: float, b: float, n: int) -> float:
@@ -52,11 +29,12 @@ def aI_bJ_logdet(a: float, b: float, n: int) -> float:
     return (n - 1) * math.log(a) + math.log(a + b * n)
 
 
-def regular_closed_form(params: DerivedParams) -> tuple[WeightMatrix, float]:
-    """Closed-form matrix and log-determinant for the regular instance.
+def regular_closed_form(params: DerivedParams) -> tuple[float, float, float]:
+    """The regular instance's weight matrix aI + bJ, as (a, b, log-determinant).
 
-    The matrix is ``(1-lam)(n-r)d/(2(n-1)) I + (1-lam)(r-1)d/(2(n-1)) J``
-    and its determinant equals ``r Q^n / (2^n (n-r) (n-1)^{n-1})``.
+    ``a = (1-lam)(n-r)d/(2(n-1))`` and ``b = (1-lam)(r-1)d/(2(n-1))``; the
+    determinant equals ``r Q^n / (2^n (n-r) (n-1)^{n-1})``.  No n x n array
+    is built, so this is O(1) at any n.
     """
     n, r = params.n, params.r
     lam, d, q = params.lam, params.d, params.q
@@ -64,22 +42,20 @@ def regular_closed_form(params: DerivedParams) -> tuple[WeightMatrix, float]:
         raise DensityDegenerate(f"density {lam} admits no closed-form matrix")
     a = (1.0 - lam) * (n - r) * d / (2.0 * (n - 1))
     b = (1.0 - lam) * (r - 1) * d / (2.0 * (n - 1))
-    entries = a * np.eye(n) + b * np.ones((n, n))
     logdet = (
         math.log(r) + n * math.log(q) - n * math.log(2.0)
         - math.log(n - r) - (n - 1) * math.log(n - 1)
     )
-    return WeightMatrix(entries=entries, source="closed-form"), logdet
+    return a, b, logdet
 
 
-def logdet_pd(matrix: WeightMatrix | np.ndarray) -> float:
+def logdet_pd(matrix: np.ndarray) -> float:
     """Log-determinant via a symmetric Cholesky factorization.
 
     Raises ``NotPositiveDefinite`` when a pivot falls below
     ``PIVOT_RTOL * max diagonal`` (scale-aware singularity detection).
     """
-    m = matrix.entries if isinstance(matrix, WeightMatrix) else np.asarray(matrix)
-    m = np.asarray(m, dtype=np.float64)
+    m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
@@ -97,15 +73,6 @@ def logdet_pd(matrix: WeightMatrix | np.ndarray) -> float:
             f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * diag_max:.3e}"
         )
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
-def whitening_factor(matrix: WeightMatrix | np.ndarray) -> np.ndarray:
-    """A matrix T with T^t A T = I, from the inverse Cholesky factor."""
-    m = matrix.entries if isinstance(matrix, WeightMatrix) else np.asarray(matrix)
-    chol = scipy.linalg.cholesky(np.asarray(m, dtype=np.float64), lower=True)
-    return scipy.linalg.solve_triangular(
-        chol, np.eye(m.shape[0]), lower=True, trans="T"
-    )
 
 
 @dataclass
@@ -169,8 +136,7 @@ def bound_suite(
         )
 
     field = field_summary(arr, n, r, budget=budget)
-    mat = assemble_weight_matrix(arr, n, r, field=field)
-    a = mat.entries
+    a = field.weight_matrix
     big = field.big_lambda
     ratio_cap = 4.0 * delta_hat / r
 
@@ -194,7 +160,7 @@ def bound_suite(
         "row-identity", "pass" if row_slack >= 0 else "fail", row_slack
     )
 
-    logdet_a = logdet_pd(mat)
+    logdet_a = logdet_pd(a)
     ap = 0.5 * math.exp(2.0 * delta_hat) * big
     comparison = aI_bJ_logdet(ap * math.comb(n - 2, r - 1), ap * math.comb(n - 2, r - 2), n)
     # at delta_hat = 0 the two matrices coincide and the two log-determinant

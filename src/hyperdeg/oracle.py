@@ -173,27 +173,6 @@ def _count_sparse(n: int, r: int, degrees: tuple[int, ...]) -> int:
     return int(counts[0]) if keys.size and keys[0] == 0 else 0
 
 
-def _count_dense(n: int, r: int, degrees: tuple[int, ...]) -> int:
-    """Dense coefficient tensor, exponents capped at the target degrees.
-
-    The reference that ``_count_sparse`` is tested against; ``exact_count``
-    does not use it.  Safe in int64 only while every coefficient, at most
-    2^(number of subsets), fits: C(n, r) <= 62.
-    """
-    shape = tuple(d + 1 for d in degrees)
-    grid = np.zeros(shape, dtype=np.int64)
-    grid[(0,) * n] = 1
-    full = slice(None)
-    for w in all_subsets(n, r).tolist():
-        src = [full] * n
-        dst = [full] * n
-        for j in w:
-            src[j] = slice(0, degrees[j])
-            dst[j] = slice(1, degrees[j] + 1)
-        grid[tuple(dst)] += grid[tuple(src)].copy()
-    return int(grid[tuple(degrees)])
-
-
 def exact_count(seq: DegreeSequence, budget: int | None = None) -> ExactCount:
     """Exact number of hypergraphs with the given degrees (big integer).
 

@@ -31,14 +31,7 @@ from .errors import (
     Unsolved,
     ZeroDegree,
 )
-from .fields import (
-    BetaVector,
-    FieldSummary,
-    Twofold,
-    as_beta_array,
-    field_summary,
-    logistic,
-)
+from .fields import FieldSummary, _sweep, as_beta_array, field_summary, logistic
 from .subsets import CHUNK, iter_chunks
 
 SPREAD_GUARD = 50.0
@@ -47,7 +40,7 @@ MAX_HALVINGS = 60
 
 @dataclass
 class SolveReport:
-    beta_star: BetaVector
+    beta_star: np.ndarray
     iterations: int
     residual_inf: float
     spread: float
@@ -58,7 +51,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "beta": self.beta_star.beta.tolist(),
+            "beta": self.beta_star.tolist(),
             "residual_inf": self.residual_inf,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -94,7 +87,7 @@ def _product_seed(
     return log_d - log_s / r
 
 
-def _near_regular_seed(params: DerivedParams) -> np.ndarray:
+def _near_regular_seed(seq: DegreeSequence, params: DerivedParams) -> np.ndarray:
     """Regular seed plus the explicit near-regular correction.
 
     The correction per vertex is
@@ -108,7 +101,9 @@ def _near_regular_seed(params: DerivedParams) -> np.ndarray:
     lam, d = params.lam, params.d
     if not (0.0 < lam < 1.0):
         raise DensityDegenerate(f"density {lam} has no finite seed")
-    delta = np.array([float(x) for x in params.delta])
+    total = sum(seq.degrees)
+    # delta_j = d_j - d = (n d_j - total) / n, rounded once by int division
+    delta = np.array([(n * dj - total) / n for dj in seq.degrees])
     r2 = params.r2
     gamma = (
         (n - 1) * delta / ((1.0 - lam) * (n - r) * d)
@@ -136,17 +131,17 @@ def initial_beta(
     seq: DegreeSequence,
     strategy: str = "auto",
     budget: int | None = None,
-) -> tuple[BetaVector, str]:
+) -> tuple[np.ndarray, str]:
     """Seed vector for the Newton iteration; returns (seed, strategy used)."""
     params = derive(seq)
     if strategy == "auto":
         strategy = choose_strategy(params, seq.degrees)
     if strategy == "regular":
-        return BetaVector(_regular_seed(params)), "regular"
+        return _regular_seed(params), "regular"
     if strategy == "product":
-        return BetaVector(_product_seed(seq, budget)), "product"
+        return _product_seed(seq, budget), "product"
     if strategy == "near-regular":
-        return BetaVector(_near_regular_seed(params)), "near-regular"
+        return _near_regular_seed(seq, params), "near-regular"
     raise ValueError(f"unknown seed strategy {strategy!r}")
 
 
@@ -179,8 +174,7 @@ def solve(
         beta = as_beta_array(seed_beta, n)
         seed_used = "custom"
     else:
-        vec, seed_used = initial_beta(seq, strategy, budget)
-        beta = vec.beta
+        beta, seed_used = initial_beta(seq, strategy, budget)
     if not np.all(np.isfinite(beta)):
         raise ValueError("seed vector must be finite")
 
@@ -193,7 +187,7 @@ def solve(
     for iteration in range(max_iter + 1):
         if res_norm <= target:
             return SolveReport(
-                beta_star=BetaVector(beta.copy(), residual_inf=res_norm),
+                beta_star=beta.copy(),
                 iterations=iteration,
                 residual_inf=res_norm,
                 spread=float(beta.max() - beta.min()),
@@ -284,15 +278,15 @@ def uniqueness_diagnostic(
     a = as_beta_array(beta_a, n)
     b = as_beta_array(beta_b, n)
     ys = np.linspace(0.0, 1.0, grid_points)
-    acc = Twofold(np.zeros(grid_points))
 
-    for idx in iter_chunks(n, r, CHUNK):
+    def curvature(idx: np.ndarray) -> dict:
         la = logistic(a[idx].sum(axis=1))
         lb = logistic(b[idx].sum(axis=1))
         diff2 = (lb - la) ** 2
         xi = (1.0 - ys[:, None]) * la[None, :] + ys[:, None] * lb[None, :]
-        acc.add((diff2[None, :] / (xi * (1.0 - xi))).sum(axis=1))
-    return float(acc.value().min())
+        return {"curvature": (diff2[None, :] / (xi * (1.0 - xi))).sum(axis=1)}
+
+    return float(_sweep(n, r, curvature)["curvature"].min())
 
 
 @dataclass

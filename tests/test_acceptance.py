@@ -37,7 +37,7 @@ from hyperdeg.errors import (
 )
 from hyperdeg.fields import check_weight_ratio_bounds, field_summary
 from hyperdeg.identities import selftest as identities_selftest
-from hyperdeg.matrices import assemble_weight_matrix, bound_suite, logdet_pd
+from hyperdeg.matrices import bound_suite, logdet_pd
 from hyperdeg.models import (
     HypergeomSpec,
     measured_ratio,
@@ -79,10 +79,10 @@ def test_criterion_01_exact_oracle_completeness():
 def _solved_or_fallback_contour(seq):
     params = derive(seq)
     try:
-        return solve(seq, max_iter=60).beta_star.beta
+        return solve(seq, max_iter=60).beta_star
     except (NonConvergence, SingularJacobian, DensityDegenerate):
         if 0.0 < params.lam < 1.0:
-            return initial_beta(seq, "regular")[0].beta
+            return initial_beta(seq, "regular")[0]
         return None
 
 
@@ -127,13 +127,13 @@ def test_criterion_02_cauchy_integral_identity():
 def test_criterion_03_regular_closed_form():
     seq = DegreeSequence(6, 3, (5,) * 6)
     rep = solve(seq)
-    det = math.exp(logdet_pd(assemble_weight_matrix(rep.beta_star.beta, 6, 3)))
+    det = math.exp(logdet_pd(field_summary(rep.beta_star, 6, 3).weight_matrix))
     general = estimate_general(seq, report=rep).ln_value
     near = estimate_near_regular(seq).ln_value
     ok = (
         rep.iterations <= 1
         and rep.residual_inf <= 1e-12 * 5.0
-        and np.array_equal(rep.beta_star.beta, np.zeros(6))
+        and np.array_equal(rep.beta_star, np.zeros(6))
         and abs(det - 0.889892578125) <= 1e-12 * 0.889892578125
         and abs(general - near) <= 1e-10
     )
@@ -173,8 +173,8 @@ def test_criterion_04_solver_certification():
         assert rep.converged
         assert rep.residual_inf <= 1e-10 * params.d
         worst_residual = max(worst_residual, rep.residual_inf / params.d)
-        perturbed = rep.beta_star.beta + rng.normal(scale=1e-3, size=seq.n)
-        diag = uniqueness_diagnostic(seq, rep.beta_star.beta, perturbed)
+        perturbed = rep.beta_star + rng.normal(scale=1e-3, size=seq.n)
+        diag = uniqueness_diagnostic(seq, rep.beta_star, perturbed)
         assert diag >= 0.0
         min_diag = min(min_diag, diag)
     report(4, "solver certification", True,

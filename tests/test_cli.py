@@ -400,3 +400,62 @@ def test_pretty_mode_is_human_readable():
     assert "ln:" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+@pytest.mark.parametrize("text", [
+    '{"n":4,"r":3,"degrees":[1.9,1,1,0]}',
+    '{"n":4,"r":3,"degrees":[true,1,1,0]}',
+    '{"n":4.5,"r":3,"degrees":[1,1,1,0]}',
+    '{"n":"4","r":3,"degrees":[1,1,1,0]}',
+])
+def test_non_integer_instance_values_exit_two(text):
+    code, out, err = invoke(["count", "--method", "exact", "--input", text])
+    assert code == 2
+    assert out == ""
+    assert "is not an integer" in err
+
+
+def test_integral_floats_count_as_integers():
+    code, out, _ = invoke(
+        ["count", "--method", "exact", "--input",
+         '{"n":4.0,"r":3,"degrees":[2.0,2,1,1]}']
+    )
+    assert code == 0
+    assert json.loads(out)["count"] == 1
+
+
+@pytest.mark.parametrize(
+    "case", ["missing-input", "directory-input", "csv", "dump-matrix"]
+)
+def test_file_errors_exit_two(tmp_path, case):
+    unwritable = str(tmp_path / "no-such-dir" / "out.csv")
+    reg6 = str(INSTANCES / "reg6.json")
+    argv = {
+        "missing-input": ["solve", "--input", str(tmp_path / "absent.json")],
+        "directory-input": ["solve", "--input", str(tmp_path)],
+        "csv": ["sample", "-n", "6", "-r", "3", "-m", "4", "--seed", "1",
+                "--csv", unwritable],
+        "dump-matrix": ["solve", "--input", reg6, "--dump-matrix", unwritable],
+    }[case]
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_closed_forms_at_a_hundred_thousand_vertices(tmp_path):
+    # near-regular degrees 30 +- 1 at (10^5, 3): the closed forms are O(k)
+    # in the k distinct degrees, the general formula enumerates C(n, 3)
+    n = 10**5
+    degrees = [31] * 1000 + [29] * 1000 + [30] * (n - 2000)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"n": n, "r": 3, "degrees": degrees}))
+    for method in ("near-regular", "corollary"):
+        code, out, _ = invoke(["count", "--method", method, "--input", str(path)])
+        assert code == 0, method
+        assert math.isfinite(json.loads(out)["ln"])
+    code, out, err = invoke(["count", "--method", "general", "--input", str(path)])
+    assert code == 4
+    assert out == ""
+    assert "exceeds budget" in err

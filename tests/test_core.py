@@ -2,6 +2,7 @@ import inspect
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,11 +33,40 @@ def test_skew_instance_scalars():
     p = validate(4, 3, [2, 2, 1, 1])
     assert p.m == 2
     assert p.lambda_exact == Fraction(1, 2)
-    assert p.delta == (
-        Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2)
-    )
     assert p.r2 == 1.0
-    assert sum(p.delta) == 0
+    assert p.r3 == 0.0
+    assert p.r4 == 0.25
+    assert p.delta_max == 1.0
+
+
+def reference_power_sums(degrees):
+    """Reference: one Fraction deviation d_j - d per vertex, summed exactly."""
+    d = Fraction(sum(degrees), len(degrees))
+    delta = [Fraction(dj) - d for dj in degrees]
+    delta_max = float(max(max(abs(x) for x in delta), Fraction(1)))
+    return [float(sum(x**s for x in delta)) for s in (2, 3, 4)], delta_max
+
+
+@pytest.mark.parametrize("shape", ["skewed", "near-regular"])
+def test_power_sums_equal_the_per_vertex_fraction_sums(shape):
+    rng = np.random.default_rng(11 if shape == "skewed" else 12)
+    checked = 0
+    while checked < 40:
+        n = int(rng.integers(8, 201))
+        r = int(rng.integers(2, 5))
+        cap = math.comb(n - 1, r - 1)
+        if shape == "skewed":
+            degrees = rng.integers(0, cap + 1, size=n)
+        else:
+            degrees = int(rng.integers(3, cap - 2)) + rng.integers(-3, 4, size=n)
+        seq = _force_valid(n, r, degrees.tolist())
+        if seq is None:
+            continue
+        p = derive(seq)
+        sums, delta_max = reference_power_sums(seq.degrees)
+        assert [p.r2, p.r3, p.r4] == sums
+        assert p.delta_max == delta_max
+        checked += 1
 
 
 def test_parity_violation():

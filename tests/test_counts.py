@@ -186,7 +186,7 @@ def test_general_formula_against_high_precision_oracle():
 
     mpmath.mp.dps = 50
     report = solve(SKEW6, tol=1e-12)
-    beta = [mpmath.mpf(x) for x in report.beta_star.beta]
+    beta = [mpmath.mpf(x) for x in report.beta_star]
 
     entropy = mpmath.mpf(0)
     matrix = mpmath.zeros(6)

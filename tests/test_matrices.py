@@ -5,53 +5,48 @@ import pytest
 
 from hyperdeg.core import DegreeSequence, derive
 from hyperdeg.errors import NotPositiveDefinite
-from hyperdeg.matrices import (
-    WeightMatrix,
-    aI_bJ_logdet,
-    assemble_weight_matrix,
-    bound_suite,
-    logdet_pd,
-    regular_closed_form,
-    whitening_factor,
-)
+from hyperdeg.fields import field_summary
+from hyperdeg.matrices import aI_bJ_logdet, bound_suite, logdet_pd, regular_closed_form
 from hyperdeg.solver import solve
 
 REG6_LOGDET = math.log(0.889892578125)  # 3 * 7.5^6 / (2^6 * 3 * 5^5), exact dyadic
 
 
 def test_assembled_entries_uniform():
-    mat = assemble_weight_matrix(np.zeros(6), 6, 3)
-    assert mat.entries[0, 0] == pytest.approx(1.25)
-    assert mat.entries[0, 1] == pytest.approx(0.5)
-    mat4 = assemble_weight_matrix(np.zeros(4), 4, 3)
-    assert mat4.entries[0, 0] == pytest.approx(3 / 8)
-    assert mat4.entries[0, 1] == pytest.approx(2 / 8)
+    mat = field_summary(np.zeros(6), 6, 3).weight_matrix
+    assert mat[0, 0] == pytest.approx(1.25)
+    assert mat[0, 1] == pytest.approx(0.5)
+    mat4 = field_summary(np.zeros(4), 4, 3).weight_matrix
+    assert mat4[0, 0] == pytest.approx(3 / 8)
+    assert mat4[0, 1] == pytest.approx(2 / 8)
 
 
 def test_single_subset_instance_is_rank_one():
-    mat = assemble_weight_matrix(np.zeros(3), 3, 3)
-    assert np.allclose(mat.entries, mat.entries[0, 0])
+    mat = field_summary(np.zeros(3), 3, 3).weight_matrix
+    assert np.allclose(mat, mat[0, 0])
     with pytest.raises(NotPositiveDefinite):
         logdet_pd(mat)
 
 
 def test_regular_closed_form_matches_assembly_and_dense_determinant():
     params = derive(DegreeSequence(6, 3, (5,) * 6))
-    mat0, logdet0 = regular_closed_form(params)
-    assembled = assemble_weight_matrix(np.zeros(6), 6, 3)
-    assert np.allclose(mat0.entries, assembled.entries, atol=1e-14)
+    a, b, logdet0 = regular_closed_form(params)
+    mat0 = a * np.eye(6) + b * np.ones((6, 6))
+    assembled = field_summary(np.zeros(6), 6, 3).weight_matrix
+    assert np.allclose(mat0, assembled, atol=1e-14)
     assert logdet0 == pytest.approx(REG6_LOGDET, abs=1e-13)
-    sign, dense = np.linalg.slogdet(mat0.entries)
+    sign, dense = np.linalg.slogdet(mat0)
     assert sign == 1.0 and logdet0 == pytest.approx(dense, abs=1e-12)
 
 
 def test_regular_closed_form_low_rank_case():
     # n=4, r=2, d=1: lam = 1/3, determinant 16/2187 by hand
     params = derive(DegreeSequence(4, 2, (1, 1, 1, 1)))
-    mat0, logdet0 = regular_closed_form(params)
+    a, b, logdet0 = regular_closed_form(params)
+    mat0 = a * np.eye(4) + b * np.ones((4, 4))
     assert logdet0 == pytest.approx(math.log(16 / 2187), abs=1e-12)
     assert logdet0 == pytest.approx(-4.917697298436987, abs=1e-12)
-    sign, dense = np.linalg.slogdet(mat0.entries)
+    sign, dense = np.linalg.slogdet(mat0)
     assert sign == 1.0 and logdet0 == pytest.approx(dense, abs=1e-12)
 
 
@@ -79,17 +74,10 @@ def test_assembled_matrix_positive_definite_and_symmetric():
         n = int(rng.integers(5, 9))
         r = int(rng.integers(2, n - 1))
         beta = rng.normal(scale=0.5, size=n)
-        mat = assemble_weight_matrix(beta, n, r)
-        a = mat.entries
+        a = field_summary(beta, n, r).weight_matrix
         assert np.array_equal(a, a.T)
         assert (a > 0).all()
-        logdet_pd(mat)  # must not raise for n > r
-
-
-def test_whitening_factor():
-    mat = assemble_weight_matrix(np.zeros(6), 6, 3)
-    t = whitening_factor(mat)
-    assert np.allclose(t.T @ mat.entries @ t, np.eye(6), atol=1e-12)
+        logdet_pd(a)  # must not raise for n > r
 
 
 def test_bound_suite_zero_beta():
@@ -106,7 +94,7 @@ def test_bound_suite_solved_instance():
     seq = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
     rep = solve(seq)
     delta_hat = rep.spread * seq.r
-    report = bound_suite(rep.beta_star.beta, seq.n, seq.r, delta_hat)
+    report = bound_suite(rep.beta_star, seq.n, seq.r, delta_hat)
     assert report.all_passed, [c for c in report.checks if c.status == "fail"]
 
 
@@ -124,27 +112,21 @@ def test_determinant_symmetry_on_solved_instance():
 
     seq = DegreeSequence(7, 3, (7, 6, 6, 6, 6, 6, 5))
     rep = solve(seq)
-    base = logdet_pd(assemble_weight_matrix(rep.beta_star.beta, 7, 3))
+    base = logdet_pd(field_summary(rep.beta_star, 7, 3).weight_matrix)
     for t, factor in [
         (QuadrantTransform.EDGE_COMPLEMENT, 2 * math.log((7 - 3) / 3)),
         (QuadrantTransform.SET_COMPLEMENT, 0.0),
         (QuadrantTransform.BOTH, 2 * math.log((7 - 3) / 3)),
     ]:
         image = apply_symmetry(seq, t)
-        beta_image = apply_beta_symmetry(rep.beta_star.beta, t, 7, 3)
+        beta_image = apply_beta_symmetry(rep.beta_star, t, 7, 3)
         image_logdet = logdet_pd(
-            assemble_weight_matrix(beta_image, image.n, image.r)
+            field_summary(beta_image, image.n, image.r).weight_matrix
         )
         assert image_logdet == pytest.approx(base + factor, abs=1e-8)
-
-
-def test_weight_matrix_source_tag():
-    assert assemble_weight_matrix(np.zeros(4), 4, 3).source == "assembled"
-    params = derive(DegreeSequence(6, 3, (5,) * 6))
-    assert regular_closed_form(params)[0].source == "closed-form"
 
 
 def test_logdet_requires_symmetry():
     m = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        logdet_pd(WeightMatrix(entries=m, source="assembled"))
+        logdet_pd(m)

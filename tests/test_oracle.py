@@ -7,13 +7,34 @@ import pytest
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry
 from hyperdeg.errors import BudgetExceeded
 from hyperdeg.oracle import (
-    _count_dense,
     _count_sparse,
     cauchy_quadrature,
     exact_count,
     total_identity_check,
 )
 from hyperdeg.solver import solve
+from hyperdeg.subsets import all_subsets
+
+
+def _count_dense(n: int, r: int, degrees: tuple[int, ...]) -> int:
+    """Dense coefficient tensor, exponents capped at the target degrees.
+
+    The reference that ``_count_sparse`` is tested against.  Safe in int64
+    only while every coefficient, at most 2^(number of subsets), fits:
+    C(n, r) <= 62.
+    """
+    shape = tuple(d + 1 for d in degrees)
+    grid = np.zeros(shape, dtype=np.int64)
+    grid[(0,) * n] = 1
+    full = slice(None)
+    for w in all_subsets(n, r).tolist():
+        src = [full] * n
+        dst = [full] * n
+        for j in w:
+            src[j] = slice(0, degrees[j])
+            dst[j] = slice(1, degrees[j] + 1)
+        grid[tuple(dst)] += grid[tuple(src)].copy()
+    return int(grid[tuple(degrees)])
 
 
 def brute_count(n, r, degrees):
@@ -148,7 +169,7 @@ def test_quadrature_contour_independence():
     seq = DegreeSequence(5, 3, (3, 3, 2, 2, 2))
     exact = exact_count(seq).value
     at_zero = cauchy_quadrature(seq).value
-    beta = solve(seq).beta_star.beta
+    beta = solve(seq).beta_star
     at_solution = cauchy_quadrature(seq, beta=beta).value
     rng = np.random.default_rng(2)
     at_random = cauchy_quadrature(seq, beta=rng.normal(scale=0.3, size=5)).value

@@ -6,7 +6,7 @@ import pytest
 
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry
 from hyperdeg.errors import DensityDegenerate, NonConvergence, ZeroDegree
-from hyperdeg.fields import field_summary
+from hyperdeg.fields import Twofold, field_summary, logistic
 from hyperdeg.matrices import bound_suite
 from hyperdeg.solver import (
     apply_beta_symmetry,
@@ -15,33 +15,34 @@ from hyperdeg.solver import (
     solve,
     uniqueness_diagnostic,
 )
+from hyperdeg.subsets import iter_chunks
 
 REG6 = DegreeSequence(6, 3, (5,) * 6)
 SKEW6 = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
 
 
 def test_regular_seed_is_zero_at_half_density():
-    vec, used = initial_beta(REG6, "regular")
+    seed, used = initial_beta(REG6, "regular")
     assert used == "regular"
-    assert np.array_equal(vec.beta, np.zeros(6))
+    assert np.array_equal(seed, np.zeros(6))
 
 
 def test_near_regular_seed_equals_regular_when_deviations_vanish():
-    vec, used = initial_beta(REG6, "near-regular")
+    seed, used = initial_beta(REG6, "near-regular")
     assert used == "near-regular"
-    assert np.array_equal(vec.beta, np.zeros(6))
+    assert np.array_equal(seed, np.zeros(6))
 
 
 def test_product_seed_matches_brute_force():
-    vec, used = initial_beta(SKEW6, "product")
+    seed, used = initial_beta(SKEW6, "product")
     assert used == "product"
     degrees = np.array(SKEW6.degrees, dtype=float)
     s = (6 - 3 + 1) / 6 * sum(
         math.prod(degrees[list(w)]) for w in combinations(range(6), 2)
     )
     expected = np.log(degrees) - math.log(s) / 3
-    assert np.allclose(vec.beta, expected, atol=1e-12)
-    assert vec.beta[0] > vec.beta[5]
+    assert np.allclose(seed, expected, atol=1e-12)
+    assert seed[0] > seed[5]
 
 
 def test_seed_errors():
@@ -58,14 +59,14 @@ def test_regular_solve_converges_at_seed():
     assert report.converged
     assert report.iterations <= 1
     assert report.residual_inf <= 1e-12 * 5.0
-    assert np.array_equal(report.beta_star.beta, np.zeros(6))
+    assert np.array_equal(report.beta_star, np.zeros(6))
 
 
 def test_skew_solve_reproduces_degrees():
     report = solve(SKEW6)
     assert report.converged
     assert report.residual_inf <= 1e-10 * 5.0
-    field = field_summary(report.beta_star.beta, 6, 3)
+    field = field_summary(report.beta_star, 6, 3)
     assert np.allclose(field.vertex_sums, SKEW6.degrees, atol=1e-9)
 
 
@@ -74,7 +75,7 @@ def test_all_seeds_reach_the_same_solution():
     for strategy in ("regular", "product", "near-regular"):
         report = solve(SKEW6, strategy=strategy)
         assert report.seed_used == strategy
-        solutions.append(report.beta_star.beta)
+        solutions.append(report.beta_star)
     for other in solutions[1:]:
         assert np.allclose(solutions[0], other, atol=1e-8)
 
@@ -83,9 +84,9 @@ def test_near_regular_seed_improves_on_regular_seed():
     # validates the direction of the expansion seed, not just convergence
     for degrees in [(7, 7, 7, 6, 6, 6, 5, 4), (8, 7, 7, 6, 6, 6, 5, 3)]:
         seq = DegreeSequence(8, 3, degrees)
-        star = solve(seq, tol=1e-12).beta_star.beta
-        regular = initial_beta(seq, "regular")[0].beta
-        near = initial_beta(seq, "near-regular")[0].beta
+        star = solve(seq, tol=1e-12).beta_star
+        regular = initial_beta(seq, "regular")[0]
+        near = initial_beta(seq, "near-regular")[0]
         reg_dist = np.abs(regular - star).max()
         near_dist = np.abs(near - star).max()
         assert near_dist < 0.5 * reg_dist, (degrees, reg_dist, near_dist)
@@ -111,29 +112,29 @@ def test_infeasible_degree_zero_never_reports_false_convergence():
             report = solve(instance, max_iter=40)
         except NonConvergence:
             continue
-        field = field_summary(report.beta_star.beta, 6, 3)
+        field = field_summary(report.beta_star, 6, 3)
         assert np.allclose(field.vertex_sums, instance.degrees, atol=1e-8)
 
 
 def test_solution_symmetry_relations():
     base = solve(SKEW6, tol=1e-11)
-    beta = base.beta_star.beta
+    beta = base.beta_star
     tol = 10 * 1e-11 * 5
 
     edge_image = apply_symmetry(SKEW6, QuadrantTransform.EDGE_COMPLEMENT)
     edge_report = solve(edge_image, tol=1e-11)
-    got = edge_report.beta_star.beta
+    got = edge_report.beta_star
     gaps_base = beta[:, None] - beta[None, :]
     gaps_image = got[:, None] - got[None, :]
     assert np.abs(np.abs(gaps_image) - np.abs(gaps_base)).max() <= tol
 
     set_image = apply_symmetry(SKEW6, QuadrantTransform.SET_COMPLEMENT)
     set_report = solve(set_image, tol=1e-11, seed_beta=-beta)
-    assert np.allclose(set_report.beta_star.beta, -beta, atol=tol)
+    assert np.allclose(set_report.beta_star, -beta, atol=tol)
 
 
 def test_transformed_solutions_satisfy_image_systems():
-    base = solve(SKEW6, tol=1e-11).beta_star.beta
+    base = solve(SKEW6, tol=1e-11).beta_star
     for t in QuadrantTransform:
         image = apply_symmetry(SKEW6, t)
         moved = apply_beta_symmetry(base, t, 6, 3)
@@ -143,7 +144,7 @@ def test_transformed_solutions_satisfy_image_systems():
 
 def test_degree_sum_identity_at_solution():
     report = solve(SKEW6)
-    field = field_summary(report.beta_star.beta, 6, 3)
+    field = field_summary(report.beta_star, 6, 3)
     n_d = sum(SKEW6.degrees)
     assert abs(field.vertex_sums.sum() - n_d) <= 6 * 1e-10 * 5
 
@@ -178,7 +179,7 @@ def test_uniqueness_diagnostic_matches_brute_force():
 
 def test_uniqueness_diagnostic_positive_for_perturbed_solutions():
     report = solve(SKEW6)
-    beta = report.beta_star.beta
+    beta = report.beta_star
     rng = np.random.default_rng(17)
     for _ in range(5):
         other = beta + rng.normal(scale=1e-3, size=6)
@@ -190,21 +191,37 @@ def test_inverse_jacobian_bound_regular_and_perturbed():
     n = 20
     seq = DegreeSequence(n, 3, (57,) * n)  # lam = 1/3
     center, _ = initial_beta(seq, "regular")
-    suite = bound_suite(center.beta, n, 3, delta_hat=0.0)
+    suite = bound_suite(center, n, 3, delta_hat=0.0)
     constant = suite.measured_inverse_constant
     res = inverse_jacobian_bound_check(
-        seq, center.beta, center.beta, delta1=0.0, delta2=0.0, constant=constant
+        seq, center, center, delta1=0.0, delta2=0.0, constant=constant
     )
     assert res.status == "pass", res
 
     rng = np.random.default_rng(23)
     delta1, delta2 = 0.02, 0.015
-    wobble = center.beta + rng.uniform(-delta1 / (2 * 3), delta1 / (2 * 3), size=n)
+    wobble = center + rng.uniform(-delta1 / (2 * 3), delta1 / (2 * 3), size=n)
     point = wobble + rng.uniform(-delta2 / 3, delta2 / 3, size=n)
     res2 = inverse_jacobian_bound_check(
         seq, wobble, point, delta1=delta1, delta2=delta2, constant=constant
     )
     assert res2.status == "pass", res2
+
+
+def test_uniqueness_diagnostic_is_bit_identical_to_a_chunk_loop():
+    """Reference: the curvature sums folded by their own loop over chunks."""
+    seq = DegreeSequence(24, 4, (100,) * 24)  # 10626 subsets, three chunks
+    rng = np.random.default_rng(31)
+    a = rng.normal(scale=0.3, size=24)
+    b = a + rng.normal(scale=0.05, size=24)
+    ys = np.linspace(0.0, 1.0, 33)
+    acc = Twofold(np.zeros(33))
+    for idx in iter_chunks(24, 4):
+        la = logistic(a[idx].sum(axis=1))
+        lb = logistic(b[idx].sum(axis=1))
+        xi = (1.0 - ys[:, None]) * la[None, :] + ys[:, None] * lb[None, :]
+        acc.add((((lb - la) ** 2)[None, :] / (xi * (1.0 - xi))).sum(axis=1))
+    assert uniqueness_diagnostic(seq, a, b) == float(acc.value().min())
 
 
 def test_uniqueness_diagnostic_budget_guard():
@@ -217,11 +234,10 @@ def test_uniqueness_diagnostic_budget_guard():
 def test_unconverged_report_is_rejected_by_estimates():
     from hyperdeg.counts import estimate_general
     from hyperdeg.errors import Unsolved
-    from hyperdeg.fields import BetaVector
     from hyperdeg.solver import SolveReport
 
     fake = SolveReport(
-        beta_star=BetaVector(np.zeros(6)), iterations=0, residual_inf=1.0,
+        beta_star=np.zeros(6), iterations=0, residual_inf=1.0,
         spread=0.0, converged=False, seed_used="custom",
     )
     with pytest.raises(Unsolved):
