@@ -13,7 +13,6 @@ from .core import (
     apply_symmetry,
     canonicalize_first_quadrant,
     derive,
-    validate,
 )
 from .counts import (
     LogEstimate,
@@ -87,5 +86,4 @@ __all__ = [
     "symmetry_audit",
     "total_identity_check",
     "uniqueness_diagnostic",
-    "validate",
 ]

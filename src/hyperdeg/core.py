@@ -21,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -51,6 +50,14 @@ class DegreeSequence:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
+        named = (("n", (self.n,)), ("r", (self.r,)), ("degree", self.degrees))
+        for name, values in named:
+            for value in values:
+                # the type test first: plain ints skip the slower ABC check
+                if type(value) is not int and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                ):
+                    raise NonIntegral(f"{name} {value!r} is not an integer")
         if self.n < 2:
             raise DimensionMismatch(f"need n >= 2, got n={self.n}")
         if not (1 <= self.r <= self.n - 1):
@@ -85,21 +92,19 @@ class DegreeSequence:
     @staticmethod
     def from_json_dict(data: dict) -> "DegreeSequence":
         try:
-            n = _json_int(data["n"], "n")
-            r = _json_int(data["r"], "r")
-            degrees = tuple(_json_int(x, "degree") for x in data["degrees"])
+            n = _json_int(data["n"])
+            r = _json_int(data["r"])
+            degrees = tuple(_json_int(x) for x in data["degrees"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DimensionMismatch(f"malformed instance JSON: {exc}") from exc
         return DegreeSequence(n, r, degrees)
 
 
-def _json_int(value, name: str) -> int:
-    """An instance value as an int; integral floats such as 5.0 count."""
+def _json_int(value):
+    """An integral float such as 5.0 as an int; anything else unchanged."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise NonIntegral(f"{name} {value!r} is not an integer")
-    return int(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -134,16 +139,6 @@ class DerivedParams:
     @property
     def q(self) -> float:
         return float(self.q_exact)
-
-
-def validate(n: int, r: int, degrees: Sequence[int]) -> DerivedParams:
-    """Validate an instance and compute its derived scalars.
-
-    Raises on structural violations (parity, range, dimensions).  Hypothesis
-    failures of the asymptotic theory are *flagged*, never rejected.
-    """
-    seq = DegreeSequence(int(n), int(r), tuple(int(x) for x in degrees))
-    return derive(seq)
 
 
 def derive(seq: DegreeSequence) -> DerivedParams:

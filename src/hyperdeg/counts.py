@@ -287,8 +287,7 @@ def symmetry_audit(
         # the set complement
         total = math.comb(n, r)
         picks = rng.integers(0, total, size=min(spot_checks, total))
-        for rank in picks:
-            w = colex_unrank(int(rank), n, r)
+        for w in colex_unrank(picks, n, r).tolist():
             lw = lambda_of_subset(base_beta, w)
             comp = tuple(sorted(set(range(n)) - set(w)))
             if t is QuadrantTransform.IDENTITY:

@@ -29,6 +29,8 @@ from .errors import BudgetExceeded, DensityDegenerate, ExpansionDomainError
 from .subsets import colex_unrank
 
 LOG_ZERO = -math.inf
+# samples per spawned random stream in sample_degree_batch
+SAMPLE_BATCH = 1024
 
 
 def log_comb(a: float, b: float) -> float:
@@ -347,41 +349,36 @@ def sample_degrees(
 ) -> tuple[int, ...]:
     """Degrees of a uniform random simple m-edge hypergraph.
 
-    Uniform m-subset of the colex-indexed r-subsets via a partial
-    Fisher-Yates pass over the implicit index space; rejection-free and
-    deterministic given the seed.
+    One ``Generator.choice`` of m distinct colex ranks of the r-subsets,
+    unranked in one call; rejection-free and deterministic given the seed.
     """
+    if n < 2 or not 1 <= r <= n - 1:
+        raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
     population = math.comb(n, r)
+    if population >= 2**63:
+        raise ValueError(f"C(n, r) = {population} does not fit the int64 ranks")
     if not 0 <= m <= population:
         raise ValueError(f"need 0 <= m <= C(n, r) = {population}")
     if rng is None:
         rng = np.random.default_rng(rng_seed)
-    replacement: dict[int, int] = {}
-    degrees = [0] * n
-    for i in range(m):
-        j = int(rng.integers(i, population))
-        vi = replacement.get(i, i)
-        vj = replacement.get(j, j)
-        replacement[j] = vi
-        replacement[i] = vj
-        for v in colex_unrank(vj, n, r):
-            degrees[v] += 1
-    return tuple(degrees)
+    edges = colex_unrank(rng.choice(population, size=m, replace=False), n, r)
+    return tuple(np.bincount(edges.ravel(), minlength=n).tolist())
 
 
 def sample_degree_batch(
-    n: int, r: int, m: int, rng_seed, count: int, batch: int = 1024
+    n: int, r: int, m: int, rng_seed, count: int
 ) -> np.ndarray:
-    """Batched sampling with fixed stream-splitting.
+    """``count`` samples, split into fixed streams of SAMPLE_BATCH samples.
 
-    Sample i is drawn from the stream spawned for batch i // batch, so the
-    output does not depend on the order in which batches are drawn.
+    Sample i is drawn from the stream spawned for batch i // SAMPLE_BATCH,
+    so a row depends only on the seed and its index, not on ``count``.
     """
-    seeds = np.random.SeedSequence(rng_seed).spawn((count + batch - 1) // batch)
+    batches = (count + SAMPLE_BATCH - 1) // SAMPLE_BATCH
+    seeds = np.random.SeedSequence(rng_seed).spawn(batches)
     out = np.empty((count, n), dtype=np.int64)
     for b, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        for i in range(b * batch, min((b + 1) * batch, count)):
+        for i in range(b * SAMPLE_BATCH, min((b + 1) * SAMPLE_BATCH, count)):
             out[i] = sample_degrees(n, r, m, None, rng=rng)
     return out
 

@@ -21,22 +21,6 @@ def colex_rank(subset) -> int:
     return sum(comb(c, i + 1) for i, c in enumerate(subset))
 
 
-def colex_unrank(rank: int, n: int, r: int) -> tuple[int, ...]:
-    """Subset of {0..n-1} of size r with the given colex rank."""
-    out = [0] * r
-    k = r
-    while k > 0:
-        # largest c with comb(c, k) <= rank, found by descending scan
-        c = n - 1
-        while comb(c, k) > rank:
-            c -= 1
-        rank -= comb(c, k)
-        k -= 1
-        out[k] = c
-        n = c
-    return tuple(out)
-
-
 def _rank_tables(n: int, r: int) -> list[np.ndarray]:
     """``tables[k][c] = min(C(c, k), C(n, r))`` for c < n and k = 1..r.
 
@@ -51,13 +35,12 @@ def _rank_tables(n: int, r: int) -> list[np.ndarray]:
     ]
 
 
-def _unrank_range(start: int, end: int, r: int, tables) -> np.ndarray:
-    """Rows ``start..end-1`` of the colex order as an (end - start, r) array.
+def _unrank(rank: np.ndarray, r: int, tables) -> np.ndarray:
+    """The subsets with the given int64 colex ranks as a (rank.size, r) array.
 
     Position k - 1 of each row is the largest c with C(c, k) at most the
-    remaining rank, for k = r down to 1.
+    remaining rank, for k = r down to 1.  ``rank`` is consumed in place.
     """
-    rank = np.arange(start, end, dtype=np.int64)
     out = np.empty((rank.size, r), dtype=np.int64)
     for k in range(r, 0, -1):
         table = tables[k]
@@ -65,6 +48,15 @@ def _unrank_range(start: int, end: int, r: int, tables) -> np.ndarray:
         rank -= table[c]
         out[:, k - 1] = c
     return out
+
+
+def colex_unrank(ranks, n: int, r: int) -> np.ndarray:
+    """The r-subsets of {0..n-1} with the given colex ranks, one per row.
+
+    Every rank must lie in [0, C(n, r)); the result is a (len(ranks), r)
+    int64 array with each row in increasing order.
+    """
+    return _unrank(np.array(ranks, dtype=np.int64), r, _rank_tables(n, r))
 
 
 def iter_chunks(n: int, r: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
@@ -77,12 +69,13 @@ def iter_chunks(n: int, r: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
     total = comb(n, r)
     tables = _rank_tables(n, r)
     for start in range(0, total, chunk):
-        yield _unrank_range(start, min(start + chunk, total), r, tables)
+        rank = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield _unrank(rank, r, tables)
 
 
 def all_subsets(n: int, r: int) -> np.ndarray:
     """All r-subsets in colex order as one (comb(n, r), r) array."""
-    return _unrank_range(0, comb(n, r), r, _rank_tables(n, r))
+    return _unrank(np.arange(comb(n, r), dtype=np.int64), r, _rank_tables(n, r))
 
 
 def incidence(n: int, r: int) -> np.ndarray:

@@ -177,6 +177,7 @@ def test_sample_csv_shape(tmp_path):
     for line in lines[1:]:
         values = [int(x) for x in line.split(",")]
         assert sum(values) == 30
+        assert all(0 <= d <= math.comb(5, 2) for d in values)
 
 
 def test_sample_stdout_matches_csv(tmp_path):
@@ -186,6 +187,25 @@ def test_sample_stdout_matches_csv(tmp_path):
     path = tmp_path / "s.csv"
     invoke(args + ["--csv", str(path)])
     assert out == path.read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["-n", "70", "-r", "35", "-m", "2"], "C(n, r) = 112186277816662845432"),
+    (["-n", "0", "-r", "0", "-m", "1"], "need n >= 2"),
+    (["-n", "1", "-r", "1", "-m", "0"], "need n >= 2"),
+    (["-n", "3", "-r", "5", "-m", "0"], "1 <= r <= n-1"),
+    (["-n", "6", "-r", "0", "-m", "0"], "1 <= r <= n-1"),
+    (["-n", "6", "-r", "6", "-m", "1"], "1 <= r <= n-1"),
+    (["-n", "6", "-r", "3", "-m", "21"], "0 <= m <= C(n, r) = 20"),
+    (["-n", "6", "-r", "3", "-m", "-1"], "0 <= m <= C(n, r) = 20"),
+])
+def test_sample_rejects_bad_inputs_with_exit_two(argv, message):
+    code, out, err = invoke(["sample", *argv, "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_audit_command():

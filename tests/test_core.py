@@ -14,14 +14,18 @@ from hyperdeg.core import (
     canonicalize_first_quadrant,
     derive,
     in_first_quadrant,
-    validate,
 )
 import hyperdeg
-from hyperdeg.errors import DimensionMismatch, ParityViolation, RangeViolation
+from hyperdeg.errors import (
+    DimensionMismatch,
+    NonIntegral,
+    ParityViolation,
+    RangeViolation,
+)
 
 
 def test_regular_instance_scalars():
-    p = validate(6, 3, [5] * 6)
+    p = derive(DegreeSequence(6, 3, (5,) * 6))
     assert p.d == 5.0
     assert p.m == 10
     assert p.lambda_exact == Fraction(1, 2)
@@ -30,7 +34,7 @@ def test_regular_instance_scalars():
 
 
 def test_skew_instance_scalars():
-    p = validate(4, 3, [2, 2, 1, 1])
+    p = derive(DegreeSequence(4, 3, (2, 2, 1, 1)))
     assert p.m == 2
     assert p.lambda_exact == Fraction(1, 2)
     assert p.r2 == 1.0
@@ -71,25 +75,42 @@ def test_power_sums_equal_the_per_vertex_fraction_sums(shape):
 
 def test_parity_violation():
     with pytest.raises(ParityViolation):
-        validate(4, 3, [1, 1, 1, 1])
+        derive(DegreeSequence(4, 3, (1, 1, 1, 1)))
 
 
 def test_range_violation():
     with pytest.raises(RangeViolation):
-        validate(4, 3, [4, 1, 1, 0])
+        derive(DegreeSequence(4, 3, (4, 1, 1, 0)))
     with pytest.raises(RangeViolation):
-        validate(4, 3, [-1, 2, 1, 1])
+        derive(DegreeSequence(4, 3, (-1, 2, 1, 1)))
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        validate(4, 3, [1, 1, 1])
+        derive(DegreeSequence(4, 3, (1, 1, 1)))
+
+
+@pytest.mark.parametrize("n, r, degrees", [
+    (4, 3, (1.5, 1.5, 0, 0)),
+    (4, 3, (1.0, 1, 1, 0)),
+    (4.0, 3, (1, 1, 1, 0)),
+    (4, True, (1, 1, 1, 0)),
+    (4, 3, ("1", 1, 1, 0)),
+])
+def test_library_construction_rejects_non_integers(n, r, degrees):
+    with pytest.raises(NonIntegral):
+        DegreeSequence(n, r, degrees)
+
+
+def test_library_construction_accepts_numpy_integers():
+    seq = DegreeSequence(np.int64(4), 3, tuple(np.array([1, 1, 1, 0])))
+    assert derive(seq).m == 1
 
 
 def test_out_of_hypothesis_edge_size_is_flagged_not_rejected():
-    p = validate(4, 3, [2, 2, 1, 1])
+    p = derive(DegreeSequence(4, 3, (2, 2, 1, 1)))
     assert not p.flags["edge_size_in_range"]
-    p6 = validate(6, 3, [5] * 6)
+    p6 = derive(DegreeSequence(6, 3, (5,) * 6))
     assert p6.flags["edge_size_in_range"]
 
 

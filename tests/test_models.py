@@ -203,6 +203,12 @@ def test_sampler_edge_cases_and_determinism():
     assert np.array_equal(batch, sample_degree_batch(6, 3, 10, 7, 64))
 
 
+def test_batch_rows_depend_only_on_seed_and_index():
+    long = sample_degree_batch(6, 3, 10, 7, 1100)
+    assert np.array_equal(long[:1030], sample_degree_batch(6, 3, 10, 7, 1030))
+    assert (long.sum(axis=1) == 30).all()
+
+
 def test_sampler_regular_rate_matches_exact_model():
     """10^5 samples at the pinned seed: empirical regular-sequence rate
     within 3 standard errors of the exact model probability."""

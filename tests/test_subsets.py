@@ -26,6 +26,22 @@ def iter_colex(n, r):
             yield rest + (c,)
 
 
+def colex_unrank_scalar(rank, n, r):
+    """Reference: one rank at a time, by a descending scan per position."""
+    out = [0] * r
+    k = r
+    while k > 0:
+        # largest c with comb(c, k) <= rank
+        c = n - 1
+        while math.comb(c, k) > rank:
+            c -= 1
+        rank -= math.comb(c, k)
+        k -= 1
+        out[k] = c
+        n = c
+    return tuple(out)
+
+
 def colex_combinations(n, r):
     """All r-subsets from itertools, sorted into colex order."""
     return sorted(combinations(range(n), r), key=lambda w: w[::-1])
@@ -52,7 +68,30 @@ def test_enumeration_is_complete():
 def test_rank_matches_enumeration_order():
     for rank, subset in enumerate(iter_colex(7, 3)):
         assert colex_rank(subset) == rank
-        assert colex_unrank(rank, 7, 3) == subset
+        assert colex_unrank_scalar(rank, 7, 3) == subset
+
+
+def test_unrank_matches_the_scalar_reference_on_every_rank():
+    for n, r in [(7, 3), (9, 8), (20, 1), (12, 4)]:
+        ranks = np.arange(math.comb(n, r))
+        got = colex_unrank(ranks, n, r)
+        assert got.dtype == np.int64 and got.shape == (ranks.size, r)
+        assert rows(got) == [colex_unrank_scalar(int(k), n, r) for k in ranks]
+        assert np.array_equal(ranks, np.arange(math.comb(n, r)))  # not consumed
+
+
+def test_unrank_matches_the_scalar_reference_near_r_equals_n():
+    # C(69, 34) > 2^63 while C(70, 68) = 2415
+    ranks = np.random.default_rng(3).integers(0, math.comb(70, 68), size=2000)
+    got = rows(colex_unrank(ranks, 70, 68))
+    assert got == [colex_unrank_scalar(int(k), 70, 68) for k in ranks]
+
+
+def test_unrank_of_no_ranks_is_an_empty_array():
+    for n, r in [(7, 3), (70, 68), (5, 1)]:
+        got = colex_unrank(np.array([], dtype=np.int64), n, r)
+        assert got.shape == (0, r) and got.dtype == np.int64
+        assert colex_unrank([], n, r).shape == (0, r)
 
 
 @settings(max_examples=80, deadline=None)
@@ -66,7 +105,7 @@ def test_rank_matches_enumeration_order():
 ))
 def test_unrank_rank_round_trip(data):
     n, r, rank = data
-    subset = colex_unrank(rank, n, r)
+    (subset,) = colex_unrank([rank], n, r).tolist()
     assert len(subset) == r
     assert all(0 <= v < n for v in subset)
     assert colex_rank(subset) == rank
