@@ -213,17 +213,21 @@ def cmd_models(args) -> int:
                 d_point = models.prob_model(
                     seq, "D-asymptotic", budget=args.budget
                 )
-        measured = models.measured_ratio(
-            seq, pair, normalizer=args.normalizer, budget=args.budget,
-            d_point=d_point,
+        other = models.prob_model(
+            seq, models.RATIO_PAIRS[pair], normalizer=args.normalizer,
+            budget=args.budget,
         )
+        measured = d_point.ln_prob - other.ln_prob
         rows.append(
             {
                 **prediction,
                 "measured_ln_ratio": measured,
                 "difference": measured - prediction["predicted_ln_ratio"],
                 "d_model": d_point.model,
-                "normalizer": args.normalizer,
+                # the T model reports the normalizer it fell back to, if any
+                "normalizer": other.components.get(
+                    "normalizer_method", args.normalizer
+                ),
             }
         )
     emit({"instance": seq.to_json_dict(), "comparisons": rows}, args.pretty)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .budgets import check_dp_budget
 from .core import DegreeSequence, derive
@@ -94,23 +94,36 @@ def hypergeom_pmf(spec: HypergeomSpec, k: int) -> float:
 
 
 def _log_pmf_vector(spec: HypergeomSpec) -> np.ndarray:
+    """``hypergeom_log_pmf`` at 0..marked as one array; -inf off the support.
+
+    The same operations in the same order as the scalar form, so the
+    entries are bit-identical to it.
+    """
     out = np.full(spec.marked + 1, LOG_ZERO)
-    for k in spec.support():
-        out[k] = hypergeom_log_pmf(spec, k)
+    support = spec.support()
+    ks = np.arange(support.start, support.stop)
+    marked, rest = spec.marked, spec.population - spec.marked
+    num = (
+        (gammaln(marked + 1.0) - gammaln(ks + 1.0) - gammaln(marked - ks + 1.0))
+        + (gammaln(rest + 1.0) - gammaln(spec.m - ks + 1.0)
+           - gammaln(rest - (spec.m - ks) + 1.0))
+    )
+    out[ks] = num - log_comb(spec.population, spec.m)
     return out
 
 
 def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Log-domain convolution of two log-pmf vectors."""
+    """Log-domain convolution of two log-pmf vectors.
+
+    One in-place ``logaddexp`` of a shifted copy of the longer operand per
+    finite entry of the shorter; ``-inf`` entries add nothing and are skipped.
+    """
+    if a.size < b.size:
+        a, b = b, a
     out = np.full(a.size + b.size - 1, LOG_ZERO)
-    for shift in range(out.size):
-        lo = max(0, shift - b.size + 1)
-        hi = min(a.size - 1, shift)
-        idx = np.arange(lo, hi + 1)
-        terms = a[idx] + b[shift - idx]
-        finite = terms > LOG_ZERO
-        if finite.any():
-            out[shift] = float(logsumexp(terms[finite]))
+    for j in np.flatnonzero(b > LOG_ZERO):
+        seg = out[j:j + a.size]
+        np.logaddexp(seg, a + b[j], out=seg)
     return out
 
 
@@ -241,7 +254,8 @@ def prob_model(
     raise ValueError(f"unknown model {model!r}")
 
 
-RATIO_PAIRS = ("b-vs-d", "d-vs-t", "klw")
+# each ratio pair and the model its D probability is compared with
+RATIO_PAIRS = {"b-vs-d": "B", "d-vs-t": "T", "klw": "B"}
 
 
 def predicted_ratio(
@@ -302,17 +316,10 @@ def measured_ratio(
     normalizer: str = "dp",
     d_model: str = "D-exact",
     budget: int | None = None,
-    d_point: ModelPoint | None = None,
 ) -> float:
-    """Measured ln(Prob_D / Prob_other) from the model probabilities.
-
-    A given ``d_point`` is used as the D-model probability instead of
-    evaluating ``d_model``, so several pairs can share one exact count.
-    """
-    other = "B" if pair in ("b-vs-d", "klw") else "T"
-    pd = d_point
-    if pd is None:
-        pd = prob_model(seq, d_model, budget=budget)
+    """Measured ln(Prob_D / Prob_other) from the model probabilities."""
+    other = RATIO_PAIRS.get(pair, "T")
+    pd = prob_model(seq, d_model, budget=budget)
     po = prob_model(seq, other, normalizer=normalizer, budget=budget)
     return pd.ln_prob - po.ln_prob
 
@@ -386,7 +393,9 @@ def sample_degree_batch(
 def tail_bound_report(spec: HypergeomSpec, t_values) -> list[dict]:
     """Exact two-sided tails against 2 exp(-t^2 / (2(d + t/3)))."""
     d = spec.mean
-    pmf = np.array([hypergeom_pmf(spec, k) for k in range(spec.marked + 1)])
+    pmf = np.array(
+        [math.exp(lp) if lp > LOG_ZERO else 0.0 for lp in _log_pmf_vector(spec).tolist()]
+    )
     ks = np.arange(spec.marked + 1)
     out = []
     for t in t_values:

@@ -153,6 +153,19 @@ def test_models_falls_back_once_for_all_pairs(monkeypatch):
     assert [row["d_model"] for row in rows] == ["D-asymptotic"] * 3
 
 
+def test_models_reports_the_normalizer_that_produced_t():
+    # n (marked + 1)^2 = 8 * 22^2 exceeds the budget, so T falls back to clt
+    code, out, _ = invoke(
+        ["--budget", "1000", "models", "--input", str(INSTANCES / "near8.json"),
+         "--compare", "d-vs-t,b-vs-d,klw"]
+    )
+    assert code == 0
+    rows = {row["pair"]: row for row in json.loads(out)["comparisons"]}
+    assert rows["d-vs-t"]["normalizer"] == "clt"
+    assert rows["b-vs-d"]["normalizer"] == "dp"
+    assert rows["klw"]["normalizer"] == "dp"
+
+
 def test_models_clt_normalizer_flag():
     code, out, _ = invoke(
         ["models", "--input", str(INSTANCES / "tiny4.json"),

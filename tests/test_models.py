@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from hyperdeg.core import DegreeSequence
+from hyperdeg import models
 from hyperdeg.errors import ExpansionDomainError
 from hyperdeg.models import (
     HypergeomSpec,
+    _log_convolve,
+    _log_pmf_vector,
+    _log_sum_pmf,
     conditioned_sum_log_prob,
     conditioning_factor_report,
     hypergeom_pmf,
@@ -241,3 +245,118 @@ def test_conditioning_factor_close_to_gaussian():
     ys = range(int(5 - 3 * sigma), int(5 + 3 * sigma) + 1)
     report = conditioning_factor_report(spec, 6, ys)
     assert all(row["abs_gap"] <= 0.25 for row in report)
+
+
+def per_shift_log_convolve(a, b):
+    """Reference log-domain convolution: one logsumexp per output shift."""
+    out = np.full(a.size + b.size - 1, -math.inf)
+    for shift in range(out.size):
+        lo = max(0, shift - b.size + 1)
+        hi = min(a.size - 1, shift)
+        idx = np.arange(lo, hi + 1)
+        terms = a[idx] + b[shift - idx]
+        finite = terms > -math.inf
+        if finite.any():
+            out[shift] = float(logsumexp(terms[finite]))
+    return out
+
+
+def assert_log_close(got, want, rel):
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert np.isfinite(got[finite]).all()
+    gap = np.abs(got[finite] - want[finite])
+    assert (gap <= rel * np.maximum(1.0, np.abs(want[finite]))).all()
+
+
+def random_log_vector(rng, size, holes):
+    v = rng.normal(0.0, 30.0, size)
+    v[rng.random(size) < holes] = -math.inf
+    return v
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(1, 1), (1, 9), (9, 1), (7, 40), (40, 7), (33, 33)],
+)
+@pytest.mark.parametrize("holes", [0.0, 0.3, 0.8])
+def test_log_convolve_matches_per_shift_reference(sizes, holes):
+    rng = np.random.default_rng(sizes[0] * 1000 + sizes[1] + int(holes * 10))
+    a = random_log_vector(rng, sizes[0], holes)
+    b = random_log_vector(rng, sizes[1], holes)
+    want = per_shift_log_convolve(a, b)
+    assert_log_close(_log_convolve(a, b), want, 1e-13)
+    assert_log_close(_log_convolve(b, a), want, 1e-13)
+
+
+def test_log_convolve_with_an_all_zero_operand():
+    rng = np.random.default_rng(5)
+    a = random_log_vector(rng, 12, 0.2)
+    empty = np.full(4, -math.inf)
+    for x, y in ((a, empty), (empty, a), (empty, empty)):
+        got = _log_convolve(x, y)
+        assert got.size == x.size + y.size - 1
+        assert np.isneginf(got).all()
+        assert np.isneginf(per_shift_log_convolve(x, y)).all()
+
+
+def exact_sum_counts(n, r, m):
+    """Coefficients of (sum_k C(marked,k) C(pop-marked,m-k) x^k)^n, exactly."""
+    marked = math.comb(n - 1, r - 1)
+    rest = math.comb(n, r) - marked
+    base = [
+        math.comb(marked, k) * math.comb(rest, m - k) if 0 <= m - k <= rest else 0
+        for k in range(marked + 1)
+    ]
+    acc = [1]
+    for _ in range(n):
+        nxt = [0] * (len(acc) + marked)
+        for i, x in enumerate(acc):
+            if x:
+                for k, y in enumerate(base):
+                    nxt[i + k] += x * y
+        acc = nxt
+    return acc
+
+
+@pytest.mark.parametrize("n,r,m", [(7, 3, 14), (10, 3, 48), (12, 4, 100)])
+def test_normalizer_matches_exact_integer_convolution(n, r, m):
+    spec = HypergeomSpec(n, r, m)
+    got = _log_sum_pmf(_log_pmf_vector(spec), n)
+    counts = exact_sum_counts(n, r, m)
+    assert got.size == len(counts)
+    ln_total = n * math.log(math.comb(spec.population, m))
+    for s, count in enumerate(counts):
+        if count == 0:
+            assert got[s] == -math.inf
+        else:
+            want = math.log(count) - ln_total
+            assert abs(got[s] - want) <= 1e-11 * max(1.0, abs(want))
+
+
+def test_normalizer_and_conditioning_factor_match_per_shift_reference(monkeypatch):
+    instances = [(4, 3, 2), (5, 3, 3), (6, 3, 10), (7, 3, 6), (7, 3, 12), (8, 4, 20)]
+    fast = []
+    for n, r, m in instances:
+        spec = HypergeomSpec(n, r, m)
+        fast.append(
+            (conditioned_sum_log_prob(spec, n),
+             conditioning_factor_report(spec, n, range(0, 2 * spec.marked)))
+        )
+    monkeypatch.setattr(models, "_log_convolve", per_shift_log_convolve)
+    for (n, r, m), (ln_p, report) in zip(instances, fast):
+        spec = HypergeomSpec(n, r, m)
+        assert ln_p == pytest.approx(conditioned_sum_log_prob(spec, n), rel=1e-13)
+        ref = conditioning_factor_report(spec, n, range(0, 2 * spec.marked))
+        for row, want in zip(report, ref):
+            assert row["measured"] == pytest.approx(want["measured"], rel=1e-13)
+            assert row["gaussian"] == want["gaussian"]
+
+
+def test_log_pmf_vector_is_bitwise_the_scalar_pmf():
+    for n, r, m in [(6, 3, 0), (6, 3, 10), (7, 3, 34), (9, 4, 50), (12, 4, 100)]:
+        spec = HypergeomSpec(n, r, m)
+        vector = _log_pmf_vector(spec)
+        for k in range(spec.marked + 1):
+            lp = models.hypergeom_log_pmf(spec, k)
+            assert vector[k] == lp
