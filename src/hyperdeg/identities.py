@@ -5,8 +5,11 @@ For a zero-sum deviation vector delta and an r-subset W, write
 R_1 = 0).  Averaging monomials in the G_s over all subsets, all subsets
 through a vertex, or all subsets through a pair yields exact rational
 functions of n, r, the R_s, and the pinned deviations.  Everything here is
-exact: deviations are Fractions, sums are Fractions, and the closed forms
-are compared to literal enumeration with zero tolerance.
+exact: the deviations are scaled by the lcm L of their denominators onto an
+integer lattice e_v = L·delta_v, power sums and subset sums are exact int64
+or Python-int sums of lattice values, and each result is one Fraction with
+a power of L in its denominator.  The closed forms are compared to literal
+enumeration with zero tolerance.
 
 Only the exact displayed forms are implemented; approximate variants with
 unspecified constants are out of scope.
@@ -18,6 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .budgets import check_subset_budget
 from .errors import DegenerateDenominator
@@ -63,8 +68,15 @@ def _as_fractions(delta: Sequence) -> tuple[Fraction, ...]:
     return out
 
 
+def _lattice(delta: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """The lcm L of the denominators and the integers L·delta_v."""
+    scale = math.lcm(*(x.denominator for x in delta))
+    return scale, [x.numerator * (scale // x.denominator) for x in delta]
+
+
 def _power_sums(delta: tuple[Fraction, ...], top: int) -> list[Fraction]:
-    return [sum(x**s for x in delta) for s in range(top + 1)]
+    scale, e = _lattice(delta)
+    return [Fraction(sum(x**s for x in e), scale**s) for s in range(top + 1)]
 
 
 def _denominator(n: int, *factors: int) -> Fraction:
@@ -167,24 +179,17 @@ def closed_sum(
     raise ValueError(f"no closed form for {scope}/{expr}")
 
 
-def _expression_value(
-    expr: str, ell: int | None, gammas: dict[int, Fraction]
-) -> Fraction:
-    if expr == "gamma_l":
-        return gammas[ell]
-    if expr == "gamma1_gamma_l":
-        return gammas[1] * gammas[ell]
-    if expr == "gamma1_sq":
-        return gammas[1] ** 2
-    if expr == "gamma1_cube":
-        return gammas[1] ** 3
-    if expr == "gamma1_quartic":
-        return gammas[1] ** 4
-    if expr == "gamma2_sq":
-        return gammas[2] ** 2
-    if expr == "gamma1sq_gamma2":
-        return gammas[1] ** 2 * gammas[2]
-    raise ValueError(f"unknown expression {expr!r}")
+# Each expression is the product of the subset power sums G_s for the
+# listed s; None stands for ell.  The sum of the s is its homogeneous degree.
+_FACTORS: dict[str, tuple[int | None, ...]] = {
+    "gamma_l": (None,),
+    "gamma1_gamma_l": (1, None),
+    "gamma1_sq": (1, 1),
+    "gamma1_cube": (1, 1, 1),
+    "gamma1_quartic": (1, 1, 1, 1),
+    "gamma2_sq": (2, 2),
+    "gamma1sq_gamma2": (1, 1, 2),
+}
 
 
 def brute_sum(
@@ -196,24 +201,34 @@ def brute_sum(
     k: int | None = None,
     budget: int | None = None,
 ) -> Fraction:
-    """Literal enumeration oracle in exact rational arithmetic."""
+    """Literal enumeration oracle, exact on the common-denominator lattice.
+
+    The deviations are scaled to integers e_v = L·delta_v.  The subsets in
+    scope are gathered as one array of lattice values, each needed G_s is
+    one row sum of ``e**s``, and the expression, homogeneous of degree deg
+    in the deviations, is summed over the rows and divided by
+    L**deg · C(n-1, r-1).  The sums are int64 when (r·max|e|)**deg · rows
+    stays below 2**62, so no partial value can overflow, and Python ints
+    otherwise; either way the result is exact.
+    """
     d = _as_fractions(delta)
     if len(d) != n:
         raise ValueError(f"{len(d)} deviations for n={n}")
     check_subset_budget(math.comb(n, r), budget)
     scope, expr, ell = family.scope, family.expression, family.ell
-    needed = {1, 2}
-    if ell is not None:
-        needed.update({ell, ell + 1})
-    total = Fraction(0)
-    for w in all_subsets(n, r).tolist():
-        if scope == "vertex" and j not in w:
-            continue
-        if scope == "pair" and not (j in w and k in w):
-            continue
-        gammas = {s: sum(d[v] ** s for v in w) for s in needed}
-        total += _expression_value(expr, ell, gammas)
-    return total / math.comb(n - 1, r - 1)
+    powers = [ell if s is None else s for s in _FACTORS[expr]]
+    degree = sum(powers)
+    rows = all_subsets(n, r)
+    if scope == "vertex":
+        rows = rows[(rows == j).any(axis=1)]
+    elif scope == "pair":
+        rows = rows[(rows == j).any(axis=1) & (rows == k).any(axis=1)]
+    scale, e = _lattice(d)
+    bound = (r * max(map(abs, e), default=0)) ** degree * max(len(rows), 1)
+    values = np.array(e, dtype=np.int64 if bound < 2**62 else object)[rows]
+    gammas = {s: (values**s).sum(axis=1) for s in set(powers)}
+    total = int(math.prod(gammas[s] for s in powers).sum())
+    return Fraction(total, scale**degree * math.comb(n - 1, r - 1))
 
 
 def selftest(

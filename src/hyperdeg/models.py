@@ -127,6 +127,16 @@ def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _convolution_ops(spec: HypergeomSpec, copies: int) -> int:
+    """``logaddexp`` element operations of the ``copies``-fold convolution.
+
+    Convolution i (i = 1..copies-1) adds the (marked+1)-entry pmf into an
+    accumulator of i·marked + 1 entries, one operation per entry pair.
+    """
+    c = spec.marked
+    return (c + 1) * ((copies - 1) + c * copies * (copies - 1) // 2)
+
+
 def _log_sum_pmf(pmf: np.ndarray, copies: int) -> np.ndarray:
     """Log-pmf of the sum of ``copies`` iid draws, by repeated convolution."""
     acc = pmf.copy()
@@ -161,7 +171,7 @@ def conditioned_sum_log_prob(
         )
     if method != "dp":
         raise ValueError(f"unknown normalizer method {method!r}")
-    check_dp_budget(n * (spec.marked + 1) ** 2, budget)
+    check_dp_budget(_convolution_ops(spec, n), budget)
     acc = _log_sum_pmf(_log_pmf_vector(spec), n)
     if not 0 <= target < acc.size:
         return LOG_ZERO
@@ -417,7 +427,7 @@ def conditioning_factor_report(
     nd = spec.m * spec.r
     d = spec.mean
     sigma2 = spec.variance
-    check_dp_budget(n * (spec.marked + 1) ** 2, budget)
+    check_dp_budget(_convolution_ops(spec, n), budget)
     pmf = _log_pmf_vector(spec)
     ln_partial = _log_sum_pmf(pmf, n - 1)
     full = _log_convolve(ln_partial, pmf)

@@ -154,7 +154,8 @@ def test_models_falls_back_once_for_all_pairs(monkeypatch):
 
 
 def test_models_reports_the_normalizer_that_produced_t():
-    # n (marked + 1)^2 = 8 * 22^2 exceeds the budget, so T falls back to clt
+    # the 8-fold convolution of the 22-entry pmf takes 13,090 operations, over
+    # the budget, so T falls back to clt
     code, out, _ = invoke(
         ["--budget", "1000", "models", "--input", str(INSTANCES / "near8.json"),
          "--compare", "d-vs-t,b-vs-d,klw"]

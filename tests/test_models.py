@@ -7,7 +7,7 @@ from scipy.special import gammaln, logsumexp
 
 from hyperdeg.core import DegreeSequence
 from hyperdeg import models
-from hyperdeg.errors import ExpansionDomainError
+from hyperdeg.errors import BudgetExceeded, ExpansionDomainError
 from hyperdeg.models import (
     HypergeomSpec,
     _log_convolve,
@@ -360,3 +360,50 @@ def test_log_pmf_vector_is_bitwise_the_scalar_pmf():
         for k in range(spec.marked + 1):
             lp = models.hypergeom_log_pmf(spec, k)
             assert vector[k] == lp
+
+
+def _recorded_guard_and_work(monkeypatch, call):
+    """The count passed to the dp guard, and the summed operand size products
+    of every convolution the call then makes."""
+    guards, work = [], []
+    guard, convolve = models.check_dp_budget, models._log_convolve
+
+    def recording_guard(count, override=None):
+        guards.append(count)
+        return guard(count, override)
+
+    def recording_convolve(a, b):
+        work.append(a.size * b.size)
+        return convolve(a, b)
+
+    monkeypatch.setattr(models, "check_dp_budget", recording_guard)
+    monkeypatch.setattr(models, "_log_convolve", recording_convolve)
+    call()
+    return guards, sum(work)
+
+
+def test_normalizer_guard_counts_the_convolution_work(monkeypatch):
+    spec = HypergeomSpec(6, 3, 8)
+    for call in (lambda: conditioned_sum_log_prob(spec, 6),
+                 lambda: conditioning_factor_report(spec, 6, [0, 3])):
+        guards, work = _recorded_guard_and_work(monkeypatch, call)
+        # (marked + 1) · sum_{i=1}^{n-1} (i · marked + 1) = 11 · 155
+        assert guards == [work] == [1705]
+
+
+def test_normalizer_guard_admits_n30_and_refuses_n60(monkeypatch):
+    monkeypatch.delenv("HYPERDEG_BUDGET", raising=False)
+    spec = HypergeomSpec(30, 3, 1624)
+    guards, work = _recorded_guard_and_work(
+        monkeypatch, lambda: conditioned_sum_log_prob(spec, 30))
+    assert guards == [work] == [71_892_073]
+
+    def no_convolution(*args):
+        raise AssertionError("convolved past the budget")
+
+    monkeypatch.setattr(models, "_log_convolve", no_convolution)
+    big = HypergeomSpec(60, 3, 13_690)
+    with pytest.raises(BudgetExceeded):
+        conditioned_sum_log_prob(big, 60)
+    with pytest.raises(BudgetExceeded):
+        conditioning_factor_report(big, 60, [0])
