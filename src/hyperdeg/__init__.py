@@ -23,6 +23,7 @@ from .counts import (
 )
 from .fields import (
     FieldSummary,
+    VertexClasses,
     entropy_sum,
     field_summary,
     lambda_of_subset,
@@ -32,6 +33,7 @@ from .matrices import (
     bound_suite,
     logdet_pd,
     regular_closed_form,
+    weight_logdet,
 )
 from .models import (
     HypergeomSpec,
@@ -59,6 +61,7 @@ __all__ = [
     "ModelPoint",
     "QuadrantTransform",
     "SolveReport",
+    "VertexClasses",
     "apply_symmetry",
     "bound_suite",
     "canonicalize_first_quadrant",
@@ -86,4 +89,5 @@ __all__ = [
     "symmetry_audit",
     "total_identity_check",
     "uniqueness_diagnostic",
+    "weight_logdet",
 ]

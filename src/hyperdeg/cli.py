@@ -157,8 +157,9 @@ def cmd_solve(args) -> int:
     if args.dump_field:
         payload["field"] = report.field.to_json_dict()
     if args.dump_matrix:
+        matrix = report.field.weight_matrix  # may refuse before the file opens
         with open(args.dump_matrix, "w", encoding="utf-8") as handle:
-            for row in report.field.weight_matrix:
+            for row in matrix:
                 handle.write(",".join(format(x, ".17g") for x in row) + "\n")
     emit(payload, args.pretty)
     return 0
@@ -253,6 +254,8 @@ def cmd_sample(args) -> int:
 def cmd_audit(args) -> int:
     seq = load_instance(args.input)
     warn_hypotheses(seq)
+    # the bound checks sweep every subset, whatever route the solves take
+    budgets.check_subset_budget(math.comb(seq.n, seq.r), args.budget)
     report = solve(seq, budget=args.budget)
     audit = symmetry_audit(seq, budget=args.budget, report=report)
     beta = report.beta_star

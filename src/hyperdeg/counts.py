@@ -30,8 +30,8 @@ from .core import (
     derive,
 )
 from .errors import DensityDegenerate
-from .fields import entropy_sum, field_summary, lambda_of_subset
-from .matrices import logdet_pd, regular_closed_form
+from .fields import VertexClasses, entropy_sum, field_summary, lambda_of_subset
+from .matrices import regular_closed_form, weight_logdet
 from .solver import SolveReport, apply_beta_symmetry, require_converged, solve
 from .subsets import colex_unrank
 
@@ -109,30 +109,37 @@ def estimate_general(
 
     The instance is moved to the first quadrant before evaluation; a given
     solve report is transported there by the exact solution symmetry, so no
-    re-solve happens.  The reported value is frame-independent.
+    re-solve happens.  The reported value is frame-independent.  On the
+    class route (``VertexClasses.for_degrees``) the log-determinant comes
+    from the k x k determinant lemma and the entropy sum from the solve's
+    last sweep; on singletons from the n x n Cholesky and a separate
+    entropy sweep.
     """
     params = derive(seq)
     if not (0.0 < params.lam < 1.0):
         raise DensityDegenerate("empty or complete instance; use the exact oracle")
     canonical, transform = canonicalize_first_quadrant(seq)
+    n, r = canonical.n, canonical.r
     if report is None:
-        report = solve(canonical, tol=tol, budget=budget)
-        beta, field = report.beta_star, report.field
+        field = solve(canonical, tol=tol, budget=budget).field
     else:
         require_converged(report)
-        beta = apply_beta_symmetry(report.beta_star, transform, seq.n, seq.r)
         # the report's field sweep was taken at this beta only if no
         # transform moved it
         field = report.field if transform is QuadrantTransform.IDENTITY else None
-    n, r = canonical.n, canonical.r
     if field is None:
-        field = field_summary(beta, n, r, budget=budget)
+        beta = apply_beta_symmetry(report.beta_star, transform, seq.n, seq.r)
+        classes, values = VertexClasses.for_beta(canonical.degrees, r, beta)
+        field = field_summary(values, n, r, budget=budget, classes=classes)
+    entropy = field.entropy
+    if entropy is None:
+        entropy = entropy_sum(field.beta, n, r, budget=budget)
     ln_value = (
         math.log(r)
         - n * math.log(2.0)
         - 0.5 * n * math.log(math.pi)
-        - 0.5 * logdet_pd(field.weight_matrix)
-        + entropy_sum(beta, n, r, budget=budget)
+        - 0.5 * weight_logdet(field)
+        + entropy
     )
     return LogEstimate(
         ln_value=ln_value,
@@ -256,7 +263,7 @@ def symmetry_audit(
     else:
         base_report = require_converged(report)
     base_beta = base_report.beta_star
-    base_logdet = logdet_pd(base_report.field.weight_matrix)
+    base_logdet = weight_logdet(base_report.field)
 
     ln_values: dict = {}
     det_checks: dict = {}
@@ -271,7 +278,7 @@ def symmetry_audit(
         ln_values[t.value] = estimate.ln_value
 
         image_beta = report.beta_star
-        image_logdet = logdet_pd(report.field.weight_matrix)
+        image_logdet = weight_logdet(report.field)
         if t in (QuadrantTransform.EDGE_COMPLEMENT, QuadrantTransform.BOTH):
             expected = base_logdet + 2.0 * math.log((n - r) / r)
         else:

@@ -2,27 +2,34 @@
 
 Given a vertex parameter vector beta, each r-subset W carries the weight
 ``lambda_W = logistic(sum_{j in W} beta_j)``, the probability that W is an
-edge.  This module sweeps the full r-subset family once and accumulates the
+edge.  This module sweeps the r-subset family once and accumulates the
 per-vertex sums, per-pair variance weights, the average weight, the average
 variance weight, the entropy sum, and the log-prefactor of the exact
 coefficient-extraction identity.
 
+Vertices with equal beta can be swept as classes (``VertexClasses``): with
+class sizes n_i, the subsets fall into compositions a of r (a_i vertices
+from class i), each standing for prod C(n_i, a_i) subsets with one weight,
+so a sweep over the C(k+r-1, r) compositions replaces one over all C(n, r)
+subsets.  Every vertex its own class is the plain colex sweep.
+
 Every sweep, here and in the solver's uniqueness diagnostic, folds a chunk
-kernel over fixed 4096-subset colex chunks, serially, in chunk order, with
-twofold compensation, so every result is a fixed function of its inputs.
+kernel over fixed 4096-row chunks, serially, in chunk order, with twofold
+compensation, so every result is a fixed function of its inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .budgets import check_subset_budget
+from .budgets import check_subset_budget, subset_budget
 from .core import DegreeSequence
-from .subsets import CHUNK, colex_rank, incidence, iter_chunks
+from .errors import BudgetExceeded
+from .subsets import CHUNK, colex_rank, incidence, iter_chunks, iter_multisets
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -61,25 +68,147 @@ def lambda_of_subset(beta, subset: Sequence[int]) -> float:
     return float(logistic(s))
 
 
+# Above this C(n, r) no instance takes the class route (so the subset
+# budget refuses it); below it a multiplicity capped at C(n, r) times one
+# more capped factor stays finite in float64.
+CLASS_ROUTE_LIMIT = 2**500
+
+
+@dataclass(frozen=True, eq=False)
+class VertexClasses:
+    """A partition of the vertices into classes that share one beta value.
+
+    ``index[v]`` is the class of vertex v, ``sizes[i]`` the size of class i
+    and ``first[i]`` its first vertex.  With k = n classes (singletons) a
+    sweep is the plain colex sweep over the vertices.
+    """
+
+    index: np.ndarray
+    sizes: np.ndarray
+    first: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.index.size)
+
+    @property
+    def k(self) -> int:
+        return int(self.sizes.size)
+
+    @classmethod
+    def singletons(cls, n: int) -> "VertexClasses":
+        every = np.arange(n, dtype=np.int64)
+        return cls(every, np.ones(n, dtype=np.int64), every)
+
+    @classmethod
+    def for_degrees(cls, degrees, r: int) -> "VertexClasses":
+        """The classes a solve sweeps: vertices of equal degree.
+
+        The solution is unique, so vertices of equal degree get equal beta.
+        The degree classes are used when their C(k+r-1, r) compositions are
+        fewer than the C(n, r) subsets; otherwise (always at k = n) every
+        vertex is its own class, in vertex order.
+        """
+        n = len(degrees)
+        _, first, index, sizes = np.unique(
+            np.asarray(degrees), return_index=True, return_inverse=True,
+            return_counts=True,
+        )
+        if math.comb(sizes.size + r - 1, r) < math.comb(n, r) < CLASS_ROUTE_LIMIT:
+            return cls(
+                index.reshape(n).astype(np.int64), sizes.astype(np.int64),
+                first.astype(np.int64),
+            )
+        return cls.singletons(n)
+
+    def rows(self, r: int) -> int:
+        """The rows a sweep enumerates: subsets on singletons, else compositions."""
+        if self.k == self.n:
+            return math.comb(self.n, r)
+        return math.comb(self.k + r - 1, r)
+
+    @classmethod
+    def for_beta(
+        cls, degrees, r: int, beta: np.ndarray
+    ) -> tuple["VertexClasses", np.ndarray]:
+        """The classes of ``for_degrees`` and beta's value on each class.
+
+        A beta that differs within a degree class gets singletons and
+        itself.
+        """
+        classes = cls.for_degrees(degrees, r)
+        values = beta[classes.first]
+        if np.array_equal(values[classes.index], beta):
+            return classes, values
+        return cls.singletons(len(degrees)), beta
+
+
 @dataclass
 class FieldSummary:
-    """Subset sums observed at one beta.
+    """Subset sums observed at one beta, per vertex class.
 
-    ``pair_weights`` is symmetric; its diagonal holds the per-vertex
-    variance-weight sums, the off-diagonal entries the per-pair sums.
+    ``class_sums[i]`` and ``class_variance[i]`` are the weight and
+    variance-weight sums over the subsets through one vertex of class i;
+    ``pair_blocks[i, j]`` is the variance-weight sum over the subsets
+    through one vertex of class i and another vertex of class j (0 within a
+    one-vertex class).  On singletons these are the per-vertex and per-pair
+    sums.  ``beta`` holds one value per class.  ``entropy`` is the subset
+    entropy sum where the sweep took it (the class route), else None.
     """
 
     n: int
     r: int
-    vertex_sums: np.ndarray
-    pair_weights: np.ndarray
+    beta: np.ndarray
+    classes: VertexClasses
+    class_sums: np.ndarray
+    class_variance: np.ndarray
+    pair_blocks: np.ndarray
     avg_lambda: float
     big_lambda: float
+    entropy: float | None = None
+    budget: int | None = None
+
+    @property
+    def vertex_sums(self) -> np.ndarray:
+        return self.class_sums[self.classes.index]
+
+    @property
+    def pair_weights(self) -> np.ndarray:
+        """The symmetric n x n matrix of per-vertex (diagonal) and per-pair sums.
+
+        Class blocks are expanded only when the n^2 entries fit the subset
+        budget; beyond it ``BudgetExceeded`` is raised.
+        """
+        n, k, index = self.n, self.classes.k, self.classes.index
+        limit = subset_budget(self.budget)
+        if k < n and n * n > limit:
+            raise BudgetExceeded(
+                f"expanding {k}x{k} class blocks to the {n}x{n} weight matrix "
+                f"({n * n} entries) exceeds budget {limit}"
+            )
+        pw = self.pair_blocks[np.ix_(index, index)]
+        np.fill_diagonal(pw, self.class_variance[index])
+        return pw
 
     @property
     def weight_matrix(self) -> np.ndarray:
         """The weight matrix A; the Jacobian of the degree system is 2A."""
         return 0.5 * self.pair_weights
+
+    def class_jacobian(self) -> np.ndarray:
+        """U^T (2A) U, with U the n x k class indicator matrix.
+
+        This is the Jacobian of the class-summed degree residuals in the
+        class betas; on singletons it is 2A itself.
+        """
+        sizes = self.classes.sizes.astype(np.float64)
+        jac = self.pair_blocks * np.outer(sizes, sizes)
+        np.fill_diagonal(
+            jac,
+            sizes * self.class_variance
+            + sizes * (sizes - 1.0) * np.diag(self.pair_blocks),
+        )
+        return jac
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,52 +245,108 @@ FIELD_TERMS = ("lam", "q", "vertex_lam", "vertex_q", "pair_q")
 PREFACTOR_TERMS = ("softplus", "entropy")
 
 
-def _chunk_terms(idx: np.ndarray, beta: np.ndarray, want) -> dict:
-    """Sums of the wanted terms over one chunk of subsets.
+def _comb_table(sizes: np.ndarray, r: int, cap: int) -> np.ndarray:
+    """``table[i, a] = min(C(n_i, a), cap)`` for a = 0..r, each rounded once."""
+    return np.array(
+        [[float(min(math.comb(int(s), a), cap)) for a in range(r + 1)] for s in sizes]
+    )
 
-    Vertex and pair sums are ``np.bincount`` over the column-major indices
-    (pairs in (a, b) order, a < b), so every entry adds its rows in the
-    same order as a per-column ``np.add.at`` loop, starting from zero.
+
+def _multiplicities(idx: np.ndarray, table: np.ndarray, cap: float) -> np.ndarray:
+    """prod_i C(n_i, a_i) for each row of sorted class indices.
+
+    a_i is the length of the run of i in the row; each run's factor is read
+    at its last position.  A row with some a_i > n_i stands for no subset
+    and gets a zero factor.  The running product is capped at C(n, r),
+    which no feasible row exceeds, so the large factors of an infeasible
+    row cannot overflow before its zero factor.
+    """
+    rows, r = idx.shape
+    out = np.ones(rows)
+    run = np.zeros(rows, dtype=np.int64)
+    for t in range(r):
+        c = idx[:, t]
+        if t:
+            run = np.where(c == idx[:, t - 1], run + 1, 0)
+        last = c != idx[:, t + 1] if t + 1 < r else True
+        out = np.where(last, np.minimum(out * table[c, run + 1], cap), out)
+    return out
+
+
+def class_chunks(
+    classes: VertexClasses, r: int
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The (rows, multiplicities) chunks of a sweep over the classes.
+
+    On singletons the rows are the colex r-subsets and the multiplicities
+    None (each row is one subset); otherwise the rows are the size-r
+    multisets of classes, one per composition, each with its
+    prod C(n_i, a_i) from exact ``math.comb``.
+    """
+    if classes.k == classes.n:
+        for idx in iter_chunks(classes.n, r, CHUNK):
+            yield idx, None
+        return
+    total = math.comb(classes.n, r)
+    table = _comb_table(classes.sizes, r, total)
+    for idx in iter_multisets(classes.k, r, CHUNK):
+        yield idx, _multiplicities(idx, table, float(total))
+
+
+def _chunk_terms(
+    idx: np.ndarray, beta: np.ndarray, want, mult: np.ndarray | None = None
+) -> dict:
+    """Sums of the wanted terms over one chunk of rows.
+
+    Each row counts ``mult`` times (once if ``mult`` is None).  Vertex and
+    pair sums are ``np.bincount`` over the column-major indices (pairs in
+    (a, b) order, a < b), so every entry adds its rows in the same order as
+    a per-column ``np.add.at`` loop, starting from zero.
     """
     s = beta[idx].sum(axis=1)
     lam = logistic(s)
+
+    def weigh(x):
+        return x if mult is None else x * mult
+
     out = {}
     if "pair_q" in want:
         n, r = beta.size, idx.shape[1]
         # variance weight as a product of the two logistic branches, never
         # as lam - lam**2, to keep accuracy near weights 0 and 1
-        q = lam * logistic(-s)
+        q = weigh(lam * logistic(-s))
+        w = weigh(lam)
         flat = idx.T.ravel()
         a, b = np.triu_indices(r, 1)
         keys = (idx[:, a] * n + idx[:, b]).T.ravel()
-        out["lam"] = lam.sum()
+        out["lam"] = w.sum()
         out["q"] = q.sum()
-        out["vertex_lam"] = np.bincount(flat, np.tile(lam, r), minlength=n)
+        out["vertex_lam"] = np.bincount(flat, np.tile(w, r), minlength=n)
         out["vertex_q"] = np.bincount(flat, np.tile(q, r), minlength=n)
         out["pair_q"] = np.bincount(
             keys, np.tile(q, a.size), minlength=n * n
         ).reshape(n, n)
     if "entropy" in want:
         sp = softplus(s)
-        out["softplus"] = sp.sum()
+        out["softplus"] = weigh(sp).sum()
         # -lam*log(lam) - (1-lam)*log(1-lam) == softplus(s) - lam*s
-        out["entropy"] = (sp - lam * s).sum()
+        out["entropy"] = weigh(sp - lam * s).sum()
     return {name: out[name] for name in want}
 
 
-def _sweep(n: int, r: int, kernel) -> dict:
-    """Sum ``kernel(idx)`` over all r-subsets, chunk by chunk.
+def _sweep(classes: VertexClasses, r: int, kernel) -> dict:
+    """Sum ``kernel(idx, mult)`` over the chunks of ``class_chunks``.
 
-    The kernel maps one chunk of subset rows to a dict of sums.  Chunks are
-    folded serially in colex chunk order with twofold compensation, so the
-    result is a fixed function of the kernel and (n, r).  The fold starts
-    from the kernel of an empty chunk, so with no subsets at all (r > n)
-    every sum is zero.
+    The kernel maps one chunk of rows and their multiplicities to a dict of
+    sums.  Chunks are folded serially in chunk order with twofold
+    compensation, so the result is a fixed function of the kernel, the
+    classes and r.  The fold starts from the kernel of an empty chunk, so
+    with no rows at all (r > n) every sum is zero.
     """
     empty = np.empty((0, r), dtype=np.int64)
-    acc = {name: Twofold(zero) for name, zero in kernel(empty).items()}
-    for idx in iter_chunks(n, r, CHUNK):
-        for name, value in kernel(idx).items():
+    acc = {name: Twofold(zero) for name, zero in kernel(empty, None).items()}
+    for idx, mult in class_chunks(classes, r):
+        for name, value in kernel(idx, mult).items():
             acc[name].add(value)
     return {name: total.value() for name, total in acc.items()}
 
@@ -171,22 +356,40 @@ def field_summary(
     n: int,
     r: int,
     budget: int | None = None,
+    classes: VertexClasses | None = None,
 ) -> FieldSummary:
-    """One deterministic sweep over all C(n, r) subsets."""
-    arr = as_beta_array(beta, n)
+    """One deterministic sweep at beta.
+
+    Without ``classes`` beta is per vertex and the sweep visits all C(n, r)
+    subsets.  With ``classes`` beta holds one value per class; on the class
+    route the sweep visits the compositions and also takes the entropy sum.
+    The budget counts the rows visited.
+    """
+    classes = VertexClasses.singletons(n) if classes is None else classes
+    arr = as_beta_array(beta, classes.k)
+    check_subset_budget(classes.rows(r), budget)
+    want = FIELD_TERMS if classes.k == n else FIELD_TERMS + ("entropy",)
+    sums = _sweep(classes, r, lambda idx, mult: _chunk_terms(idx, arr, want, mult))
+    # a row with a_i vertices of class i counts a_i a_j position pairs for
+    # classes i < j and a_i (a_i - 1) / 2 within class i; divide by the vertex
+    # pairs each block entry stands for (all 1 on singletons)
+    sizes = classes.sizes.astype(np.float64)
+    pairs = sums["pair_q"] + sums["pair_q"].T
+    per_pair = np.outer(sizes, sizes)
+    np.fill_diagonal(per_pair, np.maximum(sizes * (sizes - 1.0), 1.0))
     total = math.comb(n, r)
-    check_subset_budget(total, budget)
-    sums = _sweep(n, r, lambda idx: _chunk_terms(idx, arr, FIELD_TERMS))
-    pw = sums["pair_q"]
-    pw = pw + pw.T
-    np.fill_diagonal(pw, sums["vertex_q"])
     return FieldSummary(
         n=n,
         r=r,
-        vertex_sums=sums["vertex_lam"],
-        pair_weights=pw,
+        beta=arr,
+        classes=classes,
+        class_sums=sums["vertex_lam"] / sizes,
+        class_variance=sums["vertex_q"] / sizes,
+        pair_blocks=pairs / per_pair,
         avg_lambda=sums["lam"] / total,
         big_lambda=sums["q"] / total,
+        entropy=sums.get("entropy"),
+        budget=budget,
     )
 
 
@@ -203,7 +406,10 @@ def entropy_sum(
     """
     arr = as_beta_array(beta, n)
     check_subset_budget(math.comb(n, r), budget)
-    return _sweep(n, r, lambda idx: _chunk_terms(idx, arr, ("entropy",)))["entropy"]
+    return _sweep(
+        VertexClasses.singletons(n), r,
+        lambda idx, _: _chunk_terms(idx, arr, ("entropy",)),
+    )["entropy"]
 
 
 @dataclass
@@ -228,7 +434,10 @@ def log_prefactor(
     arr = as_beta_array(beta, seq.n)
     n, r = seq.n, seq.r
     check_subset_budget(math.comb(n, r), budget)
-    sums = _sweep(n, r, lambda idx: _chunk_terms(idx, arr, PREFACTOR_TERMS))
+    sums = _sweep(
+        VertexClasses.singletons(n), r,
+        lambda idx, _: _chunk_terms(idx, arr, PREFACTOR_TERMS),
+    )
     degree_dot = float(arr @ np.asarray(seq.degrees, dtype=np.float64))
     direct = -n * LOG_2PI - degree_dot + sums["softplus"]
     entropy_form = -n * LOG_2PI + sums["entropy"]

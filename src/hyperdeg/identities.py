@@ -61,11 +61,17 @@ class IdentityFamily:
             )
 
 
+class _Checked(tuple):
+    """Deviations already converted to Fractions and checked to sum to zero."""
+
+
 def _as_fractions(delta: Sequence) -> tuple[Fraction, ...]:
+    if isinstance(delta, _Checked):
+        return delta
     out = tuple(Fraction(x) for x in delta)
     if sum(out) != 0:
         raise ValueError("deviations must sum to zero exactly")
-    return out
+    return _Checked(out)
 
 
 def _lattice(delta: tuple[Fraction, ...]) -> tuple[int, list[int]]:
@@ -255,6 +261,7 @@ def selftest(
             if rng.integers(0, 2):
                 raw = [x / 2 for x in raw]
             raw[-1] -= sum(raw)
+            raw = _as_fractions(raw)  # once per trial, for both sides
             j = int(rng.integers(0, n))
             k = int((j + 1 + rng.integers(0, n - 1)) % n)
             family = IdentityFamily(scope, expr, ell)

@@ -4,7 +4,9 @@ The weight matrix (``FieldSummary.weight_matrix``) has entries a_jj = half
 the variance-weight sum over subsets containing j, and a_jk = half the sum
 over subsets containing both j and k.  Its determinant enters the general
 counting formula.  For a regular instance the matrix is a closed-form
-combination aI + bJ with an explicit determinant.
+combination aI + bJ with an explicit determinant; with vertex classes it is
+a per-class diagonal plus a block-constant part, whose determinant the
+matrix determinant lemma reduces to k x k.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import scipy.linalg
 
 from .core import DerivedParams
 from .errors import DensityDegenerate, NotPositiveDefinite
-from .fields import BoundCheck, as_beta_array, field_summary
+from .fields import BoundCheck, FieldSummary, as_beta_array, field_summary
 
 PIVOT_RTOL = 1e-13
 
@@ -73,6 +75,31 @@ def logdet_pd(matrix: np.ndarray) -> float:
             f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * diag_max:.3e}"
         )
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def weight_logdet(field: FieldSummary) -> float:
+    """log |A| of a field's weight matrix, without the n x n matrix on classes.
+
+    On singletons this is ``logdet_pd(field.weight_matrix)``.  With classes,
+    A = diag(e_i / 2 on class i) + U (O / 2) U^T, where O is the k x k
+    matrix of pair blocks, U the class indicator matrix and
+    e_i = (variance sum of a vertex of class i) - O_ii > 0; by the matrix
+    determinant lemma
+    ``log |A| = sum_i n_i log(e_i / 2) + log |I_k + S O S|`` with
+    S = diag(sqrt(n_i / e_i)), and I_k + S O S is positive definite
+    exactly when A is.
+    """
+    classes = field.classes
+    if classes.k == classes.n:
+        return logdet_pd(field.weight_matrix)
+    sizes = classes.sizes.astype(np.float64)
+    blocks = field.pair_blocks
+    e = field.class_variance - np.diag(blocks)
+    if np.any(e <= 0):
+        raise NotPositiveDefinite("non-positive class diagonal")
+    s = np.sqrt(sizes / e)
+    core = np.eye(classes.k) + s[:, None] * blocks * s[None, :]
+    return float(sizes @ np.log(0.5 * e)) + logdet_pd(core)
 
 
 @dataclass

@@ -4,7 +4,8 @@ The system asks for a vector beta whose per-vertex sums of edge weights
 reproduce the degrees: ``sum_{W contains j} lambda_W(beta) = d_j``.  Its
 Jacobian is exactly twice the weight matrix, which is symmetric positive
 definite away from degenerate edge sizes, so each Newton step is a Cholesky
-solve.  A solution is unique when it exists (the segment entropy between two
+solve; vertices of equal degree share one unknown, so the step is k x k in
+the k distinct degrees when that is cheaper.  A solution is unique when it exists (the segment entropy between two
 candidate solutions is strictly concave), which justifies single-solution
 semantics and the uniqueness diagnostic below.
 
@@ -31,8 +32,15 @@ from .errors import (
     Unsolved,
     ZeroDegree,
 )
-from .fields import FieldSummary, _sweep, as_beta_array, field_summary, logistic
-from .subsets import CHUNK, iter_chunks
+from .fields import (
+    FieldSummary,
+    VertexClasses,
+    _sweep,
+    as_beta_array,
+    class_chunks,
+    field_summary,
+    logistic,
+)
 
 SPREAD_GUARD = 50.0
 MAX_HALVINGS = 60
@@ -59,18 +67,18 @@ class SolveReport:
         }
 
 
-def _regular_seed(params: DerivedParams) -> np.ndarray:
+def _regular_seed(params: DerivedParams, k: int) -> np.ndarray:
     lam = params.lam
     if not (0.0 < lam < 1.0):
         raise DensityDegenerate(f"density {lam} has no finite seed")
     value = math.log(lam / (1.0 - lam)) / params.r
-    return np.full(params.n, value)
+    return np.full(k, value)
 
 
 def _product_seed(
-    seq: DegreeSequence, budget: int | None = None
+    seq: DegreeSequence, classes: VertexClasses, budget: int | None = None
 ) -> np.ndarray:
-    """Seed from degree products over (r-1)-subsets.
+    """Seed from degree products over (r-1)-subsets, one value per class.
 
     beta_j = log d_j - (1/r) log S with
     S = ((n-r+1)/n) * sum over (r-1)-subsets of the degree product.
@@ -78,17 +86,20 @@ def _product_seed(
     n, r = seq.n, seq.r
     if any(dj == 0 for dj in seq.degrees):
         raise ZeroDegree("product seed needs all degrees positive")
-    check_subset_budget(math.comb(n, r - 1), budget)
-    log_d = np.log(np.asarray(seq.degrees, dtype=np.float64))
+    check_subset_budget(classes.rows(r - 1), budget)
+    degrees = np.asarray(seq.degrees, dtype=np.float64)[classes.first]
+    log_d = np.log(degrees)
     chunk_lse: list[float] = []
-    for idx in iter_chunks(n, r - 1, CHUNK):
-        chunk_lse.append(float(logsumexp(log_d[idx].sum(axis=1))))
+    for idx, mult in class_chunks(classes, r - 1):
+        chunk_lse.append(float(logsumexp(log_d[idx].sum(axis=1), b=mult)))
     log_s = float(logsumexp(chunk_lse)) + math.log((n - r + 1) / n)
     return log_d - log_s / r
 
 
-def _near_regular_seed(seq: DegreeSequence, params: DerivedParams) -> np.ndarray:
-    """Regular seed plus the explicit near-regular correction.
+def _near_regular_seed(
+    seq: DegreeSequence, params: DerivedParams, classes: VertexClasses
+) -> np.ndarray:
+    """Regular seed plus the explicit near-regular correction, per class.
 
     The correction per vertex is
     ``(n-1) delta_j / ((1-lam)(n-r) d)
@@ -103,7 +114,7 @@ def _near_regular_seed(seq: DegreeSequence, params: DerivedParams) -> np.ndarray
         raise DensityDegenerate(f"density {lam} has no finite seed")
     total = sum(seq.degrees)
     # delta_j = d_j - d = (n d_j - total) / n, rounded once by int division
-    delta = np.array([(n * dj - total) / n for dj in seq.degrees])
+    delta = np.array([(n * seq.degrees[j] - total) / n for j in classes.first])
     r2 = params.r2
     gamma = (
         (n - 1) * delta / ((1.0 - lam) * (n - r) * d)
@@ -113,7 +124,7 @@ def _near_regular_seed(seq: DegreeSequence, params: DerivedParams) -> np.ndarray
         - r * r2 / (2.0 * (n - r) ** 2 * d**2)
         + r2 / (2.0 * n * (n - r) * d**2)
     )
-    return _regular_seed(params) + gamma
+    return _regular_seed(params, classes.k) + gamma
 
 
 def choose_strategy(params: DerivedParams, degrees) -> str:
@@ -127,22 +138,34 @@ def choose_strategy(params: DerivedParams, degrees) -> str:
     return "regular"
 
 
+def _class_seed(
+    seq: DegreeSequence,
+    params: DerivedParams,
+    classes: VertexClasses,
+    strategy: str,
+    budget: int | None,
+) -> tuple[np.ndarray, str]:
+    """Seed values, one per class, and the strategy used."""
+    if strategy == "auto":
+        strategy = choose_strategy(params, seq.degrees)
+    if strategy == "regular":
+        return _regular_seed(params, classes.k), "regular"
+    if strategy == "product":
+        return _product_seed(seq, classes, budget), "product"
+    if strategy == "near-regular":
+        return _near_regular_seed(seq, params, classes), "near-regular"
+    raise ValueError(f"unknown seed strategy {strategy!r}")
+
+
 def initial_beta(
     seq: DegreeSequence,
     strategy: str = "auto",
     budget: int | None = None,
 ) -> tuple[np.ndarray, str]:
     """Seed vector for the Newton iteration; returns (seed, strategy used)."""
-    params = derive(seq)
-    if strategy == "auto":
-        strategy = choose_strategy(params, seq.degrees)
-    if strategy == "regular":
-        return _regular_seed(params), "regular"
-    if strategy == "product":
-        return _product_seed(seq, budget), "product"
-    if strategy == "near-regular":
-        return _near_regular_seed(seq, params), "near-regular"
-    raise ValueError(f"unknown seed strategy {strategy!r}")
+    classes = VertexClasses.for_degrees(seq.degrees, seq.r)
+    beta, used = _class_seed(seq, derive(seq), classes, strategy, budget)
+    return beta[classes.index], used
 
 
 def solve(
@@ -155,10 +178,18 @@ def solve(
 ) -> SolveReport:
     """Solve the degree system by damped Newton iteration.
 
-    The step solves ``(2A) step = -residual`` by Cholesky; backtracking
-    halves the step until the sup-norm residual strictly decreases, and the
-    spread guard aborts once ``spread * r`` exceeds 50 (far outside any
-    regime with a solution).  Convergence means
+    The iteration runs on the classes of ``VertexClasses.for_degrees``:
+    vertices of equal degree share one beta (the solution is unique), so
+    the unknowns are the k class betas, each residual is a class's, and
+    the step solves ``(U^T 2A U) step = -U^T residual`` by Cholesky, which
+    is the n-dimensional Newton step restricted to class-constant vectors.
+    At k = n (singletons) this is the plain Newton step on all C(n, r)
+    subsets.  A custom seed that is not constant on the degree classes
+    runs on singletons.
+
+    Backtracking halves the step until the sup-norm residual strictly
+    decreases, and the spread guard aborts once ``spread * r`` exceeds 50
+    (far outside any regime with a solution).  Convergence means
     ``max_j |residual_j| <= tol * max(d, 1)``.
 
     Every point is evaluated by one field sweep, which gives both its
@@ -169,25 +200,33 @@ def solve(
         raise ValueError("tol must be positive")
     params = derive(seq)
     n, r = seq.n, seq.r
-    check_subset_budget(math.comb(n, r), budget)
-    if seed_beta is not None:
-        beta = as_beta_array(seed_beta, n)
-        seed_used = "custom"
+    if seed_beta is None:
+        classes = VertexClasses.for_degrees(seq.degrees, r)
     else:
-        beta, seed_used = initial_beta(seq, strategy, budget)
+        classes, beta = VertexClasses.for_beta(
+            seq.degrees, r, as_beta_array(seed_beta, n)
+        )
+        seed_used = "custom"
+    check_subset_budget(classes.rows(r), budget)
+    if seed_beta is None:
+        beta, seed_used = _class_seed(seq, params, classes, strategy, budget)
     if not np.all(np.isfinite(beta)):
         raise ValueError("seed vector must be finite")
 
-    degrees = np.asarray(seq.degrees, dtype=np.float64)
+    sizes = classes.sizes.astype(np.float64)
+    degrees = np.asarray(seq.degrees, dtype=np.float64)[classes.first]
     target = tol * max(params.d, 1.0)
-    field = field_summary(beta, n, r, budget=budget)
-    residual = field.vertex_sums - degrees
-    res_norm = float(np.abs(residual).max())
 
+    def evaluate(point):
+        field = field_summary(point, n, r, budget=budget, classes=classes)
+        residual = field.class_sums - degrees
+        return field, residual, float(np.abs(residual).max())
+
+    field, residual, res_norm = evaluate(beta)
     for iteration in range(max_iter + 1):
         if res_norm <= target:
             return SolveReport(
-                beta_star=beta.copy(),
+                beta_star=beta[classes.index],
                 iterations=iteration,
                 residual_inf=res_norm,
                 spread=float(beta.max() - beta.min()),
@@ -197,21 +236,20 @@ def solve(
             )
         if iteration == max_iter:
             break
-        jacobian = field.pair_weights  # equals 2A exactly
         try:
-            factor = scipy.linalg.cho_factor(jacobian, check_finite=False)
+            factor = scipy.linalg.cho_factor(
+                field.class_jacobian(), check_finite=False
+            )
         except scipy.linalg.LinAlgError as exc:
             raise SingularJacobian(
                 f"Jacobian not positive definite at iteration {iteration}: {exc}"
             ) from exc
-        step = scipy.linalg.cho_solve(factor, -residual, check_finite=False)
+        step = scipy.linalg.cho_solve(factor, -(sizes * residual), check_finite=False)
 
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = beta + scale * step
-            cand_field = field_summary(candidate, n, r, budget=budget)
-            cand_residual = cand_field.vertex_sums - degrees
-            cand_norm = float(np.abs(cand_residual).max())
+            cand_field, cand_residual, cand_norm = evaluate(candidate)
             if cand_norm < res_norm:
                 break
             scale *= 0.5
@@ -279,14 +317,16 @@ def uniqueness_diagnostic(
     b = as_beta_array(beta_b, n)
     ys = np.linspace(0.0, 1.0, grid_points)
 
-    def curvature(idx: np.ndarray) -> dict:
+    def curvature(idx: np.ndarray, _) -> dict:
         la = logistic(a[idx].sum(axis=1))
         lb = logistic(b[idx].sum(axis=1))
         diff2 = (lb - la) ** 2
         xi = (1.0 - ys[:, None]) * la[None, :] + ys[:, None] * lb[None, :]
         return {"curvature": (diff2[None, :] / (xi * (1.0 - xi))).sum(axis=1)}
 
-    return float(_sweep(n, r, curvature)["curvature"].min())
+    return float(
+        _sweep(VertexClasses.singletons(n), r, curvature)["curvature"].min()
+    )
 
 
 @dataclass

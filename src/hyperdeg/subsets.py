@@ -73,6 +73,18 @@ def iter_chunks(n: int, r: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
         yield _unrank(rank, r, tables)
 
 
+def iter_multisets(k: int, r: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
+    """Yield (c, r) arrays of the size-r multisets of {0..k-1}, rows sorted.
+
+    Stars and bars: subtracting (0, 1, ..., r-1) from a sorted r-subset of
+    {0..k+r-2} gives a sorted multiset and every multiset once, so the
+    C(k+r-1, r) multisets come in the colex order of those subsets.
+    """
+    shift = np.arange(r, dtype=np.int64)
+    for idx in iter_chunks(k + r - 1, r, chunk):
+        yield idx - shift
+
+
 def all_subsets(n: int, r: int) -> np.ndarray:
     """All r-subsets in colex order as one (comb(n, r), r) array."""
     return _unrank(np.arange(comb(n, r), dtype=np.int64), r, _rank_tables(n, r))

@@ -1,0 +1,281 @@
+"""The class route (sums over class compositions) against the colex route
+(sums over all C(n, r) subsets), and the class route at large n."""
+
+import io
+import json
+import math
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations_with_replacement
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hyperdeg import fields
+from hyperdeg.cli import run
+from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry, derive
+from hyperdeg.counts import estimate_general, symmetry_audit
+from hyperdeg.errors import BudgetExceeded
+from hyperdeg.fields import VertexClasses, entropy_sum, field_summary
+from hyperdeg.matrices import logdet_pd, regular_closed_form, weight_logdet
+from hyperdeg.solver import solve
+from hyperdeg.subsets import iter_multisets
+
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "demos" / "instances"
+RECORDED = json.loads((ROOT / "tests" / "data" / "colex_stdout.json").read_text())
+RTOL = 1e-12
+
+
+def invoke(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def near_regular(n, r, seed, lam=0.3, spread=2):
+    """Degrees d +- spread around d = lam * C(n-1, r-1), sum divisible by r."""
+    rng = np.random.default_rng(seed)
+    d = int(lam * math.comb(n - 1, r - 1))
+    degrees = [int(x) for x in d + rng.integers(-spread, spread + 1, size=n)]
+    degrees[-1] += -sum(degrees) % r
+    return DegreeSequence(n, r, tuple(degrees))
+
+
+def load(name):
+    return DegreeSequence.from_json_dict(json.loads((INSTANCES / name).read_text()))
+
+
+BASE = [
+    DegreeSequence(6, 3, (5,) * 6),
+    DegreeSequence(6, 2, (4, 3, 3, 2, 2, 2)),
+    DegreeSequence(8, 3, (10,) * 4 + (11,) * 4),
+    load("reg6.json"),
+    load("skew6.json"),
+    load("near8.json"),
+    near_regular(20, 4, 1),
+    near_regular(20, 4, 2),
+    # one class of a single vertex
+    DegreeSequence(10, 3, (12,) * 9 + (9,)),
+]
+IMAGES = [
+    apply_symmetry(seq, t)
+    for seq in (DegreeSequence(8, 3, (10,) * 4 + (11,) * 4),
+                DegreeSequence(10, 3, (12,) * 9 + (9,)))
+    for t in QuadrantTransform
+]
+CASES = BASE + IMAGES
+
+
+def case_id(seq):
+    return f"{seq.n}-{seq.r}-{'.'.join(map(str, sorted(set(seq.degrees))))}"
+
+
+def route_values(seq):
+    report = solve(seq)
+    return report.beta_star, report.field.vertex_sums, estimate_general(seq).ln_value
+
+
+def colex_values(seq):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VertexClasses, "for_degrees",
+                   classmethod(lambda cls, degrees, r: cls.singletons(len(degrees))))
+        return route_values(seq)
+
+
+def assert_routes_agree(seq):
+    beta, sums, ln = route_values(seq)
+    beta0, sums0, ln0 = colex_values(seq)
+    assert np.abs(beta - beta0).max() <= RTOL * max(1.0, np.abs(beta0).max())
+    assert np.abs(sums - sums0).max() <= RTOL * max(1.0, np.abs(sums0).max())
+    assert abs(ln - ln0) <= RTOL * max(1.0, abs(ln0))
+
+
+@pytest.mark.parametrize("seq", CASES, ids=case_id)
+def test_class_route_agrees_with_colex_route(seq):
+    classes = VertexClasses.for_degrees(seq.degrees, seq.r)
+    assert classes.k == len(set(seq.degrees)) < seq.n
+    assert_routes_agree(seq)
+
+
+def test_agreement_check_fails_when_one_multiplicity_is_off_by_one(monkeypatch):
+    seq = DegreeSequence(8, 3, (10,) * 4 + (11,) * 4)
+    real = fields._multiplicities
+
+    def one_more(idx, table, cap):
+        out = real(idx, table, cap)
+        out[0] += 1.0
+        return out
+
+    monkeypatch.setattr(fields, "_multiplicities", one_more)
+    with pytest.raises(AssertionError):
+        assert_routes_agree(seq)
+
+
+@pytest.mark.parametrize("n,r,sizes", [
+    (8, 3, (4, 4)), (10, 3, (9, 1)), (12, 4, (3, 1, 5, 2, 1)), (7, 2, (1, 6)),
+    (9, 5, (2, 2, 2, 3)),
+])
+def test_class_sweep_equals_the_subset_sweep_at_the_same_beta(n, r, sizes):
+    rng = np.random.default_rng(n * r)
+    index = np.repeat(np.arange(len(sizes)), sizes)
+    rng.shuffle(index)
+    first = np.array([np.flatnonzero(index == i)[0] for i in range(len(sizes))])
+    classes = VertexClasses(index, np.array(sizes), first)
+    values = rng.normal(scale=0.5, size=len(sizes)) - 0.4
+    beta = values[index]
+    got = field_summary(values, n, r, classes=classes)
+    want = field_summary(beta, n, r)
+    assert np.allclose(got.vertex_sums, want.vertex_sums, rtol=RTOL, atol=0)
+    assert np.allclose(got.pair_weights, want.pair_weights, rtol=RTOL, atol=0)
+    assert got.avg_lambda == pytest.approx(want.avg_lambda, rel=RTOL)
+    assert got.big_lambda == pytest.approx(want.big_lambda, rel=RTOL)
+    assert got.entropy == pytest.approx(entropy_sum(beta, n, r), rel=RTOL)
+    assert want.entropy is None  # the colex sweep leaves it to its own sweep
+    assert weight_logdet(got) == pytest.approx(logdet_pd(want.weight_matrix), rel=RTOL)
+
+
+@pytest.mark.parametrize("n,r", [(6, 3), (9, 4), (30, 3), (1000, 4)])
+def test_one_class_reproduces_the_regular_closed_form(n, r):
+    cap = math.comb(n - 1, r - 1)
+    d = next(d for d in range(int(0.4 * cap), cap) if n * d % r == 0)
+    seq = DegreeSequence(n, r, (d,) * n)
+    report = solve(seq)
+    assert report.field.classes.k == 1
+    _, _, logdet = regular_closed_form(derive(seq))
+    assert weight_logdet(report.field) == pytest.approx(logdet, rel=RTOL)
+
+
+@pytest.mark.parametrize("k,r", [(1, 3), (3, 1), (4, 3), (5, 4), (2, 0)])
+def test_multisets_in_order(k, r):
+    rows = np.concatenate(list(iter_multisets(k, r, chunk=7)))
+    assert rows.shape == (math.comb(k + r - 1, r), r)
+    want = sorted(combinations_with_replacement(range(k), r),
+                  key=lambda row: tuple(reversed(row)))
+    assert [tuple(row) for row in rows.tolist()] == want
+
+
+def test_route_choice_and_budget_count_compositions():
+    seq = DegreeSequence(8, 3, (10,) * 4 + (11,) * 4)
+    classes = VertexClasses.for_degrees(seq.degrees, 3)
+    assert (classes.k, classes.rows(3)) == (2, 4)
+    solve(seq, budget=4)
+    with pytest.raises(BudgetExceeded, match="enumeration of 4 subsets"):
+        solve(seq, budget=3)
+    # all-distinct degrees, and k < n with more compositions than subsets
+    for degrees in ((1, 2, 3, 4, 5, 6, 7, 8, 9), (3, 3, 4, 5, 6, 7, 8, 9, 9)):
+        classes = VertexClasses.for_degrees(degrees, 3)
+        assert classes.k == 9
+        assert np.array_equal(classes.index, np.arange(9))
+    # C(2000, 200) is beyond what the class sums can hold in float64
+    assert VertexClasses.for_degrees([7] * 2000, 200).k == 2000
+    assert VertexClasses.for_degrees([7] * 2000, 20).k == 1
+
+
+def test_seed_that_splits_a_class_runs_on_singletons():
+    seq = DegreeSequence(8, 3, (10,) * 4 + (11,) * 4)
+    seed = np.linspace(-0.5, -0.2, 8)
+    report = solve(seq, seed_beta=seed)
+    assert report.field.classes.k == 8
+    # another path to the same solution, within the solve tolerance
+    assert np.abs(report.beta_star - solve(seq).beta_star).max() <= 1e-9
+
+
+def test_expanding_class_blocks_is_held_to_the_subset_budget(tmp_path):
+    seq = near_regular(40, 3, 3)
+    field = solve(seq, budget=1600).field
+    assert field.classes.k < 40
+    assert field.pair_weights.shape == (40, 40)
+    field = solve(seq, budget=1599).field
+    with pytest.raises(BudgetExceeded, match="1600 entries"):
+        field.weight_matrix
+    text = json.dumps(seq.to_json_dict())
+    matrix = tmp_path / "matrix.csv"
+    for extra in (["--dump-field"], ["--dump-matrix", str(matrix)]):
+        code, out, err = invoke(["--budget", "1599", "solve", "--input", text] + extra)
+        assert code == 4, extra
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: expanding")
+    assert not matrix.exists()
+
+
+@pytest.mark.parametrize("name", ["distinct16", "distinct20"])
+@pytest.mark.parametrize("command", ["solve", "count", "audit"])
+def test_all_distinct_degrees_print_the_recorded_bytes(name, command):
+    argv = {"solve": ["solve"], "count": ["count", "--method", "general"],
+            "audit": ["audit"]}[command]
+    text = json.dumps(RECORDED["instances"][name])
+    code, out, _ = invoke(argv + ["--input", text])
+    assert code == 0
+    assert out == RECORDED["stdout"][name][command]
+
+
+@pytest.mark.parametrize("command", ["solve", "count", "audit"])
+def test_skew6_moves_only_at_rounding_level(command):
+    # skew6 has k = 3 distinct degrees, so it now takes the class route
+    argv = {"solve": ["solve"], "count": ["count", "--method", "general"],
+            "audit": ["audit"]}[command]
+    code, out, _ = invoke(argv + ["--input", str(INSTANCES / "skew6.json")])
+    assert code == 0
+
+    def numbers(value):
+        if isinstance(value, dict):
+            return [x for v in value.values() for x in numbers(v)]
+        if isinstance(value, list):
+            return [x for v in value for x in numbers(v)]
+        return [] if isinstance(value, (bool, str)) else [value]
+
+    got = numbers(json.loads(out))
+    want = numbers(json.loads(RECORDED["stdout"]["skew6"][command]))
+    assert len(got) == len(want)
+    scale = max(1.0, max(abs(x) for x in want))
+    assert all(abs(a - b) <= RTOL * scale for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", ["1", "7", "61"])
+def test_selftest_identities_prints_the_recorded_bytes(seed):
+    code, out, _ = invoke(["selftest", "identities", "--seed", seed])
+    assert code == 0
+    assert out == RECORDED["selftest_identities"][seed]
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_solve_and_general_count_at_a_hundred_thousand_vertices(r, tmp_path):
+    seq = near_regular(10**5, r, 5)
+    assert len(set(seq.degrees)) <= 6
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(seq.to_json_dict()))
+    for argv in (["solve"], ["count", "--method", "general"]):
+        start = time.perf_counter()
+        code, out, err = invoke(argv + ["--input", str(path)])
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        assert elapsed < 2.0, (argv, elapsed)
+        payload = json.loads(out)
+        if argv == ["solve"]:
+            assert payload["converged"] is True
+            assert len(payload["beta"]) == 10**5
+        else:
+            assert math.isfinite(payload["ln"])
+
+
+def test_audit_at_a_hundred_thousand_vertices_exits_four(tmp_path):
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(near_regular(10**5, 3, 5).to_json_dict()))
+    code, out, err = invoke(["audit", "--input", str(path)])
+    assert code == 4
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "error: enumeration of 166661666700000 subsets exceeds budget 100000000"
+    )
+    assert "Traceback" not in err
+
+
+def test_symmetry_audit_on_the_class_route():
+    seq = DegreeSequence(8, 3, (10,) * 4 + (11,) * 4)
+    audit = symmetry_audit(seq)
+    assert audit.max_ln_gap <= 1e-10 * max(abs(v) for v in audit.ln_values.values())
+    for check in audit.det_ratio_checks.values():
+        assert check["rel_gap"] <= 1e-10

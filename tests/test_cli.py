@@ -480,16 +480,23 @@ def test_file_errors_exit_two(tmp_path, case):
 
 def test_closed_forms_at_a_hundred_thousand_vertices(tmp_path):
     # near-regular degrees 30 +- 1 at (10^5, 3): the closed forms are O(k)
-    # in the k distinct degrees, the general formula enumerates C(n, 3)
+    # in the k distinct degrees, and so is the general formula, which sums
+    # over the C(k+2, 3) = 10 class compositions instead of C(n, 3) subsets
     n = 10**5
     degrees = [31] * 1000 + [29] * 1000 + [30] * (n - 2000)
     path = tmp_path / "large.json"
     path.write_text(json.dumps({"n": n, "r": 3, "degrees": degrees}))
-    for method in ("near-regular", "corollary"):
+    ln = {}
+    for method in ("near-regular", "corollary", "general"):
         code, out, _ = invoke(["count", "--method", method, "--input", str(path)])
         assert code == 0, method
-        assert math.isfinite(json.loads(out)["ln"])
-    code, out, err = invoke(["count", "--method", "general", "--input", str(path)])
+        ln[method] = json.loads(out)["ln"]
+        assert math.isfinite(ln[method])
+    assert abs(ln["general"] - ln["near-regular"]) <= 1e-9 * abs(ln["near-regular"])
+    # the budget counts the compositions the class route visits
+    code, out, err = invoke(
+        ["--budget", "9", "count", "--method", "general", "--input", str(path)]
+    )
     assert code == 4
     assert out == ""
-    assert "exceeds budget" in err
+    assert "enumeration of 10 subsets exceeds budget 9" in err

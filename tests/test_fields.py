@@ -300,7 +300,9 @@ def test_entropy_and_prefactor_sweeps_are_bit_identical_to_per_chunk_sums():
     # a far seed: 7 iterations with 10 step halvings
     ((4, 1, 1, 2, 5, 8, 9, 9, 9, 9, 9, 9), -3.0),
 ])
-def test_solve_is_bit_identical_to_the_reference_path(degrees, seed):
+def test_solve_is_bit_identical_to_the_reference_path(degrees, seed, colex_route):
+    # the reference is the n-dimensional Newton path; repeated degrees would
+    # otherwise take the class route, which agrees only to rounding
     n = len(degrees)
     seq = DegreeSequence(n, 3, degrees)
     seed_beta = None if seed is None else np.full(n, seed)
