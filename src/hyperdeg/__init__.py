@@ -24,7 +24,6 @@ from .counts import (
 from .fields import (
     FieldSummary,
     VertexClasses,
-    entropy_sum,
     field_summary,
     lambda_of_subset,
     log_prefactor,
@@ -68,7 +67,6 @@ __all__ = [
     "cauchy_quadrature",
     "conditioned_sum_log_prob",
     "derive",
-    "entropy_sum",
     "estimate_corollary",
     "estimate_general",
     "estimate_near_regular",

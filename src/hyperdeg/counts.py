@@ -30,7 +30,7 @@ from .core import (
     derive,
 )
 from .errors import DensityDegenerate
-from .fields import VertexClasses, entropy_sum, field_summary, lambda_of_subset
+from .fields import VertexClasses, field_summary, logistic
 from .matrices import regular_closed_form, weight_logdet
 from .solver import SolveReport, apply_beta_symmetry, require_converged, solve
 from .subsets import colex_unrank
@@ -109,11 +109,11 @@ def estimate_general(
 
     The instance is moved to the first quadrant before evaluation; a given
     solve report is transported there by the exact solution symmetry, so no
-    re-solve happens.  The reported value is frame-independent.  On the
-    class route (``VertexClasses.for_degrees``) the log-determinant comes
-    from the k x k determinant lemma and the entropy sum from the solve's
-    last sweep; on singletons from the n x n Cholesky and a separate
-    entropy sweep.
+    re-solve happens.  The reported value is frame-independent.  The
+    entropy sum comes from the field sweep at the solution, on every route;
+    the log-determinant from the k x k determinant lemma on the class route
+    (``VertexClasses.for_degrees``) and from the n x n Cholesky on
+    singletons.
     """
     params = derive(seq)
     if not (0.0 < params.lam < 1.0):
@@ -131,15 +131,12 @@ def estimate_general(
         beta = apply_beta_symmetry(report.beta_star, transform, seq.n, seq.r)
         classes, values = VertexClasses.for_beta(canonical.degrees, r, beta)
         field = field_summary(values, n, r, budget=budget, classes=classes)
-    entropy = field.entropy
-    if entropy is None:
-        entropy = entropy_sum(field.beta, n, r, budget=budget)
     ln_value = (
         math.log(r)
         - n * math.log(2.0)
         - 0.5 * n * math.log(math.pi)
         - 0.5 * weight_logdet(field)
-        + entropy
+        + field.entropy
     )
     return LogEstimate(
         ln_value=ln_value,
@@ -269,6 +266,7 @@ def symmetry_audit(
     det_checks: dict = {}
     lambda_gap = 0.0
     rng = np.random.default_rng(rng_seed)
+    total = math.comb(n, r)
 
     for t in QuadrantTransform:
         image = apply_symmetry(seq, t)
@@ -292,24 +290,16 @@ def symmetry_audit(
         # weight transfer: full subsets map to complements under the
         # edge-size-changing transforms, and weights to 1 - weight under
         # the set complement
-        total = math.comb(n, r)
-        picks = rng.integers(0, total, size=min(spot_checks, total))
-        for w in colex_unrank(picks, n, r).tolist():
-            lw = lambda_of_subset(base_beta, w)
-            comp = tuple(sorted(set(range(n)) - set(w)))
-            if t is QuadrantTransform.IDENTITY:
-                other = lambda_of_subset(image_beta, w)
-                expected_lw = lw
-            elif t is QuadrantTransform.EDGE_COMPLEMENT:
-                other = lambda_of_subset(image_beta, comp)
-                expected_lw = lw
-            elif t is QuadrantTransform.SET_COMPLEMENT:
-                other = lambda_of_subset(image_beta, w)
-                expected_lw = 1.0 - lw
-            else:
-                other = lambda_of_subset(image_beta, comp)
-                expected_lw = 1.0 - lw
-            lambda_gap = max(lambda_gap, abs(other - expected_lw))
+        rows = colex_unrank(rng.integers(0, total, size=min(spot_checks, total)), n, r)
+        expected_lw = logistic(base_beta[rows].sum(axis=1))
+        if t in (QuadrantTransform.EDGE_COMPLEMENT, QuadrantTransform.BOTH):
+            outside = np.ones((rows.shape[0], n), dtype=bool)
+            np.put_along_axis(outside, rows, False, axis=1)
+            rows = np.nonzero(outside)[1].reshape(rows.shape[0], n - r)
+        if t in (QuadrantTransform.SET_COMPLEMENT, QuadrantTransform.BOTH):
+            expected_lw = 1.0 - expected_lw
+        other = logistic(image_beta[rows].sum(axis=1))
+        lambda_gap = float(np.abs(other - expected_lw).max(initial=lambda_gap))
 
     values = list(ln_values.values())
     max_gap = max(abs(a - b) for a in values for b in values)

@@ -2,10 +2,10 @@
 
 Given a vertex parameter vector beta, each r-subset W carries the weight
 ``lambda_W = logistic(sum_{j in W} beta_j)``, the probability that W is an
-edge.  This module sweeps the r-subset family once and accumulates the
-per-vertex sums, per-pair variance weights, the average weight, the average
-variance weight, the entropy sum, and the log-prefactor of the exact
-coefficient-extraction identity.
+edge.  One sweep of the r-subset family accumulates the per-vertex sums,
+per-pair variance weights, the average weight, the average variance weight
+and the entropy sum; ``log_prefactor`` sweeps once more for the log-prefactor
+of the exact coefficient-extraction identity.
 
 Vertices with equal beta can be swept as classes (``VertexClasses``): with
 class sizes n_i, the subsets fall into compositions a of r (a_i vertices
@@ -152,8 +152,9 @@ class FieldSummary:
     ``pair_blocks[i, j]`` is the variance-weight sum over the subsets
     through one vertex of class i and another vertex of class j (0 within a
     one-vertex class).  On singletons these are the per-vertex and per-pair
-    sums.  ``beta`` holds one value per class.  ``entropy`` is the subset
-    entropy sum where the sweep took it (the class route), else None.
+    sums.  ``beta`` holds one value per class.  ``entropy`` is the sum over
+    all C(n, r) subsets of the binary entropy of the edge weight, taken by the
+    same sweep on every route.
     """
 
     n: int
@@ -165,7 +166,7 @@ class FieldSummary:
     pair_blocks: np.ndarray
     avg_lambda: float
     big_lambda: float
-    entropy: float | None = None
+    entropy: float
     budget: int | None = None
 
     @property
@@ -240,11 +241,6 @@ class Twofold:
         return float(out) if out.ndim == 0 else out.copy()
 
 
-# the terms a sweep can accumulate; ``want`` names a subset of them
-FIELD_TERMS = ("lam", "q", "vertex_lam", "vertex_q", "pair_q")
-PREFACTOR_TERMS = ("softplus", "entropy")
-
-
 def _comb_table(sizes: np.ndarray, r: int, cap: int) -> np.ndarray:
     """``table[i, a] = min(C(n_i, a), cap)`` for a = 0..r, each rounded once."""
     return np.array(
@@ -294,44 +290,43 @@ def class_chunks(
 
 
 def _chunk_terms(
-    idx: np.ndarray, beta: np.ndarray, want, mult: np.ndarray | None = None
+    idx: np.ndarray, beta: np.ndarray, mult: np.ndarray | None = None
 ) -> dict:
-    """Sums of the wanted terms over one chunk of rows.
+    """The field sums over one chunk of rows.
 
-    Each row counts ``mult`` times (once if ``mult`` is None).  Vertex and
-    pair sums are ``np.bincount`` over the column-major indices (pairs in
-    (a, b) order, a < b), so every entry adds its rows in the same order as
-    a per-column ``np.add.at`` loop, starting from zero.
+    Each row counts ``mult`` times (once if ``mult`` is None).  One
+    ``exp(-|s|)`` per row gives the weight, its complement and the softplus
+    by the same operations as ``logistic(s)``, ``logistic(-s)`` and
+    ``softplus(s)``, so each is bit-identical to them.  Vertex and pair sums
+    are ``np.bincount`` over the column-major indices (pairs in (a, b) order,
+    a < b), so every entry adds its rows in the same order as a per-column
+    ``np.add.at`` loop, starting from zero.
     """
+    n, r = beta.size, idx.shape[1]
     s = beta[idx].sum(axis=1)
-    lam = logistic(s)
-
-    def weigh(x):
-        return x if mult is None else x * mult
-
-    out = {}
-    if "pair_q" in want:
-        n, r = beta.size, idx.shape[1]
-        # variance weight as a product of the two logistic branches, never
-        # as lam - lam**2, to keep accuracy near weights 0 and 1
-        q = weigh(lam * logistic(-s))
-        w = weigh(lam)
-        flat = idx.T.ravel()
-        a, b = np.triu_indices(r, 1)
-        keys = (idx[:, a] * n + idx[:, b]).T.ravel()
-        out["lam"] = w.sum()
-        out["q"] = q.sum()
-        out["vertex_lam"] = np.bincount(flat, np.tile(w, r), minlength=n)
-        out["vertex_q"] = np.bincount(flat, np.tile(q, r), minlength=n)
-        out["pair_q"] = np.bincount(
-            keys, np.tile(q, a.size), minlength=n * n
-        ).reshape(n, n)
-    if "entropy" in want:
-        sp = softplus(s)
-        out["softplus"] = weigh(sp).sum()
-        # -lam*log(lam) - (1-lam)*log(1-lam) == softplus(s) - lam*s
-        out["entropy"] = weigh(sp - lam * s).sum()
-    return {name: out[name] for name in want}
+    e = np.exp(-np.abs(s))
+    denom = 1.0 + e
+    upper, lower = 1.0 / denom, e / denom
+    pos = s >= 0
+    lam = np.where(pos, upper, lower)
+    # variance weight as a product of the two logistic branches, never as
+    # lam - lam**2, to keep accuracy near weights 0 and 1
+    q = lam * np.where(pos, lower, upper)
+    # -lam*log(lam) - (1-lam)*log(1-lam) == softplus(s) - lam*s
+    entropy = np.maximum(s, 0.0) + np.log1p(e) - lam * s
+    if mult is not None:
+        lam, q, entropy = lam * mult, q * mult, entropy * mult
+    flat = idx.T.ravel()
+    a, b = np.triu_indices(r, 1)
+    keys = (idx[:, a] * n + idx[:, b]).T.ravel()
+    return {
+        "lam": lam.sum(),
+        "q": q.sum(),
+        "entropy": entropy.sum(),
+        "vertex_lam": np.bincount(flat, np.tile(lam, r), minlength=n),
+        "vertex_q": np.bincount(flat, np.tile(q, r), minlength=n),
+        "pair_q": np.bincount(keys, np.tile(q, a.size), minlength=n * n).reshape(n, n),
+    }
 
 
 def _sweep(classes: VertexClasses, r: int, kernel) -> dict:
@@ -361,15 +356,13 @@ def field_summary(
     """One deterministic sweep at beta.
 
     Without ``classes`` beta is per vertex and the sweep visits all C(n, r)
-    subsets.  With ``classes`` beta holds one value per class; on the class
-    route the sweep visits the compositions and also takes the entropy sum.
-    The budget counts the rows visited.
+    subsets.  With ``classes`` beta holds one value per class and the sweep
+    visits the compositions.  The budget counts the rows visited.
     """
     classes = VertexClasses.singletons(n) if classes is None else classes
     arr = as_beta_array(beta, classes.k)
     check_subset_budget(classes.rows(r), budget)
-    want = FIELD_TERMS if classes.k == n else FIELD_TERMS + ("entropy",)
-    sums = _sweep(classes, r, lambda idx, mult: _chunk_terms(idx, arr, want, mult))
+    sums = _sweep(classes, r, lambda idx, mult: _chunk_terms(idx, arr, mult))
     # a row with a_i vertices of class i counts a_i a_j position pairs for
     # classes i < j and a_i (a_i - 1) / 2 within class i; divide by the vertex
     # pairs each block entry stands for (all 1 on singletons)
@@ -388,28 +381,9 @@ def field_summary(
         pair_blocks=pairs / per_pair,
         avg_lambda=sums["lam"] / total,
         big_lambda=sums["q"] / total,
-        entropy=sums.get("entropy"),
+        entropy=sums["entropy"],
         budget=budget,
     )
-
-
-def entropy_sum(
-    beta,
-    n: int,
-    r: int,
-    budget: int | None = None,
-) -> float:
-    """Sum over subsets of the binary entropy of the edge weight.
-
-    This is the natural log of the product factor in the general counting
-    formula.
-    """
-    arr = as_beta_array(beta, n)
-    check_subset_budget(math.comb(n, r), budget)
-    return _sweep(
-        VertexClasses.singletons(n), r,
-        lambda idx, _: _chunk_terms(idx, arr, ("entropy",)),
-    )["entropy"]
 
 
 @dataclass
@@ -434,10 +408,13 @@ def log_prefactor(
     arr = as_beta_array(beta, seq.n)
     n, r = seq.n, seq.r
     check_subset_budget(math.comb(n, r), budget)
-    sums = _sweep(
-        VertexClasses.singletons(n), r,
-        lambda idx, _: _chunk_terms(idx, arr, PREFACTOR_TERMS),
-    )
+
+    def prefactor_terms(idx: np.ndarray, _) -> dict:
+        s = arr[idx].sum(axis=1)
+        sp = softplus(s)
+        return {"softplus": sp.sum(), "entropy": (sp - logistic(s) * s).sum()}
+
+    sums = _sweep(VertexClasses.singletons(n), r, prefactor_terms)
     degree_dot = float(arr @ np.asarray(seq.degrees, dtype=np.float64))
     direct = -n * LOG_2PI - degree_dot + sums["softplus"]
     entropy_form = -n * LOG_2PI + sums["entropy"]

@@ -5,9 +5,10 @@ reproduce the degrees: ``sum_{W contains j} lambda_W(beta) = d_j``.  Its
 Jacobian is exactly twice the weight matrix, which is symmetric positive
 definite away from degenerate edge sizes, so each Newton step is a Cholesky
 solve; vertices of equal degree share one unknown, so the step is k x k in
-the k distinct degrees when that is cheaper.  A solution is unique when it exists (the segment entropy between two
-candidate solutions is strictly concave), which justifies single-solution
-semantics and the uniqueness diagnostic below.
+the k distinct degrees when that is cheaper.  A solution is unique when it
+exists (the segment entropy between two candidate solutions is strictly
+concave), which justifies single-solution semantics and the uniqueness
+diagnostic below.
 
 Three seeds are available, mirroring the regimes in which existence is
 known: a constant vector from the density (regular), a degree-product seed

@@ -17,7 +17,7 @@ from hyperdeg.cli import run
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry, derive
 from hyperdeg.counts import estimate_general, symmetry_audit
 from hyperdeg.errors import BudgetExceeded
-from hyperdeg.fields import VertexClasses, entropy_sum, field_summary
+from hyperdeg.fields import VertexClasses, field_summary
 from hyperdeg.matrices import logdet_pd, regular_closed_form, weight_logdet
 from hyperdeg.solver import solve
 from hyperdeg.subsets import iter_multisets
@@ -132,8 +132,7 @@ def test_class_sweep_equals_the_subset_sweep_at_the_same_beta(n, r, sizes):
     assert np.allclose(got.pair_weights, want.pair_weights, rtol=RTOL, atol=0)
     assert got.avg_lambda == pytest.approx(want.avg_lambda, rel=RTOL)
     assert got.big_lambda == pytest.approx(want.big_lambda, rel=RTOL)
-    assert got.entropy == pytest.approx(entropy_sum(beta, n, r), rel=RTOL)
-    assert want.entropy is None  # the colex sweep leaves it to its own sweep
+    assert got.entropy == pytest.approx(want.entropy, rel=RTOL)
     assert weight_logdet(got) == pytest.approx(logdet_pd(want.weight_matrix), rel=RTOL)
 
 

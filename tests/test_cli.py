@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import hyperdeg
 from hyperdeg.cli import render_json, run
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
@@ -500,3 +504,20 @@ def test_closed_forms_at_a_hundred_thousand_vertices(tmp_path):
     assert code == 4
     assert out == ""
     assert "enumeration of 10 subsets exceeds budget 9" in err
+
+
+def test_importing_the_package_loads_no_tooling_modules():
+    # every CLI start pays for what ``import hyperdeg`` loads; these are test,
+    # schema and study tools, or scipy parts the library does not use
+    tooling = ("mpmath", "sympy", "jsonschema", "hypothesis", "scipy.stats", "scipy.optimize")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(hyperdeg.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = f"import sys, hyperdeg; print([m for m in {tooling!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

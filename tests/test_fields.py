@@ -9,7 +9,6 @@ from hyperdeg.core import DegreeSequence, derive
 from hyperdeg.errors import BudgetExceeded
 from hyperdeg.fields import (
     check_weight_ratio_bounds,
-    entropy_sum,
     field_summary,
     lambda_of_subset,
     log_prefactor,
@@ -108,9 +107,11 @@ def test_vertex_sum_identity_and_row_identity():
 
 
 def test_entropy_sum_values():
-    assert entropy_sum(np.zeros(6), 6, 3) == pytest.approx(20 * math.log(2), rel=1e-15)
+    assert field_summary(np.zeros(6), 6, 3).entropy == pytest.approx(
+        20 * math.log(2), rel=1e-15
+    )
     # all weights 2/3: frozen from a 50-digit evaluation of 20*h(2/3)
-    val = entropy_sum(np.full(6, math.log(2) / 3), 6, 3)
+    val = field_summary(np.full(6, math.log(2) / 3), 6, 3).entropy
     assert val == pytest.approx(12.730283365896256, abs=1e-12)
 
 
@@ -121,7 +122,7 @@ def test_entropy_sum_matches_term_by_term_oracle():
     for w in combinations(range(4), 3):
         lam = 1.0 / (1.0 + math.exp(-beta[list(w)].sum()))
         brute += -lam * math.log(lam) - (1 - lam) * math.log(1 - lam)
-    assert entropy_sum(beta, 4, 3) == pytest.approx(brute, abs=1e-12)
+    assert field_summary(beta, 4, 3).entropy == pytest.approx(brute, abs=1e-12)
 
 
 def test_log_prefactor_trivial_cases():
@@ -218,24 +219,26 @@ def reference_field_summary(beta, n, r):
     bincount kernel replaces, folded in chunk order."""
     beta = np.asarray(beta, dtype=np.float64)
     acc = [Twofold(0.0), Twofold(0.0), Twofold(np.zeros(n)), Twofold(np.zeros(n)),
-           Twofold(np.zeros((n, n)))]
+           Twofold(np.zeros((n, n))), Twofold(0.0)]
     for idx in iter_chunks(n, r):
         s = beta[idx].sum(axis=1)
         lam = logistic(s)
         q = lam * logistic(-s)
+        entropy = fields.softplus(s) - lam * s
         vertex_lam, vertex_q, pair_q = np.zeros(n), np.zeros(n), np.zeros((n, n))
         for a in range(r):
             np.add.at(vertex_lam, idx[:, a], lam)
             np.add.at(vertex_q, idx[:, a], q)
             for b in range(a + 1, r):
                 np.add.at(pair_q, (idx[:, a], idx[:, b]), q)
-        for total, part in zip(acc, (lam.sum(), q.sum(), vertex_lam, vertex_q, pair_q)):
+        parts = (lam.sum(), q.sum(), vertex_lam, vertex_q, pair_q, entropy.sum())
+        for total, part in zip(acc, parts):
             total.add(part)
-    sum_lam, sum_q, vertex_lam, vertex_q, pair_q = (t.value() for t in acc)
+    sum_lam, sum_q, vertex_lam, vertex_q, pair_q, entropy = (t.value() for t in acc)
     pw = pair_q + pair_q.T
     np.fill_diagonal(pw, vertex_q)
     total = math.comb(n, r)
-    return vertex_lam, pw, sum_lam / total, sum_q / total
+    return vertex_lam, pw, sum_lam / total, sum_q / total, entropy
 
 
 def reference_solve(seq, seed_beta=None, tol=1e-10):
@@ -265,16 +268,26 @@ def reference_solve(seq, seed_beta=None, tol=1e-10):
     raise AssertionError("reference solve did not converge")
 
 
-@pytest.mark.parametrize("n,r", [(9, 1), (9, 2), (20, 4), (12, 5), (24, 5)])
-def test_bincount_kernel_is_bit_identical_to_add_at(n, r):
-    rng = np.random.default_rng(n * 10 + r)
-    beta = rng.normal(scale=0.4, size=n) - 0.3
+# pairs of these reach the subset sums 0, +-30, +-745 (exp(-745) is the
+# smallest subnormal) and +-800 (the weight saturates at 0 and 1)
+EXTREME_BETA = np.repeat([0.0, 15.0, -15.0, 372.5, -372.5, 400.0, -400.0], 2)
+
+
+@pytest.mark.parametrize("n,r,beta", [
+    pytest.param(
+        n, r, np.random.default_rng(n * 10 + r).normal(scale=0.4, size=n) - 0.3,
+        id=f"{n}-{r}",
+    )
+    for n, r in [(9, 1), (9, 2), (20, 4), (12, 5), (24, 5)]
+] + [pytest.param(14, 2, EXTREME_BETA, id="extreme-beta")])
+def test_bincount_kernel_is_bit_identical_to_add_at(n, r, beta):
     f = field_summary(beta, n, r)
-    vertex, pair, avg, big = reference_field_summary(beta, n, r)
+    vertex, pair, avg, big, entropy = reference_field_summary(beta, n, r)
     assert np.array_equal(f.vertex_sums, vertex)
     assert np.array_equal(f.pair_weights, pair)
     assert f.avg_lambda == avg
     assert f.big_lambda == big
+    assert f.entropy == entropy
 
 
 def test_entropy_and_prefactor_sweeps_are_bit_identical_to_per_chunk_sums():
@@ -286,7 +299,7 @@ def test_entropy_and_prefactor_sweeps_are_bit_identical_to_per_chunk_sums():
         sp = fields.softplus(s)
         soft.add(float(sp.sum()))
         ent.add(float((sp - logistic(s) * s).sum()))
-    assert entropy_sum(beta, 13, 4) == ent.value()
+    assert field_summary(beta, 13, 4).entropy == ent.value()
     res = log_prefactor(beta, seq)
     degree_dot = float(beta @ np.asarray(seq.degrees, dtype=np.float64))
     entropy_form = -13 * fields.LOG_2PI + ent.value()
