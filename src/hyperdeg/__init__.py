@@ -6,6 +6,14 @@ against exact small-instance oracles, and compares the three
 degree-sequence probability models of random uniform hypergraphs.
 """
 
+import os
+
+# Pin BLAS pools to one thread before numpy loads, so that no library
+# reduction depends on the machine's core count.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .core import (
     DegreeSequence,
     DerivedParams,

@@ -9,17 +9,10 @@ cannot be read or written, 3 solver non-convergence, 4 budget exceeded,
 
 from __future__ import annotations
 
-import os
-
-# Pin BLAS pools to one thread before numpy loads, so that no library
-# reduction depends on the machine's core count.
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
-
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 

@@ -30,7 +30,7 @@ from .core import (
     derive,
 )
 from .errors import DensityDegenerate
-from .fields import VertexClasses, field_summary, logistic
+from .fields import FieldSummary, VertexClasses, logistic
 from .matrices import regular_closed_form, weight_logdet
 from .solver import SolveReport, apply_beta_symmetry, require_converged, solve
 from .subsets import colex_unrank
@@ -99,6 +99,23 @@ def _flags(params: DerivedParams) -> dict:
     }
 
 
+def _general_ln(field: FieldSummary, logdet: float) -> float:
+    """``ln r - n ln 2 - (n/2) ln pi - (1/2) ln|A| + sum_W H(lambda_W)``.
+
+    ``field`` is the sweep at a solution and ``logdet`` the log-determinant
+    of its weight matrix A.  The value is the same in every quadrant frame:
+    the entropy sum is invariant and ``|A'| = |A| ((n-r)/r)^2``.
+    """
+    n, r = field.n, field.r
+    return (
+        math.log(r)
+        - n * math.log(2.0)
+        - 0.5 * n * math.log(math.pi)
+        - 0.5 * logdet
+        + field.entropy
+    )
+
+
 def estimate_general(
     seq: DegreeSequence,
     report: SolveReport | None = None,
@@ -107,39 +124,24 @@ def estimate_general(
 ) -> LogEstimate:
     """General-formula estimate: solve, assemble, take logs.
 
-    The instance is moved to the first quadrant before evaluation; a given
-    solve report is transported there by the exact solution symmetry, so no
-    re-solve happens.  The reported value is frame-independent.  The
-    entropy sum comes from the field sweep at the solution, on every route;
-    the log-determinant from the k x k determinant lemma on the class route
-    (``VertexClasses.for_degrees``) and from the n x n Cholesky on
+    Without a report the instance is moved to the first quadrant and solved
+    there.  A given converged report for ``seq`` is evaluated from its
+    field sweep in its own frame, with no transform and no further sweep;
+    the formula is exactly frame-invariant, so both agree to rounding.  The
+    log-determinant comes from the k x k determinant lemma on the class
+    route (``VertexClasses.for_degrees``) and from the n x n Cholesky on
     singletons.
     """
     params = derive(seq)
     if not (0.0 < params.lam < 1.0):
         raise DensityDegenerate("empty or complete instance; use the exact oracle")
-    canonical, transform = canonicalize_first_quadrant(seq)
-    n, r = canonical.n, canonical.r
     if report is None:
+        canonical, _ = canonicalize_first_quadrant(seq)
         field = solve(canonical, tol=tol, budget=budget).field
     else:
-        require_converged(report)
-        # the report's field sweep was taken at this beta only if no
-        # transform moved it
-        field = report.field if transform is QuadrantTransform.IDENTITY else None
-    if field is None:
-        beta = apply_beta_symmetry(report.beta_star, transform, seq.n, seq.r)
-        classes, values = VertexClasses.for_beta(canonical.degrees, r, beta)
-        field = field_summary(values, n, r, budget=budget, classes=classes)
-    ln_value = (
-        math.log(r)
-        - n * math.log(2.0)
-        - 0.5 * n * math.log(math.pi)
-        - 0.5 * weight_logdet(field)
-        + field.entropy
-    )
+        field = require_converged(report).field
     return LogEstimate(
-        ln_value=ln_value,
+        ln_value=_general_ln(field, weight_logdet(field)),
         method="general",
         error_terms=error_indicators(params),
         assumption_flags=_flags(params),
@@ -249,10 +251,13 @@ def symmetry_audit(
 ) -> QuadrantAudit:
     """Solve all four quadrant images and compare the general estimates.
 
-    Also verifies the determinant ratios ((n-r)/r)^2 between images and
-    spot-checks the edge-weight transfer identities on random subsets.
-    A given converged ``report`` for ``seq`` is used as the base solve
-    instead of solving again.
+    The identity image is the base solve (a given converged ``report`` for
+    ``seq``, else a fresh one); each other image is solved once, seeded with
+    the base solution moved by the exact solution symmetry.  Each image's
+    general formula is evaluated from its own solve's field sweep in its own
+    frame, so ``max_ln_gap`` measures how well four independent evaluations
+    agree.  Also verifies the determinant ratios ((n-r)/r)^2 between images
+    and spot-checks the edge-weight transfer identities on random subsets.
     """
     n, r = seq.n, seq.r
     if report is None:
@@ -269,14 +274,22 @@ def symmetry_audit(
     total = math.comb(n, r)
 
     for t in QuadrantTransform:
-        image = apply_symmetry(seq, t)
-        seed = apply_beta_symmetry(base_beta, t, n, r)
-        report = solve(image, seed_beta=seed, tol=tol, budget=budget)
-        estimate = estimate_general(image, report=report, budget=budget)
-        ln_values[t.value] = estimate.ln_value
+        if t is QuadrantTransform.IDENTITY:
+            image_report, image_logdet = base_report, base_logdet
+        else:
+            image = apply_symmetry(seq, t)
+            # read the moved solution on the image's own classes: a base
+            # solved on singletons (r > n/2) agrees within a degree class
+            # only to rounding, where the image at n - r may take classes
+            classes = VertexClasses.for_degrees(image.degrees, image.r)
+            seed = apply_beta_symmetry(base_beta, t, n, r)[classes.first]
+            image_report = solve(
+                image, seed_beta=seed[classes.index], tol=tol, budget=budget
+            )
+            image_logdet = weight_logdet(image_report.field)
+        ln_values[t.value] = _general_ln(image_report.field, image_logdet)
 
-        image_beta = report.beta_star
-        image_logdet = weight_logdet(report.field)
+        image_beta = image_report.beta_star
         if t in (QuadrantTransform.EDGE_COMPLEMENT, QuadrantTransform.BOTH):
             expected = base_logdet + 2.0 * math.log((n - r) / r)
         else:

@@ -4,8 +4,8 @@ Given a vertex parameter vector beta, each r-subset W carries the weight
 ``lambda_W = logistic(sum_{j in W} beta_j)``, the probability that W is an
 edge.  One sweep of the r-subset family accumulates the per-vertex sums,
 per-pair variance weights, the average weight, the average variance weight
-and the entropy sum; ``log_prefactor`` sweeps once more for the log-prefactor
-of the exact coefficient-extraction identity.
+and the entropy sum; ``log_prefactor`` reads the log-prefactor of the
+exact coefficient-extraction identity from one such sweep.
 
 Vertices with equal beta can be swept as classes (``VertexClasses``): with
 class sizes n_i, the subsets fall into compositions a of r (a_i vertices
@@ -80,7 +80,9 @@ class VertexClasses:
 
     ``index[v]`` is the class of vertex v, ``sizes[i]`` the size of class i
     and ``first[i]`` its first vertex.  With k = n classes (singletons) a
-    sweep is the plain colex sweep over the vertices.
+    sweep is the plain colex sweep over the vertices.  A solve takes its
+    classes from the degrees alone (``for_degrees``); a beta is never split
+    into classes by its values.
     """
 
     index: np.ndarray
@@ -126,21 +128,6 @@ class VertexClasses:
         if self.k == self.n:
             return math.comb(self.n, r)
         return math.comb(self.k + r - 1, r)
-
-    @classmethod
-    def for_beta(
-        cls, degrees, r: int, beta: np.ndarray
-    ) -> tuple["VertexClasses", np.ndarray]:
-        """The classes of ``for_degrees`` and beta's value on each class.
-
-        A beta that differs within a degree class gets singletons and
-        itself.
-        """
-        classes = cls.for_degrees(degrees, r)
-        values = beta[classes.first]
-        if np.array_equal(values[classes.index], beta):
-            return classes, values
-        return cls.singletons(len(degrees)), beta
 
 
 @dataclass
@@ -401,25 +388,18 @@ def log_prefactor(
 
     The direct form is ``-n log(2 pi) - sum_j beta_j d_j + sum_W
     log(1 + e^{s_W})``; the entropy form replaces the last two terms by the
-    subset entropy sum.  The two agree exactly only when beta solves the
-    degree system, so their absolute difference is returned as a residual
-    diagnostic.  The entropy form is the reported value.
+    subset entropy sum.  The entropy form is the reported value.  Since
+    ``softplus(s_W) - H(lambda_W) = lambda_W s_W``, the two differ by
+    ``sum_j beta_j (vertex_sums_j - d_j)``, which vanishes exactly when beta
+    solves the degree system; its absolute value is returned as a residual
+    diagnostic.  Both come from one field sweep.
     """
     arr = as_beta_array(beta, seq.n)
-    n, r = seq.n, seq.r
-    check_subset_budget(math.comb(n, r), budget)
-
-    def prefactor_terms(idx: np.ndarray, _) -> dict:
-        s = arr[idx].sum(axis=1)
-        sp = softplus(s)
-        return {"softplus": sp.sum(), "entropy": (sp - logistic(s) * s).sum()}
-
-    sums = _sweep(VertexClasses.singletons(n), r, prefactor_terms)
-    degree_dot = float(arr @ np.asarray(seq.degrees, dtype=np.float64))
-    direct = -n * LOG_2PI - degree_dot + sums["softplus"]
-    entropy_form = -n * LOG_2PI + sums["entropy"]
+    field = field_summary(arr, seq.n, seq.r, budget=budget)
+    residual = field.vertex_sums - np.asarray(seq.degrees, dtype=np.float64)
     return PrefactorResult(
-        value=entropy_form, discrepancy=abs(direct - entropy_form)
+        value=-seq.n * LOG_2PI + field.entropy,
+        discrepancy=abs(float(arr @ residual)),
     )
 
 

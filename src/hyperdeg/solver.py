@@ -185,8 +185,9 @@ def solve(
     the step solves ``(U^T 2A U) step = -U^T residual`` by Cholesky, which
     is the n-dimensional Newton step restricted to class-constant vectors.
     At k = n (singletons) this is the plain Newton step on all C(n, r)
-    subsets.  A custom seed that is not constant on the degree classes
-    runs on singletons.
+    subsets.  The degrees alone pick the classes: a custom ``seed_beta``
+    must be equal on the vertices of each class (vertices of equal degree
+    whenever the class route is taken), else ``ValueError``.
 
     Backtracking halves the step until the sup-norm residual strictly
     decreases, and the spread guard aborts once ``spread * r`` exceeds 50
@@ -201,16 +202,15 @@ def solve(
         raise ValueError("tol must be positive")
     params = derive(seq)
     n, r = seq.n, seq.r
-    if seed_beta is None:
-        classes = VertexClasses.for_degrees(seq.degrees, r)
-    else:
-        classes, beta = VertexClasses.for_beta(
-            seq.degrees, r, as_beta_array(seed_beta, n)
-        )
-        seed_used = "custom"
+    classes = VertexClasses.for_degrees(seq.degrees, r)
     check_subset_budget(classes.rows(r), budget)
     if seed_beta is None:
         beta, seed_used = _class_seed(seq, params, classes, strategy, budget)
+    else:
+        seed = as_beta_array(seed_beta, n)
+        beta, seed_used = seed[classes.first], "custom"
+        if not np.array_equal(beta[classes.index], seed, equal_nan=True):
+            raise ValueError("seed must be equal on vertices of equal degree")
     if not np.all(np.isfinite(beta)):
         raise ValueError("seed vector must be finite")
 
@@ -274,8 +274,11 @@ def solve(
 
 
 def require_converged(report: SolveReport) -> SolveReport:
+    """The report itself, if it converged and carries its field sweep."""
     if not report.converged:
         raise Unsolved("operation requires a converged solve report")
+    if report.field is None:
+        raise Unsolved("converged solve report carries no field sweep")
     return report
 
 

@@ -173,11 +173,14 @@ def test_route_choice_and_budget_count_compositions():
     assert VertexClasses.for_degrees([7] * 2000, 20).k == 1
 
 
-def test_seed_that_splits_a_class_runs_on_singletons():
+def test_seed_that_splits_a_class_is_rejected():
     seq = DegreeSequence(8, 3, (10,) * 4 + (11,) * 4)
     seed = np.linspace(-0.5, -0.2, 8)
-    report = solve(seq, seed_beta=seed)
-    assert report.field.classes.k == 8
+    with pytest.raises(ValueError, match="equal degree"):
+        solve(seq, seed_beta=seed)
+    # the same seed read on the degree classes stays on the class route
+    report = solve(seq, seed_beta=seed[[0, 0, 0, 0, 4, 4, 4, 4]])
+    assert report.field.classes.k == 2
     # another path to the same solution, within the solve tolerance
     assert np.abs(report.beta_star - solve(seq).beta_star).max() <= 1e-9
 

@@ -261,8 +261,9 @@ def test_audit_solves_the_base_instance_once(monkeypatch):
     monkeypatch.setattr(cli, "solve", counted)
     code, _, _ = invoke(["audit", "--input", str(INSTANCES / "skew6.json")])
     assert code == 0
-    # one base solve, then one seeded solve per quadrant image
-    assert seeded == [False] + [True] * 4
+    # one base solve, which is the identity image, then one seeded solve
+    # per other quadrant image
+    assert seeded == [False] + [True] * 3
 
 
 def test_selftest_commands():
@@ -521,3 +522,23 @@ def test_importing_the_package_loads_no_tooling_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_importing_the_cli_starts_no_blas_threads():
+    # the package pins the BLAS pools before numpy loads; with the variables
+    # unset, a pin placed after numpy's import leaves BLAS worker threads
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(hyperdeg.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = "import os, hyperdeg.cli; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"

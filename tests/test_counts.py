@@ -16,6 +16,10 @@ from hyperdeg.solver import solve
 
 REG6 = DegreeSequence(6, 3, (5,) * 6)
 SKEW6 = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
+DISTINCT20 = DegreeSequence(20, 4, tuple(150 + 17 * j for j in range(19)) + (475,))
+# r > n/2 with repeated degrees: the instance sweeps singletons, its edge
+# complements (r = 4) sweep five degree classes
+WIDE12 = DegreeSequence(12, 8, (134, 130, 130, 131, 130, 134, 134, 132, 130, 130, 131, 138))
 
 # ln 3 - 6 ln 2 - 3 ln pi - (1/2) ln(0.889892578125) + 20 ln 2,
 # frozen from a 50-digit evaluation of the stated formula
@@ -170,6 +174,25 @@ def test_symmetry_audit_skew():
     assert audit.ln_values["identity"] == pytest.approx(
         estimate_general(SKEW6).ln_value, abs=1e-9
     )
+
+
+@pytest.mark.parametrize("seq", [SKEW6, DISTINCT20, WIDE12], ids=["skew6", "distinct20", "wide12"])
+def test_audit_values_agree_with_the_general_estimate(seq):
+    # each quadrant image is evaluated in its own frame from its own solve
+    want = estimate_general(seq).ln_value
+    audit = symmetry_audit(seq)
+    assert set(audit.ln_values) == {t.value for t in QuadrantTransform}
+    for value in audit.ln_values.values():
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("seq", [SKEW6, WIDE12], ids=["skew6", "wide12"])
+@pytest.mark.parametrize("t", list(QuadrantTransform), ids=lambda t: t.value)
+def test_estimate_from_an_image_report_matches_the_canonical_solve(seq, t):
+    image = apply_symmetry(seq, t)
+    want = estimate_general(image).ln_value
+    got = estimate_general(image, report=solve(image)).ln_value
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_symmetry_audit_reuses_a_given_base_report():

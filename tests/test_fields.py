@@ -304,7 +304,8 @@ def test_entropy_and_prefactor_sweeps_are_bit_identical_to_per_chunk_sums():
     degree_dot = float(beta @ np.asarray(seq.degrees, dtype=np.float64))
     entropy_form = -13 * fields.LOG_2PI + ent.value()
     assert res.value == entropy_form
-    assert res.discrepancy == abs(-13 * fields.LOG_2PI - degree_dot + soft.value() - entropy_form)
+    direct = -13 * fields.LOG_2PI - degree_dot + soft.value()
+    assert res.discrepancy == pytest.approx(abs(direct - entropy_form), rel=1e-12)
 
 
 @pytest.mark.parametrize("degrees,seed", [

@@ -244,6 +244,23 @@ def test_unconverged_report_is_rejected_by_estimates():
         estimate_general(REG6, report=fake)
 
 
+def test_converged_report_without_a_field_is_unsolved():
+    from hyperdeg.counts import estimate_general, symmetry_audit
+    from hyperdeg.errors import Unsolved
+    from hyperdeg.solver import SolveReport
+
+    solved = solve(REG6)
+    bare = SolveReport(
+        beta_star=solved.beta_star, iterations=0, residual_inf=0.0,
+        spread=0.0, converged=True, seed_used="custom",
+    )
+    assert bare.field is None
+    with pytest.raises(Unsolved, match="no field"):
+        estimate_general(REG6, report=bare)
+    with pytest.raises(Unsolved, match="no field"):
+        symmetry_audit(REG6, report=bare)
+
+
 def test_inverse_jacobian_bound_skips_small_n():
     seq = DegreeSequence(6, 3, (5,) * 6)
     res = inverse_jacobian_bound_check(
