@@ -3,7 +3,8 @@
 The analysis behind the counting formulas rests on weight-ratio bounds,
 matrix entry sandwiches, a determinant comparison, and a family of exact
 rational summation identities over subsets.  This script runs all of them
-on concrete inputs.
+on concrete inputs.  Both bound suites read one field summary at the
+solved point: its weight matrix, average weight and average variance weight.
 """
 
 from fractions import Fraction
@@ -11,22 +12,23 @@ from fractions import Fraction
 import numpy as np
 
 from hyperdeg import DegreeSequence, bound_suite, solve
-from hyperdeg.fields import check_weight_ratio_bounds
+from hyperdeg.fields import check_weight_ratio_bounds, field_summary
 from hyperdeg.identities import FAMILIES, IdentityFamily, brute_sum, closed_sum
 
 seq = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
 report = solve(seq)
 beta = report.beta_star
 delta_hat = report.spread * seq.r
+field = field_summary(beta, seq.n, seq.r)
 print(f"solved instance, spread*r = {delta_hat:.4f}")
 
 print("\nweight-ratio bounds at the solved point:")
-for check in check_weight_ratio_bounds(beta, seq.n, seq.r, delta_hat):
+for check in check_weight_ratio_bounds(field, delta_hat):
     slack = "" if check.slack is None else f" slack={check.slack:.4f}"
     print(f"  {check.name:28s} {check.status}{slack}")
 
 print("\nmatrix entry and determinant bounds:")
-suite = bound_suite(beta, seq.n, seq.r, delta_hat)
+suite = bound_suite(field, delta_hat)
 for check in suite.checks:
     slack = "" if check.slack is None else f" slack={check.slack:.4f}"
     print(f"  {check.name:28s} {check.status}{slack}")

@@ -22,24 +22,25 @@ GRID_BUDGET_DEFAULT = 10**9
 _ENV_VAR = "HYPERDEG_BUDGET"
 
 
-def env_budget() -> int | None:
-    """The budget set by ``HYPERDEG_BUDGET``, or None when it is unset.
+def parse_budget(raw, name: str) -> int:
+    """``raw`` as a budget, named ``name`` in the error.
 
-    The value is read as a number and truncated (``1e3`` is 1000); a value
-    that is not a finite number, or is below 1, raises ``ValueError``.
+    A budget is a finite number of at least 1, read as a number and
+    truncated (``1e3`` is 1000); any other value raises ``ValueError``.
     """
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return None
     try:
         value = float(raw)
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value >= 1):
-        raise ValueError(
-            f"{_ENV_VAR}={raw!r} is not a finite number of at least 1"
-        )
+        raise ValueError(f"{name}={raw!r} is not a finite number of at least 1")
     return int(value)
+
+
+def env_budget() -> int | None:
+    """The budget set by ``HYPERDEG_BUDGET``, or None when it is unset."""
+    raw = os.environ.get(_ENV_VAR)
+    return None if raw is None else parse_budget(raw, _ENV_VAR)
 
 
 def _limit(override: int | None, default: int) -> int:

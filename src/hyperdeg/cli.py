@@ -36,7 +36,7 @@ from .errors import (
     Unsolved,
     ZeroDegree,
 )
-from .fields import check_weight_ratio_bounds
+from .fields import check_weight_ratio_bounds, field_summary
 from .matrices import bound_suite
 from .oracle import cauchy_quadrature, exact_count, total_identity_check
 from .solver import solve
@@ -229,6 +229,8 @@ def cmd_models(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        raise InvalidInstance(f"--count must be at least 0, got {args.count}")
     batch = models.sample_degree_batch(
         args.n, args.r, args.m, args.seed, args.count
     )
@@ -247,16 +249,15 @@ def cmd_sample(args) -> int:
 def cmd_audit(args) -> int:
     seq = load_instance(args.input)
     warn_hypotheses(seq)
-    # the bound checks sweep every subset, whatever route the solves take
+    # one refusal rule on every route, checked before any solve so that an
+    # audit too large refuses at once: all C(n, r) subsets fit the budget.
+    # The bound checks themselves read the base solve's field.
     budgets.check_subset_budget(math.comb(seq.n, seq.r), args.budget)
     report = solve(seq, budget=args.budget)
     audit = symmetry_audit(seq, budget=args.budget, report=report)
-    beta = report.beta_star
     delta_hat = max(report.spread * seq.r, 1e-6)
-    matrix_checks = bound_suite(beta, seq.n, seq.r, delta_hat, budget=args.budget)
-    ratio_checks = check_weight_ratio_bounds(
-        beta, seq.n, seq.r, delta_hat, budget=args.budget
-    )
+    matrix_checks = bound_suite(report.field, delta_hat)
+    ratio_checks = check_weight_ratio_bounds(report.field, delta_hat)
     emit(
         {
             "quadrants": audit.to_json_dict(),
@@ -271,6 +272,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.trials < 0:
+        raise InvalidInstance(f"--trials must be at least 0, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     if args.suite == "identities":
         results = identities.selftest(rng, trials_per_family=args.trials)
@@ -287,8 +290,9 @@ def cmd_selftest(args) -> int:
             beta = base + rng.uniform(
                 -delta_hat / (2 * r), delta_hat / (2 * r), size=n
             )
-            checks = check_weight_ratio_bounds(beta, n, r, delta_hat)
-            checks += bound_suite(beta, n, r, delta_hat).checks
+            field = field_summary(beta, n, r)
+            checks = check_weight_ratio_bounds(field, delta_hat)
+            checks += bound_suite(field, delta_hat).checks
             bad = [c.name for c in checks if c.status == "fail"]
             failures += len(bad)
             rows.append({"n": n, "r": r, "delta_hat": delta_hat, "failures": bad})
@@ -385,7 +389,10 @@ def run(argv=None) -> int:
         echo += f"  [HYPERDEG_BUDGET={env_budget}]"
     sys.stderr.write(echo + "\n")
     try:
-        budgets.env_budget()  # a malformed HYPERDEG_BUDGET is invalid input
+        # a malformed HYPERDEG_BUDGET or --budget is invalid input
+        budgets.env_budget()
+        if args.budget is not None:
+            budgets.parse_budget(args.budget, "--budget")
         return args.fn(args)
     except (InvalidInstance, DensityDegenerate, ZeroDegree, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

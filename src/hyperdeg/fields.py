@@ -29,7 +29,7 @@ import numpy as np
 from .budgets import check_subset_budget, subset_budget
 from .core import DegreeSequence
 from .errors import BudgetExceeded
-from .subsets import CHUNK, colex_rank, incidence, iter_chunks, iter_multisets
+from .subsets import CHUNK, iter_chunks, iter_multisets
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -415,14 +415,46 @@ class BoundCheck:
         return self.status == "pass"
 
 
-def check_weight_ratio_bounds(
-    beta,
-    n: int,
-    r: int,
-    delta_hat: float,
-    budget: int | None = None,
-) -> list[BoundCheck]:
-    """Weight-ratio inequalities at spread at most delta_hat / r.
+def graded(name: str, slack: float, tol: float = 0.0) -> BoundCheck:
+    """A check that passes when its slack is at least ``-tol``."""
+    return BoundCheck(name, "pass" if slack >= -tol else "fail", float(slack))
+
+
+def skipped_checks(
+    names: Sequence[str], field: FieldSummary, delta_hat: float, pairs: bool = False
+) -> list[BoundCheck] | None:
+    """The checks ``names`` all skipped if the field fails their precondition.
+
+    Every bound check needs spread(beta) * r <= delta_hat (to 1e-12
+    relative); checks of pair entries (``pairs``) also need r >= 2.
+    """
+    if pairs and field.r < 2:
+        detail = "no pair entries at r < 2"
+    elif float(field.beta.max() - field.beta.min()) * field.r > delta_hat * (1 + 1e-12):
+        detail = "spread*r exceeds delta_hat"
+    else:
+        return None
+    return [BoundCheck(name, "skipped", detail=detail) for name in names]
+
+
+RATIO_CHECKS = ("pair-ratio-lambda", "pair-ratio-complement", "ratio-to-average",
+                "variance-ratio-to-average", "average-vs-variance-average")
+
+
+def _sum_nearest_zero(field: FieldSummary) -> float:
+    """The subset sum of beta nearest 0, by one pass over the field's rows
+    (on classes, the compositions of nonzero multiplicity)."""
+    best = math.inf
+    for idx, mult in class_chunks(field.classes, field.r):
+        s = field.beta[idx].sum(axis=1)
+        s = s if mult is None else s[mult > 0]
+        if s.size:
+            best = min(best, float(s[np.argmin(np.abs(s))]), key=abs)
+    return best
+
+
+def check_weight_ratio_bounds(field: FieldSummary, delta_hat: float) -> list[BoundCheck]:
+    """Weight-ratio inequalities at the field's beta, of spread at most delta_hat / r.
 
     Checks, with s = spread(beta) * r <= delta_hat required:
 
@@ -434,6 +466,8 @@ def check_weight_ratio_bounds(
     * if avg <= 7/8: e^{-delta_hat}/256 * avg <= big_lambda <= avg.
 
     If the spread precondition fails, every check is reported as skipped.
+    The averages are the field's; every other term is read at the few
+    subsets that attain the extremes, so no C(n, r)-row array is built.
 
     The pair checks read only the pair that attains the largest gap for
     each k = |W minus W'| = 1 .. min(r, n - r).  log lambda = -softplus(-s)
@@ -441,75 +475,48 @@ def check_weight_ratio_bounds(
     W' = C + B the gap log lambda(c + a) - log lambda(c + b) grows with a
     and shrinks as b or c grows; by exchange, B holds the lowest betas, C
     the next and A the highest.  log(1 - lambda) is the mirror image under
-    beta -> -beta.
+    beta -> -beta.  The gap to the average is largest at the r lowest or
+    the r highest betas for log lambda, which increases with s, and also
+    possibly at the sum nearest 0 for log lambda(1 - lambda), which is even
+    in s and falls as |s| grows.
     """
-    arr = as_beta_array(beta, n)
-    check_subset_budget(math.comb(n, r), budget)
-    spread = float(arr.max() - arr.min())
-    if spread * r > delta_hat * (1 + 1e-12):
-        return [
-            BoundCheck(name, "skipped", detail="spread*r exceeds delta_hat")
-            for name in (
-                "pair-ratio-lambda",
-                "pair-ratio-complement",
-                "ratio-to-average",
-                "variance-ratio-to-average",
-                "average-vs-variance-average",
-            )
-        ]
-
-    s = incidence(n, r) @ arr
-    lam = logistic(s)
-    one_minus = logistic(-s)
-    log_lam = np.log(lam)
-    log_one = np.log(one_minus)
-
-    order = np.argsort(arr, kind="stable").tolist()
-
-    def row(vertices) -> int:
-        return colex_rank(sorted(vertices))
-
-    low, high = row(order[:r]), row(order[n - r:])
+    skipped = skipped_checks(RATIO_CHECKS, field, delta_hat)
+    if skipped is not None:
+        return skipped
+    n, r = field.n, field.r
+    beta = field.beta[field.classes.index]
+    order = np.argsort(beta, kind="stable").tolist()
     # k >= 1: a subset paired with itself has allowance and gap both 0 and
     # is left out, or every slack would read 0
     ks = range(1, min(r, n - r) + 1)
-    allowance = np.array([delta_hat * (1.0 - (r - k) / r) for k in ks])
-    up = np.array([row(order[k:r] + order[n - k:]) for k in ks], dtype=np.int64)
-    down = np.array([row(order[:k] + order[n - r:n - k]) for k in ks], dtype=np.int64)
-    gap_lam = np.abs(log_lam[up] - log_lam[low])
-    gap_one = np.abs(log_one[high] - log_one[down])
-    slack_lam = float(np.min(allowance - gap_lam, initial=np.inf))
-    slack_one = float(np.min(allowance - gap_one, initial=np.inf))
+    rows = [order[:r], order[n - r:]]
+    rows += [order[k:r] + order[n - k:] for k in ks]
+    rows += [order[:k] + order[n - r:n - k] for k in ks]
+    # the subset sums as rows of a 0/1 matrix times beta, the product a scan
+    # of all subsets would take
+    picks = np.zeros((len(rows), n))
+    for i, vertices in enumerate(rows):
+        picks[i, vertices] = 1.0
+    s = picks @ beta
+    log_lam = np.log(logistic(s))
+    log_one = np.log(logistic(-s))
+    up, down = slice(2, 2 + len(ks)), slice(2 + len(ks), None)
 
-    avg = float(lam.mean())
-    big = float((lam * one_minus).mean())
-    gap_avg = np.abs(log_lam - math.log(avg))
-    slack_avg = float(delta_hat - gap_avg.max())
-    gap_var = np.abs(np.log(lam * one_minus) - math.log(big))
+    allowance = np.array([delta_hat * (1.0 - (r - k) / r) for k in ks])
+    slack_lam = float(np.min(allowance - np.abs(log_lam[up] - log_lam[0]), initial=np.inf))
+    slack_one = float(np.min(allowance - np.abs(log_one[1] - log_one[down]), initial=np.inf))
+
+    avg, big = field.avg_lambda, field.big_lambda
+    slack_avg = float(delta_hat - np.abs(log_lam[:2] - math.log(avg)).max())
+    # where every sum has one sign, the one nearest 0 is an end
+    near = s[0] if s[0] >= 0 else s[1] if s[1] <= 0 else _sum_nearest_zero(field)
+    ends = np.array([s[0], s[1], near])
+    gap_var = np.abs(np.log(logistic(ends) * logistic(-ends)) - math.log(big))
     slack_var = float(2.0 * delta_hat - gap_var.max())
 
-    checks = [
-        BoundCheck("pair-ratio-lambda", "pass" if slack_lam >= 0 else "fail", slack_lam),
-        BoundCheck("pair-ratio-complement", "pass" if slack_one >= 0 else "fail", slack_one),
-        BoundCheck("ratio-to-average", "pass" if slack_avg >= 0 else "fail", slack_avg),
-        BoundCheck(
-            "variance-ratio-to-average", "pass" if slack_var >= 0 else "fail", slack_var
-        ),
-    ]
-    if avg <= 7.0 / 8.0:
-        lower = math.exp(-delta_hat) / 256.0 * avg
-        slack = min(big - lower, avg - big)
-        checks.append(
-            BoundCheck(
-                "average-vs-variance-average",
-                "pass" if slack >= 0 else "fail",
-                float(slack),
-            )
-        )
-    else:
-        checks.append(
-            BoundCheck(
-                "average-vs-variance-average", "skipped", detail="avg weight > 7/8"
-            )
-        )
-    return checks
+    slacks = (slack_lam, slack_one, slack_avg, slack_var)
+    checks = [graded(name, slack) for name, slack in zip(RATIO_CHECKS, slacks)]
+    if avg > 7.0 / 8.0:
+        return checks + [BoundCheck(RATIO_CHECKS[4], "skipped", detail="avg weight > 7/8")]
+    lower = math.exp(-delta_hat) / 256.0 * avg
+    return checks + [graded(RATIO_CHECKS[4], min(big - lower, avg - big))]

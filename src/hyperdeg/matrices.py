@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .core import DerivedParams
 from .errors import DensityDegenerate, NotPositiveDefinite
-from .fields import BoundCheck, FieldSummary, as_beta_array, field_summary
+from .fields import BoundCheck, FieldSummary, graded, skipped_checks
 
 PIVOT_RTOL = 1e-13
 
@@ -113,16 +113,15 @@ class MatrixBoundReport:
         return all(c.status != "fail" for c in self.checks)
 
 
-def bound_suite(
-    beta,
-    n: int,
-    r: int,
-    delta_hat: float,
-    budget: int | None = None,
-) -> MatrixBoundReport:
+MATRIX_CHECKS = ("offdiag-entry-ratio", "diag-entry-ratio", "offdiag-sandwich",
+                 "diag-sandwich", "row-identity", "determinant-comparison")
+
+
+def bound_suite(field: FieldSummary, delta_hat: float) -> MatrixBoundReport:
     """Entry-ratio, sandwich, determinant, and inverse-entry checks.
 
-    With spread(beta) * r <= delta_hat:
+    Reads the weight matrix and ``big_lambda`` of the field at beta; with
+    spread(beta) * r <= delta_hat:
 
     * all off-diagonal entries lie within a factor e^{4 delta_hat / r} of
       each other, and likewise all diagonal entries;
@@ -135,34 +134,14 @@ def bound_suite(
       inverse-entry bound; they are reported, not asserted, because the
       constant in that bound is existential.
 
-    If the spread precondition fails, all checks are reported skipped.
+    If r < 2 or the spread precondition fails, all checks are reported
+    skipped.
     """
-    arr = as_beta_array(beta, n)
-    spread = float(arr.max() - arr.min())
-    names = (
-        "offdiag-entry-ratio",
-        "diag-entry-ratio",
-        "offdiag-sandwich",
-        "diag-sandwich",
-        "row-identity",
-        "determinant-comparison",
-    )
-    if r < 2:
-        return MatrixBoundReport(
-            checks=[
-                BoundCheck(name, "skipped", detail="no pair entries at r < 2")
-                for name in names
-            ]
-        )
-    if spread * r > delta_hat * (1 + 1e-12):
-        return MatrixBoundReport(
-            checks=[
-                BoundCheck(name, "skipped", detail="spread*r exceeds delta_hat")
-                for name in names
-            ]
-        )
+    skipped = skipped_checks(MATRIX_CHECKS, field, delta_hat, pairs=True)
+    if skipped is not None:
+        return MatrixBoundReport(checks=skipped)
 
-    field = field_summary(arr, n, r, budget=budget)
+    n, r = field.n, field.r
     a = field.weight_matrix
     big = field.big_lambda
     ratio_cap = 4.0 * delta_hat / r
@@ -183,9 +162,6 @@ def bound_suite(
     row = (a.sum(axis=1) - diag) / (r - 1)
     row_gap = float(np.abs(row - diag).max())
     row_slack = 1e-10 * max(1.0, float(diag.max())) - row_gap
-    row_check = BoundCheck(
-        "row-identity", "pass" if row_slack >= 0 else "fail", row_slack
-    )
 
     logdet_a = logdet_pd(a)
     ap = 0.5 * math.exp(2.0 * delta_hat) * big
@@ -200,18 +176,9 @@ def bound_suite(
     measured_diag = float(np.abs(np.diag(inv)).max() * scale)
     measured_off = float(np.abs(inv[~np.eye(n, dtype=bool)]).max() * scale * n)
 
-    checks = [
-        BoundCheck("offdiag-entry-ratio", "pass" if slack_off >= 0 else "fail", slack_off),
-        BoundCheck("diag-entry-ratio", "pass" if slack_diag >= 0 else "fail", slack_diag),
-        BoundCheck("offdiag-sandwich", "pass" if slack_off_sand >= 0 else "fail", slack_off_sand),
-        BoundCheck("diag-sandwich", "pass" if slack_diag_sand >= 0 else "fail", slack_diag_sand),
-        row_check,
-        BoundCheck(
-            "determinant-comparison",
-            "pass" if slack_det >= -det_tol else "fail",
-            slack_det,
-        ),
-    ]
+    slacks = (slack_off, slack_diag, slack_off_sand, slack_diag_sand, row_slack)
+    checks = [graded(name, slack) for name, slack in zip(MATRIX_CHECKS, slacks)]
+    checks.append(graded("determinant-comparison", slack_det, det_tol))
     return MatrixBoundReport(
         checks=checks,
         measured_inverse_constant=measured_diag,

@@ -328,7 +328,9 @@ def measured_ratio(
     budget: int | None = None,
 ) -> float:
     """Measured ln(Prob_D / Prob_other) from the model probabilities."""
-    other = RATIO_PAIRS.get(pair, "T")
+    if pair not in RATIO_PAIRS:
+        raise ValueError(f"unknown ratio pair {pair!r}")
+    other = RATIO_PAIRS[pair]
     pd = prob_model(seq, d_model, budget=budget)
     po = prob_model(seq, other, normalizer=normalizer, budget=budget)
     return pd.ln_prob - po.ln_prob

@@ -286,10 +286,11 @@ def test_criterion_08_bound_suite():
         delta_hat = float(rng.uniform(0.05, 1.0))
         base = float(rng.uniform(-1.2, 0.1))
         beta = base + rng.uniform(-delta_hat / (2 * r), delta_hat / (2 * r), size=n)
-        if field_summary(beta, n, r).avg_lambda > 7.0 / 8.0:
+        field = field_summary(beta, n, r)
+        if field.avg_lambda > 7.0 / 8.0:
             continue
-        checks = check_weight_ratio_bounds(beta, n, r, delta_hat)
-        checks += bound_suite(beta, n, r, delta_hat).checks
+        checks = check_weight_ratio_bounds(field, delta_hat)
+        checks += bound_suite(field, delta_hat).checks
         failed = [c.name for c in checks if c.status == "fail"]
         assert not failed, (failed, n, r, delta_hat)
         draws += 1

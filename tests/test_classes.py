@@ -4,6 +4,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations_with_replacement
@@ -12,13 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperdeg import fields
+from hyperdeg import fields, subsets
 from hyperdeg.cli import run
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry, derive
 from hyperdeg.counts import estimate_general, symmetry_audit
 from hyperdeg.errors import BudgetExceeded
-from hyperdeg.fields import VertexClasses, field_summary
-from hyperdeg.matrices import logdet_pd, regular_closed_form, weight_logdet
+from hyperdeg.fields import VertexClasses, check_weight_ratio_bounds, field_summary
+from hyperdeg.matrices import bound_suite, logdet_pd, regular_closed_form, weight_logdet
 from hyperdeg.solver import solve
 from hyperdeg.subsets import iter_multisets
 
@@ -281,3 +284,70 @@ def test_symmetry_audit_on_the_class_route():
     assert audit.max_ln_gap <= 1e-10 * max(abs(v) for v in audit.ln_values.values())
     for check in audit.det_ratio_checks.values():
         assert check["rel_gap"] <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["distinct16", "distinct20"])
+def test_bound_suites_read_the_solve_field_bit_for_bit_at_k_equal_n(name):
+    seq = DegreeSequence.from_json_dict(RECORDED["instances"][name])
+    report = solve(seq)
+    assert report.field.classes.k == seq.n
+    delta_hat = max(report.spread * seq.r, 1e-6)
+    fresh = field_summary(report.beta_star, seq.n, seq.r)
+    got, want = bound_suite(report.field, delta_hat), bound_suite(fresh, delta_hat)
+    assert got.checks == want.checks
+    assert got.measured_inverse_constant == want.measured_inverse_constant
+    assert got.measured_offdiag_constant == want.measured_offdiag_constant
+    assert (check_weight_ratio_bounds(report.field, delta_hat)
+            == check_weight_ratio_bounds(fresh, delta_hat))
+
+
+def two_class_audit_input(n):
+    """Near-regular degrees at r = 4 with two distinct values, half each."""
+    d = int(0.3 * math.comb(n - 1, 3))
+    return json.dumps({"n": n, "r": 4, "degrees": [d] * (n // 2) + [d + 4] * (n - n // 2)})
+
+
+def test_two_class_audit_enumerates_far_fewer_rows_than_its_subsets(monkeypatch):
+    # the bound checks read the solves' own class fields, so no pass visits
+    # the C(80, 4) = 1,581,580 subsets
+    rows = []
+    real = subsets.iter_chunks
+
+    def counted(*args, **kwargs):
+        for chunk in real(*args, **kwargs):
+            rows.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(subsets, "iter_chunks", counted)
+    monkeypatch.setattr(fields, "iter_chunks", counted)
+    code, out, err = invoke(["audit", "--input", two_class_audit_input(80)])
+    assert code == 0, err
+    assert "fail" not in {c["status"] for c in json.loads(out)["weight_ratio_checks"]}
+    assert 0 < sum(rows) < math.comb(80, 4) // 1000
+
+
+# VmHWM is the peak resident size of this process image; getrusage's
+# ru_maxrss would also carry the forking test process's peak across exec
+PEAK_RSS = """
+import sys
+from hyperdeg.cli import run
+code = run(sys.argv[1:])
+with open("/proc/self/status") as status:
+    sys.stderr.write([line for line in status if line.startswith("VmHWM:")][0])
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+@pytest.mark.parametrize("n", [80, 120])
+def test_two_class_audit_runs_in_little_memory(n):
+    # the dense C(n, r) x n incidence matrix of the former ratio checks took
+    # over 1 GB at (80, 4) and would take 7.9 GB at (120, 4)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, "audit", "--input", two_class_audit_input(n)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stderr.split("VmHWM:")[-1].split()[0]) / 1024
+    assert peak_mb < 300, peak_mb

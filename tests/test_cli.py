@@ -542,3 +542,45 @@ def test_importing_the_cli_starts_no_blas_threads():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_budget_below_one_exits_two(monkeypatch, value):
+    argv = ["count", "--input", str(INSTANCES / "reg6.json"), "--method", "exact"]
+    code, out, err = invoke(["--budget", value] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"error: --budget={value} is not a finite number of at least 1"
+    )
+    monkeypatch.setenv("HYPERDEG_BUDGET", value)
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"error: HYPERDEG_BUDGET='{value}' is not a finite number of at least 1"
+    )
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["selftest", "bounds", "--trials", "-2"], "--trials"),
+    (["selftest", "identities", "--trials", "-1"], "--trials"),
+    (["sample", "-n", "6", "-r", "3", "-m", "4", "--seed", "1", "--count", "-1"],
+     "--count"),
+])
+def test_negative_counts_exit_two_naming_the_flag(argv, flag):
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith(f"error: {flag} must be at least 0")
+    assert "Traceback" not in err
+
+
+def test_zero_counts_are_valid():
+    code, out, _ = invoke(["selftest", "bounds", "--trials", "0"])
+    assert code == 0
+    assert json.loads(out) == {"trials": 0, "failures": 0, "rows": []}
+    code, out, _ = invoke(["sample", "-n", "6", "-r", "3", "-m", "4", "--seed", "1",
+                           "--count", "0"])
+    assert code == 0
+    assert out == "d_1,d_2,d_3,d_4,d_5,d_6\n"

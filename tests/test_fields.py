@@ -17,7 +17,7 @@ from hyperdeg.fields import (
 from hyperdeg import fields
 from hyperdeg.fields import Twofold
 from hyperdeg.solver import initial_beta, solve
-from hyperdeg.subsets import incidence, iter_chunks
+from hyperdeg.subsets import colex_rank, incidence, iter_chunks
 
 E = math.e
 
@@ -160,7 +160,7 @@ def test_complement_weight_identities():
 
 
 def test_ratio_bounds_pass_at_zero_and_on_smooth_vectors():
-    checks = check_weight_ratio_bounds(np.zeros(6), 6, 3, delta_hat=0.0)
+    checks = check_weight_ratio_bounds(field_summary(np.zeros(6), 6, 3), delta_hat=0.0)
     assert all(c.status == "pass" for c in checks)
     assert all(abs(c.slack) < 1e-14 for c in checks if c.name.startswith("pair"))
 
@@ -172,14 +172,14 @@ def test_ratio_bounds_pass_at_zero_and_on_smooth_vectors():
         base = float(rng.uniform(-1.0, 0.1))
         beta = base + rng.uniform(-delta_hat / (2 * r), delta_hat / (2 * r), size=n)
         f = field_summary(beta, n, r)
-        checks = check_weight_ratio_bounds(beta, n, r, delta_hat)
+        checks = check_weight_ratio_bounds(f, delta_hat)
         for check in checks:
             assert check.status != "fail", (check, n, r, delta_hat, f.avg_lambda)
 
 
 def test_ratio_bounds_skipped_outside_precondition():
     beta = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
-    checks = check_weight_ratio_bounds(beta, 6, 3, delta_hat=0.01)
+    checks = check_weight_ratio_bounds(field_summary(beta, 6, 3), delta_hat=0.01)
     assert all(c.status == "skipped" for c in checks)
 
 
@@ -189,7 +189,8 @@ def test_pair_ratio_slack_is_positive_inside_the_spread_bound():
     rng = np.random.default_rng(7)
     for n, r, delta_hat in [(6, 3, 0.5), (8, 4, 0.2), (9, 3, 1.0)]:
         beta = -0.3 + rng.uniform(-delta_hat / (2 * r), delta_hat / (2 * r), size=n)
-        slacks = {c.name: c.slack for c in check_weight_ratio_bounds(beta, n, r, delta_hat)}
+        field = field_summary(beta, n, r)
+        slacks = {c.name: c.slack for c in check_weight_ratio_bounds(field, delta_hat)}
         assert slacks["pair-ratio-lambda"] > 0
         assert slacks["pair-ratio-complement"] > 0
 
@@ -202,7 +203,8 @@ def test_pair_ratio_checks_still_fail_on_a_violating_beta():
     beta = np.full(6, -30.0)
     beta[0] += delta_hat / 3 * (1 + 0.9e-12)
     for sign, name in ((1, "pair-ratio-lambda"), (-1, "pair-ratio-complement")):
-        checks = {c.name: c for c in check_weight_ratio_bounds(sign * beta, 6, 3, delta_hat)}
+        field = field_summary(sign * beta, 6, 3)
+        checks = {c.name: c for c in check_weight_ratio_bounds(field, delta_hat)}
         assert checks[name].status == "fail"
         assert -1e-11 < checks[name].slack < 0
 
@@ -349,7 +351,8 @@ def reference_pair_slacks(beta, n, r, delta_hat, block=1 << 20):
 
 
 def _pair_checks(beta, n, r, delta_hat):
-    checks = {c.name: c for c in check_weight_ratio_bounds(beta, n, r, delta_hat)}
+    field = field_summary(beta, n, r)
+    checks = {c.name: c for c in check_weight_ratio_bounds(field, delta_hat)}
     return tuple(checks[name] for name in ("pair-ratio-lambda", "pair-ratio-complement"))
 
 
@@ -404,3 +407,119 @@ def test_pair_ratio_slacks_match_the_full_scan_on_tied_beta(n, r):
             assert abs(check.slack - slack) <= tol, (trial, check, slack)
             if abs(slack) > tol:
                 assert check.status == ("pass" if slack >= 0 else "fail")
+
+
+RATIO_NAMES = (
+    "pair-ratio-lambda",
+    "pair-ratio-complement",
+    "ratio-to-average",
+    "variance-ratio-to-average",
+    "average-vs-variance-average",
+)
+
+
+def dense_ratio_checks(beta, n, r, delta_hat):
+    """Reference: the weight-ratio checks from the dense C(n, r) x n incidence
+    matrix, every subset's weight and the averages over all of them."""
+    if float(beta.max() - beta.min()) * r > delta_hat * (1 + 1e-12):
+        return {name: ("skipped", None) for name in RATIO_NAMES}
+    s = incidence(n, r) @ beta
+    lam, one_minus = logistic(s), logistic(-s)
+    log_lam, log_one = np.log(lam), np.log(one_minus)
+    order = np.argsort(beta, kind="stable").tolist()
+
+    def row(vertices):
+        return colex_rank(sorted(vertices))
+
+    low, high = row(order[:r]), row(order[n - r:])
+    ks = range(1, min(r, n - r) + 1)
+    allowance = np.array([delta_hat * (1.0 - (r - k) / r) for k in ks])
+    up = np.array([row(order[k:r] + order[n - k:]) for k in ks], dtype=np.int64)
+    down = np.array([row(order[:k] + order[n - r:n - k]) for k in ks], dtype=np.int64)
+    avg = float(lam.mean())
+    big = float((lam * one_minus).mean())
+    slacks = {
+        "pair-ratio-lambda": float(
+            np.min(allowance - np.abs(log_lam[up] - log_lam[low]), initial=np.inf)
+        ),
+        "pair-ratio-complement": float(
+            np.min(allowance - np.abs(log_one[high] - log_one[down]), initial=np.inf)
+        ),
+        "ratio-to-average": float(delta_hat - np.abs(log_lam - math.log(avg)).max()),
+        "variance-ratio-to-average": float(
+            2.0 * delta_hat - np.abs(np.log(lam * one_minus) - math.log(big)).max()
+        ),
+    }
+    if avg <= 7.0 / 8.0:
+        lower = math.exp(-delta_hat) / 256.0 * avg
+        slacks["average-vs-variance-average"] = float(min(big - lower, avg - big))
+    out = {name: ("pass" if slack >= 0 else "fail", slack) for name, slack in slacks.items()}
+    out.setdefault("average-vs-variance-average", ("skipped", None))
+    return out
+
+
+def ratio_beta(rng, n, r, kind):
+    """A beta inside the spread bound of a random delta_hat: generic, with
+    subset sums on both sides of 0, saturated (|s| near 40), or tied (two
+    levels)."""
+    delta_hat = float(rng.uniform(0.05, 3.0))
+    half = delta_hat / (2 * r)
+    if kind == "generic":
+        beta = float(rng.uniform(-1.5, 0.5)) + rng.uniform(-half, half, size=n)
+    elif kind == "straddle":
+        beta = float(rng.uniform(-half, half)) + rng.uniform(-half, half, size=n)
+    elif kind == "saturated":
+        beta = float(rng.choice([-40.0, 40.0])) / r + rng.uniform(-half, half, size=n)
+    else:
+        levels = float(rng.uniform(-1.0, 0.5)) + rng.uniform(-half, half, size=2)
+        beta = levels[rng.integers(0, 2, size=n)]
+    return beta, delta_hat
+
+
+@pytest.mark.parametrize("n", range(5, 12))
+def test_ratio_checks_match_the_dense_reference(n):
+    """The checks read at the extreme subsets and the field's averages agree
+    with the dense scan to a few ulps of the largest |subset sum|; a status
+    may differ only where the slack itself is that small."""
+    rng = np.random.default_rng(500 + n)
+    eps = np.finfo(np.float64).eps
+    compared = 0
+    for r in range(1, n):
+        for kind in ("generic", "straddle", "saturated", "tied"):
+            for _ in range(2):
+                beta, delta_hat = ratio_beta(rng, n, r, kind)
+                got = {c.name: c for c in check_weight_ratio_bounds(
+                    field_summary(beta, n, r), delta_hat)}
+                assert tuple(got) == RATIO_NAMES
+                for name, (status, slack) in dense_ratio_checks(beta, n, r, delta_hat).items():
+                    check = got[name]
+                    if slack is None:
+                        assert (check.status, check.slack) == (status, None), (name, kind)
+                        continue
+                    tol = 4 * eps * max(1.0, abs(slack), r * float(np.abs(beta).max()))
+                    assert abs(check.slack - slack) <= tol, (name, kind, r, check.slack, slack)
+                    if abs(slack) > tol:
+                        assert check.status == status, (name, kind, r)
+                    compared += 1
+    assert compared > 30 * (n - 1)
+
+
+def test_ratio_checks_on_the_class_route_match_the_colex_field():
+    # vertices of equal degree share one beta, and the nearest-zero search
+    # skips the compositions that stand for no subset
+    seq = DegreeSequence(8, 3, (10,) * 4 + (11,) * 4)
+    report = solve(seq)
+    assert report.field.classes.k == 2
+    delta_hat = max(report.spread * seq.r, 1e-6)
+    got = check_weight_ratio_bounds(report.field, delta_hat)
+    want = check_weight_ratio_bounds(field_summary(report.beta_star, seq.n, seq.r), delta_hat)
+    for a, b in zip(got, want):
+        assert (a.name, a.status) == (b.name, b.status)
+        assert a.slack == pytest.approx(b.slack, rel=1e-12, abs=1e-12)
+    classes = fields.VertexClasses(
+        np.array([0, 1, 1, 1, 1, 1]), np.array([1, 5]), np.array([0, 1])
+    )
+    field = field_summary(np.array([0.15, -0.2]), 6, 3, classes=classes)
+    # the composition (0, 0, 1) has multiplicity 0: its sum 0.1 is nearer 0
+    # than any real subset's, of which (0, 1, 1) at -0.25 is the nearest
+    assert fields._sum_nearest_zero(field) == pytest.approx(-0.25)

@@ -81,7 +81,7 @@ def test_assembled_matrix_positive_definite_and_symmetric():
 
 
 def test_bound_suite_zero_beta():
-    report = bound_suite(np.zeros(6), 6, 3, delta_hat=0.0)
+    report = bound_suite(field_summary(np.zeros(6), 6, 3), delta_hat=0.0)
     assert report.all_passed
     for check in report.checks:
         if "ratio" in check.name or "sandwich" in check.name:
@@ -94,15 +94,15 @@ def test_bound_suite_solved_instance():
     seq = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
     rep = solve(seq)
     delta_hat = rep.spread * seq.r
-    report = bound_suite(rep.beta_star, seq.n, seq.r, delta_hat)
+    report = bound_suite(field_summary(rep.beta_star, seq.n, seq.r), delta_hat)
     assert report.all_passed, [c for c in report.checks if c.status == "fail"]
 
 
 def test_bound_suite_skips_outside_precondition():
-    report = bound_suite(np.array([2.0, -2.0, 0.0, 0.0, 0.0, 0.0]), 6, 3, 0.1)
+    report = bound_suite(field_summary(np.array([2.0, -2.0, 0.0, 0.0, 0.0, 0.0]), 6, 3), 0.1)
     assert all(c.status == "skipped" for c in report.checks)
     # no pair entries exist at r = 1
-    report1 = bound_suite(np.zeros(6), 6, 1, 1.0)
+    report1 = bound_suite(field_summary(np.zeros(6), 6, 1), 1.0)
     assert all(c.status == "skipped" for c in report1.checks)
 
 

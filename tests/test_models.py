@@ -158,6 +158,14 @@ def test_predicted_ratios_regular_values():
     assert klw4["predicted_ln_ratio"] == pytest.approx(1.5, abs=1e-12)
 
 
+def test_unknown_ratio_pair_raises_in_both_ratio_functions():
+    seq = DegreeSequence(6, 3, (5, 5, 5, 5, 5, 5))
+    with pytest.raises(ValueError, match="unknown ratio pair 'typo'"):
+        predicted_ratio(seq, "typo")
+    with pytest.raises(ValueError, match="unknown ratio pair 'typo'"):
+        measured_ratio(seq, "typo")
+
+
 def test_measured_ratio_gap_shrinks_with_n():
     """Gap between measured and predicted D/T log-ratio, exact H and dp
     normalizer, on regular instances near half density: half density at

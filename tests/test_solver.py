@@ -191,7 +191,7 @@ def test_inverse_jacobian_bound_regular_and_perturbed():
     n = 20
     seq = DegreeSequence(n, 3, (57,) * n)  # lam = 1/3
     center, _ = initial_beta(seq, "regular")
-    suite = bound_suite(center, n, 3, delta_hat=0.0)
+    suite = bound_suite(field_summary(center, n, 3), delta_hat=0.0)
     constant = suite.measured_inverse_constant
     res = inverse_jacobian_bound_check(
         seq, center, center, delta1=0.0, delta2=0.0, constant=constant
