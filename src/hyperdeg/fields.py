@@ -492,12 +492,9 @@ def check_weight_ratio_bounds(field: FieldSummary, delta_hat: float) -> list[Bou
     rows = [order[:r], order[n - r:]]
     rows += [order[k:r] + order[n - k:] for k in ks]
     rows += [order[:k] + order[n - r:n - k] for k in ks]
-    # the subset sums as rows of a 0/1 matrix times beta, the product a scan
-    # of all subsets would take
-    picks = np.zeros((len(rows), n))
-    for i, vertices in enumerate(rows):
-        picks[i, vertices] = 1.0
-    s = picks @ beta
+    # each row in ascending vertex order, as the sweeps' colex rows are, so
+    # every sum adds the same terms in the same order as a scan of all subsets
+    s = beta[np.sort(rows, axis=1)].sum(axis=1)
     log_lam = np.log(logistic(s))
     log_one = np.log(logistic(-s))
     up, down = slice(2, 2 + len(ks)), slice(2 + len(ks), None)

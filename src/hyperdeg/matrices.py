@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import DerivedParams
 from .errors import DensityDegenerate, NotPositiveDefinite
@@ -66,8 +65,8 @@ def logdet_pd(matrix: np.ndarray) -> float:
     if diag_max <= 0:
         raise NotPositiveDefinite("non-positive diagonal")
     try:
-        chol = scipy.linalg.cholesky(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     pivots = np.diag(chol) ** 2
     if np.min(pivots) < PIVOT_RTOL * diag_max:

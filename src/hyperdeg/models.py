@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .budgets import check_dp_budget
 from .core import DegreeSequence, derive
@@ -37,7 +36,7 @@ def log_comb(a: float, b: float) -> float:
     """log C(a, b) via log-gamma; -inf outside the support."""
     if b < 0 or b > a:
         return LOG_ZERO
-    return float(gammaln(a + 1.0) - gammaln(b + 1.0) - gammaln(a - b + 1.0))
+    return math.lgamma(a + 1.0) - math.lgamma(b + 1.0) - math.lgamma(a - b + 1.0)
 
 
 @dataclass(frozen=True)
@@ -104,12 +103,17 @@ def _log_pmf_vector(spec: HypergeomSpec) -> np.ndarray:
     ks = np.arange(support.start, support.stop)
     marked, rest = spec.marked, spec.population - spec.marked
     num = (
-        (gammaln(marked + 1.0) - gammaln(ks + 1.0) - gammaln(marked - ks + 1.0))
-        + (gammaln(rest + 1.0) - gammaln(spec.m - ks + 1.0)
-           - gammaln(rest - (spec.m - ks) + 1.0))
+        (math.lgamma(marked + 1.0) - _lgamma(ks + 1.0) - _lgamma(marked - ks + 1.0))
+        + (math.lgamma(rest + 1.0) - _lgamma(spec.m - ks + 1.0)
+           - _lgamma(rest - (spec.m - ks) + 1.0))
     )
     out[ks] = num - log_comb(spec.population, spec.m)
     return out
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """``math.lgamma`` of each entry, bit-identical to the scalar call."""
+    return np.fromiter(map(math.lgamma, x.tolist()), np.float64, x.size)
 
 
 def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 The system asks for a vector beta whose per-vertex sums of edge weights
 reproduce the degrees: ``sum_{W contains j} lambda_W(beta) = d_j``.  Its
 Jacobian is exactly twice the weight matrix, which is symmetric positive
-definite away from degenerate edge sizes, so each Newton step is a Cholesky
-solve; vertices of equal degree share one unknown, so the step is k x k in
-the k distinct degrees when that is cheaper.  A solution is unique when it
+definite away from degenerate edge sizes, so a Cholesky factorization
+certifies each Newton step before one linear solve takes it; vertices of
+equal degree share one unknown, so the step is k x k in the k distinct
+degrees when that is cheaper.  A solution is unique when it
 exists (the segment entropy between two candidate solutions is strictly
 concave), which justifies single-solution semantics and the uniqueness
 diagnostic below.
@@ -21,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import logsumexp
 
 from .budgets import check_subset_budget
 from .core import DegreeSequence, DerivedParams, QuadrantTransform, derive
@@ -90,11 +89,30 @@ def _product_seed(
     check_subset_budget(classes.rows(r - 1), budget)
     degrees = np.asarray(seq.degrees, dtype=np.float64)[classes.first]
     log_d = np.log(degrees)
-    chunk_lse: list[float] = []
-    for idx, mult in class_chunks(classes, r - 1):
-        chunk_lse.append(float(logsumexp(log_d[idx].sum(axis=1), b=mult)))
-    log_s = float(logsumexp(chunk_lse)) + math.log((n - r + 1) / n)
+    chunk_lse = [
+        _logsumexp(log_d[idx].sum(axis=1), mult)
+        for idx, mult in class_chunks(classes, r - 1)
+    ]
+    log_s = _logsumexp(np.array(chunk_lse)) + math.log((n - r + 1) / n)
     return log_d - log_s / r
+
+
+def _logsumexp(x: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """``log(sum(weights * exp(x)))``, shifted by the largest x of nonzero weight.
+
+    Entries of zero weight are dropped before the shift, so they can neither
+    set it nor overflow; with none left the sum is empty and the log -inf.
+    """
+    if weights is not None:
+        keep = weights != 0
+        x, weights = x[keep], weights[keep]
+    top = float(x.max(initial=-math.inf))
+    if top == -math.inf:
+        return top
+    terms = np.exp(x - top)
+    if weights is not None:
+        terms *= weights
+    return top + math.log(float(terms.sum()))
 
 
 def _near_regular_seed(
@@ -182,7 +200,8 @@ def solve(
     The iteration runs on the classes of ``VertexClasses.for_degrees``:
     vertices of equal degree share one beta (the solution is unique), so
     the unknowns are the k class betas, each residual is a class's, and
-    the step solves ``(U^T 2A U) step = -U^T residual`` by Cholesky, which
+    the step solves ``(U^T 2A U) step = -U^T residual`` once a Cholesky
+    factorization has found that Jacobian positive definite, which
     is the n-dimensional Newton step restricted to class-constant vectors.
     At k = n (singletons) this is the plain Newton step on all C(n, r)
     subsets.  The degrees alone pick the classes: a custom ``seed_beta``
@@ -237,15 +256,16 @@ def solve(
             )
         if iteration == max_iter:
             break
+        jacobian = field.class_jacobian()
         try:
-            factor = scipy.linalg.cho_factor(
-                field.class_jacobian(), check_finite=False
-            )
-        except scipy.linalg.LinAlgError as exc:
+            np.linalg.cholesky(jacobian)
+        except np.linalg.LinAlgError as exc:
             raise SingularJacobian(
                 f"Jacobian not positive definite at iteration {iteration}: {exc}"
             ) from exc
-        step = scipy.linalg.cho_solve(factor, -(sizes * residual), check_finite=False)
+        # the factor only certifies the Jacobian; one k x k solve costs
+        # little beside the sweep each evaluation takes
+        step = np.linalg.solve(jacobian, -(sizes * residual))
 
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):

@@ -58,6 +58,13 @@ def test_logdet_examples():
         logdet_pd(np.ones((3, 3)))
 
 
+def test_logdet_maps_a_rejected_cholesky_to_not_positive_definite():
+    # positive diagonal, second pivot 1 - 4 < 0: the factorization itself fails
+    with pytest.raises(NotPositiveDefinite) as info:
+        logdet_pd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_aI_bJ_identity_against_dense():
     rng = np.random.default_rng(5)
     for _ in range(10):

@@ -382,6 +382,27 @@ def test_normalizer_and_conditioning_factor_match_per_shift_reference(monkeypatc
             assert row["gaussian"] == want["gaussian"]
 
 
+def test_log_gamma_forms_match_the_scipy_reference():
+    # both sides round each log-gamma term, so the tolerance is relative to
+    # the largest term, log Gamma(C(n, r) + 1), not to the cancelled difference
+    def reference(a, b):
+        return gammaln(a + 1.0) - gammaln(b + 1.0) - gammaln(a - b + 1.0)
+
+    for n in range(2, 61):
+        for r in range(1, min(n, 4) + 1):
+            population = math.comb(n, r)
+            tol = 1e-13 * max(1.0, float(gammaln(population + 1.0)))
+            for m in sorted({0, 1, population // 3, population // 2, population}):
+                spec = HypergeomSpec(n, r, m)
+                support = np.arange(spec.support().start, spec.support().stop)
+                rest = population - spec.marked
+                want = (reference(spec.marked, support) + reference(rest, m - support)
+                        - reference(population, m))
+                assert np.abs(_log_pmf_vector(spec)[support] - want).max() <= tol
+                for a, b in [(population, m), (spec.marked, 1), (spec.marked, spec.marked // 2)]:
+                    assert abs(models.log_comb(a, b) - reference(a, b)) <= tol
+
+
 def test_log_pmf_vector_is_bitwise_the_scalar_pmf():
     for n, r, m in [(6, 3, 0), (6, 3, 10), (7, 3, 34), (9, 4, 50), (12, 4, 100)]:
         spec = HypergeomSpec(n, r, m)

@@ -3,9 +3,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry
-from hyperdeg.errors import DensityDegenerate, NonConvergence, ZeroDegree
+from hyperdeg import fields, solver
+from hyperdeg.errors import DensityDegenerate, NonConvergence, SingularJacobian, ZeroDegree
 from hyperdeg.fields import Twofold, field_summary, logistic
 from hyperdeg.matrices import bound_suite
 from hyperdeg.solver import (
@@ -43,6 +45,26 @@ def test_product_seed_matches_brute_force():
     expected = np.log(degrees) - math.log(s) / 3
     assert np.allclose(seed, expected, atol=1e-12)
     assert seed[0] > seed[5]
+
+
+def test_logsumexp_drops_zero_weights():
+    x = np.array([1.0, 800.0, -2.0, 3.5])
+    weights = np.array([2.0, 0.0, 5.0, 1.0])
+    # the zero-weight 800 neither sets the shift nor overflows exp
+    assert solver._logsumexp(x, weights) == pytest.approx(logsumexp(x, b=weights), rel=1e-15)
+    assert solver._logsumexp(x[[0, 2, 3]]) == pytest.approx(logsumexp(x[[0, 2, 3]]), rel=1e-15)
+    assert solver._logsumexp(x, np.zeros(4)) == -math.inf
+    assert solver._logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
+
+
+def test_non_positive_definite_jacobian_raises_singular_jacobian(monkeypatch):
+    monkeypatch.setattr(
+        fields.FieldSummary, "class_jacobian",
+        lambda self: np.diag(np.r_[1.0, -np.ones(self.classes.k - 1)]),
+    )
+    with pytest.raises(SingularJacobian, match="iteration 0") as info:
+        solve(SKEW6)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_seed_errors():
