@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import budgets, identities, models
-from .core import DegreeSequence, derive
+from .core import DegreeSequence
 from .counts import (
     estimate_corollary,
     estimate_general,
@@ -131,7 +131,7 @@ def load_instance(raw: str) -> DegreeSequence:
 
 
 def warn_hypotheses(seq: DegreeSequence) -> None:
-    flags = derive(seq).flags
+    flags = seq.params.flags
     messages = {
         "edge_size_in_range": "edge size outside the hypothesis 3 <= r <= n-3",
         "main_growth": "density growth condition fails at this size",

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -51,13 +53,19 @@ class DegreeSequence:
 
     def __post_init__(self):
         named = (("n", (self.n,)), ("r", (self.r,)), ("degree", self.degrees))
+        plain = True
         for name, values in named:
             for value in values:
                 # the type test first: plain ints skip the slower ABC check
-                if type(value) is not int and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                ):
-                    raise NonIntegral(f"{name} {value!r} is not an integer")
+                if type(value) is not int:
+                    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                        raise NonIntegral(f"{name} {value!r} is not an integer")
+                    plain = False
+        if not plain:
+            # numpy integers would sum in int64 and wrap: keep Python ints
+            object.__setattr__(self, "n", int(self.n))
+            object.__setattr__(self, "r", int(self.r))
+            object.__setattr__(self, "degrees", tuple(map(int, self.degrees)))
         if self.n < 2:
             raise DimensionMismatch(f"need n >= 2, got n={self.n}")
         if not (1 <= self.r <= self.n - 1):
@@ -77,6 +85,11 @@ class DegreeSequence:
                 raise RangeViolation(
                     f"degree d_{j+1}={dj} outside [0, C(n-1, r-1)={cap}]"
                 )
+
+    @cached_property
+    def params(self) -> "DerivedParams":
+        """``derive(self)``, made once per instance and shared by every reader."""
+        return derive(self)
 
     @property
     def edge_count(self) -> int:
@@ -107,6 +120,60 @@ def _json_int(value):
     return value
 
 
+# Above this C(n, r) no instance takes the class route (so the subset
+# budget refuses it); below it a multiplicity capped at C(n, r) times one
+# more capped factor stays finite in float64.
+CLASS_ROUTE_LIMIT = 2**500
+
+
+@dataclass(frozen=True, eq=False)
+class VertexClasses:
+    """A partition of the vertices into classes that share one beta value.
+
+    ``index[v]`` is the class of vertex v, ``sizes[i]`` the size of class i
+    and ``first[i]`` its first vertex.  With k = n classes (singletons) a
+    sweep is the plain colex sweep over the vertices.  A solve takes its
+    classes from the degrees alone (``derive``); a beta is never split
+    into classes by its values.
+    """
+
+    index: np.ndarray
+    sizes: np.ndarray
+    first: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.index.size)
+
+    @property
+    def k(self) -> int:
+        return int(self.sizes.size)
+
+    @classmethod
+    def singletons(cls, n: int) -> "VertexClasses":
+        every = np.arange(n, dtype=np.int64)
+        return cls(every, np.ones(n, dtype=np.int64), every)
+
+    @classmethod
+    def route(cls, grouped: "VertexClasses", r: int) -> "VertexClasses":
+        """The classes a solve sweeps, given the classes of equal degree.
+
+        The solution is unique, so vertices of equal degree get equal beta.
+        The degree classes are used when their C(k+r-1, r) compositions are
+        fewer than the C(n, r) subsets; otherwise (always at k = n) every
+        vertex is its own class, in vertex order.
+        """
+        if math.comb(grouped.k + r - 1, r) < math.comb(grouped.n, r) < CLASS_ROUTE_LIMIT:
+            return grouped
+        return cls.singletons(grouped.n)
+
+    def rows(self, r: int) -> int:
+        """The rows a sweep enumerates: subsets on singletons, else compositions."""
+        if self.k == self.n:
+            return math.comb(self.n, r)
+        return math.comb(self.k + r - 1, r)
+
+
 @dataclass(frozen=True)
 class DerivedParams:
     """Every scalar the closed formulas consume, plus hypothesis flags.
@@ -127,6 +194,9 @@ class DerivedParams:
     r3: float
     r4: float
     flags: dict
+    # the classes a solve sweeps, and the degree of each
+    classes: VertexClasses = field(compare=False, repr=False)
+    class_degrees: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def d(self) -> float:
@@ -142,23 +212,30 @@ class DerivedParams:
 
 
 def derive(seq: DegreeSequence) -> DerivedParams:
+    """The scalars and the swept classes from one ``np.unique`` of the degrees;
+    every sum runs over the k distinct degrees in Python ints."""
     n, r = seq.n, seq.r
-    total = sum(seq.degrees)
+    cap = math.comb(n - 1, r - 1)
+    # degrees beyond int64 stay Python ints, in an object array
+    values, first, index, sizes = np.unique(
+        np.fromiter(seq.degrees, np.int64 if cap < 2**63 else object, n),
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    distinct, counts = values.tolist(), sizes.tolist()
+    total = sum(c * dj for dj, c in zip(distinct, counts))
     d_exact = Fraction(total, n)
     m = total // r
-    cap = math.comb(n - 1, r - 1)
     lam = Fraction(d_exact, cap)
     q = (1 - lam) * (n - r) * d_exact
+
     # d_j - d = (n d_j - total) / n: integer power sums over the distinct
     # degrees, divided by n^s once
-    counts = Counter(seq.degrees)
-
     def power_sum(s: int) -> float:
         return float(Fraction(
-            sum(c * (n * dj - total) ** s for dj, c in counts.items()), n**s
+            sum(c * (n * dj - total) ** s for dj, c in zip(distinct, counts)), n**s
         ))
 
-    delta_max = max(max(abs(n * dj - total) for dj in counts) / n, 1.0)
+    delta_max = max(max(abs(n * dj - total) for dj in distinct) / n, 1.0)
     r2, r3, r4 = power_sum(2), power_sum(3), power_sum(4)
 
     qf = float(q)
@@ -176,13 +253,14 @@ def derive(seq: DegreeSequence) -> DerivedParams:
         ),
         # proxy for the solved-spread condition: degree log-spread at most 1/r
         "degree_spread_ok": (
-            all(dj > 0 for dj in counts)
+            distinct[0] > 0
             and d_exact > 0
-            and max(abs(math.log(dj / float(d_exact))) for dj in counts)
+            and max(abs(math.log(dj / float(d_exact))) for dj in distinct)
             <= 1.0 / r
         ),
-        "first_quadrant": in_first_quadrant(seq),
+        "first_quadrant": 2 * r <= n and 2 * m <= math.comb(n, r),
     }
+    classes = VertexClasses.route(VertexClasses(index.reshape(n), sizes, first), r)
     return DerivedParams(
         n=n,
         r=r,
@@ -195,6 +273,8 @@ def derive(seq: DegreeSequence) -> DerivedParams:
         r3=r3,
         r4=r4,
         flags=flags,
+        classes=classes,
+        class_degrees=tuple(distinct) if classes.k < n else seq.degrees,
     )
 
 
@@ -216,7 +296,7 @@ def apply_symmetry(seq: DegreeSequence, t: QuadrantTransform) -> DegreeSequence:
 
 
 def in_first_quadrant(seq: DegreeSequence) -> bool:
-    return 2 * seq.r <= seq.n and 2 * seq.edge_count <= math.comb(seq.n, seq.r)
+    return seq.params.flags["first_quadrant"]
 
 
 def canonicalize_first_quadrant(

@@ -27,10 +27,9 @@ from .core import (
     QuadrantTransform,
     apply_symmetry,
     canonicalize_first_quadrant,
-    derive,
 )
 from .errors import DensityDegenerate
-from .fields import FieldSummary, VertexClasses, logistic
+from .fields import FieldSummary, logistic
 from .matrices import regular_closed_form, weight_logdet
 from .solver import SolveReport, apply_beta_symmetry, require_converged, solve
 from .subsets import colex_unrank
@@ -129,10 +128,10 @@ def estimate_general(
     field sweep in its own frame, with no transform and no further sweep;
     the formula is exactly frame-invariant, so both agree to rounding.  The
     log-determinant comes from the k x k determinant lemma on the class
-    route (``VertexClasses.for_degrees``) and from the n x n Cholesky on
+    route (the classes of ``seq.params``) and from the n x n Cholesky on
     singletons.
     """
-    params = derive(seq)
+    params = seq.params
     if not (0.0 < params.lam < 1.0):
         raise DensityDegenerate("empty or complete instance; use the exact oracle")
     if report is None:
@@ -156,7 +155,7 @@ def estimate_near_regular(seq: DegreeSequence) -> LogEstimate:
              - (n-1) R2 / (2Q) + n^2 R2 / (4Q^2)
              + (1-2 lam)(n-2r) n R3 / (6Q^2) - n^3 R4 / (12Q^3)``.
     """
-    params = derive(seq)
+    params = seq.params
     n, r = params.n, params.r
     lam, q = params.lam, params.q
     if not (0.0 < lam < 1.0):
@@ -194,7 +193,7 @@ def estimate_corollary(seq: DegreeSequence) -> LogEstimate:
     value is the canonical instance's, which equals the input's count.
     """
     canonical, _ = canonicalize_first_quadrant(seq)
-    params = derive(canonical)
+    params = canonical.params
     n, r = params.n, params.r
     lam, d = params.lam, params.d
     if not (0.0 < lam < 1.0):
@@ -281,7 +280,7 @@ def symmetry_audit(
             # read the moved solution on the image's own classes: a base
             # solved on singletons (r > n/2) agrees within a degree class
             # only to rounding, where the image at n - r may take classes
-            classes = VertexClasses.for_degrees(image.degrees, image.r)
+            classes = image.params.classes
             seed = apply_beta_symmetry(base_beta, t, n, r)[classes.first]
             image_report = solve(
                 image, seed_beta=seed[classes.index], tol=tol, budget=budget

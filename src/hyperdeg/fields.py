@@ -7,7 +7,7 @@ per-pair variance weights, the average weight, the average variance weight
 and the entropy sum; ``log_prefactor`` reads the log-prefactor of the
 exact coefficient-extraction identity from one such sweep.
 
-Vertices with equal beta can be swept as classes (``VertexClasses``): with
+Vertices with equal beta can be swept as classes (``core.VertexClasses``): with
 class sizes n_i, the subsets fall into compositions a of r (a_i vertices
 from class i), each standing for prod C(n_i, a_i) subsets with one weight,
 so a sweep over the C(k+r-1, r) compositions replaces one over all C(n, r)
@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .budgets import check_subset_budget, subset_budget
-from .core import DegreeSequence
+from .core import DegreeSequence, VertexClasses
 from .errors import BudgetExceeded
 from .subsets import CHUNK, iter_chunks, iter_multisets
 
@@ -66,68 +66,6 @@ def lambda_of_subset(beta, subset: Sequence[int]) -> float:
         raise ValueError("subset not contained in the vertex set")
     s = float(arr[idx].sum())
     return float(logistic(s))
-
-
-# Above this C(n, r) no instance takes the class route (so the subset
-# budget refuses it); below it a multiplicity capped at C(n, r) times one
-# more capped factor stays finite in float64.
-CLASS_ROUTE_LIMIT = 2**500
-
-
-@dataclass(frozen=True, eq=False)
-class VertexClasses:
-    """A partition of the vertices into classes that share one beta value.
-
-    ``index[v]`` is the class of vertex v, ``sizes[i]`` the size of class i
-    and ``first[i]`` its first vertex.  With k = n classes (singletons) a
-    sweep is the plain colex sweep over the vertices.  A solve takes its
-    classes from the degrees alone (``for_degrees``); a beta is never split
-    into classes by its values.
-    """
-
-    index: np.ndarray
-    sizes: np.ndarray
-    first: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.index.size)
-
-    @property
-    def k(self) -> int:
-        return int(self.sizes.size)
-
-    @classmethod
-    def singletons(cls, n: int) -> "VertexClasses":
-        every = np.arange(n, dtype=np.int64)
-        return cls(every, np.ones(n, dtype=np.int64), every)
-
-    @classmethod
-    def for_degrees(cls, degrees, r: int) -> "VertexClasses":
-        """The classes a solve sweeps: vertices of equal degree.
-
-        The solution is unique, so vertices of equal degree get equal beta.
-        The degree classes are used when their C(k+r-1, r) compositions are
-        fewer than the C(n, r) subsets; otherwise (always at k = n) every
-        vertex is its own class, in vertex order.
-        """
-        n = len(degrees)
-        _, first, index, sizes = np.unique(
-            np.asarray(degrees), return_index=True, return_inverse=True,
-            return_counts=True,
-        )
-        if math.comb(sizes.size + r - 1, r) < math.comb(n, r) < CLASS_ROUTE_LIMIT:
-            return cls(
-                index.reshape(n).astype(np.int64), sizes.astype(np.int64),
-                first.astype(np.int64),
-            )
-        return cls.singletons(n)
-
-    def rows(self, r: int) -> int:
-        """The rows a sweep enumerates: subsets on singletons, else compositions."""
-        if self.k == self.n:
-            return math.comb(self.n, r)
-        return math.comb(self.k + r - 1, r)
 
 
 @dataclass

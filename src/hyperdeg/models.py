@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .budgets import check_dp_budget
-from .core import DegreeSequence, derive
+from .core import DegreeSequence
 from .errors import BudgetExceeded, DensityDegenerate, ExpansionDomainError
 from .subsets import colex_unrank
 
@@ -280,7 +280,7 @@ def predicted_ratio(
     Returns the prediction together with its error indicator (implicit
     constant 1; an indicator, not a bound).
     """
-    params = derive(seq)
+    params = seq.params
     n, r = params.n, params.r
     lam, d, q = params.lam, params.d, params.q
     if not (0.0 < lam < 1.0):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgets import check_subset_budget
-from .core import DegreeSequence, DerivedParams, QuadrantTransform, derive
+from .core import DegreeSequence, DerivedParams, QuadrantTransform
 from .errors import (
     DensityDegenerate,
     NonConvergence,
@@ -75,23 +75,20 @@ def _regular_seed(params: DerivedParams, k: int) -> np.ndarray:
     return np.full(k, value)
 
 
-def _product_seed(
-    seq: DegreeSequence, classes: VertexClasses, budget: int | None = None
-) -> np.ndarray:
+def _product_seed(params: DerivedParams, budget: int | None = None) -> np.ndarray:
     """Seed from degree products over (r-1)-subsets, one value per class.
 
     beta_j = log d_j - (1/r) log S with
     S = ((n-r+1)/n) * sum over (r-1)-subsets of the degree product.
     """
-    n, r = seq.n, seq.r
-    if any(dj == 0 for dj in seq.degrees):
+    n, r = params.n, params.r
+    if min(params.class_degrees) == 0:
         raise ZeroDegree("product seed needs all degrees positive")
-    check_subset_budget(classes.rows(r - 1), budget)
-    degrees = np.asarray(seq.degrees, dtype=np.float64)[classes.first]
-    log_d = np.log(degrees)
+    check_subset_budget(params.classes.rows(r - 1), budget)
+    log_d = np.log(np.asarray(params.class_degrees, dtype=np.float64))
     chunk_lse = [
         _logsumexp(log_d[idx].sum(axis=1), mult)
-        for idx, mult in class_chunks(classes, r - 1)
+        for idx, mult in class_chunks(params.classes, r - 1)
     ]
     log_s = _logsumexp(np.array(chunk_lse)) + math.log((n - r + 1) / n)
     return log_d - log_s / r
@@ -115,9 +112,7 @@ def _logsumexp(x: np.ndarray, weights: np.ndarray | None = None) -> float:
     return top + math.log(float(terms.sum()))
 
 
-def _near_regular_seed(
-    seq: DegreeSequence, params: DerivedParams, classes: VertexClasses
-) -> np.ndarray:
+def _near_regular_seed(params: DerivedParams) -> np.ndarray:
     """Regular seed plus the explicit near-regular correction, per class.
 
     The correction per vertex is
@@ -131,9 +126,8 @@ def _near_regular_seed(
     lam, d = params.lam, params.d
     if not (0.0 < lam < 1.0):
         raise DensityDegenerate(f"density {lam} has no finite seed")
-    total = sum(seq.degrees)
-    # delta_j = d_j - d = (n d_j - total) / n, rounded once by int division
-    delta = np.array([(n * seq.degrees[j] - total) / n for j in classes.first])
+    # delta_j = d_j - d = (n d_j - r m) / n, rounded once by int division
+    delta = np.array([(n * dj - r * params.m) / n for dj in params.class_degrees])
     r2 = params.r2
     gamma = (
         (n - 1) * delta / ((1.0 - lam) * (n - r) * d)
@@ -143,36 +137,32 @@ def _near_regular_seed(
         - r * r2 / (2.0 * (n - r) ** 2 * d**2)
         + r2 / (2.0 * n * (n - r) * d**2)
     )
-    return _regular_seed(params, classes.k) + gamma
+    return _regular_seed(params, params.classes.k) + gamma
 
 
-def choose_strategy(params: DerivedParams, degrees) -> str:
+def choose_strategy(params: DerivedParams) -> str:
     """Seed auto-selection: near-regular, else product, else regular."""
     d = params.d
     if d > 0 and params.delta_max <= d**0.6:
         return "near-regular"
     cap = math.comb(params.n - 1, params.r - 1)
-    if all(dj > 0 for dj in degrees) and params.r * d <= cap:
+    if min(params.class_degrees) > 0 and params.r * d <= cap:
         return "product"
     return "regular"
 
 
 def _class_seed(
-    seq: DegreeSequence,
-    params: DerivedParams,
-    classes: VertexClasses,
-    strategy: str,
-    budget: int | None,
+    params: DerivedParams, strategy: str, budget: int | None
 ) -> tuple[np.ndarray, str]:
     """Seed values, one per class, and the strategy used."""
     if strategy == "auto":
-        strategy = choose_strategy(params, seq.degrees)
+        strategy = choose_strategy(params)
     if strategy == "regular":
-        return _regular_seed(params, classes.k), "regular"
+        return _regular_seed(params, params.classes.k), "regular"
     if strategy == "product":
-        return _product_seed(seq, classes, budget), "product"
+        return _product_seed(params, budget), "product"
     if strategy == "near-regular":
-        return _near_regular_seed(seq, params, classes), "near-regular"
+        return _near_regular_seed(params), "near-regular"
     raise ValueError(f"unknown seed strategy {strategy!r}")
 
 
@@ -182,9 +172,8 @@ def initial_beta(
     budget: int | None = None,
 ) -> tuple[np.ndarray, str]:
     """Seed vector for the Newton iteration; returns (seed, strategy used)."""
-    classes = VertexClasses.for_degrees(seq.degrees, seq.r)
-    beta, used = _class_seed(seq, derive(seq), classes, strategy, budget)
-    return beta[classes.index], used
+    beta, used = _class_seed(seq.params, strategy, budget)
+    return beta[seq.params.classes.index], used
 
 
 def solve(
@@ -197,7 +186,7 @@ def solve(
 ) -> SolveReport:
     """Solve the degree system by damped Newton iteration.
 
-    The iteration runs on the classes of ``VertexClasses.for_degrees``:
+    The iteration runs on the classes of ``seq.params.classes``:
     vertices of equal degree share one beta (the solution is unique), so
     the unknowns are the k class betas, each residual is a class's, and
     the step solves ``(U^T 2A U) step = -U^T residual`` once a Cholesky
@@ -219,12 +208,11 @@ def solve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    params = derive(seq)
+    params, classes = seq.params, seq.params.classes
     n, r = seq.n, seq.r
-    classes = VertexClasses.for_degrees(seq.degrees, r)
     check_subset_budget(classes.rows(r), budget)
     if seed_beta is None:
-        beta, seed_used = _class_seed(seq, params, classes, strategy, budget)
+        beta, seed_used = _class_seed(params, strategy, budget)
     else:
         seed = as_beta_array(seed_beta, n)
         beta, seed_used = seed[classes.first], "custom"
@@ -234,7 +222,7 @@ def solve(
         raise ValueError("seed vector must be finite")
 
     sizes = classes.sizes.astype(np.float64)
-    degrees = np.asarray(seq.degrees, dtype=np.float64)[classes.first]
+    degrees = np.asarray(params.class_degrees, dtype=np.float64)
     target = tol * max(params.d, 1.0)
 
     def evaluate(point):

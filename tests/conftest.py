@@ -1,12 +1,14 @@
 import pytest
 
-from hyperdeg.fields import VertexClasses
+from hyperdeg.core import VertexClasses
 
 
 @pytest.fixture
 def colex_route(monkeypatch):
-    """Every solve and estimate sweeps all C(n, r) subsets (k = n classes)."""
+    """Every instance derived from here on sweeps all C(n, r) subsets (k = n
+    classes).  An instance fixes its route when first derived, so build it in
+    the test, after this fixture."""
     monkeypatch.setattr(
-        VertexClasses, "for_degrees",
-        classmethod(lambda cls, degrees, r: cls.singletons(len(degrees))),
+        VertexClasses, "route",
+        classmethod(lambda cls, grouped, r: cls.singletons(grouped.n)),
     )

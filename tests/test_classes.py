@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperdeg import fields, subsets
+from hyperdeg import core, fields, subsets
 from hyperdeg.cli import run
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry, derive
 from hyperdeg.counts import estimate_general, symmetry_audit
@@ -42,7 +42,7 @@ def near_regular(n, r, seed, lam=0.3, spread=2):
     """Degrees d +- spread around d = lam * C(n-1, r-1), sum divisible by r."""
     rng = np.random.default_rng(seed)
     d = int(lam * math.comb(n - 1, r - 1))
-    degrees = [int(x) for x in d + rng.integers(-spread, spread + 1, size=n)]
+    degrees = [d + int(x) for x in rng.integers(-spread, spread + 1, size=n)]
     degrees[-1] += -sum(degrees) % r
     return DegreeSequence(n, r, tuple(degrees))
 
@@ -78,19 +78,25 @@ def case_id(seq):
 
 def route_values(seq):
     report = solve(seq)
-    return report.beta_star, report.field.vertex_sums, estimate_general(seq).ln_value
+    return report, estimate_general(seq).ln_value
 
 
 def colex_values(seq):
+    # an instance fixes its route when first derived, so the forced route
+    # needs an instance built inside the forcing context
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(VertexClasses, "for_degrees",
-                   classmethod(lambda cls, degrees, r: cls.singletons(len(degrees))))
-        return route_values(seq)
+        mp.setattr(VertexClasses, "route",
+                   classmethod(lambda cls, grouped, r: cls.singletons(grouped.n)))
+        report, ln = route_values(DegreeSequence(seq.n, seq.r, seq.degrees))
+    assert report.field.classes.k == seq.n
+    return report, ln
 
 
 def assert_routes_agree(seq):
-    beta, sums, ln = route_values(seq)
-    beta0, sums0, ln0 = colex_values(seq)
+    report, ln = route_values(seq)
+    report0, ln0 = colex_values(seq)
+    beta, sums = report.beta_star, report.field.vertex_sums
+    beta0, sums0 = report0.beta_star, report0.field.vertex_sums
     assert np.abs(beta - beta0).max() <= RTOL * max(1.0, np.abs(beta0).max())
     assert np.abs(sums - sums0).max() <= RTOL * max(1.0, np.abs(sums0).max())
     assert abs(ln - ln0) <= RTOL * max(1.0, abs(ln0))
@@ -98,8 +104,7 @@ def assert_routes_agree(seq):
 
 @pytest.mark.parametrize("seq", CASES, ids=case_id)
 def test_class_route_agrees_with_colex_route(seq):
-    classes = VertexClasses.for_degrees(seq.degrees, seq.r)
-    assert classes.k == len(set(seq.degrees)) < seq.n
+    assert seq.params.classes.k == len(set(seq.degrees)) < seq.n
     assert_routes_agree(seq)
 
 
@@ -161,19 +166,19 @@ def test_multisets_in_order(k, r):
 
 def test_route_choice_and_budget_count_compositions():
     seq = DegreeSequence(8, 3, (10,) * 4 + (11,) * 4)
-    classes = VertexClasses.for_degrees(seq.degrees, 3)
+    classes = seq.params.classes
     assert (classes.k, classes.rows(3)) == (2, 4)
     solve(seq, budget=4)
     with pytest.raises(BudgetExceeded, match="enumeration of 4 subsets"):
         solve(seq, budget=3)
     # all-distinct degrees, and k < n with more compositions than subsets
     for degrees in ((1, 2, 3, 4, 5, 6, 7, 8, 9), (3, 3, 4, 5, 6, 7, 8, 9, 9)):
-        classes = VertexClasses.for_degrees(degrees, 3)
+        classes = DegreeSequence(9, 3, degrees).params.classes
         assert classes.k == 9
         assert np.array_equal(classes.index, np.arange(9))
     # C(2000, 200) is beyond what the class sums can hold in float64
-    assert VertexClasses.for_degrees([7] * 2000, 200).k == 2000
-    assert VertexClasses.for_degrees([7] * 2000, 20).k == 1
+    assert DegreeSequence(2000, 200, (7,) * 2000).params.classes.k == 2000
+    assert DegreeSequence(2000, 20, (7,) * 2000).params.classes.k == 1
 
 
 def test_seed_that_splits_a_class_is_rejected():
@@ -272,6 +277,41 @@ def test_solve_and_general_count_at_a_hundred_thousand_vertices(r, tmp_path):
             assert len(payload["beta"]) == 10**5
         else:
             assert math.isfinite(payload["ln"])
+
+
+BEYOND_INT64 = json.loads((ROOT / "tests" / "data" / "beyond_int64_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("method", ["general", "near-regular", "corollary"])
+def test_degrees_beyond_int64_print_the_recorded_bytes(method):
+    # C(9999, 6) > 2^63: the degrees are tabulated as Python ints
+    spec = BEYOND_INT64["instance"]
+    seq = near_regular(spec["n"], spec["r"], spec["seed"], spec["lam"], spec["spread"])
+    assert seq.degree_cap > 2**63 and seq.params.classes.k == 5
+    code, out, err = invoke(["count", "--method", method,
+                             "--input", json.dumps(seq.to_json_dict())])
+    assert code == 0, err
+    assert out == BEYOND_INT64["stdout"][method]
+
+
+def test_each_instance_is_derived_once(monkeypatch):
+    seq = DegreeSequence(8, 3, (10,) * 4 + (11,) * 4)
+    assert seq.params is seq.params
+    calls = []
+    real = core.derive
+
+    def counted(instance):
+        calls.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(core, "derive", counted)
+    text = json.dumps(seq.to_json_dict())
+    # one instance in the first quadrant, then the four quadrant images
+    for argv, passes in ((["count", "--method", "general"], 1), (["audit"], 4)):
+        calls.clear()
+        code, _, err = invoke(argv + ["--input", text])
+        assert code == 0, err
+        assert len(calls) == passes, argv
 
 
 def test_audit_at_a_hundred_thousand_vertices_exits_four(tmp_path):

@@ -16,6 +16,7 @@ from hyperdeg.core import (
     in_first_quadrant,
 )
 import hyperdeg
+from hyperdeg.counts import estimate_near_regular
 from hyperdeg.errors import (
     DimensionMismatch,
     NonIntegral,
@@ -105,6 +106,19 @@ def test_library_construction_rejects_non_integers(n, r, degrees):
 def test_library_construction_accepts_numpy_integers():
     seq = DegreeSequence(np.int64(4), 3, tuple(np.array([1, 1, 1, 0])))
     assert derive(seq).m == 1
+    # at n = 10^5 the degree sum (r = 5) and R4 (r = 4) leave int64: given as
+    # np.int64, the instance still holds Python ints and derives exactly
+    for r in (4, 5):
+        rng = np.random.default_rng(5)
+        degrees = int(0.3 * math.comb(10**5 - 1, r - 1)) + rng.integers(-2, 3, size=10**5)
+        degrees[-1] += -sum(degrees.tolist()) % r
+        given = DegreeSequence(np.int64(10**5), np.int64(r), tuple(degrees))
+        plain = DegreeSequence(10**5, r, tuple(degrees.tolist()))
+        assert given == plain
+        assert {type(x) for x in (given.n, given.r, *given.degrees)} == {int}
+        assert given.params == plain.params
+        assert (estimate_near_regular(given).ln_value
+                == estimate_near_regular(plain).ln_value)
 
 
 def test_out_of_hypothesis_edge_size_is_flagged_not_rejected():
