@@ -15,9 +15,8 @@ from hyperdeg import (
     measured_ratio,
     predicted_ratio,
     prob_model,
-    sample_degrees,
+    sample_degree_batch,
 )
-from hyperdeg.models import sample_degree_batch
 
 seq = DegreeSequence(6, 3, (5,) * 6)
 print("instance:", seq.to_json_dict())
@@ -49,5 +48,5 @@ for k in range(11):
     if p > 1e-4:
         print(f"  {k:2d}  {p:.5f}   {empirical[k]:.5f}")
 
-one = sample_degrees(6, 3, 10, 42)
+one = tuple(sample_degree_batch(6, 3, 10, 42, 1)[0].tolist())
 print("\none deterministic sample at seed 42:", one, "(degree sum", sum(one), ")")

@@ -50,7 +50,7 @@ from .models import (
     measured_ratio,
     predicted_ratio,
     prob_model,
-    sample_degrees,
+    sample_degree_batch,
     stirling_log_binom,
 )
 from .oracle import ExactCount, cauchy_quadrature, exact_count, total_identity_check
@@ -89,7 +89,7 @@ __all__ = [
     "predicted_ratio",
     "prob_model",
     "regular_closed_form",
-    "sample_degrees",
+    "sample_degree_batch",
     "solve",
     "stirling_log_binom",
     "symmetry_audit",

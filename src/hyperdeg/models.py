@@ -10,6 +10,9 @@ Three laws on degree vectors are compared:
   normalizer has no closed form and is computed by exact convolution
   (or a central-limit approximation beyond budget).
 
+The hypergeometric log-pmf has one form, ``_log_pmf``, evaluated at the
+degrees a caller needs; ``sample_degree_batch`` is the one sampler.
+
 Everything is carried in natural-log domain: the binomial normalizers
 overflow binary64 immediately at desk scale.
 """
@@ -30,6 +33,8 @@ from .subsets import colex_unrank
 LOG_ZERO = -math.inf
 # samples per spawned random stream in sample_degree_batch
 SAMPLE_BATCH = 1024
+# the degree-spread exponent phi of the klw error indicator
+KLW_PHI = 0.47
 
 
 def log_comb(a: float, b: float) -> float:
@@ -79,41 +84,39 @@ class HypergeomSpec:
         return range(lo, hi + 1)
 
 
-def hypergeom_log_pmf(spec: HypergeomSpec, k: int) -> float:
-    num = (
-        log_comb(spec.marked, k)
-        + log_comb(spec.population - spec.marked, spec.m - k)
-    )
-    return num - log_comb(spec.population, spec.m)
-
-
 def hypergeom_pmf(spec: HypergeomSpec, k: int) -> float:
-    lp = hypergeom_log_pmf(spec, k)
-    return 0.0 if lp == LOG_ZERO else math.exp(lp)
+    """Prob(degree = k); 0.0 off the support, so outside [0, marked]."""
+    return math.exp(_log_pmf(spec, [k])[0])
 
 
-def _log_pmf_vector(spec: HypergeomSpec) -> np.ndarray:
-    """``hypergeom_log_pmf`` at 0..marked as one array; -inf off the support.
+def _log_pmf(spec: HypergeomSpec, ks) -> np.ndarray:
+    """The hypergeometric log-pmf at each degree in ``ks``; -inf off the support.
 
-    The same operations in the same order as the scalar form, so the
-    entries are bit-identical to it.
+    The only form of the pmf: log C(marked, k) + log C(rest, m - k)
+    - log C(population, m), each log-binomial formed as ``log_comb`` forms
+    it, so an entry has the same bits wherever it is evaluated.  Exact
+    integer arithmetic beyond int64, where C(n, r) needs it.
     """
-    out = np.full(spec.marked + 1, LOG_ZERO)
+    ks = np.asarray(ks, dtype=np.int64 if spec.population < 2**63 else object)
     support = spec.support()
-    ks = np.arange(support.start, support.stop)
-    marked, rest = spec.marked, spec.population - spec.marked
-    num = (
-        (math.lgamma(marked + 1.0) - _lgamma(ks + 1.0) - _lgamma(marked - ks + 1.0))
-        + (math.lgamma(rest + 1.0) - _lgamma(spec.m - ks + 1.0)
-           - _lgamma(rest - (spec.m - ks) + 1.0))
-    )
-    out[ks] = num - log_comb(spec.population, spec.m)
+    on = (ks >= support.start) & (ks < support.stop)
+    out = np.full(ks.shape, LOG_ZERO)
+    rest = spec.population - spec.marked
+    out[on] = (_log_comb_each(spec.marked, ks[on]) + _log_comb_each(rest, spec.m - ks[on])
+               - log_comb(spec.population, spec.m))
     return out
 
 
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    """``math.lgamma`` of each entry, bit-identical to the scalar call."""
-    return np.fromiter(map(math.lgamma, x.tolist()), np.float64, x.size)
+def _log_pmf_vector(spec: HypergeomSpec) -> np.ndarray:
+    """``_log_pmf`` at every degree 0..marked, the convolutions' operand."""
+    return _log_pmf(spec, np.arange(spec.marked + 1))
+
+
+def _log_comb_each(a: int, b: np.ndarray) -> np.ndarray:
+    """``log_comb(a, b)`` at each entry of b in [0, a], bit-identical to it."""
+    def lgamma(x):
+        return np.fromiter(map(math.lgamma, x.tolist()), np.float64, x.size)
+    return math.lgamma(a + 1.0) - lgamma(b + 1.0) - lgamma(a - b + 1.0)
 
 
 def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,22 +191,14 @@ class ModelPoint:
     ln_prob: float
     components: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "ln_prob": self.ln_prob,
-            "components": self.components,
-        }
-
 
 def prob_model(
     seq: DegreeSequence,
     model: str,
     normalizer: str = "dp",
-    estimate_method: str = "near-regular",
     budget: int | None = None,
 ) -> ModelPoint:
-    """Log-probability of one degree vector under one model."""
+    """Log-probability of one degree vector under one model (D-asymptotic: near-regular)."""
     n, r = seq.n, seq.r
     m = seq.edge_count
     marked = math.comb(n - 1, r - 1)
@@ -218,18 +213,13 @@ def prob_model(
     if model == "T":
         spec = HypergeomSpec(n, r, m)
         method = normalizer
-        if method == "dp":
-            try:
-                ln_p = conditioned_sum_log_prob(spec, n, nd, "dp", budget=budget)
-            except BudgetExceeded:
-                # exact convolution where affordable, local limit beyond
-                method = "clt"
-                ln_p = conditioned_sum_log_prob(spec, n, nd, "clt")
-        else:
+        try:
             ln_p = conditioned_sum_log_prob(spec, n, nd, method, budget=budget)
-        ln = -n * log_comb(population, m) - ln_p
-        for dj in seq.degrees:
-            ln += log_comb(marked, dj) + log_comb(population - marked, m - dj)
+        except BudgetExceeded:
+            # exact convolution where affordable, local limit beyond
+            method = "clt"
+            ln_p = conditioned_sum_log_prob(spec, n, nd, "clt")
+        ln = float(_log_pmf(spec, seq.degrees).sum()) - ln_p
         return ModelPoint(
             model="T", ln_prob=ln,
             components={"ln_normalizer": ln_p, "normalizer_method": method},
@@ -253,12 +243,7 @@ def prob_model(
     if model == "D-asymptotic":
         from . import counts
 
-        if estimate_method == "general":
-            est = counts.estimate_general(seq, budget=budget)
-        elif estimate_method == "corollary":
-            est = counts.estimate_corollary(seq)
-        else:
-            est = counts.estimate_near_regular(seq)
+        est = counts.estimate_near_regular(seq)
         ln = est.ln_value - log_comb(population, m)
         return ModelPoint(
             model="D-asymptotic", ln_prob=ln,
@@ -272,9 +257,7 @@ def prob_model(
 RATIO_PAIRS = {"b-vs-d": "B", "d-vs-t": "T", "klw": "B"}
 
 
-def predicted_ratio(
-    seq: DegreeSequence, pair: str, klw_phi: float = 0.47
-) -> dict:
+def predicted_ratio(seq: DegreeSequence, pair: str) -> dict:
     """Predicted ln(Prob_D / Prob_other) without the error term.
 
     Returns the prediction together with its error indicator (implicit
@@ -301,23 +284,22 @@ def predicted_ratio(
         extras = {}
     elif pair == "klw":
         value = (r - 1) / 2.0 - (r - 1) * r2 / (2.0 * (1.0 - lam) * (n - r) * d)
-        phi = klw_phi
         log_n = math.log(n)
         if r == 3:
             indicator = (
                 log_n**2 / math.sqrt(n)
-                + d ** (2.0 - 4.0 * phi) / n
-                + d ** (1.0 - 3.0 * phi)
+                + d ** (2.0 - 4.0 * KLW_PHI) / n
+                + d ** (1.0 - 3.0 * KLW_PHI)
             )
         else:
             indicator = (
                 r**2 * log_n**2 / math.sqrt(n)
-                + (lam * n + r) * r**2 * d ** (1.0 - 3.0 * phi)
+                + (lam * n + r) * r**2 * d ** (1.0 - 3.0 * KLW_PHI)
             )
         extras = {
-            "phi": phi,
-            "hypothesis_r_small": r**3 * d ** (1.0 - 3.0 * phi) < 1.0,
-            "hypothesis_degree_spread": params.delta_max <= d ** (1.0 - phi),
+            "phi": KLW_PHI,
+            "hypothesis_r_small": r**3 * d ** (1.0 - 3.0 * KLW_PHI) < 1.0,
+            "hypothesis_degree_spread": params.delta_max <= d ** (1.0 - KLW_PHI),
         }
     else:
         raise ValueError(f"unknown ratio pair {pair!r}")
@@ -367,13 +349,16 @@ def stirling_log_binom(big_k: float, lam: float, x: float) -> float:
     return main + c1 + c2 + c3 + c4 + c5 + c6 + c7
 
 
-def sample_degrees(
-    n: int, r: int, m: int, rng_seed, rng: np.random.Generator | None = None
-) -> tuple[int, ...]:
-    """Degrees of a uniform random simple m-edge hypergraph.
+def sample_degree_batch(
+    n: int, r: int, m: int, rng_seed, count: int
+) -> np.ndarray:
+    """Degrees of ``count`` uniform random simple m-edge hypergraphs, one per row.
 
-    One ``Generator.choice`` of m distinct colex ranks of the r-subsets,
-    unranked in one call; rejection-free and deterministic given the seed.
+    Each sample is one ``Generator.choice`` of m distinct colex ranks of the
+    r-subsets, unranked in one call; rejection-free and deterministic given
+    the seed.  The arguments are checked once, before any draw.  Sample i
+    is drawn from the stream spawned for batch i // SAMPLE_BATCH, so a row
+    depends only on the seed and its index, not on ``count``.
     """
     if n < 2 or not 1 <= r <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
@@ -382,36 +367,23 @@ def sample_degrees(
         raise ValueError(f"C(n, r) = {population} does not fit the int64 ranks")
     if not 0 <= m <= population:
         raise ValueError(f"need 0 <= m <= C(n, r) = {population}")
-    if rng is None:
-        rng = np.random.default_rng(rng_seed)
-    edges = colex_unrank(rng.choice(population, size=m, replace=False), n, r)
-    return tuple(np.bincount(edges.ravel(), minlength=n).tolist())
-
-
-def sample_degree_batch(
-    n: int, r: int, m: int, rng_seed, count: int
-) -> np.ndarray:
-    """``count`` samples, split into fixed streams of SAMPLE_BATCH samples.
-
-    Sample i is drawn from the stream spawned for batch i // SAMPLE_BATCH,
-    so a row depends only on the seed and its index, not on ``count``.
-    """
+    if count < 0:
+        raise ValueError(f"need count >= 0, got {count}")
     batches = (count + SAMPLE_BATCH - 1) // SAMPLE_BATCH
     seeds = np.random.SeedSequence(rng_seed).spawn(batches)
     out = np.empty((count, n), dtype=np.int64)
     for b, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         for i in range(b * SAMPLE_BATCH, min((b + 1) * SAMPLE_BATCH, count)):
-            out[i] = sample_degrees(n, r, m, None, rng=rng)
+            edges = colex_unrank(rng.choice(population, size=m, replace=False), n, r)
+            out[i] = np.bincount(edges.ravel(), minlength=n)
     return out
 
 
 def tail_bound_report(spec: HypergeomSpec, t_values) -> list[dict]:
     """Exact two-sided tails against 2 exp(-t^2 / (2(d + t/3)))."""
     d = spec.mean
-    pmf = np.array(
-        [math.exp(lp) if lp > LOG_ZERO else 0.0 for lp in _log_pmf_vector(spec).tolist()]
-    )
+    pmf = np.array([math.exp(lp) for lp in _log_pmf_vector(spec).tolist()])
     ks = np.arange(spec.marked + 1)
     out = []
     for t in t_values:

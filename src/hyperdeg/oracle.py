@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .budgets import check_dp_budget, check_grid_budget, check_subset_budget
-from .core import DegreeSequence, QuadrantTransform, apply_symmetry
+from .core import DegreeSequence
 from .errors import BudgetExceeded
 from .fields import Twofold, as_beta_array, logistic, softplus
 from .subsets import all_subsets, incidence
@@ -178,21 +178,21 @@ def exact_count(seq: DegreeSequence, budget: int | None = None) -> ExactCount:
 
     The DP bound ``prod_j (d_j + 1) * C(n, r)`` is checked against the
     budget before any state is built, and it is the only check: an
-    instance within budget is counted.  The set-complement image is counted
-    instead whenever its bound is smaller (the two counts are equal).  The
-    count itself is the orbit-compressed DP of ``_count_sparse``, which
-    holds far fewer states than the bound.
+    instance within budget is counted.  The set-complement degrees
+    C(n-1, r-1) - d_j are counted instead whenever their bound is smaller
+    (the two counts are equal).  The count itself is the orbit-compressed
+    DP of ``_count_sparse``, which holds far fewer states than the bound.
     """
-    total = math.comb(seq.n, seq.r)
-    work = seq
-    bound = math.prod(d + 1 for d in seq.degrees)
-    mirror = apply_symmetry(seq, QuadrantTransform.SET_COMPLEMENT)
-    mirror_bound = math.prod(d + 1 for d in mirror.degrees)
+    total, cap = math.comb(seq.n, seq.r), seq.degree_cap
+    work = tuple(seq.degrees)
+    bound = math.prod(d + 1 for d in work)
+    mirror = tuple(cap - d for d in work)
+    mirror_bound = math.prod(d + 1 for d in mirror)
     if mirror_bound < bound:
         work, bound = mirror, mirror_bound
     check_dp_budget(bound * total, budget)
 
-    value = _count_sparse(work.n, work.r, tuple(work.degrees))
+    value = _count_sparse(seq.n, seq.r, work)
     return ExactCount(value=value, n=seq.n, r=seq.r, degrees=tuple(seq.degrees))
 
 

@@ -8,6 +8,7 @@ deterministic-reduction contract relies on all callers agreeing on it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -21,18 +22,23 @@ def colex_rank(subset) -> int:
     return sum(comb(c, i + 1) for i, c in enumerate(subset))
 
 
-def _rank_tables(n: int, r: int) -> list[np.ndarray]:
+@lru_cache(maxsize=16)
+def _rank_tables(n: int, r: int) -> tuple[np.ndarray, ...]:
     """``tables[k][c] = min(C(c, k), C(n, r))`` for c < n and k = 1..r.
 
     The cap keeps every entry within int64 where C(c, k) for k < r exceeds
     it (C(69, 34) > 2^63 while C(70, 68) = 2415); a rank is always below
-    C(n, r), so a capped entry is never picked.
+    C(n, r), so a capped entry is never picked.  Built once per (n, r) and
+    shared, so the arrays are read-only.
     """
     total = comb(n, r)
-    return [np.zeros(0, dtype=np.int64)] + [
+    tables = (np.zeros(0, dtype=np.int64),) + tuple(
         np.array([min(comb(c, k), total) for c in range(n)], dtype=np.int64)
         for k in range(1, r + 1)
-    ]
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _unrank(rank: np.ndarray, r: int, tables) -> np.ndarray:

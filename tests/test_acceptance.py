@@ -146,13 +146,14 @@ def _random_near_regular(rng, n_choices=(6, 8, 10)):
     """Degree sequence of a uniformly random hypergraph, kept when it is
     near-regular (delta_max <= d^{3/5}) and inside the existence regime
     (degree log-spread at most 1/r, in both complement frames)."""
-    from hyperdeg.models import sample_degrees
+    from hyperdeg.models import sample_degree_batch
 
     while True:
         n = int(rng.choice(list(n_choices)))
         total = math.comb(n, 3)
         m = int(rng.integers(total // 4, 3 * total // 4))
-        seq = DegreeSequence(n, 3, sample_degrees(n, 3, m, None, rng=rng))
+        degrees = sample_degree_batch(n, 3, m, int(rng.integers(2**32)), 1)[0]
+        seq = DegreeSequence(n, 3, tuple(degrees.tolist()))
         params = derive(seq)
         mirror = derive(apply_symmetry(seq, QuadrantTransform.SET_COMPLEMENT))
         if params.delta_max > params.d**0.6:

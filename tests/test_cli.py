@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -207,6 +208,32 @@ def test_sample_stdout_matches_csv(tmp_path):
     assert out == path.read_text()
 
 
+SAMPLE_12_4_100_SEED3 = """\
+d_1,d_2,d_3,d_4,d_5,d_6,d_7,d_8,d_9,d_10,d_11,d_12
+32,37,28,36,35,36,39,28,29,32,33,35
+34,37,38,32,34,32,34,31,36,30,31,31
+30,25,27,33,35,29,37,40,33,32,39,40
+25,44,27,35,36,34,29,29,32,34,37,38
+35,39,30,35,29,34,38,32,32,38,28,30
+"""
+
+
+def test_sample_stdout_is_pinned():
+    # the recorded streams: a change to the draws or their order shows here;
+    # 1030 samples cross the boundary between the first two spawned streams
+    code, out, _ = invoke(["sample", "-n", "12", "-r", "4", "-m", "100",
+                           "--seed", "3", "--count", "5"])
+    assert code == 0
+    assert out == SAMPLE_12_4_100_SEED3
+    code, out, _ = invoke(["sample", "-n", "6", "-r", "3", "-m", "10",
+                           "--seed", "7", "--count", "1030"])
+    assert code == 0
+    assert len(out.splitlines()) == 1031
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "58756495ef00b9ec249ebfab36a202ef9a2c7239086a7e0ab23d2bc2791d6d52"
+    )
+
+
 @pytest.mark.parametrize("argv, message", [
     (["-n", "70", "-r", "35", "-m", "2"], "C(n, r) = 112186277816662845432"),
     (["-n", "0", "-r", "0", "-m", "1"], "need n >= 2"),
@@ -216,6 +243,9 @@ def test_sample_stdout_matches_csv(tmp_path):
     (["-n", "6", "-r", "6", "-m", "1"], "1 <= r <= n-1"),
     (["-n", "6", "-r", "3", "-m", "21"], "0 <= m <= C(n, r) = 20"),
     (["-n", "6", "-r", "3", "-m", "-1"], "0 <= m <= C(n, r) = 20"),
+    # an empty batch is validated like any other
+    (["-n", "6", "-r", "3", "-m", "99", "--count", "0"], "0 <= m <= C(n, r) = 20"),
+    (["-n", "-3", "-r", "1", "-m", "0", "--count", "0"], "need n >= 2"),
 ])
 def test_sample_rejects_bad_inputs_with_exit_two(argv, message):
     code, out, err = invoke(["sample", *argv, "--seed", "1"])
