@@ -12,14 +12,13 @@ from fractions import Fraction
 import numpy as np
 
 from hyperdeg import DegreeSequence, bound_suite, solve
-from hyperdeg.fields import check_weight_ratio_bounds, field_summary
+from hyperdeg.fields import check_weight_ratio_bounds
 from hyperdeg.identities import FAMILIES, IdentityFamily, brute_sum, closed_sum
 
 seq = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
 report = solve(seq)
-beta = report.beta_star
 delta_hat = report.spread * seq.r
-field = field_summary(beta, seq.n, seq.r)
+field = report.field
 print(f"solved instance, spread*r = {delta_hat:.4f}")
 
 print("\nweight-ratio bounds at the solved point:")

@@ -33,8 +33,6 @@ from .fields import (
     FieldSummary,
     VertexClasses,
     field_summary,
-    lambda_of_subset,
-    log_prefactor,
 )
 from .matrices import (
     bound_suite,
@@ -82,8 +80,6 @@ __all__ = [
     "field_summary",
     "hypergeom_pmf",
     "initial_beta",
-    "lambda_of_subset",
-    "log_prefactor",
     "logdet_pd",
     "measured_ratio",
     "predicted_ratio",

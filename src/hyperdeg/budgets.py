@@ -1,11 +1,13 @@
 """Enumeration budgets.
 
-Every operation that enumerates r-subsets, DP states, or quadrature grid
-points checks an operation count against a budget before starting.  Budgets
-are hard guards, not hints: exceeding one raises ``BudgetExceeded`` rather
-than silently truncating.  The environment variable ``HYPERDEG_BUDGET``
-overrides all three defaults at once and must be a finite number of at
-least 1; individual calls may also pass an explicit budget.
+Every operation that enumerates r-subsets or DP states checks an operation
+count against a budget before starting; the quadrature charges its grid
+points times C(n, r), one factor per r-subset at each point, to the subset
+budget.  Budgets are hard guards, not hints: exceeding one raises
+``BudgetExceeded`` rather than silently truncating.  The environment
+variable ``HYPERDEG_BUDGET`` overrides both defaults at once and must be a
+finite number of at least 1; individual calls may also pass an explicit
+budget.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import math
 import os
 
-from .errors import BudgetExceeded, GridBudgetExceeded
+from .errors import BudgetExceeded
 
 SUBSET_BUDGET_DEFAULT = 10**8
 DP_BUDGET_DEFAULT = 10**9
-GRID_BUDGET_DEFAULT = 10**9
 
 _ENV_VAR = "HYPERDEG_BUDGET"
 
@@ -59,10 +60,6 @@ def dp_budget(override: int | None = None) -> int:
     return _limit(override, DP_BUDGET_DEFAULT)
 
 
-def grid_budget(override: int | None = None) -> int:
-    return _limit(override, GRID_BUDGET_DEFAULT)
-
-
 def check_subset_budget(count: int, override: int | None = None) -> None:
     limit = subset_budget(override)
     if count > limit:
@@ -76,12 +73,4 @@ def check_dp_budget(count: int, override: int | None = None) -> None:
     if count > limit:
         raise BudgetExceeded(
             f"DP bound of {count} state-edge operations exceeds budget {limit}"
-        )
-
-
-def check_grid_budget(count: int, override: int | None = None) -> None:
-    limit = grid_budget(override)
-    if count > limit:
-        raise GridBudgetExceeded(
-            f"quadrature grid of {count} points exceeds budget {limit}"
         )

@@ -295,10 +295,6 @@ def apply_symmetry(seq: DegreeSequence, t: QuadrantTransform) -> DegreeSequence:
     raise ValueError(f"unknown transform {t!r}")
 
 
-def in_first_quadrant(seq: DegreeSequence) -> bool:
-    return seq.params.flags["first_quadrant"]
-
-
 def canonicalize_first_quadrant(
     seq: DegreeSequence,
 ) -> tuple[DegreeSequence, QuadrantTransform]:

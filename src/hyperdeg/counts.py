@@ -34,6 +34,9 @@ from .matrices import regular_closed_form, weight_logdet
 from .solver import SolveReport, apply_beta_symmetry, require_converged, solve
 from .subsets import colex_unrank
 
+# random subsets per quadrant image on which the audit checks weight transfer
+SPOT_CHECKS = 100
+
 
 @dataclass
 class LogEstimate:
@@ -118,7 +121,6 @@ def _general_ln(field: FieldSummary, logdet: float) -> float:
 def estimate_general(
     seq: DegreeSequence,
     report: SolveReport | None = None,
-    tol: float = 1e-10,
     budget: int | None = None,
 ) -> LogEstimate:
     """General-formula estimate: solve, assemble, take logs.
@@ -136,7 +138,7 @@ def estimate_general(
         raise DensityDegenerate("empty or complete instance; use the exact oracle")
     if report is None:
         canonical, _ = canonicalize_first_quadrant(seq)
-        field = solve(canonical, tol=tol, budget=budget).field
+        field = solve(canonical, budget=budget).field
     else:
         field = require_converged(report).field
     return LogEstimate(
@@ -242,8 +244,6 @@ class QuadrantAudit:
 
 def symmetry_audit(
     seq: DegreeSequence,
-    tol: float = 1e-10,
-    spot_checks: int = 100,
     rng_seed: int = 2024,
     budget: int | None = None,
     report: SolveReport | None = None,
@@ -256,11 +256,12 @@ def symmetry_audit(
     general formula is evaluated from its own solve's field sweep in its own
     frame, so ``max_ln_gap`` measures how well four independent evaluations
     agree.  Also verifies the determinant ratios ((n-r)/r)^2 between images
-    and spot-checks the edge-weight transfer identities on random subsets.
+    and spot-checks the edge-weight transfer identities on ``SPOT_CHECKS``
+    random subsets.
     """
     n, r = seq.n, seq.r
     if report is None:
-        base_report = solve(seq, tol=tol, budget=budget)
+        base_report = solve(seq, budget=budget)
     else:
         base_report = require_converged(report)
     base_beta = base_report.beta_star
@@ -282,9 +283,7 @@ def symmetry_audit(
             # only to rounding, where the image at n - r may take classes
             classes = image.params.classes
             seed = apply_beta_symmetry(base_beta, t, n, r)[classes.first]
-            image_report = solve(
-                image, seed_beta=seed[classes.index], tol=tol, budget=budget
-            )
+            image_report = solve(image, seed_beta=seed[classes.index], budget=budget)
             image_logdet = weight_logdet(image_report.field)
         ln_values[t.value] = _general_ln(image_report.field, image_logdet)
 
@@ -302,7 +301,7 @@ def symmetry_audit(
         # weight transfer: full subsets map to complements under the
         # edge-size-changing transforms, and weights to 1 - weight under
         # the set complement
-        rows = colex_unrank(rng.integers(0, total, size=min(spot_checks, total)), n, r)
+        rows = colex_unrank(rng.integers(0, total, size=min(SPOT_CHECKS, total)), n, r)
         expected_lw = logistic(base_beta[rows].sum(axis=1))
         if t in (QuadrantTransform.EDGE_COMPLEMENT, QuadrantTransform.BOTH):
             outside = np.ones((rows.shape[0], n), dtype=bool)

@@ -37,10 +37,6 @@ class BudgetExceeded(HyperdegError):
     """An enumeration would exceed the configured operation budget."""
 
 
-class GridBudgetExceeded(BudgetExceeded):
-    """The quadrature grid would exceed the configured evaluation budget."""
-
-
 class NonConvergence(HyperdegError):
     """The Newton iteration failed to reach the residual tolerance."""
 

@@ -4,8 +4,9 @@ Given a vertex parameter vector beta, each r-subset W carries the weight
 ``lambda_W = logistic(sum_{j in W} beta_j)``, the probability that W is an
 edge.  One sweep of the r-subset family accumulates the per-vertex sums,
 per-pair variance weights, the average weight, the average variance weight
-and the entropy sum; ``log_prefactor`` reads the log-prefactor of the
-exact coefficient-extraction identity from one such sweep.
+and the entropy sum.  At a solution of the degree system the log-prefactor
+of the exact coefficient-extraction identity is ``-n log(2 pi)`` plus that
+entropy sum; elsewhere it adds ``sum_j beta_j (vertex_sums_j - d_j)``.
 
 Vertices with equal beta can be swept as classes (``core.VertexClasses``): with
 class sizes n_i, the subsets fall into compositions a of r (a_i vertices
@@ -27,11 +28,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .budgets import check_subset_budget, subset_budget
-from .core import DegreeSequence, VertexClasses
+from .core import VertexClasses
 from .errors import BudgetExceeded
 from .subsets import CHUNK, iter_chunks, iter_multisets
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 def as_beta_array(beta, n: int | None = None) -> np.ndarray:
@@ -56,16 +55,6 @@ def softplus(s):
     """log(1 + e^s) without overflow."""
     s = np.asarray(s, dtype=np.float64)
     return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
-
-
-def lambda_of_subset(beta, subset: Sequence[int]) -> float:
-    """Edge weight of one subset: logistic of its beta sum."""
-    arr = as_beta_array(beta)
-    idx = np.asarray(list(subset), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= arr.size):
-        raise ValueError("subset not contained in the vertex set")
-    s = float(arr[idx].sum())
-    return float(logistic(s))
 
 
 @dataclass
@@ -308,36 +297,6 @@ def field_summary(
         big_lambda=sums["q"] / total,
         entropy=sums["entropy"],
         budget=budget,
-    )
-
-
-@dataclass
-class PrefactorResult:
-    value: float
-    discrepancy: float
-
-
-def log_prefactor(
-    beta,
-    seq: DegreeSequence,
-    budget: int | None = None,
-) -> PrefactorResult:
-    """Log of the coefficient-extraction prefactor, by both algebraic forms.
-
-    The direct form is ``-n log(2 pi) - sum_j beta_j d_j + sum_W
-    log(1 + e^{s_W})``; the entropy form replaces the last two terms by the
-    subset entropy sum.  The entropy form is the reported value.  Since
-    ``softplus(s_W) - H(lambda_W) = lambda_W s_W``, the two differ by
-    ``sum_j beta_j (vertex_sums_j - d_j)``, which vanishes exactly when beta
-    solves the degree system; its absolute value is returned as a residual
-    diagnostic.  Both come from one field sweep.
-    """
-    arr = as_beta_array(beta, seq.n)
-    field = field_summary(arr, seq.n, seq.r, budget=budget)
-    residual = field.vertex_sums - np.asarray(seq.degrees, dtype=np.float64)
-    return PrefactorResult(
-        value=-seq.n * LOG_2PI + field.entropy,
-        discrepancy=abs(float(arr @ residual)),
     )
 
 

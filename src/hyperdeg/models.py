@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import counts, oracle
 from .budgets import check_dp_budget
 from .core import DegreeSequence
 from .errors import BudgetExceeded, DensityDegenerate, ExpansionDomainError
@@ -153,20 +154,15 @@ def _log_sum_pmf(pmf: np.ndarray, copies: int) -> np.ndarray:
 
 
 def conditioned_sum_log_prob(
-    spec: HypergeomSpec,
-    n: int,
-    target: int | None = None,
-    method: str = "dp",
-    budget: int | None = None,
+    spec: HypergeomSpec, method: str = "dp", budget: int | None = None
 ) -> float:
-    """log Prob(sum of n iid per-vertex degrees equals target).
+    """log Prob(n iid per-vertex degrees sum to r m), with the n, r, m of ``spec``.
 
     ``dp`` convolves the exact pmf n times in log domain; ``clt`` uses the
     local-limit approximation ``(sigma sqrt(2 pi n))^{-1}
     exp(-y^2 / (2 n sigma^2))`` with y the offset from the mean sum.
     """
-    if target is None:
-        target = spec.m * spec.r
+    n, target = spec.n, spec.r * spec.m
     if method == "clt":
         sigma2 = spec.variance
         if sigma2 <= 0:
@@ -214,11 +210,11 @@ def prob_model(
         spec = HypergeomSpec(n, r, m)
         method = normalizer
         try:
-            ln_p = conditioned_sum_log_prob(spec, n, nd, method, budget=budget)
+            ln_p = conditioned_sum_log_prob(spec, method, budget=budget)
         except BudgetExceeded:
             # exact convolution where affordable, local limit beyond
             method = "clt"
-            ln_p = conditioned_sum_log_prob(spec, n, nd, "clt")
+            ln_p = conditioned_sum_log_prob(spec, "clt")
         ln = float(_log_pmf(spec, seq.degrees).sum()) - ln_p
         return ModelPoint(
             model="T", ln_prob=ln,
@@ -226,9 +222,7 @@ def prob_model(
         )
 
     if model == "D-exact":
-        from .oracle import exact_count
-
-        count = exact_count(seq, budget=budget).value
+        count = oracle.exact_count(seq, budget=budget).value
         total = math.comb(population, m)
         ln = (math.log(count) if count else LOG_ZERO) - math.log(total)
         return ModelPoint(
@@ -241,8 +235,6 @@ def prob_model(
         )
 
     if model == "D-asymptotic":
-        from . import counts
-
         est = counts.estimate_near_regular(seq)
         ln = est.ln_value - log_comb(population, m)
         return ModelPoint(
@@ -269,9 +261,7 @@ def predicted_ratio(seq: DegreeSequence, pair: str) -> dict:
     if not (0.0 < lam < 1.0):
         raise DensityDegenerate("ratio formulas need density strictly inside (0,1)")
     r2 = params.r2
-    from .counts import error_indicators
-
-    eps = sum(error_indicators(params).values())
+    eps = sum(counts.error_indicators(params).values())
     if pair == "b-vs-d":
         value = (n - 1) / 2.0 * math.log((n - 1) / (n - r)) - (r - 1) * r2 / (
             2.0 * (1.0 - lam) * (n - r) * d
@@ -394,15 +384,15 @@ def tail_bound_report(spec: HypergeomSpec, t_values) -> list[dict]:
 
 
 def conditioning_factor_report(
-    spec: HypergeomSpec, n: int, y_values, budget: int | None = None
+    spec: HypergeomSpec, y_values, budget: int | None = None
 ) -> list[dict]:
     """Measured conditioning factor C(y) against its Gaussian approximation.
 
     C(y) = Prob(sum of n-1 copies = nd - y) / Prob(sum of n copies = nd),
-    computed by exact convolution, compared with
-    exp(-(y - d)^2 / (2 (n-1) sigma^2)).
+    with n = ``spec.n`` and nd = r m, computed by exact convolution,
+    compared with exp(-(y - d)^2 / (2 (n-1) sigma^2)).
     """
-    nd = spec.m * spec.r
+    n, nd = spec.n, spec.m * spec.r
     d = spec.mean
     sigma2 = spec.variance
     check_dp_budget(_convolution_ops(spec, n), budget)

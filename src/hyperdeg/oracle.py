@@ -27,9 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budgets import check_dp_budget, check_grid_budget, check_subset_budget
+from .budgets import check_dp_budget, check_subset_budget
 from .core import DegreeSequence
-from .errors import BudgetExceeded
 from .fields import Twofold, as_beta_array, logistic, softplus
 from .subsets import all_subsets, incidence
 
@@ -237,32 +236,29 @@ class QuadratureResult:
 def cauchy_quadrature(
     seq: DegreeSequence,
     beta=None,
-    n_guard: int = 6,
     budget: int | None = None,
 ) -> QuadratureResult:
     """Coefficient extraction on a tensor grid; exact up to rounding.
 
     Valid at any finite contour vector beta (default all zeros): the result
     is independent of the contour because the summed integrand is the same
-    trigonometric polynomial on every contour.  The grid is walked in fixed
-    chunks of ``GRID_CHUNK`` points, folded in order with twofold
+    trigonometric polynomial on every contour.  Each grid point evaluates
+    one factor per r-subset, so the grid points times C(n, r) are charged
+    to the subset budget before any point is evaluated.  The grid is walked
+    in fixed chunks of ``GRID_CHUNK`` points, folded in order with twofold
     compensation.  The imaginary part of the accumulated sum is returned as
     a residual diagnostic.
     """
     n, r = seq.n, seq.r
-    if n > n_guard:
-        raise BudgetExceeded(
-            f"quadrature guarded to n <= {n_guard} (got n={n}); "
-            "raise n_guard explicitly to override"
-        )
-    arr = (
-        np.zeros(n) if beta is None else as_beta_array(beta, n)
-    )
+    arr = np.zeros(n) if beta is None else as_beta_array(beta, n)
+    subsets = math.comb(n, r)
     m_axis = math.comb(n - 1, r - 1) + 1
+    # a work of 2^1024 or more exceeds every finite budget; it is charged
+    # as inf, not formed exactly (millions of digits at large n)
+    bits = n * math.log2(m_axis) + math.log2(subsets)
+    check_subset_budget(m_axis**n * subsets if bits < 1024 else math.inf, budget)
     grid_total = m_axis**n
-    check_grid_budget(grid_total, budget)
 
-    check_subset_budget(math.comb(n, r), budget)
     inc = incidence(n, r)
     s_w = inc @ arr
     lam = logistic(s_w)

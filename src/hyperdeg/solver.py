@@ -44,6 +44,8 @@ from .fields import (
 
 SPREAD_GUARD = 50.0
 MAX_HALVINGS = 60
+# points of the segment on which the uniqueness diagnostic reads the curvature
+UNIQUENESS_GRID = 33
 
 
 @dataclass
@@ -206,8 +208,8 @@ def solve(
     residual and its Jacobian: a solve costs 1 + iterations + halvings
     sweeps.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     params, classes = seq.params, seq.params.classes
     n, r = seq.n, seq.r
     check_subset_budget(classes.rows(r), budget)
@@ -313,21 +315,21 @@ def uniqueness_diagnostic(
     seq: DegreeSequence,
     beta_a,
     beta_b,
-    grid_points: int = 33,
     budget: int | None = None,
 ) -> float:
     """Minimum curvature of the segment entropy between two vectors.
 
     Along ``xi_W(y) = (1-y) lambda_W(a) + y lambda_W(b)`` the entropy has
     second derivative ``-sum_W (lambda_W(b) - lambda_W(a))^2 / (xi (1-xi))``;
-    the returned value is the minimum over a y-grid of its negation, which
-    is strictly positive whenever the two vectors differ in any weight.
+    the returned value is the minimum of its negation over ``UNIQUENESS_GRID``
+    evenly spaced y in [0, 1], which is strictly positive whenever the two
+    vectors differ in any weight.
     """
     n, r = seq.n, seq.r
-    check_subset_budget(math.comb(n, r) * grid_points, budget)
+    check_subset_budget(math.comb(n, r) * UNIQUENESS_GRID, budget)
     a = as_beta_array(beta_a, n)
     b = as_beta_array(beta_b, n)
-    ys = np.linspace(0.0, 1.0, grid_points)
+    ys = np.linspace(0.0, 1.0, UNIQUENESS_GRID)
 
     def curvature(idx: np.ndarray, _) -> dict:
         la = logistic(a[idx].sum(axis=1))

@@ -307,11 +307,12 @@ def test_unknown_method_exits_two():
         ["count", "--input", str(INSTANCES / "tiny4.json"), "--method", "exact"]
     )
     assert code == 0
-    code, _, err = invoke(
-        ["solve", "--input", str(INSTANCES / "tiny4.json"), "--tol", "-1"]
-    )
-    assert code == 2
-    assert "error" in err
+    for tol in ("-1", "0", "nan", "inf"):
+        code, out, err = invoke(
+            ["solve", "--input", str(INSTANCES / "tiny4.json"), "--tol", tol]
+        )
+        assert (code, out) == (2, ""), tol
+        assert "error: tol must be positive and finite" in err
 
 
 def test_budget_exceeded_exits_four():
@@ -321,6 +322,13 @@ def test_budget_exceeded_exits_four():
     )
     assert code == 4
     assert "budget" in err.lower()
+    # 16^7 quadrature grid points, each evaluating C(7, 3) = 35 subset factors
+    code, out, err = invoke(
+        ["count", "--method", "quadrature",
+         "--input", '{"n": 7, "r": 3, "degrees": [6, 6, 6, 6, 6, 6, 6]}']
+    )
+    assert (code, out) == (4, "")
+    assert "enumeration of 9395240960 subsets exceeds budget" in err
 
 
 def test_nonconvergence_exits_three():

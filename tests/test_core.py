@@ -13,7 +13,6 @@ from hyperdeg.core import (
     apply_symmetry,
     canonicalize_first_quadrant,
     derive,
-    in_first_quadrant,
 )
 import hyperdeg
 from hyperdeg.counts import estimate_near_regular
@@ -148,7 +147,7 @@ def test_canonicalize_examples():
     seq = DegreeSequence(4, 3, (3, 3, 3, 3))
     canon, t = canonicalize_first_quadrant(seq)
     assert canon.r == 1 and t is QuadrantTransform.BOTH
-    assert in_first_quadrant(canon)
+    assert canon.params.flags["first_quadrant"]
 
     dense = DegreeSequence(6, 3, (9,) * 6)
     canon, t = canonicalize_first_quadrant(dense)
@@ -223,7 +222,7 @@ def test_both_is_composition_and_canonical_lands_inside(data):
         return
     assert both == via_two
     assert apply_symmetry(both, QuadrantTransform.BOTH) == seq
-    assert in_first_quadrant(canon)
+    assert canon.params.flags["first_quadrant"]
 
 
 def test_second_form_of_q_is_exact():

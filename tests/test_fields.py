@@ -9,8 +9,6 @@ from hyperdeg.errors import BudgetExceeded
 from hyperdeg.fields import (
     check_weight_ratio_bounds,
     field_summary,
-    lambda_of_subset,
-    log_prefactor,
     logistic,
 )
 from hyperdeg import fields
@@ -22,18 +20,19 @@ E = math.e
 
 
 def test_lambda_of_subset_closed_values():
-    assert lambda_of_subset(np.zeros(6), (0, 1, 2)) == 0.5
-    assert lambda_of_subset(np.full(6, math.log(2) / 3), (0, 1, 2)) == pytest.approx(
+    assert logistic(np.zeros(6)[[0, 1, 2]].sum()) == 0.5
+    assert logistic(np.full(6, math.log(2) / 3)[[0, 1, 2]].sum()) == pytest.approx(
         2 / 3, abs=1e-15
     )
-    assert lambda_of_subset(np.full(6, -math.log(3) / 3), (0, 1, 2)) == pytest.approx(
+    assert logistic(np.full(6, -math.log(3) / 3)[[0, 1, 2]].sum()) == pytest.approx(
         1 / 4, abs=1e-15
     )
 
 
 def test_lambda_monotone_and_interior():
     # s = 36 is near the largest argument where the float result stays < 1
-    values = [lambda_of_subset(np.full(4, s / 3), (0, 1, 2)) for s in (-40, -1, 0, 1, 36)]
+    values = [float(logistic(np.full(4, s / 3)[[0, 1, 2]].sum()))
+              for s in (-40, -1, 0, 1, 36)]
     assert all(0.0 < v < 1.0 for v in values)
     assert values == sorted(values)
 
@@ -125,21 +124,18 @@ def test_entropy_sum_matches_term_by_term_oracle():
 
 
 def test_log_prefactor_trivial_cases():
-    seq = DegreeSequence(4, 3, (2, 2, 1, 1))
-    res = log_prefactor(np.zeros(4), seq)
-    assert res.value == pytest.approx(4 * math.log(2) - 4 * math.log(2 * math.pi))
-    assert res.discrepancy == pytest.approx(0.0, abs=1e-14)
-
-    reg = DegreeSequence(6, 3, (5,) * 6)
-    res6 = log_prefactor(np.zeros(6), reg)
-    assert res6.value == pytest.approx(20 * math.log(2) - 6 * math.log(2 * math.pi))
+    # every weight is 1/2, so the prefactor's entropy form is C(n, r) ln 2
+    assert field_summary(np.zeros(4), 4, 3).entropy == pytest.approx(4 * math.log(2))
+    assert field_summary(np.zeros(6), 6, 3).entropy == pytest.approx(20 * math.log(2))
 
 
 def test_log_prefactor_agrees_at_solution():
+    # the direct and entropy forms differ by beta . (vertex_sums - d)
     seq = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
-    report = solve(seq)
-    res = log_prefactor(report.beta_star, seq)
-    assert res.discrepancy <= 1e-10
+    beta = solve(seq).beta_star
+    field = field_summary(beta, 6, 3)
+    residual = field.vertex_sums - np.asarray(seq.degrees, dtype=np.float64)
+    assert abs(float(beta @ residual)) <= 1e-10
 
 
 def test_budget_guard():
@@ -153,9 +149,9 @@ def test_complement_weight_identities():
     shifted = beta.sum() / (6 - 3) - beta
     for w in combinations(range(6), 3):
         comp = tuple(sorted(set(range(6)) - set(w)))
-        lw = lambda_of_subset(beta, w)
-        assert lambda_of_subset(shifted, comp) == pytest.approx(lw, abs=1e-14)
-        assert lambda_of_subset(-beta, w) == pytest.approx(1.0 - lw, abs=1e-14)
+        lw = float(logistic(beta[list(w)].sum()))
+        assert logistic(shifted[list(comp)].sum()) == pytest.approx(lw, abs=1e-14)
+        assert logistic(-beta[list(w)].sum()) == pytest.approx(1.0 - lw, abs=1e-14)
 
 
 def test_ratio_bounds_pass_at_zero_and_on_smooth_vectors():
@@ -302,13 +298,14 @@ def test_entropy_and_prefactor_sweeps_are_bit_identical_to_per_chunk_sums():
         sp = fields.softplus(s)
         soft.add(float(sp.sum()))
         ent.add(float((sp - logistic(s) * s).sum()))
-    assert field_summary(beta, 13, 4).entropy == ent.value()
-    res = log_prefactor(beta, seq)
-    degree_dot = float(beta @ np.asarray(seq.degrees, dtype=np.float64))
-    entropy_form = -13 * fields.LOG_2PI + ent.value()
-    assert res.value == entropy_form
-    direct = -13 * fields.LOG_2PI - degree_dot + soft.value()
-    assert res.discrepancy == pytest.approx(abs(direct - entropy_form), rel=1e-12)
+    field = field_summary(beta, 13, 4)
+    assert field.entropy == ent.value()
+    degrees = np.asarray(seq.degrees, dtype=np.float64)
+    log_2pi = math.log(2.0 * math.pi)
+    entropy_form = -13 * log_2pi + field.entropy
+    direct = -13 * log_2pi - float(beta @ degrees) + soft.value()
+    gap = float(beta @ (field.vertex_sums - degrees))
+    assert direct - entropy_form == pytest.approx(gap, rel=1e-12)
 
 
 @pytest.mark.parametrize("degrees,seed", [

@@ -64,22 +64,22 @@ def test_variance_closed_forms_agree():
 def test_conditioned_sum_dp_exact_value():
     # Z in {1, 2} each with probability 1/2; four copies summing to 6
     spec = HypergeomSpec(4, 3, 2)
-    assert math.exp(conditioned_sum_log_prob(spec, 4, 6, "dp")) == pytest.approx(
+    assert math.exp(conditioned_sum_log_prob(spec, "dp")) == pytest.approx(
         0.375, abs=1e-12
     )
 
 
 def test_conditioned_sum_clt_center_formula():
     spec = HypergeomSpec(6, 3, 10)
-    got = conditioned_sum_log_prob(spec, 6, 30, "clt")
+    got = conditioned_sum_log_prob(spec, "clt")
     sigma = math.sqrt(spec.variance)
     assert got == pytest.approx(-math.log(sigma * math.sqrt(2 * math.pi * 6)), abs=1e-12)
 
 
 def test_dp_and_clt_close_at_desk_scale():
     spec = HypergeomSpec(6, 3, 10)
-    dp = conditioned_sum_log_prob(spec, 6, 30, "dp")
-    clt = conditioned_sum_log_prob(spec, 6, 30, "clt")
+    dp = conditioned_sum_log_prob(spec, "dp")
+    clt = conditioned_sum_log_prob(spec, "clt")
     assert abs(dp - clt) <= 0.2
 
 
@@ -136,7 +136,7 @@ def test_exact_model_ratio_is_an_algebraic_identity():
             - prob_model(seq, "T", normalizer="dp").ln_prob
         )
         spec = HypergeomSpec(n, r, m)
-        ln_p = conditioned_sum_log_prob(spec, n, r * m, "dp")
+        ln_p = conditioned_sum_log_prob(spec, "dp")
         direct = (
             math.log(exact_count(seq).value)
             + (n - 1) * math.log(math.comb(population, m))
@@ -274,7 +274,7 @@ def test_conditioning_factor_close_to_gaussian():
     spec = HypergeomSpec(6, 3, 10)
     sigma = math.sqrt(spec.variance)
     ys = range(int(5 - 3 * sigma), int(5 + 3 * sigma) + 1)
-    report = conditioning_factor_report(spec, 6, ys)
+    report = conditioning_factor_report(spec, ys)
     assert all(row["abs_gap"] <= 0.25 for row in report)
 
 
@@ -371,14 +371,14 @@ def test_normalizer_and_conditioning_factor_match_per_shift_reference(monkeypatc
     for n, r, m in instances:
         spec = HypergeomSpec(n, r, m)
         fast.append(
-            (conditioned_sum_log_prob(spec, n),
-             conditioning_factor_report(spec, n, range(0, 2 * spec.marked)))
+            (conditioned_sum_log_prob(spec),
+             conditioning_factor_report(spec, range(0, 2 * spec.marked)))
         )
     monkeypatch.setattr(models, "_log_convolve", per_shift_log_convolve)
     for (n, r, m), (ln_p, report) in zip(instances, fast):
         spec = HypergeomSpec(n, r, m)
-        assert ln_p == pytest.approx(conditioned_sum_log_prob(spec, n), rel=1e-13)
-        ref = conditioning_factor_report(spec, n, range(0, 2 * spec.marked))
+        assert ln_p == pytest.approx(conditioned_sum_log_prob(spec), rel=1e-13)
+        ref = conditioning_factor_report(spec, range(0, 2 * spec.marked))
         for row, want in zip(report, ref):
             assert row["measured"] == pytest.approx(want["measured"], rel=1e-13)
             assert row["gaussian"] == want["gaussian"]
@@ -427,8 +427,8 @@ def _recorded_guard_and_work(monkeypatch, call):
 
 def test_normalizer_guard_counts_the_convolution_work(monkeypatch):
     spec = HypergeomSpec(6, 3, 8)
-    for call in (lambda: conditioned_sum_log_prob(spec, 6),
-                 lambda: conditioning_factor_report(spec, 6, [0, 3])):
+    for call in (lambda: conditioned_sum_log_prob(spec),
+                 lambda: conditioning_factor_report(spec, [0, 3])):
         guards, work = _recorded_guard_and_work(monkeypatch, call)
         # (marked + 1) · sum_{i=1}^{n-1} (i · marked + 1) = 11 · 155
         assert guards == [work] == [1705]
@@ -438,7 +438,7 @@ def test_normalizer_guard_admits_n30_and_refuses_n60(monkeypatch):
     monkeypatch.delenv("HYPERDEG_BUDGET", raising=False)
     spec = HypergeomSpec(30, 3, 1624)
     guards, work = _recorded_guard_and_work(
-        monkeypatch, lambda: conditioned_sum_log_prob(spec, 30))
+        monkeypatch, lambda: conditioned_sum_log_prob(spec))
     assert guards == [work] == [71_892_073]
 
     def no_convolution(*args):
@@ -447,6 +447,6 @@ def test_normalizer_guard_admits_n30_and_refuses_n60(monkeypatch):
     monkeypatch.setattr(models, "_log_convolve", no_convolution)
     big = HypergeomSpec(60, 3, 13_690)
     with pytest.raises(BudgetExceeded):
-        conditioned_sum_log_prob(big, 60)
+        conditioned_sum_log_prob(big)
     with pytest.raises(BudgetExceeded):
-        conditioning_factor_report(big, 60, [0])
+        conditioning_factor_report(big, [0])

@@ -185,13 +185,21 @@ def test_quadrature_zero_count_sequence():
 
 def test_quadrature_guards():
     big = DegreeSequence(7, 3, (6,) * 7)
-    with pytest.raises(BudgetExceeded):
-        cauchy_quadrature(big)  # n above the default guard
+    with pytest.raises(BudgetExceeded, match=r"enumeration of 9395240960 subsets"):
+        cauchy_quadrature(big)  # 16^7 grid points times C(7, 3) factors
+    # 498,502^1000 grid points: refused without forming the 5,706-digit work
+    wide = DegreeSequence(1000, 3, (498,) * 1000)
+    with pytest.raises(BudgetExceeded, match="enumeration of inf subsets"):
+        cauchy_quadrature(wide)
     seq = DegreeSequence(5, 3, (3, 3, 2, 2, 2))
     with pytest.raises(BudgetExceeded):
         cauchy_quadrature(seq, budget=100)
-    with pytest.raises(BudgetExceeded):
-        cauchy_quadrature(seq, n_guard=4)  # guard is overridable per call
+    # 7^7 grid points times C(7, 2) factors fit the default subset budget
+    pairs = DegreeSequence(7, 2, (2,) * 7)
+    res = cauchy_quadrature(pairs)
+    assert res.grid_points == 7**7
+    assert exact_count(pairs).value == 465
+    assert res.value == pytest.approx(465, rel=1e-10)
 
 
 @pytest.mark.parametrize(
