@@ -10,6 +10,7 @@ cannot be read or written, 3 solver non-convergence, 4 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -320,7 +321,13 @@ def cmd_selftest(args) -> int:
     raise InvalidInstance(f"unknown selftest suite {args.suite!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every ``run``.
+
+    Parsing leaves the parser unchanged: each call gets a fresh namespace,
+    whose ``command`` names the ``cmd_*`` function that runs it.
+    """
     parser = argparse.ArgumentParser(
         prog="hyperdeg",
         description="Count uniform hypergraphs by degree sequence and "
@@ -341,20 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--dump-field", action="store_true")
     p.add_argument("--dump-matrix", metavar="PATH", default=None)
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("count", help="estimate or count hypergraphs")
     p.add_argument("--input", required=True)
     p.add_argument("--method", required=True,
                    choices=["general", "near-regular", "corollary", "exact",
                             "quadrature"])
-    p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("models", help="compare degree-sequence models")
     p.add_argument("--input", required=True)
     p.add_argument("--compare", default="d-vs-t,b-vs-d,klw")
     p.add_argument("--normalizer", default="dp", choices=["dp", "clt"])
-    p.set_defaults(fn=cmd_models)
 
     p = sub.add_parser("sample", help="sample degree sequences")
     p.add_argument("-n", type=int, required=True)
@@ -363,23 +367,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--csv", default=None)
-    p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("audit", help="four-quadrant and bound-suite audit")
     p.add_argument("--input", required=True)
-    p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("selftest", help="randomized self-test suites")
     p.add_argument("suite", choices=["identities", "bounds", "oracle"])
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=2024)
-    p.set_defaults(fn=cmd_selftest)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     echo = "invocation: hyperdeg " + " ".join(
         argv if argv is not None else sys.argv[1:]
     )
@@ -393,7 +393,9 @@ def run(argv=None) -> int:
         budgets.env_budget()
         if args.budget is not None:
             budgets.parse_budget(args.budget, "--budget")
-        return args.fn(args)
+        # looked up per call, not bound into the shared parser, so a
+        # command function replaced after the first run is the one called
+        return globals()["cmd_" + args.command](args)
     except (InvalidInstance, DensityDegenerate, ZeroDegree, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

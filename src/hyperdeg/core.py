@@ -50,6 +50,8 @@ class DegreeSequence:
     n: int
     r: int
     degrees: tuple[int, ...]
+    # the degree sum, taken once by validation
+    _degree_sum: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         named = (("n", (self.n,)), ("r", (self.r,)), ("degree", self.degrees))
@@ -75,6 +77,7 @@ class DegreeSequence:
                 f"{len(self.degrees)} degrees for n={self.n} vertices"
             )
         total = sum(self.degrees)
+        object.__setattr__(self, "_degree_sum", total)
         if total % self.r != 0:
             raise ParityViolation(
                 f"edge size {self.r} does not divide degree sum {total}"
@@ -93,7 +96,7 @@ class DegreeSequence:
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degrees) // self.r
+        return self._degree_sum // self.r
 
     @property
     def degree_cap(self) -> int:

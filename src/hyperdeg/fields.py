@@ -17,12 +17,20 @@ subsets.  Every vertex its own class is the plain colex sweep.
 Every sweep, here and in the solver's uniqueness diagnostic, folds a chunk
 kernel over fixed 4096-row chunks, serially, in chunk order, with twofold
 compensation, so every result is a fixed function of its inputs.
+
+The rows and pair keys of a sweep depend on no beta, so they are unranked
+once into a read-only row plan per (k, r, colex or multisets) and read from
+it by every later sweep; two plans are cached.  A plan stops at
+``PLAN_LIMIT`` stored entries, and the chunks past it are unranked again on
+every sweep, so memory stays bounded however many rows a sweep visits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,6 +39,11 @@ from .budgets import check_subset_budget, subset_budget
 from .core import VertexClasses
 from .errors import BudgetExceeded
 from .subsets import CHUNK, iter_chunks, iter_multisets
+
+# Entries (row indices and pair keys) a row plan stores at most; chunks past
+# it are unranked again by every sweep, so a sweep of any size keeps bounded
+# memory.  The largest plan of a (40, 4) solve is C(40, 4) * 10 = 913,900.
+PLAN_LIMIT = 1 << 20
 
 
 def as_beta_array(beta, n: int | None = None) -> np.ndarray:
@@ -183,28 +196,68 @@ def _multiplicities(idx: np.ndarray, table: np.ndarray, cap: float) -> np.ndarra
     return out
 
 
+def _row_chunks(
+    k: int, r: int, multisets: bool, start: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (rows, pair keys) chunks of a sweep over k classes, from row ``start``.
+
+    The rows are the size-r multisets of the k classes if ``multisets``,
+    else the colex r-subsets of k vertices.  A chunk's pair keys are
+    ``idx[:, a] * k + idx[:, b]`` for the positions a < b, in column-major
+    order.  Both are stored in the smallest dtype that holds k^2.
+    """
+    # the smallest signed dtype holding -k^2 holds every key up to k^2 - 1
+    dtype = np.min_scalar_type(-k * k)
+    a, b = np.triu_indices(r, 1)
+    source = iter_multisets if multisets else iter_chunks
+    for idx in source(k, r, CHUNK, start):
+        keys = (idx[:, a] * k + idx[:, b]).T.ravel()
+        yield idx.astype(dtype), keys.astype(dtype)
+
+
+@lru_cache(maxsize=2)
+def _row_plan(k: int, r: int, multisets: bool) -> tuple:
+    """The first chunks of ``_row_chunks(k, r, multisets, 0)``, read-only.
+
+    Rows and pair keys depend on no beta, so every sweep over the same
+    (k, r, multisets) reads them from here.  A chunk stores r(r+1)/2
+    entries per row; the plan holds the whole chunks that fit in
+    ``PLAN_LIMIT`` entries.  Two plans are kept: a solve's own frame and
+    its image under the edge complement (r -> n - r) in an audit.
+    """
+    chunks = PLAN_LIMIT // (CHUNK * max(1, r * (r + 1) // 2))
+    plan = tuple(itertools.islice(_row_chunks(k, r, multisets, 0), chunks))
+    for arrays in plan:
+        for arr in arrays:
+            arr.setflags(write=False)
+    return plan
+
+
 def class_chunks(
     classes: VertexClasses, r: int
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The (rows, multiplicities) chunks of a sweep over the classes.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """The (rows, pair keys, multiplicities) chunks of a sweep over the classes.
 
     On singletons the rows are the colex r-subsets and the multiplicities
     None (each row is one subset); otherwise the rows are the size-r
     multisets of classes, one per composition, each with its
-    prod C(n_i, a_i) from exact ``math.comb``.
+    prod C(n_i, a_i) from exact ``math.comb``.  Rows and pair keys come
+    from the cached row plan; chunks past its cap are unranked here on
+    every sweep.
     """
-    if classes.k == classes.n:
-        for idx in iter_chunks(classes.n, r, CHUNK):
-            yield idx, None
-        return
-    total = math.comb(classes.n, r)
-    table = _comb_table(classes.sizes, r, total)
-    for idx in iter_multisets(classes.k, r, CHUNK):
-        yield idx, _multiplicities(idx, table, float(total))
+    k, multisets = classes.k, classes.k < classes.n
+    plan = _row_plan(k, r, multisets)
+    start = len(plan) * CHUNK
+    tail = _row_chunks(k, r, multisets, start) if start < classes.rows(r) else ()
+    if multisets:
+        total = math.comb(classes.n, r)
+        table = _comb_table(classes.sizes, r, total)
+    for idx, keys in itertools.chain(plan, tail):
+        yield idx, keys, _multiplicities(idx, table, float(total)) if multisets else None
 
 
 def _chunk_terms(
-    idx: np.ndarray, beta: np.ndarray, mult: np.ndarray | None = None
+    idx: np.ndarray, keys: np.ndarray, beta: np.ndarray, mult: np.ndarray | None = None
 ) -> dict:
     """The field sums over one chunk of rows.
 
@@ -212,9 +265,9 @@ def _chunk_terms(
     ``exp(-|s|)`` per row gives the weight, its complement and the softplus
     by the same operations as ``logistic(s)``, ``logistic(-s)`` and
     ``softplus(s)``, so each is bit-identical to them.  Vertex and pair sums
-    are ``np.bincount`` over the column-major indices (pairs in (a, b) order,
-    a < b), so every entry adds its rows in the same order as a per-column
-    ``np.add.at`` loop, starting from zero.
+    are ``np.bincount`` over the column-major indices and pair ``keys`` (pairs
+    in (a, b) order, a < b), so every entry adds its rows in the same order
+    as a per-column ``np.add.at`` loop, starting from zero.
     """
     n, r = beta.size, idx.shape[1]
     s = beta[idx].sum(axis=1)
@@ -231,31 +284,32 @@ def _chunk_terms(
     if mult is not None:
         lam, q, entropy = lam * mult, q * mult, entropy * mult
     flat = idx.T.ravel()
-    a, b = np.triu_indices(r, 1)
-    keys = (idx[:, a] * n + idx[:, b]).T.ravel()
     return {
         "lam": lam.sum(),
         "q": q.sum(),
         "entropy": entropy.sum(),
         "vertex_lam": np.bincount(flat, np.tile(lam, r), minlength=n),
         "vertex_q": np.bincount(flat, np.tile(q, r), minlength=n),
-        "pair_q": np.bincount(keys, np.tile(q, a.size), minlength=n * n).reshape(n, n),
+        "pair_q": np.bincount(
+            keys, np.tile(q, r * (r - 1) // 2), minlength=n * n
+        ).reshape(n, n),
     }
 
 
 def _sweep(classes: VertexClasses, r: int, kernel) -> dict:
-    """Sum ``kernel(idx, mult)`` over the chunks of ``class_chunks``.
+    """Sum ``kernel(idx, keys, mult)`` over the chunks of ``class_chunks``.
 
-    The kernel maps one chunk of rows and their multiplicities to a dict of
-    sums.  Chunks are folded serially in chunk order with twofold
-    compensation, so the result is a fixed function of the kernel, the
-    classes and r.  The fold starts from the kernel of an empty chunk, so
-    with no rows at all (r > n) every sum is zero.
+    The kernel maps one chunk of rows, their pair keys and their
+    multiplicities to a dict of sums.  Chunks are folded serially in chunk
+    order with twofold compensation, so the result is a fixed function of
+    the kernel, the classes and r.  The fold starts from the kernel of an
+    empty chunk, so with no rows at all (r > n) every sum is zero.
     """
     empty = np.empty((0, r), dtype=np.int64)
-    acc = {name: Twofold(zero) for name, zero in kernel(empty, None).items()}
-    for idx, mult in class_chunks(classes, r):
-        for name, value in kernel(idx, mult).items():
+    zero = kernel(empty, np.empty(0, dtype=np.int64), None)
+    acc = {name: Twofold(value) for name, value in zero.items()}
+    for idx, keys, mult in class_chunks(classes, r):
+        for name, value in kernel(idx, keys, mult).items():
             acc[name].add(value)
     return {name: total.value() for name, total in acc.items()}
 
@@ -276,7 +330,9 @@ def field_summary(
     classes = VertexClasses.singletons(n) if classes is None else classes
     arr = as_beta_array(beta, classes.k)
     check_subset_budget(classes.rows(r), budget)
-    sums = _sweep(classes, r, lambda idx, mult: _chunk_terms(idx, arr, mult))
+    sums = _sweep(
+        classes, r, lambda idx, keys, mult: _chunk_terms(idx, keys, arr, mult)
+    )
     # a row with a_i vertices of class i counts a_i a_j position pairs for
     # classes i < j and a_i (a_i - 1) / 2 within class i; divide by the vertex
     # pairs each block entry stands for (all 1 on singletons)
@@ -342,7 +398,7 @@ def _sum_nearest_zero(field: FieldSummary) -> float:
     """The subset sum of beta nearest 0, by one pass over the field's rows
     (on classes, the compositions of nonzero multiplicity)."""
     best = math.inf
-    for idx, mult in class_chunks(field.classes, field.r):
+    for idx, _, mult in class_chunks(field.classes, field.r):
         s = field.beta[idx].sum(axis=1)
         s = s if mult is None else s[mult > 0]
         if s.size:

@@ -90,7 +90,7 @@ def _product_seed(params: DerivedParams, budget: int | None = None) -> np.ndarra
     log_d = np.log(np.asarray(params.class_degrees, dtype=np.float64))
     chunk_lse = [
         _logsumexp(log_d[idx].sum(axis=1), mult)
-        for idx, mult in class_chunks(params.classes, r - 1)
+        for idx, _, mult in class_chunks(params.classes, r - 1)
     ]
     log_s = _logsumexp(np.array(chunk_lse)) + math.log((n - r + 1) / n)
     return log_d - log_s / r
@@ -331,7 +331,7 @@ def uniqueness_diagnostic(
     b = as_beta_array(beta_b, n)
     ys = np.linspace(0.0, 1.0, UNIQUENESS_GRID)
 
-    def curvature(idx: np.ndarray, _) -> dict:
+    def curvature(idx: np.ndarray, _keys, _mult) -> dict:
         la = logistic(a[idx].sum(axis=1))
         lb = logistic(b[idx].sum(axis=1))
         diff2 = (lb - la) ** 2

@@ -65,29 +65,35 @@ def colex_unrank(ranks, n: int, r: int) -> np.ndarray:
     return _unrank(np.array(ranks, dtype=np.int64), r, _rank_tables(n, r))
 
 
-def iter_chunks(n: int, r: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
-    """Yield (c, r) integer arrays of consecutive colex subsets.
+def iter_chunks(
+    n: int, r: int, chunk: int = CHUNK, start: int = 0
+) -> Iterator[np.ndarray]:
+    """Yield (c, r) integer arrays of consecutive colex subsets from rank ``start``.
 
     Every chunk except possibly the last has exactly ``chunk`` rows; chunk
-    boundaries depend only on (n, r, chunk), never on the consumer.  Each
-    chunk is unranked from its rank range in vectorised form.
+    boundaries depend only on (n, r, chunk), never on the consumer, when
+    ``start`` is a multiple of ``chunk``.  Each chunk is unranked from its
+    rank range in vectorised form.
     """
     total = comb(n, r)
     tables = _rank_tables(n, r)
-    for start in range(0, total, chunk):
-        rank = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for first in range(start, total, chunk):
+        rank = np.arange(first, min(first + chunk, total), dtype=np.int64)
         yield _unrank(rank, r, tables)
 
 
-def iter_multisets(k: int, r: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
+def iter_multisets(
+    k: int, r: int, chunk: int = CHUNK, start: int = 0
+) -> Iterator[np.ndarray]:
     """Yield (c, r) arrays of the size-r multisets of {0..k-1}, rows sorted.
 
     Stars and bars: subtracting (0, 1, ..., r-1) from a sorted r-subset of
     {0..k+r-2} gives a sorted multiset and every multiset once, so the
-    C(k+r-1, r) multisets come in the colex order of those subsets.
+    C(k+r-1, r) multisets come in the colex order of those subsets, from
+    the one of rank ``start``.
     """
     shift = np.arange(r, dtype=np.int64)
-    for idx in iter_chunks(k + r - 1, r, chunk):
+    for idx in iter_chunks(k + r - 1, r, chunk, start):
         yield idx - shift
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperdeg import core, fields, subsets
+from hyperdeg import core, fields, solver
 from hyperdeg.cli import run
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry, derive
 from hyperdeg.counts import estimate_general, symmetry_audit
@@ -359,15 +359,15 @@ def test_two_class_audit_enumerates_far_fewer_rows_than_its_subsets(monkeypatch)
     # the bound checks read the solves' own class fields, so no pass visits
     # the C(80, 4) = 1,581,580 subsets
     rows = []
-    real = subsets.iter_chunks
+    real = fields.class_chunks
 
-    def counted(*args, **kwargs):
-        for chunk in real(*args, **kwargs):
-            rows.append(len(chunk))
+    def counted(classes, r):
+        for chunk in real(classes, r):
+            rows.append(len(chunk[0]))
             yield chunk
 
-    monkeypatch.setattr(subsets, "iter_chunks", counted)
-    monkeypatch.setattr(fields, "iter_chunks", counted)
+    monkeypatch.setattr(fields, "class_chunks", counted)
+    monkeypatch.setattr(solver, "class_chunks", counted)
     code, out, err = invoke(["audit", "--input", two_class_audit_input(80)])
     assert code == 0, err
     assert "fail" not in {c["status"] for c in json.loads(out)["weight_ratio_checks"]}

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hyperdeg
+from hyperdeg import cli
 from hyperdeg.cli import render_json, run
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
@@ -626,3 +627,23 @@ def test_zero_counts_are_valid():
                            "--count", "0"])
     assert code == 0
     assert out == "d_1,d_2,d_3,d_4,d_5,d_6\n"
+
+
+def test_runs_in_one_process_share_no_state(monkeypatch):
+    # the parser is built once per process; every run parses afresh and
+    # calls the command function the module holds at that time
+    reg6 = str(INSTANCES / "reg6.json")
+    with pytest.raises(SystemExit) as exc:
+        invoke(["count", "--input", reg6, "--method", "none"])
+    assert exc.value.code == 2
+    code, out, _ = invoke(["count", "--input", reg6, "--method", "exact"])
+    assert (code, json.loads(out)) == (0, {"method": "exact", "count": 1044})
+    code, out, _ = invoke(["solve", "--input", reg6, "--dump-field"])
+    assert code == 0 and "field" in json.loads(out)
+    code, out, _ = invoke(["count", "--input", reg6, "--method", "general"])
+    assert code == 0 and json.loads(out)["method"] == "general"
+    code, out, _ = invoke(["solve", "--input", reg6])
+    assert code == 0 and "field" not in json.loads(out)
+    monkeypatch.setattr(cli, "cmd_count", lambda args: 7)
+    code, out, _ = invoke(["count", "--input", reg6, "--method", "exact"])
+    assert (code, out) == (7, "")

@@ -115,6 +115,8 @@ def test_library_construction_accepts_numpy_integers():
         plain = DegreeSequence(10**5, r, tuple(degrees.tolist()))
         assert given == plain
         assert {type(x) for x in (given.n, given.r, *given.degrees)} == {int}
+        assert given.edge_count == plain.edge_count == sum(degrees.tolist()) // r
+        assert type(given.edge_count) is int
         assert given.params == plain.params
         assert (estimate_near_regular(given).ln_value
                 == estimate_near_regular(plain).ln_value)

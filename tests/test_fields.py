@@ -521,3 +521,61 @@ def test_ratio_checks_on_the_class_route_match_the_colex_field():
     # the composition (0, 0, 1) has multiplicity 0: its sum 0.1 is nearer 0
     # than any real subset's, of which (0, 1, 1) at -0.25 is the nearest
     assert fields._sum_nearest_zero(field) == pytest.approx(-0.25)
+
+
+def field_bits(field):
+    """Every float a field sweep returns, as bytes, for bit comparisons."""
+    parts = (field.class_sums, field.class_variance, field.pair_blocks,
+             field.avg_lambda, field.big_lambda, field.entropy)
+    return b"".join(np.asarray(x, dtype=np.float64).tobytes() for x in parts)
+
+
+# colex at r = 2..5 and 12..16 (the edge complements of the r = 4 audits),
+# then the class route
+@pytest.mark.parametrize("n,r,sizes", [(20, r, None) for r in range(2, 6)]
+                         + [(18, r, None) for r in range(12, 17)]
+                         + [(12, 4, (3, 1, 5, 2, 1)), (60, 4, (15, 15, 15, 15))])
+def test_sweeps_read_the_same_bits_from_a_cold_a_warm_and_a_capped_row_plan(
+    n, r, sizes, monkeypatch
+):
+    rng = np.random.default_rng(n * r)
+    classes = None
+    if sizes is not None:
+        index = np.repeat(np.arange(len(sizes)), sizes)
+        first = np.cumsum((0,) + sizes[:-1])
+        classes = fields.VertexClasses(index, np.array(sizes), first)
+    beta = rng.normal(scale=0.3, size=n if sizes is None else len(sizes)) - 0.2
+    fields._row_plan.cache_clear()
+    cold = field_bits(field_summary(beta, n, r, classes=classes))
+    assert field_bits(field_summary(beta, n, r, classes=classes)) == cold
+    assert fields._row_plan.cache_info().misses == 1
+    # no chunk planned, then one, the rest unranked again by every sweep
+    for chunks in (0, 1):
+        monkeypatch.setattr(fields, "PLAN_LIMIT", chunks * fields.CHUNK * r * (r + 1) // 2)
+        fields._row_plan.cache_clear()
+        for _ in range(2):
+            assert field_bits(field_summary(beta, n, r, classes=classes)) == cold
+        assert len(fields._row_plan(len(beta), r, classes is not None)) == chunks
+    fields._row_plan.cache_clear()
+
+
+def test_row_plans_are_read_only_in_the_smallest_dtype_that_holds_every_key():
+    fields._row_plan.cache_clear()
+    for k, r, multisets, dtype in [(4, 4, True, np.int8), (20, 4, False, np.int16),
+                                   (182, 2, False, np.int32)]:
+        plan = fields._row_plan(k, r, multisets)
+        for idx, keys in plan:
+            assert idx.dtype == keys.dtype == dtype
+            assert not idx.flags.writeable and not keys.flags.writeable
+        with pytest.raises(ValueError):
+            plan[0][0][0, 0] = 1
+    fields._row_plan.cache_clear()
+
+
+def test_a_solve_unranks_its_rows_once():
+    degrees = (20, 22, 25, 27, 30, 31, 33, 35, 36, 38, 41, 43)
+    fields._row_plan.cache_clear()
+    report = solve(DegreeSequence(12, 3, degrees), strategy="regular")
+    info = fields._row_plan.cache_info()
+    assert report.field.classes.k == 12 and report.iterations >= 2
+    assert info.misses == 1 and info.hits >= report.iterations
