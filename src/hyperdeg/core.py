@@ -219,11 +219,15 @@ def derive(seq: DegreeSequence) -> DerivedParams:
     every sum runs over the k distinct degrees in Python ints."""
     n, r = seq.n, seq.r
     cap = math.comb(n - 1, r - 1)
-    # degrees beyond int64 stay Python ints, in an object array
-    values, first, index, sizes = np.unique(
+    # degrees beyond int64 stay Python ints, in an object array; without
+    # return_index np.unique needs no stable sort
+    values, index, sizes = np.unique(
         np.fromiter(seq.degrees, np.int64 if cap < 2**63 else object, n),
-        return_index=True, return_inverse=True, return_counts=True,
+        return_inverse=True, return_counts=True,
     )
+    # the first vertex of each class is the least vertex in it
+    first = np.full(values.size, n)
+    np.minimum.at(first, index, np.arange(n))
     distinct, counts = values.tolist(), sizes.tolist()
     total = sum(c * dj for dj, c in zip(distinct, counts))
     d_exact = Fraction(total, n)

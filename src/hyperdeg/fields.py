@@ -16,13 +16,19 @@ subsets.  Every vertex its own class is the plain colex sweep.
 
 Every sweep, here and in the solver's uniqueness diagnostic, folds a chunk
 kernel over fixed 4096-row chunks, serially, in chunk order, with twofold
-compensation, so every result is a fixed function of its inputs.
+compensation, so every result is a fixed function of its inputs.  A field
+kernel returns one vector ``[lam, q, entropy, vertex_lam (k), vertex_q (k),
+pair_q (k^2)]`` and one ``Twofold`` folds it, entry by entry.
 
 The rows and pair keys of a sweep depend on no beta, so they are unranked
 once into a read-only row plan per (k, r, colex or multisets) and read from
-it by every later sweep; two plans are cached.  A plan stops at
-``PLAN_LIMIT`` stored entries, and the chunks past it are unranked again on
-every sweep, so memory stays bounded however many rows a sweep visits.
+it by every later sweep; two plans are cached.  A plan stores each chunk's
+rows column-major, as a contiguous (r, rows) array; the sweeps read its
+transposed (rows, r) view and sum rows with ``row_sums``, in numpy's order
+for a row-major row: left to right below 8 terms, pairwise from 8 on.  A
+plan stops at ``PLAN_LIMIT`` stored entries, and the chunks past it are
+unranked again on every sweep, so memory stays bounded however many rows a
+sweep visits.
 """
 
 from __future__ import annotations
@@ -157,11 +163,12 @@ class Twofold:
         self.comp = np.zeros_like(self.total)
 
     def add(self, value) -> None:
-        value = np.asarray(value, dtype=np.float64)
-        y = value - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
+        # total' = total + y and comp' = (total' - total) - y, in place
+        y = np.asarray(value, dtype=np.float64) - self.comp
+        np.copyto(self.comp, self.total)
+        self.total += y
+        np.subtract(self.total, self.comp, out=self.comp)
+        self.comp -= y
 
     def value(self):
         out = self.total
@@ -196,13 +203,32 @@ def _multiplicities(idx: np.ndarray, table: np.ndarray, cap: float) -> np.ndarra
     return out
 
 
+def row_sums(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``x`` summed over each row of ``idx``, bit-identical to
+    ``np.ascontiguousarray(x[idx]).sum(axis=1)``.
+
+    numpy adds fewer than 8 terms left to right from 0, as one ``take`` per
+    column added in place does; on a plan's transposed view each column is
+    contiguous.  From 8 terms on numpy adds a contiguous row pairwise, with
+    eight accumulators, but the columns of a column-major gather left to
+    right, so there the gather is made row-major first.
+    """
+    if idx.shape[1] >= 8:
+        return np.ascontiguousarray(x.take(idx)).sum(axis=1)
+    s = np.zeros(idx.shape[0])
+    for col in idx.T:
+        s += x.take(col)
+    return s
+
+
 def _row_chunks(
     k: int, r: int, multisets: bool, start: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The (rows, pair keys) chunks of a sweep over k classes, from row ``start``.
 
     The rows are the size-r multisets of the k classes if ``multisets``,
-    else the colex r-subsets of k vertices.  A chunk's pair keys are
+    else the colex r-subsets of k vertices, stored column-major: each chunk
+    is a contiguous (r, rows) array.  A chunk's pair keys are
     ``idx[:, a] * k + idx[:, b]`` for the positions a < b, in column-major
     order.  Both are stored in the smallest dtype that holds k^2.
     """
@@ -212,7 +238,7 @@ def _row_chunks(
     source = iter_multisets if multisets else iter_chunks
     for idx in source(k, r, CHUNK, start):
         keys = (idx[:, a] * k + idx[:, b]).T.ravel()
-        yield idx.astype(dtype), keys.astype(dtype)
+        yield np.ascontiguousarray(idx.T, dtype=dtype), keys.astype(dtype)
 
 
 @lru_cache(maxsize=2)
@@ -243,7 +269,8 @@ def class_chunks(
     multisets of classes, one per composition, each with its
     prod C(n_i, a_i) from exact ``math.comb``.  Rows and pair keys come
     from the cached row plan; chunks past its cap are unranked here on
-    every sweep.
+    every sweep.  The rows are the (rows, r) transposed view of the plan's
+    column-major chunk.
     """
     k, multisets = classes.k, classes.k < classes.n
     plan = _row_plan(k, r, multisets)
@@ -252,14 +279,16 @@ def class_chunks(
     if multisets:
         total = math.comb(classes.n, r)
         table = _comb_table(classes.sizes, r, total)
-    for idx, keys in itertools.chain(plan, tail):
+    for cols, keys in itertools.chain(plan, tail):
+        idx = cols.T
         yield idx, keys, _multiplicities(idx, table, float(total)) if multisets else None
 
 
 def _chunk_terms(
     idx: np.ndarray, keys: np.ndarray, beta: np.ndarray, mult: np.ndarray | None = None
-) -> dict:
-    """The field sums over one chunk of rows.
+) -> np.ndarray:
+    """The field sums over one chunk of rows, as one vector
+    ``[lam, q, entropy, vertex_lam (k), vertex_q (k), pair_q (k^2)]``.
 
     Each row counts ``mult`` times (once if ``mult`` is None).  One
     ``exp(-|s|)`` per row gives the weight, its complement and the softplus
@@ -269,8 +298,8 @@ def _chunk_terms(
     in (a, b) order, a < b), so every entry adds its rows in the same order
     as a per-column ``np.add.at`` loop, starting from zero.
     """
-    n, r = beta.size, idx.shape[1]
-    s = beta[idx].sum(axis=1)
+    k, (rows, r) = beta.size, idx.shape
+    s = row_sums(beta, idx)
     e = np.exp(-np.abs(s))
     denom = 1.0 + e
     upper, lower = 1.0 / denom, e / denom
@@ -283,35 +312,42 @@ def _chunk_terms(
     entropy = np.maximum(s, 0.0) + np.log1p(e) - lam * s
     if mult is not None:
         lam, q, entropy = lam * mult, q * mult, entropy * mult
-    flat = idx.T.ravel()
-    return {
-        "lam": lam.sum(),
-        "q": q.sum(),
-        "entropy": entropy.sum(),
-        "vertex_lam": np.bincount(flat, np.tile(lam, r), minlength=n),
-        "vertex_q": np.bincount(flat, np.tile(q, r), minlength=n),
-        "pair_q": np.bincount(
-            keys, np.tile(q, r * (r - 1) // 2), minlength=n * n
-        ).reshape(n, n),
-    }
+    # one weight buffer and one intp bin buffer serve the three bincounts:
+    # the pair keys with q, which fill the vector from entry 3 + 2k on, then
+    # the vertex indices with q, then with lam
+    pairs, head = r * (r - 1) // 2, 3 + 2 * k
+    weights = np.empty((max(r, pairs), rows))
+    bins = np.empty((max(r, pairs), rows), dtype=np.intp)
+    weights[:] = q
+    bins[:pairs] = keys.reshape(pairs, rows)
+    bins[:pairs] += head
+    # with no pair entries (r < 2, or no rows) bincount returns integers
+    out = np.bincount(
+        bins[:pairs].ravel(), weights[:pairs].ravel(), minlength=head + k * k
+    ).astype(np.float64, copy=False)
+    out[:3] = lam.sum(), q.sum(), entropy.sum()
+    bins[:r] = idx.T
+    out[3 + k:head] = np.bincount(bins[:r].ravel(), weights[:r].ravel(), minlength=k)
+    weights[:r] = lam
+    out[3:3 + k] = np.bincount(bins[:r].ravel(), weights[:r].ravel(), minlength=k)
+    return out
 
 
-def _sweep(classes: VertexClasses, r: int, kernel) -> dict:
+def _sweep(classes: VertexClasses, r: int, kernel) -> np.ndarray:
     """Sum ``kernel(idx, keys, mult)`` over the chunks of ``class_chunks``.
 
     The kernel maps one chunk of rows, their pair keys and their
-    multiplicities to a dict of sums.  Chunks are folded serially in chunk
-    order with twofold compensation, so the result is a fixed function of
-    the kernel, the classes and r.  The fold starts from the kernel of an
-    empty chunk, so with no rows at all (r > n) every sum is zero.
+    multiplicities to a vector of sums.  Chunks are folded serially in
+    chunk order by one ``Twofold``, entry by entry, so the result is a
+    fixed function of the kernel, the classes and r.  The fold starts from
+    the kernel of an empty chunk, so with no rows at all (r > n) every sum
+    is zero.
     """
     empty = np.empty((0, r), dtype=np.int64)
-    zero = kernel(empty, np.empty(0, dtype=np.int64), None)
-    acc = {name: Twofold(value) for name, value in zero.items()}
+    acc = Twofold(kernel(empty, np.empty(0, dtype=np.int64), None))
     for idx, keys, mult in class_chunks(classes, r):
-        for name, value in kernel(idx, keys, mult).items():
-            acc[name].add(value)
-    return {name: total.value() for name, total in acc.items()}
+        acc.add(kernel(idx, keys, mult))
+    return acc.value()
 
 
 def field_summary(
@@ -333,11 +369,13 @@ def field_summary(
     sums = _sweep(
         classes, r, lambda idx, keys, mult: _chunk_terms(idx, keys, arr, mult)
     )
+    k = classes.k
+    lam, q, entropy = sums[:3].tolist()
+    pair_q = sums[3 + 2 * k:].reshape(k, k)
     # a row with a_i vertices of class i counts a_i a_j position pairs for
     # classes i < j and a_i (a_i - 1) / 2 within class i; divide by the vertex
     # pairs each block entry stands for (all 1 on singletons)
     sizes = classes.sizes.astype(np.float64)
-    pairs = sums["pair_q"] + sums["pair_q"].T
     per_pair = np.outer(sizes, sizes)
     np.fill_diagonal(per_pair, np.maximum(sizes * (sizes - 1.0), 1.0))
     total = math.comb(n, r)
@@ -346,12 +384,12 @@ def field_summary(
         r=r,
         beta=arr,
         classes=classes,
-        class_sums=sums["vertex_lam"] / sizes,
-        class_variance=sums["vertex_q"] / sizes,
-        pair_blocks=pairs / per_pair,
-        avg_lambda=sums["lam"] / total,
-        big_lambda=sums["q"] / total,
-        entropy=sums["entropy"],
+        class_sums=sums[3:3 + k] / sizes,
+        class_variance=sums[3 + k:3 + 2 * k] / sizes,
+        pair_blocks=(pair_q + pair_q.T) / per_pair,
+        avg_lambda=lam / total,
+        big_lambda=q / total,
+        entropy=entropy,
         budget=budget,
     )
 
@@ -399,7 +437,7 @@ def _sum_nearest_zero(field: FieldSummary) -> float:
     (on classes, the compositions of nonzero multiplicity)."""
     best = math.inf
     for idx, _, mult in class_chunks(field.classes, field.r):
-        s = field.beta[idx].sum(axis=1)
+        s = row_sums(field.beta, idx)
         s = s if mult is None else s[mult > 0]
         if s.size:
             best = min(best, float(s[np.argmin(np.abs(s))]), key=abs)

@@ -113,11 +113,26 @@ def _log_pmf_vector(spec: HypergeomSpec) -> np.ndarray:
     return _log_pmf(spec, np.arange(spec.marked + 1))
 
 
+def _lgamma_each(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x.tolist()), np.float64, x.size)
+
+
 def _log_comb_each(a: int, b: np.ndarray) -> np.ndarray:
-    """``log_comb(a, b)`` at each entry of b in [0, a], bit-identical to it."""
-    def lgamma(x):
-        return np.fromiter(map(math.lgamma, x.tolist()), np.float64, x.size)
-    return math.lgamma(a + 1.0) - lgamma(b + 1.0) - lgamma(a - b + 1.0)
+    """``log_comb(a, b)`` at each entry of b in [0, a], bit-identical to it.
+
+    Where the int64 entries of b fill at least half of the range that the
+    arguments b and a - b span together, lgamma is read from one table over
+    that range: on a full support b = 0..a the values a - b are the values
+    b in reverse, so the table computes each of the a + 1 values once.
+    """
+    head = math.lgamma(a + 1.0)
+    if b.dtype != object and b.size:
+        lo, hi = int(b.min()), int(b.max())
+        first, last = min(lo, a - hi), max(hi, a - lo)
+        if last - first < 2 * b.size:
+            table = _lgamma_each(np.arange(first, last + 1) + 1.0)
+            return head - table[b - first] - table[a - b - first]
+    return head - _lgamma_each(b + 1.0) - _lgamma_each(a - b + 1.0)
 
 
 def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from .fields import (
     class_chunks,
     field_summary,
     logistic,
+    row_sums,
 )
 
 SPREAD_GUARD = 50.0
@@ -89,7 +90,7 @@ def _product_seed(params: DerivedParams, budget: int | None = None) -> np.ndarra
     check_subset_budget(params.classes.rows(r - 1), budget)
     log_d = np.log(np.asarray(params.class_degrees, dtype=np.float64))
     chunk_lse = [
-        _logsumexp(log_d[idx].sum(axis=1), mult)
+        _logsumexp(row_sums(log_d, idx), mult)
         for idx, _, mult in class_chunks(params.classes, r - 1)
     ]
     log_s = _logsumexp(np.array(chunk_lse)) + math.log((n - r + 1) / n)
@@ -331,16 +332,14 @@ def uniqueness_diagnostic(
     b = as_beta_array(beta_b, n)
     ys = np.linspace(0.0, 1.0, UNIQUENESS_GRID)
 
-    def curvature(idx: np.ndarray, _keys, _mult) -> dict:
-        la = logistic(a[idx].sum(axis=1))
-        lb = logistic(b[idx].sum(axis=1))
+    def curvature(idx: np.ndarray, _keys, _mult) -> np.ndarray:
+        la = logistic(row_sums(a, idx))
+        lb = logistic(row_sums(b, idx))
         diff2 = (lb - la) ** 2
         xi = (1.0 - ys[:, None]) * la[None, :] + ys[:, None] * lb[None, :]
-        return {"curvature": (diff2[None, :] / (xi * (1.0 - xi))).sum(axis=1)}
+        return (diff2[None, :] / (xi * (1.0 - xi))).sum(axis=1)
 
-    return float(
-        _sweep(VertexClasses.singletons(n), r, curvature)["curvature"].min()
-    )
+    return float(_sweep(VertexClasses.singletons(n), r, curvature).min())
 
 
 @dataclass

@@ -294,6 +294,20 @@ def test_degrees_beyond_int64_print_the_recorded_bytes(method):
     assert out == BEYOND_INT64["stdout"][method]
 
 
+def test_degree_classes_start_at_the_least_vertex_of_each_degree():
+    # shuffled repeats, and the beyond-int64 instance, whose degrees are
+    # tabulated in an object array
+    spec = BEYOND_INT64["instance"]
+    wide = near_regular(spec["n"], spec["r"], spec["seed"], spec["lam"], spec["spread"])
+    for seq in (DegreeSequence(12, 3, (7, 5, 9, 5, 7, 7, 9, 5, 6, 6, 9, 6)), wide):
+        classes = derive(seq).classes
+        distinct = sorted(set(seq.degrees))
+        assert 1 < classes.k == len(distinct) < seq.n
+        assert classes.index.tolist() == [distinct.index(d) for d in seq.degrees]
+        assert classes.sizes.tolist() == [seq.degrees.count(d) for d in distinct]
+        assert classes.first.tolist() == [seq.degrees.index(d) for d in distinct]
+
+
 def test_each_instance_is_derived_once(monkeypatch):
     seq = DegreeSequence(8, 3, (10,) * 4 + (11,) * 4)
     assert seq.params is seq.params

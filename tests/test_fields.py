@@ -14,7 +14,9 @@ from hyperdeg.fields import (
 from hyperdeg import fields
 from hyperdeg.fields import Twofold
 from hyperdeg.solver import initial_beta, solve
-from hyperdeg.subsets import all_subsets, colex_rank, incidence, iter_chunks
+from hyperdeg.subsets import (
+    all_subsets, colex_rank, incidence, iter_chunks, iter_multisets,
+)
 
 E = math.e
 
@@ -272,12 +274,15 @@ def reference_solve(seq, seed_beta=None, tol=1e-10):
 EXTREME_BETA = np.repeat([0.0, 15.0, -15.0, 372.5, -372.5, 400.0, -400.0], 2)
 
 
+# r = 7, 8, 9 and 12 straddle numpy's switch from left-to-right row sums to
+# pairwise ones at 8 terms
 @pytest.mark.parametrize("n,r,beta", [
     pytest.param(
         n, r, np.random.default_rng(n * 10 + r).normal(scale=0.4, size=n) - 0.3,
         id=f"{n}-{r}",
     )
-    for n, r in [(9, 1), (9, 2), (20, 4), (12, 5), (24, 5)]
+    for n, r in [(9, 1), (9, 2), (20, 4), (12, 5), (24, 5),
+                 (16, 7), (16, 8), (15, 9), (16, 12)]
 ] + [pytest.param(14, 2, EXTREME_BETA, id="extreme-beta")])
 def test_bincount_kernel_is_bit_identical_to_add_at(n, r, beta):
     f = field_summary(beta, n, r)
@@ -287,6 +292,74 @@ def test_bincount_kernel_is_bit_identical_to_add_at(n, r, beta):
     assert f.avg_lambda == avg
     assert f.big_lambda == big
     assert f.entropy == entropy
+
+
+def reference_class_field(values, sizes, r):
+    """Reference: the class sweep composition by composition, each weighted
+    by its prod C(n_i, a_i) from exact integers, with per-column
+    ``np.add.at`` sums folded in chunk order; returns every float of the
+    field in the order of ``field_bits``."""
+    k, n = len(sizes), sum(sizes)
+    acc = [Twofold(np.zeros(k)), Twofold(np.zeros(k)), Twofold(np.zeros((k, k))),
+           Twofold(0.0), Twofold(0.0), Twofold(0.0)]
+    for idx in iter_multisets(k, r):
+        mult = np.array([
+            float(math.prod(math.comb(sizes[i], row.count(i)) for i in set(row)))
+            for row in idx.tolist()
+        ])
+        s = values[idx].sum(axis=1)
+        lam = logistic(s)
+        q = lam * logistic(-s)
+        entropy = fields.softplus(s) - lam * s
+        lam, q, entropy = lam * mult, q * mult, entropy * mult
+        vertex_lam, vertex_q, pair_q = np.zeros(k), np.zeros(k), np.zeros((k, k))
+        for a in range(r):
+            np.add.at(vertex_lam, idx[:, a], lam)
+            np.add.at(vertex_q, idx[:, a], q)
+            for b in range(a + 1, r):
+                np.add.at(pair_q, (idx[:, a], idx[:, b]), q)
+        parts = (vertex_lam, vertex_q, pair_q, lam.sum(), q.sum(), entropy.sum())
+        for total, part in zip(acc, parts):
+            total.add(part)
+    vertex_lam, vertex_q, pair_q, sum_lam, sum_q, entropy = (t.value() for t in acc)
+    size = np.array(sizes, dtype=np.float64)
+    per_pair = np.outer(size, size)
+    np.fill_diagonal(per_pair, np.maximum(size * (size - 1.0), 1.0))
+    total = math.comb(n, r)
+    parts = (vertex_lam / size, vertex_q / size, (pair_q + pair_q.T) / per_pair,
+             sum_lam / total, sum_q / total, entropy)
+    return b"".join(np.asarray(x, dtype=np.float64).tobytes() for x in parts)
+
+
+# 4368 compositions (two chunks) at r = 5, and pairwise row sums at r = 8;
+# classes of size 1 leave compositions of multiplicity 0
+@pytest.mark.parametrize("sizes,r", [
+    ((3, 1, 5, 2, 1, 4, 2, 6, 1, 3, 2, 5), 5), ((3, 1, 5, 2, 1), 8),
+])
+def test_class_kernel_is_bit_identical_to_a_per_composition_reference(sizes, r):
+    k = len(sizes)
+    index = np.repeat(np.arange(k), sizes)
+    first = np.cumsum((0,) + sizes[:-1])
+    classes = fields.VertexClasses(index, np.array(sizes), first)
+    values = np.random.default_rng(k * r).normal(scale=0.4, size=k) - 0.3
+    field = field_summary(values, sum(sizes), r, classes=classes)
+    assert field_bits(field) == reference_class_field(values, sizes, r)
+
+
+@pytest.mark.parametrize("r", list(range(1, 18)) + [130])
+def test_row_sums_are_bit_identical_to_a_row_major_gather_sum(r):
+    # magnitudes over 16 decades make every order of addition round
+    # differently; an all -0.0 vector checks the sign of zero sums
+    rng = np.random.default_rng(r)
+    n = r + 6
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+    idx = next(iter_chunks(n, r))
+    # a plan chunk: contiguous columns in int16, read through the transposed view
+    planned = np.ascontiguousarray(idx.T, dtype=np.int16).T
+    for values in (x, np.full(n, -0.0)):
+        want = np.ascontiguousarray(values[idx]).sum(axis=1).tobytes()
+        assert fields.row_sums(values, idx).tobytes() == want
+        assert fields.row_sums(values, planned).tobytes() == want
 
 
 def test_entropy_and_prefactor_sweeps_are_bit_identical_to_per_chunk_sums():

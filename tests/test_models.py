@@ -405,6 +405,24 @@ def test_log_gamma_forms_match_the_scipy_reference():
                     assert abs(models.log_comb(a, b) - reference(a, b)) <= tol
 
 
+@pytest.mark.parametrize("n,r,m", [(12, 4, 100), (60, 4, 10**5), (20, 3, 0), (20, 3, 1140)])
+def test_log_pmf_vector_has_the_bits_of_a_per_entry_lgamma_sum(n, r, m):
+    # the log-gamma table is read in both directions; every entry must keep
+    # the bits of its own three math.lgamma calls per log-binomial
+    spec = HypergeomSpec(n, r, m)
+    rest = spec.population - spec.marked
+    support = spec.support()
+    want = [
+        models.log_comb(spec.marked, k) + models.log_comb(rest, m - k)
+        - models.log_comb(spec.population, m)
+        if k in support else models.LOG_ZERO
+        for k in range(spec.marked + 1)
+    ]
+    assert _log_pmf_vector(spec).tobytes() == np.array(want).tobytes()
+    degrees = [0, 1, spec.marked // 2, spec.marked]
+    assert models._log_pmf(spec, degrees).tobytes() == np.array(want)[degrees].tobytes()
+
+
 def _recorded_guard_and_work(monkeypatch, call):
     """The count passed to the dp guard, and the summed operand size products
     of every convolution the call then makes."""
