@@ -52,7 +52,7 @@ from .models import (
     stirling_log_binom,
 )
 from .oracle import ExactCount, cauchy_quadrature, exact_count, total_identity_check
-from .solver import SolveReport, initial_beta, solve, uniqueness_diagnostic
+from .solver import SolveReport, solve, uniqueness_diagnostic
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "exact_count",
     "field_summary",
     "hypergeom_pmf",
-    "initial_beta",
     "logdet_pd",
     "measured_ratio",
     "predicted_ratio",

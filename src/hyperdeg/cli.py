@@ -35,7 +35,6 @@ from .errors import (
     NonConvergence,
     SingularJacobian,
     Unsolved,
-    ZeroDegree,
 )
 from .fields import check_weight_ratio_bounds, field_summary
 from .matrices import bound_suite
@@ -146,7 +145,7 @@ def warn_hypotheses(seq: DegreeSequence) -> None:
 def cmd_solve(args) -> int:
     seq = load_instance(args.input)
     warn_hypotheses(seq)
-    report = solve(seq, strategy=args.seed, tol=args.tol, budget=args.budget)
+    report = solve(seq, tol=args.tol, budget=args.budget)
     payload = report.to_json_dict()
     if args.dump_field:
         payload["field"] = report.field.to_json_dict()
@@ -343,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the degree system")
     p.add_argument("--input", required=True, help="instance file or inline JSON")
-    p.add_argument("--seed", default="auto",
-                   choices=["auto", "regular", "product", "near-regular"])
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--dump-field", action="store_true")
     p.add_argument("--dump-matrix", metavar="PATH", default=None)
@@ -396,7 +393,7 @@ def run(argv=None) -> int:
         # looked up per call, not bound into the shared parser, so a
         # command function replaced after the first run is the one called
         return globals()["cmd_" + args.command](args)
-    except (InvalidInstance, DensityDegenerate, ZeroDegree, ValueError, OSError) as exc:
+    except (InvalidInstance, DensityDegenerate, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (NonConvergence, Unsolved, SingularJacobian) as exc:

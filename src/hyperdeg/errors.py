@@ -29,10 +29,6 @@ class DensityDegenerate(HyperdegError):
     """Density is exactly 0 or 1; the requested operation is undefined there."""
 
 
-class ZeroDegree(HyperdegError):
-    """A strategy requiring strictly positive degrees met a zero degree."""
-
-
 class BudgetExceeded(HyperdegError):
     """An enumeration would exceed the configured operation budget."""
 

@@ -11,9 +11,9 @@ exists (the segment entropy between two candidate solutions is strictly
 concave), which justifies single-solution semantics and the uniqueness
 diagnostic below.
 
-Three seeds are available, mirroring the regimes in which existence is
-known: a constant vector from the density (regular), a degree-product seed
-for sparse instances, and a near-regular expansion seed.
+The iteration starts from the solution of the regular instance of the
+same density, logit(lam) / r on every vertex, unless a custom seed is
+given.  Since the solution is unique, the seed only picks the path to it.
 """
 
 from __future__ import annotations
@@ -30,14 +30,12 @@ from .errors import (
     NonConvergence,
     SingularJacobian,
     Unsolved,
-    ZeroDegree,
 )
 from .fields import (
     FieldSummary,
     VertexClasses,
     _sweep,
     as_beta_array,
-    class_chunks,
     field_summary,
     logistic,
     row_sums,
@@ -70,119 +68,17 @@ class SolveReport:
         }
 
 
-def _regular_seed(params: DerivedParams, k: int) -> np.ndarray:
+def _regular_seed(params: DerivedParams) -> np.ndarray:
+    """logit(lam) / r on every class: the solution of the regular instance."""
     lam = params.lam
     if not (0.0 < lam < 1.0):
         raise DensityDegenerate(f"density {lam} has no finite seed")
-    value = math.log(lam / (1.0 - lam)) / params.r
-    return np.full(k, value)
-
-
-def _product_seed(params: DerivedParams, budget: int | None = None) -> np.ndarray:
-    """Seed from degree products over (r-1)-subsets, one value per class.
-
-    beta_j = log d_j - (1/r) log S with
-    S = ((n-r+1)/n) * sum over (r-1)-subsets of the degree product.
-    """
-    n, r = params.n, params.r
-    if min(params.class_degrees) == 0:
-        raise ZeroDegree("product seed needs all degrees positive")
-    check_subset_budget(params.classes.rows(r - 1), budget)
-    log_d = np.log(np.asarray(params.class_degrees, dtype=np.float64))
-    chunk_lse = [
-        _logsumexp(row_sums(log_d, idx), mult)
-        for idx, _, mult in class_chunks(params.classes, r - 1)
-    ]
-    log_s = _logsumexp(np.array(chunk_lse)) + math.log((n - r + 1) / n)
-    return log_d - log_s / r
-
-
-def _logsumexp(x: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """``log(sum(weights * exp(x)))``, shifted by the largest x of nonzero weight.
-
-    Entries of zero weight are dropped before the shift, so they can neither
-    set it nor overflow; with none left the sum is empty and the log -inf.
-    """
-    if weights is not None:
-        keep = weights != 0
-        x, weights = x[keep], weights[keep]
-    top = float(x.max(initial=-math.inf))
-    if top == -math.inf:
-        return top
-    terms = np.exp(x - top)
-    if weights is not None:
-        terms *= weights
-    return top + math.log(float(terms.sum()))
-
-
-def _near_regular_seed(params: DerivedParams) -> np.ndarray:
-    """Regular seed plus the explicit near-regular correction, per class.
-
-    The correction per vertex is
-    ``(n-1) delta_j / ((1-lam)(n-r) d)
-      - (n - 2 lam n - 2r) n delta_j^2 / (2 (1-lam)^2 (n-r)^2 d^2)
-      + delta_j^3 / (3 d^3)
-      - r R2 / (2 (n-r)^2 d^2)
-      + R2 / (2 n (n-r) d^2)``.
-    """
-    n, r = params.n, params.r
-    lam, d = params.lam, params.d
-    if not (0.0 < lam < 1.0):
-        raise DensityDegenerate(f"density {lam} has no finite seed")
-    # delta_j = d_j - d = (n d_j - r m) / n, rounded once by int division
-    delta = np.array([(n * dj - r * params.m) / n for dj in params.class_degrees])
-    r2 = params.r2
-    gamma = (
-        (n - 1) * delta / ((1.0 - lam) * (n - r) * d)
-        - (n - 2.0 * lam * n - 2.0 * r) * n * delta**2
-        / (2.0 * (1.0 - lam) ** 2 * (n - r) ** 2 * d**2)
-        + delta**3 / (3.0 * d**3)
-        - r * r2 / (2.0 * (n - r) ** 2 * d**2)
-        + r2 / (2.0 * n * (n - r) * d**2)
-    )
-    return _regular_seed(params, params.classes.k) + gamma
-
-
-def choose_strategy(params: DerivedParams) -> str:
-    """Seed auto-selection: near-regular, else product, else regular."""
-    d = params.d
-    if d > 0 and params.delta_max <= d**0.6:
-        return "near-regular"
-    cap = math.comb(params.n - 1, params.r - 1)
-    if min(params.class_degrees) > 0 and params.r * d <= cap:
-        return "product"
-    return "regular"
-
-
-def _class_seed(
-    params: DerivedParams, strategy: str, budget: int | None
-) -> tuple[np.ndarray, str]:
-    """Seed values, one per class, and the strategy used."""
-    if strategy == "auto":
-        strategy = choose_strategy(params)
-    if strategy == "regular":
-        return _regular_seed(params, params.classes.k), "regular"
-    if strategy == "product":
-        return _product_seed(params, budget), "product"
-    if strategy == "near-regular":
-        return _near_regular_seed(params), "near-regular"
-    raise ValueError(f"unknown seed strategy {strategy!r}")
-
-
-def initial_beta(
-    seq: DegreeSequence,
-    strategy: str = "auto",
-    budget: int | None = None,
-) -> tuple[np.ndarray, str]:
-    """Seed vector for the Newton iteration; returns (seed, strategy used)."""
-    beta, used = _class_seed(seq.params, strategy, budget)
-    return beta[seq.params.classes.index], used
+    return np.full(params.classes.k, math.log(lam / (1.0 - lam)) / params.r)
 
 
 def solve(
     seq: DegreeSequence,
     seed_beta=None,
-    strategy: str = "auto",
     tol: float = 1e-10,
     max_iter: int = 100,
     budget: int | None = None,
@@ -215,7 +111,7 @@ def solve(
     n, r = seq.n, seq.r
     check_subset_budget(classes.rows(r), budget)
     if seed_beta is None:
-        beta, seed_used = _class_seed(params, strategy, budget)
+        beta, seed_used = _regular_seed(params), "regular"
     else:
         seed = as_beta_array(seed_beta, n)
         beta, seed_used = seed[classes.first], "custom"

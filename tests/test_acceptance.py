@@ -52,7 +52,7 @@ from hyperdeg.oracle import (
     exact_count,
     total_identity_check,
 )
-from hyperdeg.solver import initial_beta, solve, uniqueness_diagnostic
+from hyperdeg.solver import solve, uniqueness_diagnostic
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
@@ -82,7 +82,7 @@ def _solved_or_fallback_contour(seq):
         return solve(seq, max_iter=60).beta_star
     except (NonConvergence, SingularJacobian, DensityDegenerate):
         if 0.0 < params.lam < 1.0:
-            return initial_beta(seq, "regular")[0]
+            return np.full(seq.n, math.log(params.lam / (1.0 - params.lam)) / seq.r)
         return None
 
 

@@ -345,6 +345,30 @@ def test_nonconvergence_exits_three():
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["count", "--method", "general"], ["audit"]])
+def test_an_interior_instance_solves_from_the_regular_seed(argv):
+    # LP margin 0.05 and exact count 810: an interior instance, so it has a
+    # solution, though one far enough from the regular point that a
+    # near-regular expansion seed overshot it past the spread guard
+    text = '{"n":7,"r":3,"degrees":[7,11,12,12,12,12,12]}'
+    code, out, err = invoke(argv + ["--input", text])
+    assert code == 0, err
+    payload = json.loads(out)
+    if argv == ["solve"]:
+        assert payload["converged"] and payload["seed"] == "regular"
+    if argv[0] == "count":
+        assert payload["ln"] == pytest.approx(7.32296817642833, rel=1e-9)
+
+
+def test_solve_takes_no_seed_option():
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["solve", "--seed", "regular", "--input", str(INSTANCES / "skew6.json")]
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert (exc.value.code, out.getvalue()) == (2, "")
+    assert "unrecognized arguments: --seed regular" in err.getvalue()
+
+
 def test_warnings_go_to_stderr_not_stdout():
     code, out, err = invoke(
         ["count", "--input", str(INSTANCES / "tiny4.json"), "--method",

@@ -1,18 +1,17 @@
 import math
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.optimize import linprog
 
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry
-from hyperdeg import fields, solver
-from hyperdeg.errors import DensityDegenerate, NonConvergence, SingularJacobian, ZeroDegree
+from hyperdeg import fields
+from hyperdeg.errors import DensityDegenerate, NonConvergence, SingularJacobian
 from hyperdeg.fields import Twofold, field_summary, logistic
 from hyperdeg.matrices import bound_suite
 from hyperdeg.solver import (
     apply_beta_symmetry,
-    initial_beta,
     inverse_jacobian_bound_check,
     solve,
     uniqueness_diagnostic,
@@ -24,37 +23,11 @@ SKEW6 = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
 
 
 def test_regular_seed_is_zero_at_half_density():
-    seed, used = initial_beta(REG6, "regular")
-    assert used == "regular"
-    assert np.array_equal(seed, np.zeros(6))
-
-
-def test_near_regular_seed_equals_regular_when_deviations_vanish():
-    seed, used = initial_beta(REG6, "near-regular")
-    assert used == "near-regular"
-    assert np.array_equal(seed, np.zeros(6))
-
-
-def test_product_seed_matches_brute_force():
-    seed, used = initial_beta(SKEW6, "product")
-    assert used == "product"
-    degrees = np.array(SKEW6.degrees, dtype=float)
-    s = (6 - 3 + 1) / 6 * sum(
-        math.prod(degrees[list(w)]) for w in combinations(range(6), 2)
-    )
-    expected = np.log(degrees) - math.log(s) / 3
-    assert np.allclose(seed, expected, atol=1e-12)
-    assert seed[0] > seed[5]
-
-
-def test_logsumexp_drops_zero_weights():
-    x = np.array([1.0, 800.0, -2.0, 3.5])
-    weights = np.array([2.0, 0.0, 5.0, 1.0])
-    # the zero-weight 800 neither sets the shift nor overflows exp
-    assert solver._logsumexp(x, weights) == pytest.approx(logsumexp(x, b=weights), rel=1e-15)
-    assert solver._logsumexp(x[[0, 2, 3]]) == pytest.approx(logsumexp(x[[0, 2, 3]]), rel=1e-15)
-    assert solver._logsumexp(x, np.zeros(4)) == -math.inf
-    assert solver._logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
+    # logit(1/2) / 3 = 0 solves the regular instance with no Newton step
+    report = solve(REG6, max_iter=0)
+    assert report.seed_used == "regular"
+    assert report.iterations == 0
+    assert np.array_equal(report.beta_star, np.zeros(6))
 
 
 def test_non_positive_definite_jacobian_raises_singular_jacobian(monkeypatch):
@@ -70,10 +43,7 @@ def test_non_positive_definite_jacobian_raises_singular_jacobian(monkeypatch):
 def test_seed_errors():
     empty = DegreeSequence(4, 3, (0, 0, 0, 0))
     with pytest.raises(DensityDegenerate):
-        initial_beta(empty, "regular")
-    zero = DegreeSequence(4, 3, (2, 2, 2, 0))
-    with pytest.raises(ZeroDegree):
-        initial_beta(zero, "product")
+        solve(empty)
 
 
 def test_regular_solve_converges_at_seed():
@@ -93,25 +63,49 @@ def test_skew_solve_reproduces_degrees():
 
 
 def test_all_seeds_reach_the_same_solution():
-    solutions = []
-    for strategy in ("regular", "product", "near-regular"):
-        report = solve(SKEW6, strategy=strategy)
-        assert report.seed_used == strategy
-        solutions.append(report.beta_star)
-    for other in solutions[1:]:
-        assert np.allclose(solutions[0], other, atol=1e-8)
+    # the solution is unique: seeds on either side of it reach it too
+    report = solve(SKEW6)
+    assert report.seed_used == "regular"
+    for seed in ([0.4, 0.1, 0.1, 0.1, 0.1, -0.2], [-0.5, 0.2, 0.2, 0.2, 0.2, 0.6]):
+        other = solve(SKEW6, seed_beta=seed)
+        assert other.seed_used == "custom" and other.converged
+        assert np.allclose(report.beta_star, other.beta_star, atol=1e-8)
 
 
-def test_near_regular_seed_improves_on_regular_seed():
-    # validates the direction of the expansion seed, not just convergence
-    for degrees in [(7, 7, 7, 6, 6, 6, 5, 4), (8, 7, 7, 6, 6, 6, 5, 3)]:
-        seq = DegreeSequence(8, 3, degrees)
-        star = solve(seq, tol=1e-12).beta_star
-        regular = initial_beta(seq, "regular")[0]
-        near = initial_beta(seq, "near-regular")[0]
-        reg_dist = np.abs(regular - star).max()
-        near_dist = np.abs(near - star).max()
-        assert near_dist < 0.5 * reg_dist, (degrees, reg_dist, near_dist)
+def lp_margin(n, r, degrees):
+    """The largest t such that weights in [t, 1 - t] on the r-subsets have
+    vertex sums equal to the degrees: positive exactly on the interior of
+    the degree polytope, -inf outside it."""
+    incidence = np.zeros((n, math.comb(n, r)))
+    for col, w in enumerate(combinations(range(n), r)):
+        incidence[list(w), col] = 1.0
+    rows = incidence.shape[1]
+    # variables (x, t), all nonnegative: maximise t with t <= x <= 1 - t
+    ones = np.ones((rows, 1))
+    res = linprog(
+        np.r_[np.zeros(rows), -1.0],
+        A_ub=np.block([[-np.eye(rows), ones], [np.eye(rows), ones]]),
+        b_ub=np.r_[np.zeros(rows), np.ones(rows)],
+        A_eq=np.c_[incidence, np.zeros(n)],
+        b_eq=np.asarray(degrees, dtype=float),
+        method="highs",
+    )
+    return -res.fun if res.status == 0 else -math.inf
+
+
+def test_every_interior_degree_vector_at_six_three_solves():
+    # the solution exists exactly on the interior and is unique, so one seed
+    # must reach it from every interior point
+    cap = math.comb(5, 2)
+    interior = [
+        degrees[::-1]
+        for degrees in combinations_with_replacement(range(cap + 1), 6)
+        if sum(degrees) % 3 == 0 and lp_margin(6, 3, degrees) > 1e-9
+    ]
+    assert len(interior) == 149
+    for degrees in interior:
+        report = solve(DegreeSequence(6, 3, degrees))
+        assert report.converged, degrees
 
 
 def test_custom_seed_and_monotone_residual():
@@ -212,7 +206,8 @@ def test_inverse_jacobian_bound_regular_and_perturbed():
     # the bound's size hypothesis needs n >= 16 e^{4 d1 + 8 d2}
     n = 20
     seq = DegreeSequence(n, 3, (57,) * n)  # lam = 1/3
-    center, _ = initial_beta(seq, "regular")
+    lam = seq.params.lam
+    center = np.full(n, math.log(lam / (1.0 - lam)) / 3)
     suite = bound_suite(field_summary(center, n, 3), delta_hat=0.0)
     constant = suite.measured_inverse_constant
     res = inverse_jacobian_bound_check(

@@ -137,7 +137,7 @@ def test_unranking_without_int64_overflow_near_r_equals_n():
 
 def test_degenerate_edge_sizes():
     for n in (0, 1, 5):
-        # r = 0: one empty row, which the product seed relies on at r - 1
+        # r = 0: one empty row
         for got in (np.vstack(list(iter_chunks(n, 0))), all_subsets(n, 0)):
             assert got.shape == (1, 0)
         full = list(iter_chunks(n, n))
