@@ -49,10 +49,9 @@ from .models import (
     predicted_ratio,
     prob_model,
     sample_degree_batch,
-    stirling_log_binom,
 )
 from .oracle import ExactCount, cauchy_quadrature, exact_count, total_identity_check
-from .solver import SolveReport, solve, uniqueness_diagnostic
+from .solver import SolveReport, solve
 
 __version__ = "0.1.0"
 
@@ -86,9 +85,7 @@ __all__ = [
     "regular_closed_form",
     "sample_degree_batch",
     "solve",
-    "stirling_log_binom",
     "symmetry_audit",
     "total_identity_check",
-    "uniqueness_diagnostic",
     "weight_logdet",
 ]

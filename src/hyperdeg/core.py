@@ -33,10 +33,21 @@ from .errors import (
 
 
 class QuadrantTransform(Enum):
+    """A quadrant transform: the edge complement if ``edge``, then the set
+    complement if ``complement``."""
+
     IDENTITY = "identity"
     EDGE_COMPLEMENT = "edge-complement"
     SET_COMPLEMENT = "set-complement"
     BOTH = "both"
+
+    @property
+    def edge(self) -> bool:
+        return self in (QuadrantTransform.EDGE_COMPLEMENT, QuadrantTransform.BOTH)
+
+    @property
+    def complement(self) -> bool:
+        return self in (QuadrantTransform.SET_COMPLEMENT, QuadrantTransform.BOTH)
 
 
 @dataclass(frozen=True)
@@ -287,19 +298,16 @@ def derive(seq: DegreeSequence) -> DerivedParams:
 
 def apply_symmetry(seq: DegreeSequence, t: QuadrantTransform) -> DegreeSequence:
     """Image of an instance under a quadrant transform (exact integers)."""
-    n, r = seq.n, seq.r
-    m = seq.edge_count
     if t is QuadrantTransform.IDENTITY:
         return seq
-    if t is QuadrantTransform.EDGE_COMPLEMENT:
-        return DegreeSequence(n, n - r, tuple(m - dj for dj in seq.degrees))
-    if t is QuadrantTransform.SET_COMPLEMENT:
-        cap = seq.degree_cap
-        return DegreeSequence(n, r, tuple(cap - dj for dj in seq.degrees))
-    if t is QuadrantTransform.BOTH:
-        base = math.comb(n - 1, r)
-        return DegreeSequence(n, n - r, tuple(base - m + dj for dj in seq.degrees))
-    raise ValueError(f"unknown transform {t!r}")
+    n, r, degrees = seq.n, seq.r, seq.degrees
+    if t.edge:
+        m = seq.edge_count
+        r, degrees = n - r, tuple(m - dj for dj in degrees)
+    if t.complement:
+        cap = math.comb(n - 1, r - 1)
+        degrees = tuple(cap - dj for dj in degrees)
+    return DegreeSequence(n, r, degrees)
 
 
 def canonicalize_first_quadrant(
@@ -313,14 +321,6 @@ def canonicalize_first_quadrant(
     flips only the r-condition and the set complement flips only the
     m-condition.
     """
-    need_r = 2 * seq.r > seq.n
-    need_m = 2 * seq.edge_count > math.comb(seq.n, seq.r)
-    if need_r and need_m:
-        t = QuadrantTransform.BOTH
-    elif need_r:
-        t = QuadrantTransform.EDGE_COMPLEMENT
-    elif need_m:
-        t = QuadrantTransform.SET_COMPLEMENT
-    else:
-        t = QuadrantTransform.IDENTITY
+    flips = (2 * seq.r > seq.n, 2 * seq.edge_count > math.comb(seq.n, seq.r))
+    t = next(t for t in QuadrantTransform if (t.edge, t.complement) == flips)
     return apply_symmetry(seq, t), t

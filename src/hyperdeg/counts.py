@@ -126,8 +126,9 @@ def estimate_general(
     """General-formula estimate: solve, assemble, take logs.
 
     Without a report the instance is moved to the first quadrant and solved
-    there.  A given converged report for ``seq`` is evaluated from its
-    field sweep in its own frame, with no transform and no further sweep;
+    there.  A given converged report for ``seq`` (``ValueError`` if it
+    solves another instance) is evaluated from its field sweep in its own
+    frame, with no transform and no further sweep;
     the formula is exactly frame-invariant, so both agree to rounding.  The
     log-determinant comes from the k x k determinant lemma on the class
     route (the classes of ``seq.params``) and from the n x n Cholesky on
@@ -140,7 +141,7 @@ def estimate_general(
         canonical, _ = canonicalize_first_quadrant(seq)
         field = solve(canonical, budget=budget).field
     else:
-        field = require_converged(report).field
+        field = require_converged(report, seq).field
     return LogEstimate(
         ln_value=_general_ln(field, weight_logdet(field)),
         method="general",
@@ -251,7 +252,8 @@ def symmetry_audit(
     """Solve all four quadrant images and compare the general estimates.
 
     The identity image is the base solve (a given converged ``report`` for
-    ``seq``, else a fresh one); each other image is solved once, seeded with
+    ``seq``, ``ValueError`` if it solves another instance, else a fresh
+    one); each other image is solved once, seeded with
     the base solution moved by the exact solution symmetry.  Each image's
     general formula is evaluated from its own solve's field sweep in its own
     frame, so ``max_ln_gap`` measures how well four independent evaluations
@@ -263,7 +265,7 @@ def symmetry_audit(
     if report is None:
         base_report = solve(seq, budget=budget)
     else:
-        base_report = require_converged(report)
+        base_report = require_converged(report, seq)
     base_beta = base_report.beta_star
     base_logdet = weight_logdet(base_report.field)
 
@@ -288,10 +290,9 @@ def symmetry_audit(
         ln_values[t.value] = _general_ln(image_report.field, image_logdet)
 
         image_beta = image_report.beta_star
-        if t in (QuadrantTransform.EDGE_COMPLEMENT, QuadrantTransform.BOTH):
-            expected = base_logdet + 2.0 * math.log((n - r) / r)
-        else:
-            expected = base_logdet
+        expected = base_logdet
+        if t.edge:
+            expected += 2.0 * math.log((n - r) / r)
         det_checks[t.value] = {
             "logdet": image_logdet,
             "expected": expected,
@@ -303,11 +304,11 @@ def symmetry_audit(
         # the set complement
         rows = colex_unrank(rng.integers(0, total, size=min(SPOT_CHECKS, total)), n, r)
         expected_lw = logistic(base_beta[rows].sum(axis=1))
-        if t in (QuadrantTransform.EDGE_COMPLEMENT, QuadrantTransform.BOTH):
+        if t.edge:
             outside = np.ones((rows.shape[0], n), dtype=bool)
             np.put_along_axis(outside, rows, False, axis=1)
             rows = np.nonzero(outside)[1].reshape(rows.shape[0], n - r)
-        if t in (QuadrantTransform.SET_COMPLEMENT, QuadrantTransform.BOTH):
+        if t.complement:
             expected_lw = 1.0 - expected_lw
         other = logistic(image_beta[rows].sum(axis=1))
         lambda_gap = float(np.abs(other - expected_lw).max(initial=lambda_gap))

@@ -51,7 +51,3 @@ class Unsolved(HyperdegError):
 
 class DegenerateDenominator(HyperdegError):
     """A closed-form summation denominator factor is zero at this (n, r)."""
-
-
-class ExpansionDomainError(HyperdegError):
-    """Inputs lie outside the domain of an asymptotic expansion."""

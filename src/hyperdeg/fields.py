@@ -14,11 +14,11 @@ from class i), each standing for prod C(n_i, a_i) subsets with one weight,
 so a sweep over the C(k+r-1, r) compositions replaces one over all C(n, r)
 subsets.  Every vertex its own class is the plain colex sweep.
 
-Every sweep, here and in the solver's uniqueness diagnostic, folds a chunk
-kernel over fixed 4096-row chunks, serially, in chunk order, with twofold
-compensation, so every result is a fixed function of its inputs.  A field
-kernel returns one vector ``[lam, q, entropy, vertex_lam (k), vertex_q (k),
-pair_q (k^2)]`` and one ``Twofold`` folds it, entry by entry.
+Every field sweep folds one chunk kernel, ``_chunk_terms``, over fixed
+4096-row chunks, serially, in chunk order, with twofold compensation, so
+every result is a fixed function of its inputs.  The kernel returns one
+vector ``[lam, q, entropy, vertex_lam (k), vertex_q (k), pair_q (k^2)]``
+and one ``Twofold`` folds it, entry by entry.
 
 The rows and pair keys of a sweep depend on no beta, so they are unranked
 once into a read-only row plan per (k, r, colex or multisets) and read from
@@ -333,23 +333,6 @@ def _chunk_terms(
     return out
 
 
-def _sweep(classes: VertexClasses, r: int, kernel) -> np.ndarray:
-    """Sum ``kernel(idx, keys, mult)`` over the chunks of ``class_chunks``.
-
-    The kernel maps one chunk of rows, their pair keys and their
-    multiplicities to a vector of sums.  Chunks are folded serially in
-    chunk order by one ``Twofold``, entry by entry, so the result is a
-    fixed function of the kernel, the classes and r.  The fold starts from
-    the kernel of an empty chunk, so with no rows at all (r > n) every sum
-    is zero.
-    """
-    empty = np.empty((0, r), dtype=np.int64)
-    acc = Twofold(kernel(empty, np.empty(0, dtype=np.int64), None))
-    for idx, keys, mult in class_chunks(classes, r):
-        acc.add(kernel(idx, keys, mult))
-    return acc.value()
-
-
 def field_summary(
     beta,
     n: int,
@@ -366,10 +349,13 @@ def field_summary(
     classes = VertexClasses.singletons(n) if classes is None else classes
     arr = as_beta_array(beta, classes.k)
     check_subset_budget(classes.rows(r), budget)
-    sums = _sweep(
-        classes, r, lambda idx, keys, mult: _chunk_terms(idx, keys, arr, mult)
-    )
     k = classes.k
+    # chunks fold serially, in chunk order, entry by entry; with no rows at
+    # all (r > n) every sum stays zero
+    acc = Twofold(np.zeros(3 + 2 * k + k * k))
+    for idx, keys, mult in class_chunks(classes, r):
+        acc.add(_chunk_terms(idx, keys, arr, mult))
+    sums = acc.value()
     lam, q, entropy = sums[:3].tolist()
     pair_q = sums[3 + 2 * k:].reshape(k, k)
     # a row with a_i vertices of class i counts a_i a_j position pairs for
@@ -400,10 +386,6 @@ class BoundCheck:
     status: str  # "pass" | "fail" | "skipped"
     slack: float | None = None
     detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 def graded(name: str, slack: float, tol: float = 0.0) -> BoundCheck:

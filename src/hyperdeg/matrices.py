@@ -107,10 +107,6 @@ class MatrixBoundReport:
     measured_inverse_constant: float | None = None
     measured_offdiag_constant: float | None = None
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
 
 MATRIX_CHECKS = ("offdiag-entry-ratio", "diag-entry-ratio", "offdiag-sandwich",
                  "diag-sandwich", "row-identity", "determinant-comparison")

@@ -20,6 +20,7 @@ overflow binary64 immediately at desk scale.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import counts, oracle
 from .budgets import check_dp_budget
 from .core import DegreeSequence
-from .errors import BudgetExceeded, DensityDegenerate, ExpansionDomainError
+from .errors import BudgetExceeded, DensityDegenerate
 from .subsets import colex_unrank
 
 LOG_ZERO = -math.inf
@@ -86,8 +87,17 @@ class HypergeomSpec:
 
 
 def hypergeom_pmf(spec: HypergeomSpec, k: int) -> float:
-    """Prob(degree = k); 0.0 off the support, so outside [0, marked]."""
-    return math.exp(_log_pmf(spec, [k])[0])
+    """Prob(degree = k); 0.0 off the support, so outside [0, marked].
+
+    k must be an integer, Python or numpy; anything else, a float such as
+    2.5 included, raises ``ValueError`` rather than being truncated.
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"degree {k!r} is not an integer") from None
+    # off the support before any int64 conversion, which a huge k overflows
+    return math.exp(_log_pmf(spec, [k])[0]) if k in spec.support() else 0.0
 
 
 def _log_pmf(spec: HypergeomSpec, ks) -> np.ndarray:
@@ -327,33 +337,6 @@ def measured_ratio(
     return pd.ln_prob - po.ln_prob
 
 
-def stirling_log_binom(big_k: float, lam: float, x: float) -> float:
-    """Stirling-series log-binomial ``log C(K, lam K + x)``.
-
-    All displayed correction terms of the expansion are included, through
-    the x^4 / K^3 term; no error term is added.
-    """
-    klam = lam * (1.0 - lam) * big_k
-    if klam <= 0:
-        raise ExpansionDomainError("need lam(1-lam)K > 0")
-    one = 1.0 - lam
-    main = (
-        -(lam * big_k + x + 0.5) * math.log(lam)
-        - (one * big_k - x + 0.5) * math.log(one)
-        - 0.5 * math.log(2.0 * math.pi * big_k)
-    )
-    c1 = -x * x / (2.0 * klam)
-    c2 = -(1.0 - 2.0 * lam) * x / (2.0 * klam)
-    c3 = -(1.0 - lam + lam * lam) / (12.0 * klam)
-    k2 = lam * lam * one * one * big_k * big_k
-    c4 = (1.0 - 2.0 * lam) * x**3 / (6.0 * k2)
-    c5 = (1.0 - 2.0 * lam + 2.0 * lam * lam) * x * x / (4.0 * k2)
-    c6 = (1.0 - 2.0 * lam) * x / (12.0 * k2)
-    k3 = lam**3 * one**3 * big_k**3
-    c7 = -(1.0 - 3.0 * lam + 3.0 * lam * lam) * x**4 / (12.0 * k3)
-    return main + c1 + c2 + c3 + c4 + c5 + c6 + c7
-
-
 def sample_degree_batch(
     n: int, r: int, m: int, rng_seed, count: int
 ) -> np.ndarray:
@@ -382,50 +365,4 @@ def sample_degree_batch(
         for i in range(b * SAMPLE_BATCH, min((b + 1) * SAMPLE_BATCH, count)):
             edges = colex_unrank(rng.choice(population, size=m, replace=False), n, r)
             out[i] = np.bincount(edges.ravel(), minlength=n)
-    return out
-
-
-def tail_bound_report(spec: HypergeomSpec, t_values) -> list[dict]:
-    """Exact two-sided tails against 2 exp(-t^2 / (2(d + t/3)))."""
-    d = spec.mean
-    pmf = np.array([math.exp(lp) for lp in _log_pmf_vector(spec).tolist()])
-    ks = np.arange(spec.marked + 1)
-    out = []
-    for t in t_values:
-        tail = float(pmf[np.abs(ks - d) >= t].sum())
-        bound = 2.0 * math.exp(-t * t / (2.0 * (d + t / 3.0)))
-        out.append({"t": float(t), "tail": tail, "bound": bound, "holds": tail <= bound})
-    return out
-
-
-def conditioning_factor_report(
-    spec: HypergeomSpec, y_values, budget: int | None = None
-) -> list[dict]:
-    """Measured conditioning factor C(y) against its Gaussian approximation.
-
-    C(y) = Prob(sum of n-1 copies = nd - y) / Prob(sum of n copies = nd),
-    with n = ``spec.n`` and nd = r m, computed by exact convolution,
-    compared with exp(-(y - d)^2 / (2 (n-1) sigma^2)).
-    """
-    n, nd = spec.n, spec.m * spec.r
-    d = spec.mean
-    sigma2 = spec.variance
-    check_dp_budget(_convolution_ops(spec, n), budget)
-    pmf = _log_pmf_vector(spec)
-    ln_partial = _log_sum_pmf(pmf, n - 1)
-    full = _log_convolve(ln_partial, pmf)
-    ln_p = float(full[nd])
-    out = []
-    for y in y_values:
-        y = int(y)
-        idx = nd - y
-        ln_num = (
-            float(ln_partial[idx]) if 0 <= idx < ln_partial.size else LOG_ZERO
-        )
-        measured = math.exp(ln_num - ln_p) if ln_num > LOG_ZERO else 0.0
-        gaussian = math.exp(-((y - d) ** 2) / (2.0 * (n - 1) * sigma2))
-        out.append(
-            {"y": y, "measured": measured, "gaussian": gaussian,
-             "abs_gap": abs(measured - gaussian)}
-        )
     return out

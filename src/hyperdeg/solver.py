@@ -8,8 +8,9 @@ certifies each Newton step before one linear solve takes it; vertices of
 equal degree share one unknown, so the step is k x k in the k distinct
 degrees when that is cheaper.  A solution is unique when it
 exists (the segment entropy between two candidate solutions is strictly
-concave), which justifies single-solution semantics and the uniqueness
-diagnostic below.
+concave), which justifies single-solution semantics: a report is the
+solution of its instance, and ``require_converged`` refuses it for any
+other.
 
 The iteration starts from the solution of the regular instance of the
 same density, logit(lam) / r on every vertex, unless a custom seed is
@@ -31,20 +32,10 @@ from .errors import (
     SingularJacobian,
     Unsolved,
 )
-from .fields import (
-    FieldSummary,
-    VertexClasses,
-    _sweep,
-    as_beta_array,
-    field_summary,
-    logistic,
-    row_sums,
-)
+from .fields import FieldSummary, as_beta_array, field_summary
 
 SPREAD_GUARD = 50.0
 MAX_HALVINGS = 60
-# points of the segment on which the uniqueness diagnostic reads the curvature
-UNIQUENESS_GRID = 33
 
 
 @dataclass
@@ -180,124 +171,42 @@ def solve(
     )
 
 
-def require_converged(report: SolveReport) -> SolveReport:
-    """The report itself, if it converged and carries its field sweep."""
+def require_converged(report: SolveReport, seq: DegreeSequence) -> SolveReport:
+    """The report itself, if it converged, carries its field sweep and solves ``seq``.
+
+    A report of another instance raises ``ValueError``: its field must have
+    the n and r of ``seq``, and its vertex sums must meet the degrees of
+    ``seq`` to within the report's own ``residual_inf``.
+    """
     if not report.converged:
         raise Unsolved("operation requires a converged solve report")
-    if report.field is None:
+    field = report.field
+    if field is None:
         raise Unsolved("converged solve report carries no field sweep")
+    if (field.n, field.r) != (seq.n, seq.r):
+        raise ValueError(
+            f"solve report is for (n, r) = ({field.n}, {field.r}), "
+            f"not ({seq.n}, {seq.r})"
+        )
+    degrees = np.asarray(seq.degrees, dtype=np.float64)
+    miss = float(np.abs(field.vertex_sums - degrees).max())
+    if miss > report.residual_inf:
+        raise ValueError(
+            f"solve report misses the degrees by {miss:.3e}, "
+            f"more than its residual {report.residual_inf:.3e}"
+        )
     return report
 
 
 def apply_beta_symmetry(beta, t: QuadrantTransform, n: int, r: int) -> np.ndarray:
     """Solution vector of the transformed instance, given one for the base.
 
-    Edge-complement and the double complement divide the coordinate sum by
-    n - r; the set complement negates.
+    The edge complement maps beta to sum(beta) / (n - r) - beta, and the
+    set complement then negates; the identity returns a copy.
     """
-    arr = as_beta_array(beta, n)
-    if t is QuadrantTransform.IDENTITY:
-        return arr.copy()
-    if t is QuadrantTransform.SET_COMPLEMENT:
-        return -arr
-    shift = arr.sum() / (n - r)
-    if t is QuadrantTransform.EDGE_COMPLEMENT:
-        return shift - arr
-    if t is QuadrantTransform.BOTH:
-        return arr - shift
-    raise ValueError(f"unknown transform {t!r}")
-
-
-def uniqueness_diagnostic(
-    seq: DegreeSequence,
-    beta_a,
-    beta_b,
-    budget: int | None = None,
-) -> float:
-    """Minimum curvature of the segment entropy between two vectors.
-
-    Along ``xi_W(y) = (1-y) lambda_W(a) + y lambda_W(b)`` the entropy has
-    second derivative ``-sum_W (lambda_W(b) - lambda_W(a))^2 / (xi (1-xi))``;
-    the returned value is the minimum of its negation over ``UNIQUENESS_GRID``
-    evenly spaced y in [0, 1], which is strictly positive whenever the two
-    vectors differ in any weight.
-    """
-    n, r = seq.n, seq.r
-    check_subset_budget(math.comb(n, r) * UNIQUENESS_GRID, budget)
-    a = as_beta_array(beta_a, n)
-    b = as_beta_array(beta_b, n)
-    ys = np.linspace(0.0, 1.0, UNIQUENESS_GRID)
-
-    def curvature(idx: np.ndarray, _keys, _mult) -> np.ndarray:
-        la = logistic(row_sums(a, idx))
-        lb = logistic(row_sums(b, idx))
-        diff2 = (lb - la) ** 2
-        xi = (1.0 - ys[:, None]) * la[None, :] + ys[:, None] * lb[None, :]
-        return (diff2[None, :] / (xi * (1.0 - xi))).sum(axis=1)
-
-    return float(_sweep(VertexClasses.singletons(n), r, curvature).min())
-
-
-@dataclass
-class InverseJacobianCheck:
-    status: str  # "pass" | "fail" | "skipped"
-    lhs: float
-    rhs: float | None
-    constant_used: float | None
-    detail: str = ""
-
-
-def inverse_jacobian_bound_check(
-    seq: DegreeSequence,
-    beta_center,
-    beta,
-    delta1: float,
-    delta2: float,
-    constant: float,
-    budget: int | None = None,
-) -> InverseJacobianCheck:
-    """Check the inverse-Jacobian sup-norm bound at a perturbed point.
-
-    Preconditions: the center has spread at most delta1 / r, beta lies
-    within delta2 / r of it in sup norm, ``e^{delta2} * avg weight(center)``
-    is at most 7/8, and ``n >= 16 e^{4 delta1 + 8 delta2}``.  Then the
-    inverse of twice the weight matrix at beta has sup norm at most
-    ``2^8 * constant * e^{36 delta1 + 73 delta2} / (C(n-1, r-1) * avg)``,
-    where ``constant`` is calibrated from the measured inverse-entry bound.
-    """
-    n, r = seq.n, seq.r
-    center = as_beta_array(beta_center, n)
-    point = as_beta_array(beta, n)
-    spread = float(center.max() - center.min())
-    offset = float(np.abs(point - center).max())
-
-    field_c = field_summary(center, n, r, budget=budget)
-    avg = field_c.avg_lambda
-    reasons = []
-    if spread * r > delta1 * (1 + 1e-12):
-        reasons.append("center spread exceeds delta1/r")
-    if offset * r > delta2 * (1 + 1e-12):
-        reasons.append("point further than delta2/r from center")
-    if math.exp(delta2) * avg > 7.0 / 8.0:
-        reasons.append("e^{delta2} * avg weight exceeds 7/8")
-    if n < 16.0 * math.exp(4.0 * delta1 + 8.0 * delta2):
-        reasons.append("n below 16 e^{4 delta1 + 8 delta2}")
-    if reasons:
-        return InverseJacobianCheck(
-            status="skipped", lhs=math.nan, rhs=None, constant_used=None,
-            detail="; ".join(reasons),
-        )
-
-    field_b = field_summary(point, n, r, budget=budget)
-    inv = np.linalg.inv(field_b.pair_weights)  # (2A)^{-1}
-    lhs = float(np.abs(inv).sum(axis=1).max())
-    rhs = (
-        2.0**8 * constant * math.exp(36.0 * delta1 + 73.0 * delta2)
-        / (math.comb(n - 1, r - 1) * avg)
-    )
-    return InverseJacobianCheck(
-        status="pass" if lhs <= rhs else "fail",
-        lhs=lhs,
-        rhs=rhs,
-        constant_used=constant,
-    )
+    arr = as_beta_array(beta, n).copy()
+    if t.edge:
+        arr = arr.sum() / (n - r) - arr
+    if t.complement:
+        arr = -arr
+    return arr

@@ -35,16 +35,15 @@ from hyperdeg.errors import (
     NonConvergence,
     SingularJacobian,
 )
-from hyperdeg.fields import check_weight_ratio_bounds, field_summary
+from hyperdeg.fields import check_weight_ratio_bounds, field_summary, logistic
 from hyperdeg.identities import selftest as identities_selftest
 from hyperdeg.matrices import bound_suite, logdet_pd
 from hyperdeg.models import (
     HypergeomSpec,
+    _log_pmf,
     measured_ratio,
     predicted_ratio,
     prob_model,
-    stirling_log_binom,
-    tail_bound_report,
 )
 from hyperdeg.oracle import (
     _compositions,
@@ -52,7 +51,8 @@ from hyperdeg.oracle import (
     exact_count,
     total_identity_check,
 )
-from hyperdeg.solver import solve, uniqueness_diagnostic
+from hyperdeg.solver import solve
+from hyperdeg.subsets import all_subsets
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
@@ -162,6 +162,21 @@ def _random_near_regular(rng, n_choices=(6, 8, 10)):
             return seq
 
 
+def _segment_curvature(seq, a, b):
+    """Minimum over 33 evenly spaced y in [0, 1] of
+    sum_W (lambda_W(b) - lambda_W(a))^2 / (xi_W (1 - xi_W)), with
+    xi_W = (1 - y) lambda_W(a) + y lambda_W(b): the negated second
+    derivative of the entropy along the segment of weights from a to b,
+    strictly positive when the two weight vectors differ, so the degree
+    system has at most one solution."""
+    rows = all_subsets(seq.n, seq.r)
+    la = logistic(a[rows].sum(axis=1))
+    lb = logistic(b[rows].sum(axis=1))
+    ys = np.linspace(0.0, 1.0, 33)[:, None]
+    xi = (1.0 - ys) * la + ys * lb
+    return float(((lb - la) ** 2 / (xi * (1.0 - xi))).sum(axis=1).min())
+
+
 def test_criterion_04_solver_certification():
     rng = np.random.default_rng(404)
     worst_residual = 0.0
@@ -175,8 +190,8 @@ def test_criterion_04_solver_certification():
         assert rep.residual_inf <= 1e-10 * params.d
         worst_residual = max(worst_residual, rep.residual_inf / params.d)
         perturbed = rep.beta_star + rng.normal(scale=1e-3, size=seq.n)
-        diag = uniqueness_diagnostic(seq, rep.beta_star, perturbed)
-        assert diag >= 0.0
+        diag = _segment_curvature(seq, rep.beta_star, perturbed)
+        assert diag > 0.0
         min_diag = min(min_diag, diag)
     report(4, "solver certification", True,
            f"50 solves, worst residual {worst_residual:.1e}·d, min diagnostic {min_diag:.2e}")
@@ -343,13 +358,33 @@ def test_criterion_10_model_ratio_trend():
     assert gaps[10] < 0.2
 
 
+def _stirling_log_binom(big_k, lam, x):
+    """The Stirling series of log C(K, lam K + x) through its x^4 / K^3
+    term, with no error term."""
+    one = 1.0 - lam
+    klam = lam * one * big_k
+    main = (
+        -(lam * big_k + x + 0.5) * math.log(lam)
+        - (one * big_k - x + 0.5) * math.log(one)
+        - 0.5 * math.log(2.0 * math.pi * big_k)
+    )
+    first = (-x * x - (1.0 - 2.0 * lam) * x - (1.0 - lam + lam * lam) / 6.0) / (2.0 * klam)
+    second = (
+        (1.0 - 2.0 * lam) * x**3 / 6.0
+        + (1.0 - 2.0 * lam + 2.0 * lam * lam) * x * x / 4.0
+        + (1.0 - 2.0 * lam) * x / 12.0
+    ) / klam**2
+    third = -(1.0 - 3.0 * lam + 3.0 * lam * lam) * x**4 / (12.0 * klam**3)
+    return main + first + second + third
+
+
 def test_criterion_11_stirling_accuracy():
     from scipy.special import gammaln
 
     worst = 0.0
     for big_k, lam, x in [(10**4, 0.5, 0.0), (10**4, 0.5, 50.0),
                           (10**6, 0.3, 500.0)]:
-        got = stirling_log_binom(big_k, lam, x)
+        got = _stirling_log_binom(big_k, lam, x)
         want = float(
             gammaln(big_k + 1)
             - gammaln(lam * big_k + x + 1)
@@ -362,9 +397,15 @@ def test_criterion_11_stirling_accuracy():
 
 
 def test_criterion_12_tail_bound():
+    # exact two-sided tails Prob(|k - d| >= t) against 2 exp(-t^2 / (2(d + t/3)))
     spec = HypergeomSpec(6, 3, 10)
-    rows = tail_bound_report(spec, range(1, 16))
-    ok = all(row["holds"] for row in rows)
+    ks = np.arange(spec.marked + 1)
+    pmf = np.exp(_log_pmf(spec, ks))
+    d = spec.mean
+    ok = all(
+        pmf[np.abs(ks - d) >= t].sum() <= 2.0 * math.exp(-t * t / (2.0 * (d + t / 3.0)))
+        for t in range(1, 16)
+    )
     report(12, "hypergeometric tail bound", ok, f"t=1..15 at d=5")
     assert ok
 

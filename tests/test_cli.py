@@ -9,6 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperdeg
 from hyperdeg import cli
@@ -671,3 +673,30 @@ def test_runs_in_one_process_share_no_state(monkeypatch):
     monkeypatch.setattr(cli, "cmd_count", lambda args: 7)
     code, out, _ = invoke(["count", "--input", reg6, "--method", "exact"])
     assert (code, out) == (7, "")
+
+
+@st.composite
+def valid_instances(draw):
+    """(n, r, degrees) with n <= 8, 1 <= r <= n - 1 and every degree in
+    [0, C(n-1, r-1)], the degree sum lowered to a multiple of r."""
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(1, n - 1))
+    degrees = draw(st.lists(st.integers(0, math.comb(n - 1, r - 1)), min_size=n, max_size=n))
+    excess = sum(degrees) % r
+    for j, dj in enumerate(degrees):
+        drop = min(excess, dj)
+        degrees[j] -= drop
+        excess -= drop
+    return n, r, degrees
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_instances())
+def test_every_command_ends_in_a_documented_exit_code(instance):
+    n, r, degrees = instance
+    text = json.dumps({"n": n, "r": r, "degrees": degrees})
+    runs = [["solve"], ["audit"], ["models"]]
+    runs += [["count", "--method", m] for m in ("general", "near-regular", "corollary", "exact")]
+    for argv in runs:
+        code, _, err = invoke(argv[:1] + ["--input", text] + argv[1:])
+        assert code in (0, 2, 3, 4, 5), (argv, code, err)

@@ -135,6 +135,9 @@ def test_symmetry_images_match_hand_computation():
     assert (edge.n, edge.r, edge.degrees) == (4, 1, (0, 0, 1, 1))
     sett = apply_symmetry(seq, QuadrantTransform.SET_COMPLEMENT)
     assert (sett.n, sett.r, sett.degrees) == (4, 3, (1, 1, 2, 2))
+    # C(n-1, r) - m + d_j
+    both = apply_symmetry(seq, QuadrantTransform.BOTH)
+    assert (both.n, both.r, both.degrees) == (4, 1, (1, 1, 0, 0))
     assert apply_symmetry(seq, QuadrantTransform.IDENTITY) == seq
 
 
@@ -155,6 +158,11 @@ def test_canonicalize_examples():
     canon, t = canonicalize_first_quadrant(dense)
     assert t is QuadrantTransform.SET_COMPLEMENT
     assert canon.degrees == (1,) * 6
+
+    wide = DegreeSequence(6, 4, (4, 4, 4, 4, 0, 0))
+    canon, t = canonicalize_first_quadrant(wide)
+    assert t is QuadrantTransform.EDGE_COMPLEMENT
+    assert (canon.r, canon.degrees) == (2, (0, 0, 0, 0, 4, 4))
 
 
 small_instances = st.integers(5, 9).flatmap(

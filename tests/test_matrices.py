@@ -89,7 +89,7 @@ def test_assembled_matrix_positive_definite_and_symmetric():
 
 def test_bound_suite_zero_beta():
     report = bound_suite(field_summary(np.zeros(6), 6, 3), delta_hat=0.0)
-    assert report.all_passed
+    assert all(check.status != "fail" for check in report.checks)
     for check in report.checks:
         if "ratio" in check.name or "sandwich" in check.name:
             assert check.status == "pass" and abs(check.slack) < 1e-12
@@ -102,7 +102,7 @@ def test_bound_suite_solved_instance():
     rep = solve(seq)
     delta_hat = rep.spread * seq.r
     report = bound_suite(field_summary(rep.beta_star, seq.n, seq.r), delta_hat)
-    assert report.all_passed, [c for c in report.checks if c.status == "fail"]
+    assert not [c for c in report.checks if c.status == "fail"]
 
 
 def test_bound_suite_skips_outside_precondition():

@@ -7,21 +7,18 @@ from scipy.special import gammaln, logsumexp
 
 from hyperdeg.core import DegreeSequence
 from hyperdeg import models
-from hyperdeg.errors import BudgetExceeded, ExpansionDomainError
+from hyperdeg.errors import BudgetExceeded
 from hyperdeg.models import (
     HypergeomSpec,
     _log_convolve,
     _log_pmf_vector,
     _log_sum_pmf,
     conditioned_sum_log_prob,
-    conditioning_factor_report,
     hypergeom_pmf,
     measured_ratio,
     predicted_ratio,
     prob_model,
     sample_degree_batch,
-    stirling_log_binom,
-    tail_bound_report,
 )
 from hyperdeg.oracle import _compositions, exact_count
 
@@ -39,6 +36,20 @@ def test_pmf_examples():
     assert hypergeom_pmf(wide, -1) == 0.0
     assert hypergeom_pmf(wide, 11) == 0.0
     assert hypergeom_pmf(wide, 10) > 0.0
+
+
+def test_pmf_takes_integer_degrees_only():
+    spec = HypergeomSpec(6, 3, 10)
+    # a non-integer was truncated: 2.5 read P(2), -0.5 P(0) and 10.9 P(10)
+    for k in (2.5, -0.5, 10.9, 2.0, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            hypergeom_pmf(spec, k)
+    for k in range(-1, 12):
+        want = math.exp(models._log_pmf(spec, [k])[0])
+        for typed in (k, np.int64(k), np.int32(k), np.int8(k)):
+            assert hypergeom_pmf(spec, typed) == want
+    assert hypergeom_pmf(spec, 5) == pytest.approx(252 * 252 / 184756, rel=1e-13)
+    assert hypergeom_pmf(spec, 10**20) == hypergeom_pmf(spec, -(10**20)) == 0.0
 
 
 def test_pmf_normalizes_and_matches_moments():
@@ -184,29 +195,6 @@ def test_measured_ratio_gap_shrinks_with_n():
     assert gaps == pytest.approx([0.414765, 0.266572, 0.219191], abs=1e-5)
 
 
-def test_stirling_binom_accuracy():
-    def exact(k_, x_):
-        return float(
-            gammaln(k_ + 1) - gammaln(x_ + 1) - gammaln(k_ - x_ + 1)
-        )
-
-    for big_k, lam, x in [(10**4, 0.5, 0.0), (10**4, 0.5, 50.0), (10**6, 0.3, 500.0)]:
-        got = stirling_log_binom(big_k, lam, x)
-        want = exact(big_k, lam * big_k + x)
-        assert abs(got - want) <= 1e-6 * abs(want)
-
-
-def test_stirling_binom_even_in_x_at_half_density():
-    up = stirling_log_binom(10**4, 0.5, 40.0)
-    down = stirling_log_binom(10**4, 0.5, -40.0)
-    assert up == pytest.approx(down, abs=1e-12)
-
-
-def test_stirling_binom_domain_error():
-    with pytest.raises(ExpansionDomainError):
-        stirling_log_binom(100.0, 0.0, 0.0)
-
-
 def test_sampler_edge_cases_and_determinism():
     assert sample_degree_batch(6, 3, 0, 1, 1)[0].tolist() == [0] * 6
     assert sample_degree_batch(6, 3, 20, 1, 1)[0].tolist() == [10] * 6
@@ -264,18 +252,23 @@ def test_sampler_marginal_matches_pmf():
     assert not marginal_within_band(np.minimum(batch[:, 0] + 1, 10), spec, 11)
 
 
-def test_tail_bound_holds_everywhere():
-    spec = HypergeomSpec(6, 3, 10)
-    report = tail_bound_report(spec, range(1, 16))
-    assert all(row["holds"] for row in report)
+def conditioning_factor(spec, ys):
+    """C(y) = Prob(n - 1 iid degrees sum to r m - y) / Prob(n sum to r m), by
+    exact convolution through the module's ``_log_convolve``."""
+    pmf = _log_pmf_vector(spec)
+    partial = _log_sum_pmf(pmf, spec.n - 1)
+    target = spec.r * spec.m
+    ln_p = models._log_convolve(partial, pmf)[target]
+    return np.array([math.exp(partial[target - y] - ln_p) if 0 <= target - y < partial.size
+                     else 0.0 for y in ys])
 
 
 def test_conditioning_factor_close_to_gaussian():
     spec = HypergeomSpec(6, 3, 10)
     sigma = math.sqrt(spec.variance)
-    ys = range(int(5 - 3 * sigma), int(5 + 3 * sigma) + 1)
-    report = conditioning_factor_report(spec, ys)
-    assert all(row["abs_gap"] <= 0.25 for row in report)
+    ys = np.arange(int(5 - 3 * sigma), int(5 + 3 * sigma) + 1)
+    gaussian = np.exp(-((ys - spec.mean) ** 2) / (2.0 * (spec.n - 1) * spec.variance))
+    assert np.abs(conditioning_factor(spec, ys) - gaussian).max() <= 0.25
 
 
 def per_shift_log_convolve(a, b):
@@ -370,18 +363,14 @@ def test_normalizer_and_conditioning_factor_match_per_shift_reference(monkeypatc
     fast = []
     for n, r, m in instances:
         spec = HypergeomSpec(n, r, m)
-        fast.append(
-            (conditioned_sum_log_prob(spec),
-             conditioning_factor_report(spec, range(0, 2 * spec.marked)))
-        )
+        ys = range(0, 2 * spec.marked)
+        fast.append((conditioned_sum_log_prob(spec), conditioning_factor(spec, ys)))
     monkeypatch.setattr(models, "_log_convolve", per_shift_log_convolve)
-    for (n, r, m), (ln_p, report) in zip(instances, fast):
+    for (n, r, m), (ln_p, factors) in zip(instances, fast):
         spec = HypergeomSpec(n, r, m)
         assert ln_p == pytest.approx(conditioned_sum_log_prob(spec), rel=1e-13)
-        ref = conditioning_factor_report(spec, range(0, 2 * spec.marked))
-        for row, want in zip(report, ref):
-            assert row["measured"] == pytest.approx(want["measured"], rel=1e-13)
-            assert row["gaussian"] == want["gaussian"]
+        want = conditioning_factor(spec, range(0, 2 * spec.marked))
+        assert factors == pytest.approx(want, rel=1e-13)
 
 
 def test_log_gamma_forms_match_the_scipy_reference():
@@ -445,11 +434,9 @@ def _recorded_guard_and_work(monkeypatch, call):
 
 def test_normalizer_guard_counts_the_convolution_work(monkeypatch):
     spec = HypergeomSpec(6, 3, 8)
-    for call in (lambda: conditioned_sum_log_prob(spec),
-                 lambda: conditioning_factor_report(spec, [0, 3])):
-        guards, work = _recorded_guard_and_work(monkeypatch, call)
-        # (marked + 1) · sum_{i=1}^{n-1} (i · marked + 1) = 11 · 155
-        assert guards == [work] == [1705]
+    guards, work = _recorded_guard_and_work(monkeypatch, lambda: conditioned_sum_log_prob(spec))
+    # (marked + 1) · sum_{i=1}^{n-1} (i · marked + 1) = 11 · 155
+    assert guards == [work] == [1705]
 
 
 def test_normalizer_guard_admits_n30_and_refuses_n60(monkeypatch):
@@ -466,5 +453,3 @@ def test_normalizer_guard_admits_n30_and_refuses_n60(monkeypatch):
     big = HypergeomSpec(60, 3, 13_690)
     with pytest.raises(BudgetExceeded):
         conditioned_sum_log_prob(big)
-    with pytest.raises(BudgetExceeded):
-        conditioning_factor_report(big, [0])

@@ -8,15 +8,9 @@ from scipy.optimize import linprog
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry
 from hyperdeg import fields
 from hyperdeg.errors import DensityDegenerate, NonConvergence, SingularJacobian
-from hyperdeg.fields import Twofold, field_summary, logistic
+from hyperdeg.fields import field_summary
 from hyperdeg.matrices import bound_suite
-from hyperdeg.solver import (
-    apply_beta_symmetry,
-    inverse_jacobian_bound_check,
-    solve,
-    uniqueness_diagnostic,
-)
-from hyperdeg.subsets import iter_chunks
+from hyperdeg.solver import apply_beta_symmetry, solve
 
 REG6 = DegreeSequence(6, 3, (5,) * 6)
 SKEW6 = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
@@ -151,9 +145,14 @@ def test_solution_symmetry_relations():
 
 def test_transformed_solutions_satisfy_image_systems():
     base = solve(SKEW6, tol=1e-11).beta_star
+    shift = base.sum() / 3
+    # the edge complement, then the set complement, rounds as each form alone
+    formula = {"identity": base, "edge-complement": shift - base,
+               "set-complement": -base, "both": base - shift}
     for t in QuadrantTransform:
         image = apply_symmetry(SKEW6, t)
         moved = apply_beta_symmetry(base, t, 6, 3)
+        assert np.array_equal(moved, formula[t.value]), t
         field = field_summary(moved, image.n, image.r)
         assert np.allclose(field.vertex_sums, image.degrees, atol=1e-8), t
 
@@ -165,87 +164,32 @@ def test_degree_sum_identity_at_solution():
     assert abs(field.vertex_sums.sum() - n_d) <= 6 * 1e-10 * 5
 
 
-def test_uniqueness_diagnostic_zero_for_identical_vectors():
-    assert uniqueness_diagnostic(REG6, np.zeros(6), np.zeros(6)) == 0.0
-    # the complement transform fixes the zero vector when the sum is zero
-    shifted = apply_beta_symmetry(np.zeros(6), QuadrantTransform.EDGE_COMPLEMENT, 6, 3)
-    assert uniqueness_diagnostic(REG6, np.zeros(6), shifted) == 0.0
-
-
-def test_uniqueness_diagnostic_matches_brute_force():
-    seq = DegreeSequence(4, 3, (2, 2, 1, 1))
-    a = np.zeros(4)
-    b = np.array([0.1, 0.0, 0.0, 0.0])
-    got = uniqueness_diagnostic(seq, a, b)
-
-    def lam(beta, w):
-        return 1.0 / (1.0 + math.exp(-beta[list(w)].sum()))
-
-    values = []
-    for y in np.linspace(0.0, 1.0, 33):
-        total = 0.0
-        for w in combinations(range(4), 3):
-            la, lb = lam(a, w), lam(b, w)
-            xi = (1 - y) * la + y * lb
-            total += (lb - la) ** 2 / (xi * (1 - xi))
-        values.append(total)
-    assert got == pytest.approx(min(values), abs=1e-12)
-    assert got > 0.0
-
-
-def test_uniqueness_diagnostic_positive_for_perturbed_solutions():
-    report = solve(SKEW6)
-    beta = report.beta_star
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        other = beta + rng.normal(scale=1e-3, size=6)
-        assert uniqueness_diagnostic(SKEW6, beta, other) >= 0.0
-
-
 def test_inverse_jacobian_bound_regular_and_perturbed():
-    # the bound's size hypothesis needs n >= 16 e^{4 d1 + 8 d2}
+    # the sup norm of (2A)^{-1} at beta, within delta2 / r of a center of
+    # spread at most delta1 / r, is at most 2^8 c e^{36 delta1 + 73 delta2}
+    # / (C(n-1, r-1) avg), with avg the center's average weight and c the
+    # measured inverse-entry constant; the size hypothesis needs
+    # n >= 16 e^{4 delta1 + 8 delta2}
     n = 20
     seq = DegreeSequence(n, 3, (57,) * n)  # lam = 1/3
     lam = seq.params.lam
     center = np.full(n, math.log(lam / (1.0 - lam)) / 3)
     suite = bound_suite(field_summary(center, n, 3), delta_hat=0.0)
     constant = suite.measured_inverse_constant
-    res = inverse_jacobian_bound_check(
-        seq, center, center, delta1=0.0, delta2=0.0, constant=constant
-    )
-    assert res.status == "pass", res
 
     rng = np.random.default_rng(23)
     delta1, delta2 = 0.02, 0.015
     wobble = center + rng.uniform(-delta1 / (2 * 3), delta1 / (2 * 3), size=n)
     point = wobble + rng.uniform(-delta2 / 3, delta2 / 3, size=n)
-    res2 = inverse_jacobian_bound_check(
-        seq, wobble, point, delta1=delta1, delta2=delta2, constant=constant
-    )
-    assert res2.status == "pass", res2
-
-
-def test_uniqueness_diagnostic_is_bit_identical_to_a_chunk_loop():
-    """Reference: the curvature sums folded by their own loop over chunks."""
-    seq = DegreeSequence(24, 4, (100,) * 24)  # 10626 subsets, three chunks
-    rng = np.random.default_rng(31)
-    a = rng.normal(scale=0.3, size=24)
-    b = a + rng.normal(scale=0.05, size=24)
-    ys = np.linspace(0.0, 1.0, 33)
-    acc = Twofold(np.zeros(33))
-    for idx in iter_chunks(24, 4):
-        la = logistic(a[idx].sum(axis=1))
-        lb = logistic(b[idx].sum(axis=1))
-        xi = (1.0 - ys[:, None]) * la[None, :] + ys[:, None] * lb[None, :]
-        acc.add((((lb - la) ** 2)[None, :] / (xi * (1.0 - xi))).sum(axis=1))
-    assert uniqueness_diagnostic(seq, a, b) == float(acc.value().min())
-
-
-def test_uniqueness_diagnostic_budget_guard():
-    from hyperdeg.errors import BudgetExceeded
-
-    with pytest.raises(BudgetExceeded):
-        uniqueness_diagnostic(REG6, np.zeros(6), np.zeros(6), budget=10)
+    for c, beta, d1, d2 in [(center, center, 0.0, 0.0), (wobble, point, delta1, delta2)]:
+        assert (c.max() - c.min()) * 3 <= d1 and np.abs(beta - c).max() * 3 <= d2
+        assert n >= 16.0 * math.exp(4.0 * d1 + 8.0 * d2)
+        avg = field_summary(c, n, 3).avg_lambda
+        assert math.exp(d2) * avg <= 7.0 / 8.0
+        inverse = np.linalg.inv(field_summary(beta, n, 3).pair_weights)
+        row_sum = float(np.abs(inverse).sum(axis=1).max())
+        scale = math.exp(36.0 * d1 + 73.0 * d2) / (math.comb(n - 1, 2) * avg)
+        assert row_sum <= 2.0**8 * constant * scale
 
 
 def test_unconverged_report_is_rejected_by_estimates():
@@ -259,6 +203,23 @@ def test_unconverged_report_is_rejected_by_estimates():
     )
     with pytest.raises(Unsolved):
         estimate_general(REG6, report=fake)
+
+
+def test_a_report_of_another_instance_is_rejected():
+    from hyperdeg.counts import estimate_general, symmetry_audit
+
+    report = solve(SKEW6)
+    seven = DegreeSequence(7, 3, (9,) * 7)
+    assert estimate_general(seven).ln_value == pytest.approx(14.405, abs=1e-3)
+    # another (n, r), the same (n, r) with other degrees, and the same
+    # degrees on other vertices
+    for other in (seven, REG6, DegreeSequence(6, 3, (4, 5, 5, 5, 5, 6))):
+        with pytest.raises(ValueError, match="solve report"):
+            estimate_general(other, report=report)
+        with pytest.raises(ValueError, match="solve report"):
+            symmetry_audit(other, report=report)
+    assert estimate_general(SKEW6, report=report).ln_value == pytest.approx(
+        estimate_general(SKEW6).ln_value, abs=1e-12)
 
 
 def test_converged_report_without_a_field_is_unsolved():
@@ -276,12 +237,3 @@ def test_converged_report_without_a_field_is_unsolved():
         estimate_general(REG6, report=bare)
     with pytest.raises(Unsolved, match="no field"):
         symmetry_audit(REG6, report=bare)
-
-
-def test_inverse_jacobian_bound_skips_small_n():
-    seq = DegreeSequence(6, 3, (5,) * 6)
-    res = inverse_jacobian_bound_check(
-        seq, np.zeros(6), np.zeros(6), delta1=0.0, delta2=0.0, constant=1.0
-    )
-    assert res.status == "skipped"
-    assert "16" in res.detail
