@@ -35,7 +35,7 @@ from hyperdeg.errors import (
     NonConvergence,
     SingularJacobian,
 )
-from hyperdeg.fields import check_weight_ratio_bounds, field_summary, logistic
+from hyperdeg.fields import check_weight_ratio_bounds, field_summary
 from hyperdeg.identities import selftest as identities_selftest
 from hyperdeg.matrices import bound_suite, logdet_pd
 from hyperdeg.models import (
@@ -52,7 +52,7 @@ from hyperdeg.oracle import (
     total_identity_check,
 )
 from hyperdeg.solver import solve
-from hyperdeg.subsets import all_subsets
+from lemmas import segment_curvature, stirling_log_binom
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
@@ -162,21 +162,6 @@ def _random_near_regular(rng, n_choices=(6, 8, 10)):
             return seq
 
 
-def _segment_curvature(seq, a, b):
-    """Minimum over 33 evenly spaced y in [0, 1] of
-    sum_W (lambda_W(b) - lambda_W(a))^2 / (xi_W (1 - xi_W)), with
-    xi_W = (1 - y) lambda_W(a) + y lambda_W(b): the negated second
-    derivative of the entropy along the segment of weights from a to b,
-    strictly positive when the two weight vectors differ, so the degree
-    system has at most one solution."""
-    rows = all_subsets(seq.n, seq.r)
-    la = logistic(a[rows].sum(axis=1))
-    lb = logistic(b[rows].sum(axis=1))
-    ys = np.linspace(0.0, 1.0, 33)[:, None]
-    xi = (1.0 - ys) * la + ys * lb
-    return float(((lb - la) ** 2 / (xi * (1.0 - xi))).sum(axis=1).min())
-
-
 def test_criterion_04_solver_certification():
     rng = np.random.default_rng(404)
     worst_residual = 0.0
@@ -190,7 +175,7 @@ def test_criterion_04_solver_certification():
         assert rep.residual_inf <= 1e-10 * params.d
         worst_residual = max(worst_residual, rep.residual_inf / params.d)
         perturbed = rep.beta_star + rng.normal(scale=1e-3, size=seq.n)
-        diag = _segment_curvature(seq, rep.beta_star, perturbed)
+        diag = segment_curvature(seq, rep.beta_star, perturbed)
         assert diag > 0.0
         min_diag = min(min_diag, diag)
     report(4, "solver certification", True,
@@ -358,33 +343,13 @@ def test_criterion_10_model_ratio_trend():
     assert gaps[10] < 0.2
 
 
-def _stirling_log_binom(big_k, lam, x):
-    """The Stirling series of log C(K, lam K + x) through its x^4 / K^3
-    term, with no error term."""
-    one = 1.0 - lam
-    klam = lam * one * big_k
-    main = (
-        -(lam * big_k + x + 0.5) * math.log(lam)
-        - (one * big_k - x + 0.5) * math.log(one)
-        - 0.5 * math.log(2.0 * math.pi * big_k)
-    )
-    first = (-x * x - (1.0 - 2.0 * lam) * x - (1.0 - lam + lam * lam) / 6.0) / (2.0 * klam)
-    second = (
-        (1.0 - 2.0 * lam) * x**3 / 6.0
-        + (1.0 - 2.0 * lam + 2.0 * lam * lam) * x * x / 4.0
-        + (1.0 - 2.0 * lam) * x / 12.0
-    ) / klam**2
-    third = -(1.0 - 3.0 * lam + 3.0 * lam * lam) * x**4 / (12.0 * klam**3)
-    return main + first + second + third
-
-
 def test_criterion_11_stirling_accuracy():
     from scipy.special import gammaln
 
     worst = 0.0
     for big_k, lam, x in [(10**4, 0.5, 0.0), (10**4, 0.5, 50.0),
                           (10**6, 0.3, 500.0)]:
-        got = _stirling_log_binom(big_k, lam, x)
+        got = stirling_log_binom(big_k, lam, x)
         want = float(
             gammaln(big_k + 1)
             - gammaln(lam * big_k + x + 1)

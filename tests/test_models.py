@@ -21,6 +21,7 @@ from hyperdeg.models import (
     sample_degree_batch,
 )
 from hyperdeg.oracle import _compositions, exact_count
+from lemmas import stirling_log_binom
 
 TINY = DegreeSequence(4, 3, (2, 2, 1, 1))
 REG6 = DegreeSequence(6, 3, (5,) * 6)
@@ -195,6 +196,18 @@ def test_measured_ratio_gap_shrinks_with_n():
     assert gaps == pytest.approx([0.414765, 0.266572, 0.219191], abs=1e-5)
 
 
+def test_stirling_binom_accuracy():
+    def exact(k_, x_):
+        return float(
+            gammaln(k_ + 1) - gammaln(x_ + 1) - gammaln(k_ - x_ + 1)
+        )
+
+    for big_k, lam, x in [(10**4, 0.5, 0.0), (10**4, 0.5, 50.0), (10**6, 0.3, 500.0)]:
+        got = stirling_log_binom(big_k, lam, x)
+        want = exact(big_k, lam * big_k + x)
+        assert abs(got - want) <= 1e-6 * abs(want)
+
+
 def test_sampler_edge_cases_and_determinism():
     assert sample_degree_batch(6, 3, 0, 1, 1)[0].tolist() == [0] * 6
     assert sample_degree_batch(6, 3, 20, 1, 1)[0].tolist() == [10] * 6
@@ -250,6 +263,18 @@ def test_sampler_marginal_matches_pmf():
     assert marginal_within_band(batch[:, 0], spec, 11)
     # negative control: a marginal shifted by one degree fails the band
     assert not marginal_within_band(np.minimum(batch[:, 0] + 1, 10), spec, 11)
+
+
+def test_tail_bound_holds_everywhere():
+    # exact two-sided tails Prob(|k - d| >= t), from the public pmf, against
+    # 2 exp(-t^2 / (2(d + t/3)))
+    spec = HypergeomSpec(6, 3, 10)
+    d = spec.mean
+    pmf = {k: hypergeom_pmf(spec, k) for k in range(spec.marked + 1)}
+    assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
+    for t in range(1, 16):
+        tail = sum(p for k, p in pmf.items() if abs(k - d) >= t)
+        assert tail <= 2.0 * math.exp(-t * t / (2.0 * (d + t / 3.0))), t
 
 
 def conditioning_factor(spec, ys):

@@ -11,6 +11,7 @@ from hyperdeg.errors import DensityDegenerate, NonConvergence, SingularJacobian
 from hyperdeg.fields import field_summary
 from hyperdeg.matrices import bound_suite
 from hyperdeg.solver import apply_beta_symmetry, solve
+from lemmas import segment_curvature
 
 REG6 = DegreeSequence(6, 3, (5,) * 6)
 SKEW6 = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
@@ -162,6 +163,15 @@ def test_degree_sum_identity_at_solution():
     field = field_summary(report.beta_star, 6, 3)
     n_d = sum(SKEW6.degrees)
     assert abs(field.vertex_sums.sum() - n_d) <= 6 * 1e-10 * 5
+
+
+def test_uniqueness_diagnostic_positive_for_perturbed_solutions():
+    report = solve(SKEW6)
+    beta = report.beta_star
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        other = beta + rng.normal(scale=1e-3, size=6)
+        assert segment_curvature(SKEW6, beta, other) > 0.0
 
 
 def test_inverse_jacobian_bound_regular_and_perturbed():
