@@ -145,7 +145,7 @@ def warn_hypotheses(seq: DegreeSequence) -> None:
 def cmd_solve(args) -> int:
     seq = load_instance(args.input)
     warn_hypotheses(seq)
-    report = solve(seq, tol=args.tol, budget=args.budget)
+    report = solve(seq, tol=args.tol)
     payload = report.to_json_dict()
     if args.dump_field:
         payload["field"] = report.field.to_json_dict()
@@ -163,11 +163,11 @@ def cmd_count(args) -> int:
     warn_hypotheses(seq)
     method = args.method
     if method == "exact":
-        result = exact_count(seq, budget=args.budget)
+        result = exact_count(seq)
         emit({"method": "exact", "count": result.value}, args.pretty)
         return 0
     if method == "quadrature":
-        result = cauchy_quadrature(seq, beta=None, budget=args.budget)
+        result = cauchy_quadrature(seq)
         emit(
             {
                 "method": "quadrature",
@@ -179,7 +179,7 @@ def cmd_count(args) -> int:
         )
         return 0
     if method == "general":
-        estimate = estimate_general(seq, budget=args.budget)
+        estimate = estimate_general(seq)
     elif method == "near-regular":
         estimate = estimate_near_regular(seq)
     elif method == "corollary":
@@ -202,14 +202,11 @@ def cmd_models(args) -> int:
         prediction = models.predicted_ratio(seq, pair)
         if d_point is None:
             try:
-                d_point = models.prob_model(seq, "D-exact", budget=args.budget)
+                d_point = models.prob_model(seq, "D-exact")
             except BudgetExceeded:
-                d_point = models.prob_model(
-                    seq, "D-asymptotic", budget=args.budget
-                )
+                d_point = models.prob_model(seq, "D-asymptotic")
         other = models.prob_model(
-            seq, models.RATIO_PAIRS[pair], normalizer=args.normalizer,
-            budget=args.budget,
+            seq, models.RATIO_PAIRS[pair], normalizer=args.normalizer
         )
         measured = d_point.ln_prob - other.ln_prob
         rows.append(
@@ -252,9 +249,9 @@ def cmd_audit(args) -> int:
     # one refusal rule on every route, checked before any solve so that an
     # audit too large refuses at once: all C(n, r) subsets fit the budget.
     # The bound checks themselves read the base solve's field.
-    budgets.check_subset_budget(math.comb(seq.n, seq.r), args.budget)
-    report = solve(seq, budget=args.budget)
-    audit = symmetry_audit(seq, budget=args.budget, report=report)
+    budgets.check_subset_budget(math.comb(seq.n, seq.r))
+    report = solve(seq)
+    audit = symmetry_audit(seq, report=report)
     delta_hat = max(report.spread * seq.r, 1e-6)
     matrix_checks = bound_suite(report.field, delta_hat)
     ratio_checks = check_weight_ratio_bounds(report.field, delta_hat)
@@ -334,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored: all work is serial")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="override enumeration budgets")
     parser.add_argument("--pretty", action="store_true",
                         help="human-readable tables instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -386,10 +381,8 @@ def run(argv=None) -> int:
         echo += f"  [HYPERDEG_BUDGET={env_budget}]"
     sys.stderr.write(echo + "\n")
     try:
-        # a malformed HYPERDEG_BUDGET or --budget is invalid input
+        # a malformed HYPERDEG_BUDGET is invalid input
         budgets.env_budget()
-        if args.budget is not None:
-            budgets.parse_budget(args.budget, "--budget")
         # looked up per call, not bound into the shared parser, so a
         # command function replaced after the first run is the one called
         return globals()["cmd_" + args.command](args)

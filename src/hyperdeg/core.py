@@ -269,13 +269,6 @@ def derive(seq: DegreeSequence) -> DerivedParams:
         "near_regular": (
             qf > 0 and delta_max <= qf ** 0.6 * n ** (-0.6)
         ),
-        # proxy for the solved-spread condition: degree log-spread at most 1/r
-        "degree_spread_ok": (
-            distinct[0] > 0
-            and d_exact > 0
-            and max(abs(math.log(dj / float(d_exact))) for dj in distinct)
-            <= 1.0 / r
-        ),
         "first_quadrant": 2 * r <= n and 2 * m <= math.comb(n, r),
     }
     classes = VertexClasses.route(VertexClasses(index.reshape(n), sizes, first), r)

@@ -121,7 +121,6 @@ def _general_ln(field: FieldSummary, logdet: float) -> float:
 def estimate_general(
     seq: DegreeSequence,
     report: SolveReport | None = None,
-    budget: int | None = None,
 ) -> LogEstimate:
     """General-formula estimate: solve, assemble, take logs.
 
@@ -139,7 +138,7 @@ def estimate_general(
         raise DensityDegenerate("empty or complete instance; use the exact oracle")
     if report is None:
         canonical, _ = canonicalize_first_quadrant(seq)
-        field = solve(canonical, budget=budget).field
+        field = solve(canonical).field
     else:
         field = require_converged(report, seq).field
     return LogEstimate(
@@ -246,7 +245,6 @@ class QuadrantAudit:
 def symmetry_audit(
     seq: DegreeSequence,
     rng_seed: int = 2024,
-    budget: int | None = None,
     report: SolveReport | None = None,
 ) -> QuadrantAudit:
     """Solve all four quadrant images and compare the general estimates.
@@ -263,7 +261,7 @@ def symmetry_audit(
     """
     n, r = seq.n, seq.r
     if report is None:
-        base_report = solve(seq, budget=budget)
+        base_report = solve(seq)
     else:
         base_report = require_converged(report, seq)
     base_beta = base_report.beta_star
@@ -285,7 +283,7 @@ def symmetry_audit(
             # only to rounding, where the image at n - r may take classes
             classes = image.params.classes
             seed = apply_beta_symmetry(base_beta, t, n, r)[classes.first]
-            image_report = solve(image, seed_beta=seed[classes.index], budget=budget)
+            image_report = solve(image, seed_beta=seed[classes.index])
             image_logdet = weight_logdet(image_report.field)
         ln_values[t.value] = _general_ln(image_report.field, image_logdet)
 

@@ -100,7 +100,6 @@ class FieldSummary:
     avg_lambda: float
     big_lambda: float
     entropy: float
-    budget: int | None = None
 
     @property
     def vertex_sums(self) -> np.ndarray:
@@ -111,10 +110,11 @@ class FieldSummary:
         """The symmetric n x n matrix of per-vertex (diagonal) and per-pair sums.
 
         Class blocks are expanded only when the n^2 entries fit the subset
-        budget; beyond it ``BudgetExceeded`` is raised.
+        budget in force when the matrix is read; beyond it ``BudgetExceeded``
+        is raised.
         """
         n, k, index = self.n, self.classes.k, self.classes.index
-        limit = subset_budget(self.budget)
+        limit = subset_budget()
         if k < n and n * n > limit:
             raise BudgetExceeded(
                 f"expanding {k}x{k} class blocks to the {n}x{n} weight matrix "
@@ -337,7 +337,6 @@ def field_summary(
     beta,
     n: int,
     r: int,
-    budget: int | None = None,
     classes: VertexClasses | None = None,
 ) -> FieldSummary:
     """One deterministic sweep at beta.
@@ -348,7 +347,7 @@ def field_summary(
     """
     classes = VertexClasses.singletons(n) if classes is None else classes
     arr = as_beta_array(beta, classes.k)
-    check_subset_budget(classes.rows(r), budget)
+    check_subset_budget(classes.rows(r))
     k = classes.k
     # chunks fold serially, in chunk order, entry by entry; with no rows at
     # all (r > n) every sum stays zero
@@ -376,7 +375,6 @@ def field_summary(
         avg_lambda=lam / total,
         big_lambda=q / total,
         entropy=entropy,
-        budget=budget,
     )
 
 

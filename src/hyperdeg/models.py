@@ -128,21 +128,8 @@ def _lgamma_each(x: np.ndarray) -> np.ndarray:
 
 
 def _log_comb_each(a: int, b: np.ndarray) -> np.ndarray:
-    """``log_comb(a, b)`` at each entry of b in [0, a], bit-identical to it.
-
-    Where the int64 entries of b fill at least half of the range that the
-    arguments b and a - b span together, lgamma is read from one table over
-    that range: on a full support b = 0..a the values a - b are the values
-    b in reverse, so the table computes each of the a + 1 values once.
-    """
-    head = math.lgamma(a + 1.0)
-    if b.dtype != object and b.size:
-        lo, hi = int(b.min()), int(b.max())
-        first, last = min(lo, a - hi), max(hi, a - lo)
-        if last - first < 2 * b.size:
-            table = _lgamma_each(np.arange(first, last + 1) + 1.0)
-            return head - table[b - first] - table[a - b - first]
-    return head - _lgamma_each(b + 1.0) - _lgamma_each(a - b + 1.0)
+    """``log_comb(a, b)`` at each entry of b in [0, a], bit-identical to it."""
+    return math.lgamma(a + 1.0) - _lgamma_each(b + 1.0) - _lgamma_each(a - b + 1.0)
 
 
 def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,9 +165,7 @@ def _log_sum_pmf(pmf: np.ndarray, copies: int) -> np.ndarray:
     return acc
 
 
-def conditioned_sum_log_prob(
-    spec: HypergeomSpec, method: str = "dp", budget: int | None = None
-) -> float:
+def conditioned_sum_log_prob(spec: HypergeomSpec, method: str = "dp") -> float:
     """log Prob(n iid per-vertex degrees sum to r m), with the n, r, m of ``spec``.
 
     ``dp`` convolves the exact pmf n times in log domain; ``clt`` uses the
@@ -199,7 +184,7 @@ def conditioned_sum_log_prob(
         )
     if method != "dp":
         raise ValueError(f"unknown normalizer method {method!r}")
-    check_dp_budget(_convolution_ops(spec, n), budget)
+    check_dp_budget(_convolution_ops(spec, n))
     acc = _log_sum_pmf(_log_pmf_vector(spec), n)
     if not 0 <= target < acc.size:
         return LOG_ZERO
@@ -213,12 +198,7 @@ class ModelPoint:
     components: dict = field(default_factory=dict)
 
 
-def prob_model(
-    seq: DegreeSequence,
-    model: str,
-    normalizer: str = "dp",
-    budget: int | None = None,
-) -> ModelPoint:
+def prob_model(seq: DegreeSequence, model: str, normalizer: str = "dp") -> ModelPoint:
     """Log-probability of one degree vector under one model (D-asymptotic: near-regular)."""
     n, r = seq.n, seq.r
     m = seq.edge_count
@@ -235,7 +215,7 @@ def prob_model(
         spec = HypergeomSpec(n, r, m)
         method = normalizer
         try:
-            ln_p = conditioned_sum_log_prob(spec, method, budget=budget)
+            ln_p = conditioned_sum_log_prob(spec, method)
         except BudgetExceeded:
             # exact convolution where affordable, local limit beyond
             method = "clt"
@@ -247,7 +227,7 @@ def prob_model(
         )
 
     if model == "D-exact":
-        count = oracle.exact_count(seq, budget=budget).value
+        count = oracle.exact_count(seq).value
         total = math.comb(population, m)
         ln = (math.log(count) if count else LOG_ZERO) - math.log(total)
         return ModelPoint(
@@ -326,14 +306,13 @@ def measured_ratio(
     pair: str,
     normalizer: str = "dp",
     d_model: str = "D-exact",
-    budget: int | None = None,
 ) -> float:
     """Measured ln(Prob_D / Prob_other) from the model probabilities."""
     if pair not in RATIO_PAIRS:
         raise ValueError(f"unknown ratio pair {pair!r}")
     other = RATIO_PAIRS[pair]
-    pd = prob_model(seq, d_model, budget=budget)
-    po = prob_model(seq, other, normalizer=normalizer, budget=budget)
+    pd = prob_model(seq, d_model)
+    po = prob_model(seq, other, normalizer=normalizer)
     return pd.ln_prob - po.ln_prob
 
 

@@ -172,7 +172,7 @@ def _count_sparse(n: int, r: int, degrees: tuple[int, ...]) -> int:
     return int(counts[0]) if keys.size and keys[0] == 0 else 0
 
 
-def exact_count(seq: DegreeSequence, budget: int | None = None) -> ExactCount:
+def exact_count(seq: DegreeSequence) -> ExactCount:
     """Exact number of hypergraphs with the given degrees (big integer).
 
     The DP bound ``prod_j (d_j + 1) * C(n, r)`` is checked against the
@@ -189,7 +189,7 @@ def exact_count(seq: DegreeSequence, budget: int | None = None) -> ExactCount:
     mirror_bound = math.prod(d + 1 for d in mirror)
     if mirror_bound < bound:
         work, bound = mirror, mirror_bound
-    check_dp_budget(bound * total, budget)
+    check_dp_budget(bound * total)
 
     value = _count_sparse(seq.n, seq.r, work)
     return ExactCount(value=value, n=seq.n, r=seq.r, degrees=tuple(seq.degrees))
@@ -206,9 +206,7 @@ def _compositions(total: int, parts: int, cap: int):
             yield (head,) + rest
 
 
-def total_identity_check(
-    n: int, r: int, m: int, budget: int | None = None
-) -> bool:
+def total_identity_check(n: int, r: int, m: int) -> bool:
     """Sum of exact counts over all degree vectors with m edges.
 
     Every m-edge hypergraph has exactly one degree sequence, so the sum
@@ -217,11 +215,11 @@ def total_identity_check(
     total_subsets = math.comb(n, r)
     cap = math.comb(n - 1, r - 1)
     n_compositions = math.comb(r * m + n - 1, n - 1)
-    check_dp_budget(n_compositions * total_subsets, budget)
+    check_dp_budget(n_compositions * total_subsets)
     acc = 0
     for degrees in _compositions(r * m, n, cap):
         seq = DegreeSequence(n, r, degrees)
-        acc += exact_count(seq, budget=budget).value
+        acc += exact_count(seq).value
     return acc == math.comb(total_subsets, m)
 
 
@@ -233,11 +231,7 @@ class QuadratureResult:
     grid_points: int
 
 
-def cauchy_quadrature(
-    seq: DegreeSequence,
-    beta=None,
-    budget: int | None = None,
-) -> QuadratureResult:
+def cauchy_quadrature(seq: DegreeSequence, beta=None) -> QuadratureResult:
     """Coefficient extraction on a tensor grid; exact up to rounding.
 
     Valid at any finite contour vector beta (default all zeros): the result
@@ -256,7 +250,7 @@ def cauchy_quadrature(
     # a work of 2^1024 or more exceeds every finite budget; it is charged
     # as inf, not formed exactly (millions of digits at large n)
     bits = n * math.log2(m_axis) + math.log2(subsets)
-    check_subset_budget(m_axis**n * subsets if bits < 1024 else math.inf, budget)
+    check_subset_budget(m_axis**n * subsets if bits < 1024 else math.inf)
     grid_total = m_axis**n
 
     inc = incidence(n, r)

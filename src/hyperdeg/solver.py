@@ -72,7 +72,6 @@ def solve(
     seed_beta=None,
     tol: float = 1e-10,
     max_iter: int = 100,
-    budget: int | None = None,
 ) -> SolveReport:
     """Solve the degree system by damped Newton iteration.
 
@@ -100,7 +99,7 @@ def solve(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     params, classes = seq.params, seq.params.classes
     n, r = seq.n, seq.r
-    check_subset_budget(classes.rows(r), budget)
+    check_subset_budget(classes.rows(r))
     if seed_beta is None:
         beta, seed_used = _regular_seed(params), "regular"
     else:
@@ -116,7 +115,7 @@ def solve(
     target = tol * max(params.d, 1.0)
 
     def evaluate(point):
-        field = field_summary(point, n, r, budget=budget, classes=classes)
+        field = field_summary(point, n, r, classes=classes)
         residual = field.class_sums - degrees
         return field, residual, float(np.abs(residual).max())
 

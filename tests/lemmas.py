@@ -1,6 +1,7 @@
 """Lemma formulas that the tests check and no command computes: the
-Stirling series of a log binomial and the entropy's curvature along a
-segment of weights.  Shared by the acceptance suite and the unit tests."""
+Stirling series of a log binomial, the entropy's curvature along a segment
+of weights and the degree-spread proxy.  Shared by the acceptance suite and
+the unit tests."""
 
 import math
 
@@ -28,6 +29,13 @@ def stirling_log_binom(big_k, lam, x):
     ) / klam**2
     third = -(1.0 - 3.0 * lam + 3.0 * lam * lam) * x**4 / (12.0 * klam**3)
     return main + first + second + third
+
+
+def degree_spread_ok(seq):
+    """Proxy for the solved-spread condition: every degree positive and the
+    degree log-spread max_j |log(d_j / d)| at most 1/r."""
+    d = seq.params.d
+    return min(seq.degrees) > 0 and max(abs(math.log(dj / d)) for dj in seq.degrees) <= 1.0 / seq.r
 
 
 def segment_curvature(seq, a, b):

@@ -4,7 +4,7 @@ Criteria 6 and 10 walk the half-density ladder r = 3, n in {6, 8, 10, 12}:
 at each n the most nearly regular degree sequence with m = C(n, 3) / 2
 edges, which is regular at n = 6 and 10 (5^6, 18^10) and near-regular at
 n = 8 and 12 (10^4 11^4, 27^6 28^6).  Exact counts are computed at
-n = 6, 8 and 10 under an explicit budget of 10^15 DP operations; at n = 12
+n = 6, 8 and 10 with ``HYPERDEG_BUDGET`` at 10^15 DP operations; at n = 12
 the oracle's a-priori bound, about 6·10^19, is above that budget, so the
 criteria assert that it refuses with ``BudgetExceeded`` before any
 enumeration.  See the repository root README.
@@ -52,7 +52,7 @@ from hyperdeg.oracle import (
     total_identity_check,
 )
 from hyperdeg.solver import solve
-from lemmas import segment_curvature, stirling_log_binom
+from lemmas import degree_spread_ok, segment_curvature, stirling_log_binom
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
@@ -155,10 +155,10 @@ def _random_near_regular(rng, n_choices=(6, 8, 10)):
         degrees = sample_degree_batch(n, 3, m, int(rng.integers(2**32)), 1)[0]
         seq = DegreeSequence(n, 3, tuple(degrees.tolist()))
         params = derive(seq)
-        mirror = derive(apply_symmetry(seq, QuadrantTransform.SET_COMPLEMENT))
         if params.delta_max > params.d**0.6:
             continue
-        if params.flags["degree_spread_ok"] and mirror.flags["degree_spread_ok"]:
+        mirror = apply_symmetry(seq, QuadrantTransform.SET_COMPLEMENT)
+        if degree_spread_ok(seq) and degree_spread_ok(mirror):
             return seq
 
 
@@ -241,15 +241,17 @@ def _ladder(measure):
     return values, refused, blockers
 
 
-def test_criterion_06_asymptotic_vs_exact_band():
+def test_criterion_06_asymptotic_vs_exact_band(monkeypatch):
     """Half-density ladder, r = 3: near-regular estimate against exact count.
 
     The ln-gap must not grow with n and must end below 0.5, over the rungs
     n = 6, 8 and 10, which must all be counted.  At n = 12 the exact count
     must be refused by the budget guard (its bound exceeds 10^15).
     """
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(LADDER_BUDGET))
+
     def gap(seq):
-        exact = exact_count(seq, budget=LADDER_BUDGET).value
+        exact = exact_count(seq).value
         return abs(estimate_near_regular(seq).ln_value - math.log(exact))
 
     gaps, refused, blockers = _ladder(gap)
@@ -266,9 +268,7 @@ def test_criterion_06_asymptotic_vs_exact_band():
 def test_criterion_07_appendix_identities():
     start = time.time()
     rng = np.random.default_rng(707)
-    results = identities_selftest(
-        rng, trials_per_family=50, n_values=(6, 7, 8, 9, 10), r_values=(3, 4)
-    )
+    results = identities_selftest(rng, trials_per_family=50)
     elapsed = time.time() - start
     failures = sum(r["failures"] for r in results)
     trials = sum(r["trials"] for r in results)
@@ -319,7 +319,7 @@ def test_criterion_09_model_identities():
     report(9, "model identities", True, f"normalization gap {worst:.1e}")
 
 
-def test_criterion_10_model_ratio_trend():
+def test_criterion_10_model_ratio_trend(monkeypatch):
     """Half-density ladder, r = 3: measured D/T log-ratio against prediction.
 
     D is the exact-count model and T uses the dp normalizer.  The gap must
@@ -327,9 +327,10 @@ def test_criterion_10_model_ratio_trend():
     which must all be computed.  At n = 12 the D-exact model must be
     refused by the budget guard, as in criterion 6.
     """
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(LADDER_BUDGET))
+
     def gap(seq):
-        measured = measured_ratio(seq, "d-vs-t", normalizer="dp",
-                                  d_model="D-exact", budget=LADDER_BUDGET)
+        measured = measured_ratio(seq, "d-vs-t", normalizer="dp", d_model="D-exact")
         return abs(measured - predicted_ratio(seq, "d-vs-t")["predicted_ln_ratio"])
 
     gaps, refused, blockers = _ladder(gap)

@@ -164,13 +164,15 @@ def test_multisets_in_order(k, r):
     assert [tuple(row) for row in rows.tolist()] == want
 
 
-def test_route_choice_and_budget_count_compositions():
+def test_route_choice_and_budget_count_compositions(monkeypatch):
     seq = DegreeSequence(8, 3, (10,) * 4 + (11,) * 4)
     classes = seq.params.classes
     assert (classes.k, classes.rows(3)) == (2, 4)
-    solve(seq, budget=4)
+    monkeypatch.setenv("HYPERDEG_BUDGET", "4")
+    solve(seq)
+    monkeypatch.setenv("HYPERDEG_BUDGET", "3")
     with pytest.raises(BudgetExceeded, match="enumeration of 4 subsets"):
-        solve(seq, budget=3)
+        solve(seq)
     # all-distinct degrees, and k < n with more compositions than subsets
     for degrees in ((1, 2, 3, 4, 5, 6, 7, 8, 9), (3, 3, 4, 5, 6, 7, 8, 9, 9)):
         classes = DegreeSequence(9, 3, degrees).params.classes
@@ -193,18 +195,20 @@ def test_seed_that_splits_a_class_is_rejected():
     assert np.abs(report.beta_star - solve(seq).beta_star).max() <= 1e-9
 
 
-def test_expanding_class_blocks_is_held_to_the_subset_budget(tmp_path):
+def test_expanding_class_blocks_is_held_to_the_subset_budget(tmp_path, monkeypatch):
     seq = near_regular(40, 3, 3)
-    field = solve(seq, budget=1600).field
+    monkeypatch.setenv("HYPERDEG_BUDGET", "1600")
+    field = solve(seq).field
     assert field.classes.k < 40
     assert field.pair_weights.shape == (40, 40)
-    field = solve(seq, budget=1599).field
+    monkeypatch.setenv("HYPERDEG_BUDGET", "1599")
+    field = solve(seq).field
     with pytest.raises(BudgetExceeded, match="1600 entries"):
         field.weight_matrix
     text = json.dumps(seq.to_json_dict())
     matrix = tmp_path / "matrix.csv"
     for extra in (["--dump-field"], ["--dump-matrix", str(matrix)]):
-        code, out, err = invoke(["--budget", "1599", "solve", "--input", text] + extra)
+        code, out, err = invoke(["solve", "--input", text] + extra)
         assert code == 4, extra
         assert out == ""
         assert err.splitlines()[-1].startswith("error: expanding")

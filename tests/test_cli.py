@@ -1,8 +1,12 @@
+import dataclasses
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 import hyperdeg
 from hyperdeg import cli
 from hyperdeg.cli import render_json, run
+from hyperdeg.fields import FieldSummary
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
@@ -106,10 +111,10 @@ def test_models_command():
     assert math.isfinite(pairs["b-vs-d"]["measured_ln_ratio"])
 
 
-def test_models_falls_back_to_asymptotic_beyond_budget():
+def test_models_falls_back_to_asymptotic_beyond_budget(monkeypatch):
+    monkeypatch.setenv("HYPERDEG_BUDGET", "1000")
     code, out, _ = invoke(
-        ["--budget", "1000", "models", "--input", str(INSTANCES / "near8.json"),
-         "--compare", "d-vs-t"]
+        ["models", "--input", str(INSTANCES / "near8.json"), "--compare", "d-vs-t"]
     )
     assert code == 0
     payload = json.loads(out)
@@ -151,8 +156,9 @@ def test_models_falls_back_once_for_all_pairs(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "exact_count", counted)
+    monkeypatch.setenv("HYPERDEG_BUDGET", "1000")
     code, out, _ = invoke(
-        ["--budget", "1000", "models", "--input", str(INSTANCES / "near8.json"),
+        ["models", "--input", str(INSTANCES / "near8.json"),
          "--compare", "d-vs-t,b-vs-d,klw"]
     )
     assert code == 0
@@ -161,11 +167,12 @@ def test_models_falls_back_once_for_all_pairs(monkeypatch):
     assert [row["d_model"] for row in rows] == ["D-asymptotic"] * 3
 
 
-def test_models_reports_the_normalizer_that_produced_t():
+def test_models_reports_the_normalizer_that_produced_t(monkeypatch):
     # the 8-fold convolution of the 22-entry pmf takes 13,090 operations, over
     # the budget, so T falls back to clt
+    monkeypatch.setenv("HYPERDEG_BUDGET", "1000")
     code, out, _ = invoke(
-        ["--budget", "1000", "models", "--input", str(INSTANCES / "near8.json"),
+        ["models", "--input", str(INSTANCES / "near8.json"),
          "--compare", "d-vs-t,b-vs-d,klw"]
     )
     assert code == 0
@@ -318,13 +325,14 @@ def test_unknown_method_exits_two():
         assert "error: tol must be positive and finite" in err
 
 
-def test_budget_exceeded_exits_four():
+def test_budget_exceeded_exits_four(monkeypatch):
+    monkeypatch.setenv("HYPERDEG_BUDGET", "10")
     code, _, err = invoke(
-        ["--budget", "10", "count", "--input", str(INSTANCES / "reg6.json"),
-         "--method", "exact"]
+        ["count", "--input", str(INSTANCES / "reg6.json"), "--method", "exact"]
     )
     assert code == 4
     assert "budget" in err.lower()
+    monkeypatch.delenv("HYPERDEG_BUDGET")
     # 16^7 quadrature grid points, each evaluating C(7, 3) = 35 subset factors
     code, out, err = invoke(
         ["count", "--method", "quadrature",
@@ -548,7 +556,7 @@ def test_file_errors_exit_two(tmp_path, case):
     assert "Traceback" not in err
 
 
-def test_closed_forms_at_a_hundred_thousand_vertices(tmp_path):
+def test_closed_forms_at_a_hundred_thousand_vertices(tmp_path, monkeypatch):
     # near-regular degrees 30 +- 1 at (10^5, 3): the closed forms are O(k)
     # in the k distinct degrees, and so is the general formula, which sums
     # over the C(k+2, 3) = 10 class compositions instead of C(n, 3) subsets
@@ -564,9 +572,8 @@ def test_closed_forms_at_a_hundred_thousand_vertices(tmp_path):
         assert math.isfinite(ln[method])
     assert abs(ln["general"] - ln["near-regular"]) <= 1e-9 * abs(ln["near-regular"])
     # the budget counts the compositions the class route visits
-    code, out, err = invoke(
-        ["--budget", "9", "count", "--method", "general", "--input", str(path)]
-    )
+    monkeypatch.setenv("HYPERDEG_BUDGET", "9")
+    code, out, err = invoke(["count", "--method", "general", "--input", str(path)])
     assert code == 4
     assert out == ""
     assert "enumeration of 10 subsets exceeds budget 9" in err
@@ -616,12 +623,6 @@ def test_importing_the_cli_starts_no_blas_threads():
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_budget_below_one_exits_two(monkeypatch, value):
     argv = ["count", "--input", str(INSTANCES / "reg6.json"), "--method", "exact"]
-    code, out, err = invoke(["--budget", value] + argv)
-    assert code == 2
-    assert out == ""
-    assert err.splitlines()[-1] == (
-        f"error: --budget={value} is not a finite number of at least 1"
-    )
     monkeypatch.setenv("HYPERDEG_BUDGET", value)
     code, out, err = invoke(argv)
     assert code == 2
@@ -629,6 +630,28 @@ def test_budget_below_one_exits_two(monkeypatch, value):
     assert err.splitlines()[-1] == (
         f"error: HYPERDEG_BUDGET='{value}' is not a finite number of at least 1"
     )
+
+
+def test_the_budget_is_set_only_by_the_environment(capsys):
+    # HYPERDEG_BUDGET is read at each check: no public function takes a
+    # budget, no field stores one, and there is no --budget flag
+    for info in pkgutil.iter_modules(hyperdeg.__path__):
+        module = importlib.import_module(f"hyperdeg.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                members = [(f"{name}.{m}", f) for m, f in vars(obj).items()]
+            else:
+                members = [(name, obj)]
+            for qualname, func in members:
+                if inspect.isfunction(func) and not qualname.split(".")[-1].startswith("_"):
+                    params = inspect.signature(func).parameters
+                    assert "budget" not in params, f"{module.__name__}.{qualname}"
+    assert "budget" not in {f.name for f in dataclasses.fields(FieldSummary)}
+    with pytest.raises(SystemExit) as exc:
+        run(["--budget", "10", "count", "--input", str(INSTANCES / "reg6.json"),
+             "--method", "exact"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -140,9 +140,10 @@ def test_log_prefactor_agrees_at_solution():
     assert abs(float(beta @ residual)) <= 1e-10
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(10**6))
     with pytest.raises(BudgetExceeded):
-        field_summary(np.zeros(40), 40, 20, budget=10**6)
+        field_summary(np.zeros(40), 40, 20)
 
 
 def test_complement_weight_identities():

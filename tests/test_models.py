@@ -421,8 +421,8 @@ def test_log_gamma_forms_match_the_scipy_reference():
 
 @pytest.mark.parametrize("n,r,m", [(12, 4, 100), (60, 4, 10**5), (20, 3, 0), (20, 3, 1140)])
 def test_log_pmf_vector_has_the_bits_of_a_per_entry_lgamma_sum(n, r, m):
-    # the log-gamma table is read in both directions; every entry must keep
-    # the bits of its own three math.lgamma calls per log-binomial
+    # the vector is formed from whole arrays of lgamma values; every entry
+    # must keep the bits of its own three math.lgamma calls per log-binomial
     spec = HypergeomSpec(n, r, m)
     rest = spec.population - spec.marked
     support = spec.support()
@@ -443,9 +443,9 @@ def _recorded_guard_and_work(monkeypatch, call):
     guards, work = [], []
     guard, convolve = models.check_dp_budget, models._log_convolve
 
-    def recording_guard(count, override=None):
+    def recording_guard(count):
         guards.append(count)
-        return guard(count, override)
+        return guard(count)
 
     def recording_convolve(a, b):
         work.append(a.size * b.size)

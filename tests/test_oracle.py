@@ -129,14 +129,15 @@ def test_count_wider_than_an_int64_state():
     ((10,) * 4 + (11,) * 4, 202161821625),
     ((9,) * 8, 155405550825),
 ])
-def test_half_density_n8_counts_agree_with_edge_complement(degrees, expected):
+def test_half_density_n8_counts_agree_with_edge_complement(degrees, expected, monkeypatch):
     """Counts with thousands of DP states, checked against the image that
     replaces every edge W by its complement V - W: an r = 5 instance,
     (8, 5, 18^4 17^4) and (8, 5, 15^8), whose DP runs on other states."""
     seq = DegreeSequence(8, 3, degrees)
     image = apply_symmetry(seq, QuadrantTransform.EDGE_COMPLEMENT)
     assert image.r == 5
-    assert exact_count(seq, budget=10**11).value == expected
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(10**11))
+    assert exact_count(seq).value == expected
     assert _count_sparse(8, 3, degrees) == expected
     assert _count_sparse(8, 5, image.degrees) == expected
 
@@ -183,7 +184,7 @@ def test_quadrature_zero_count_sequence():
     assert cauchy_quadrature(seq).value == pytest.approx(0.0, abs=1e-8)
 
 
-def test_quadrature_guards():
+def test_quadrature_guards(monkeypatch):
     big = DegreeSequence(7, 3, (6,) * 7)
     with pytest.raises(BudgetExceeded, match=r"enumeration of 9395240960 subsets"):
         cauchy_quadrature(big)  # 16^7 grid points times C(7, 3) factors
@@ -192,8 +193,10 @@ def test_quadrature_guards():
     with pytest.raises(BudgetExceeded, match="enumeration of inf subsets"):
         cauchy_quadrature(wide)
     seq = DegreeSequence(5, 3, (3, 3, 2, 2, 2))
+    monkeypatch.setenv("HYPERDEG_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
-        cauchy_quadrature(seq, budget=100)
+        cauchy_quadrature(seq)
+    monkeypatch.delenv("HYPERDEG_BUDGET")
     # 7^7 grid points times C(7, 2) factors fit the default subset budget
     pairs = DegreeSequence(7, 2, (2,) * 7)
     res = cauchy_quadrature(pairs)
