@@ -9,6 +9,12 @@ permutations that fix the rest of the family (orbit compression); the
 peak state count is 70, 733, 16,023, 178,745 and 1.9 million for
 half-density r = 3 instances at n = 6..10.
 
+``total_identity_check`` checks the completeness identity: the counts of
+all degree vectors with m edges sum to ``C(C(n, r), m)``.  It counts each
+sorted degree vector once and weights it by its number of arrangements,
+which is exact because the DP sorts its input and the mirror choice of
+``exact_count`` is symmetric in the degrees.
+
 ``cauchy_quadrature`` evaluates the same coefficient as a prefactor times a
 tensor-grid sum of the extraction integrand.  Write T = C(n-1, r-1), the
 largest possible degree.  The integrand is a trigonometric polynomial whose
@@ -22,6 +28,7 @@ floating rounding, for any finite contour vector beta.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -195,31 +202,48 @@ def exact_count(seq: DegreeSequence) -> ExactCount:
     return ExactCount(value=value, n=seq.n, r=seq.r, degrees=tuple(seq.degrees))
 
 
-def _compositions(total: int, parts: int, cap: int):
-    """All vectors of length ``parts`` with entries in [0, cap] summing to total."""
-    if parts == 1:
-        if 0 <= total <= cap:
-            yield (total,)
+def _sorted_degree_vectors(total: int, parts: int, cap: int):
+    """Every non-increasing vector of length ``parts`` with entries in
+    [0, cap] summing to total: one per multiset of degrees."""
+    if parts == 0:
+        if total == 0:
+            yield ()
         return
-    for head in range(min(total, cap) + 1):
-        for rest in _compositions(total - head, parts - 1, cap):
+    # the head is the largest entry, so it is at least the mean
+    for head in range(min(total, cap), -(-total // parts) - 1, -1):
+        for rest in _sorted_degree_vectors(total - head, parts - 1, head):
             yield (head,) + rest
+
+
+def _arrangements(degrees: tuple[int, ...]) -> int:
+    """Number of distinct orderings of a degree vector: n! over the
+    factorials of the multiplicities of its values."""
+    return math.factorial(len(degrees)) // math.prod(
+        math.factorial(k) for k in Counter(degrees).values()
+    )
 
 
 def total_identity_check(n: int, r: int, m: int) -> bool:
     """Sum of exact counts over all degree vectors with m edges.
 
     Every m-edge hypergraph has exactly one degree sequence, so the sum
-    must equal ``C(C(n, r), m)`` exactly.
+    must equal ``C(C(n, r), m)`` exactly.  The sum runs over the sorted
+    degree vectors, each counted once and weighted by its number of
+    arrangements.  That is the same integer as the sum over every vector:
+    the DP sorts its input before its first step, and the mirror choice
+    and the state width of ``exact_count`` read only the multiset of the
+    degrees, so every arrangement of a vector has the same count.  The
+    budget guard still charges C(r·m + n - 1, n - 1) · C(n, r), as if
+    every composition of r·m were counted.
     """
     total_subsets = math.comb(n, r)
     cap = math.comb(n - 1, r - 1)
     n_compositions = math.comb(r * m + n - 1, n - 1)
     check_dp_budget(n_compositions * total_subsets)
     acc = 0
-    for degrees in _compositions(r * m, n, cap):
+    for degrees in _sorted_degree_vectors(r * m, n, cap):
         seq = DegreeSequence(n, r, degrees)
-        acc += exact_count(seq).value
+        acc += _arrangements(degrees) * exact_count(seq).value
     return acc == math.comb(total_subsets, m)
 
 

@@ -1,7 +1,7 @@
 """Lemma formulas that the tests check and no command computes: the
 Stirling series of a log binomial, the entropy's curvature along a segment
-of weights and the degree-spread proxy.  Shared by the acceptance suite and
-the unit tests."""
+of weights, the degree-spread proxy and the enumeration of every capped
+degree vector.  Shared by the acceptance suite and the unit tests."""
 
 import math
 
@@ -51,3 +51,14 @@ def segment_curvature(seq, a, b):
     ys = np.linspace(0.0, 1.0, 33)[:, None]
     xi = (1.0 - ys) * la + ys * lb
     return float(((lb - la) ** 2 / (xi * (1.0 - xi))).sum(axis=1).min())
+
+
+def compositions(total, parts, cap):
+    """All vectors of length ``parts`` with entries in [0, cap] summing to total."""
+    if parts == 1:
+        if 0 <= total <= cap:
+            yield (total,)
+        return
+    for head in range(min(total, cap) + 1):
+        for rest in compositions(total - head, parts - 1, cap):
+            yield (head,) + rest

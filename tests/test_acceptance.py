@@ -45,14 +45,9 @@ from hyperdeg.models import (
     predicted_ratio,
     prob_model,
 )
-from hyperdeg.oracle import (
-    _compositions,
-    cauchy_quadrature,
-    exact_count,
-    total_identity_check,
-)
+from hyperdeg.oracle import cauchy_quadrature, exact_count, total_identity_check
 from hyperdeg.solver import solve
-from lemmas import degree_spread_ok, segment_curvature, stirling_log_binom
+from lemmas import compositions, degree_spread_ok, segment_curvature, stirling_log_binom
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
@@ -66,7 +61,7 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
 def test_criterion_01_exact_oracle_completeness():
     start = time.time()
     checked = []
-    for n, r, max_m in [(4, 3, 4), (5, 3, 4), (6, 3, 3)]:
+    for n, r, max_m in [(4, 3, 4), (5, 3, 4), (6, 3, 3), (7, 3, 5), (8, 3, 4)]:
         for m in range(max_m + 1):
             checked.append(total_identity_check(n, r, m))
     elapsed = time.time() - start
@@ -304,7 +299,7 @@ def test_criterion_09_model_identities():
         cap = math.comb(n - 1, r - 1)
         total_b = 0.0
         total_t = 0.0
-        for degrees in _compositions(r * m, n, cap):
+        for degrees in compositions(r * m, n, cap):
             seq = DegreeSequence(n, r, degrees)
             total_b += math.exp(prob_model(seq, "B").ln_prob)
             total_t += math.exp(prob_model(seq, "T", normalizer="dp").ln_prob)

@@ -20,8 +20,8 @@ from hyperdeg.models import (
     prob_model,
     sample_degree_batch,
 )
-from hyperdeg.oracle import _compositions, exact_count
-from lemmas import stirling_log_binom
+from hyperdeg.oracle import exact_count
+from lemmas import compositions, stirling_log_binom
 
 TINY = DegreeSequence(4, 3, (2, 2, 1, 1))
 REG6 = DegreeSequence(6, 3, (5,) * 6)
@@ -120,7 +120,7 @@ def test_b_model_sums_to_one():
     for n, r, m in [(4, 3, 2), (5, 3, 3)]:
         cap = math.comb(n - 1, r - 1)
         total = 0.0
-        for degrees in _compositions(r * m, n, cap):
+        for degrees in compositions(r * m, n, cap):
             total += math.exp(prob_model(DegreeSequence(n, r, degrees), "B").ln_prob)
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -129,7 +129,7 @@ def test_t_model_sums_to_one():
     for n, r, m in [(4, 3, 2), (5, 3, 3)]:
         cap = math.comb(n - 1, r - 1)
         total = 0.0
-        for degrees in _compositions(r * m, n, cap):
+        for degrees in compositions(r * m, n, cap):
             total += math.exp(
                 prob_model(DegreeSequence(n, r, degrees), "T", normalizer="dp").ln_prob
             )

@@ -1,19 +1,25 @@
+import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry
+from hyperdeg import oracle
 from hyperdeg.errors import BudgetExceeded
 from hyperdeg.oracle import (
+    _arrangements,
     _count_sparse,
+    _sorted_degree_vectors,
     cauchy_quadrature,
     exact_count,
     total_identity_check,
 )
 from hyperdeg.solver import solve
 from hyperdeg.subsets import all_subsets
+from lemmas import compositions
 
 
 def _count_dense(n: int, r: int, degrees: tuple[int, ...]) -> int:
@@ -152,6 +158,69 @@ def test_total_identity_small_cases():
     assert total_identity_check(4, 3, 0)
     assert total_identity_check(4, 3, 2)
     assert total_identity_check(5, 3, 3)
+
+
+# (4, 3, 4) has a binding cap: C(3, 2) = 3 leaves only (3, 3, 3, 3)
+@pytest.mark.parametrize("n, r, m", [(4, 3, 4), (5, 3, 4), (6, 3, 3), (5, 2, 3), (6, 4, 5)])
+def test_sorted_vectors_weighted_by_arrangements_cover_the_compositions(n, r, m):
+    cap = math.comb(n - 1, r - 1)
+    every = list(compositions(r * m, n, cap))
+    vectors = list(_sorted_degree_vectors(r * m, n, cap))
+    assert len(set(vectors)) == len(vectors)
+    assert set(vectors) == {tuple(sorted(d, reverse=True)) for d in every}
+    assert sum(_arrangements(d) for d in vectors) == len(every)
+    assert Counter(tuple(sorted(d, reverse=True)) for d in every) == {
+        d: _arrangements(d) for d in vectors
+    }
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The degree vectors that ``oracle.exact_count`` is called on, in order."""
+    real = oracle.exact_count
+    calls = []
+
+    def counting(seq):
+        calls.append(seq.degrees)
+        return real(seq)
+
+    monkeypatch.setattr(oracle, "exact_count", counting)
+    return calls
+
+
+def test_total_identity_counts_each_sorted_vector_once(exact_calls):
+    assert total_identity_check(6, 3, 3)
+    # one call per sorted vector, where there are 2,002 compositions
+    assert len(exact_calls) == len(set(exact_calls)) == 26
+    assert len(list(compositions(9, 6, 10))) == 2002
+
+
+def test_total_identity_detects_one_wrong_class_count(monkeypatch):
+    real = oracle.exact_count
+    target = (2, 2, 2, 1, 1, 1)
+
+    def off_by_one(seq):
+        count = real(seq)
+        if seq.degrees == target:
+            count = dataclasses.replace(count, value=count.value + 1)
+        return count
+
+    monkeypatch.setattr(oracle, "exact_count", off_by_one)
+    assert not total_identity_check(6, 3, 3)
+
+
+def test_total_identity_budget_is_checked_before_any_count(exact_calls, monkeypatch):
+    work = math.comb(3 * 3 + 6 - 1, 6 - 1) * math.comb(6, 3)
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(work - 1))
+    with pytest.raises(
+        BudgetExceeded,
+        match=f"DP bound of {work} state-edge operations exceeds budget {work - 1}",
+    ):
+        total_identity_check(6, 3, 3)
+    assert exact_calls == []
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(work))
+    assert total_identity_check(6, 3, 3)
+    assert len(exact_calls) == 26
 
 
 def test_quadrature_equals_exact_at_zero_contour():
