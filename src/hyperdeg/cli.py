@@ -205,9 +205,7 @@ def cmd_models(args) -> int:
                 d_point = models.prob_model(seq, "D-exact")
             except BudgetExceeded:
                 d_point = models.prob_model(seq, "D-asymptotic")
-        other = models.prob_model(
-            seq, models.RATIO_PAIRS[pair], normalizer=args.normalizer
-        )
+        other = models.prob_model(seq, models.RATIO_PAIRS[pair])
         measured = d_point.ln_prob - other.ln_prob
         rows.append(
             {
@@ -215,10 +213,8 @@ def cmd_models(args) -> int:
                 "measured_ln_ratio": measured,
                 "difference": measured - prediction["predicted_ln_ratio"],
                 "d_model": d_point.model,
-                # the T model reports the normalizer it fell back to, if any
-                "normalizer": other.components.get(
-                    "normalizer_method", args.normalizer
-                ),
+                # T names the normalizer the dp budget picked; B rows read dp
+                "normalizer": other.components.get("normalizer_method", "dp"),
             }
         )
     emit({"instance": seq.to_json_dict(), "comparisons": rows}, args.pretty)
@@ -350,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("models", help="compare degree-sequence models")
     p.add_argument("--input", required=True)
     p.add_argument("--compare", default="d-vs-t,b-vs-d,klw")
-    p.add_argument("--normalizer", default="dp", choices=["dp", "clt"])
 
     p = sub.add_parser("sample", help="sample degree sequences")
     p.add_argument("-n", type=int, required=True)

@@ -54,8 +54,9 @@ class QuadrantTransform(Enum):
 class DegreeSequence:
     """A validated problem instance.
 
-    Edge sizes 1 and n-1 are admitted so that symmetry images always stay
-    representable, even though the asymptotic theory assumes 3 <= r <= n-3.
+    Edge sizes 1 and n-1 are admitted so that symmetry images stay
+    representable, even though the asymptotic theory assumes 3 <= r <= n-3;
+    an edge-complement image exists only if a hypergraph has these degrees.
     """
 
     n: int
@@ -290,12 +291,21 @@ def derive(seq: DegreeSequence) -> DerivedParams:
 
 
 def apply_symmetry(seq: DegreeSequence, t: QuadrantTransform) -> DegreeSequence:
-    """Image of an instance under a quadrant transform (exact integers)."""
+    """Image of an instance under a quadrant transform (exact integers).
+
+    The edge complement needs every d_j in [m - C(n-1, r), m], else no
+    hypergraph has these degrees and ``RangeViolation`` names the vertex.
+    """
     if t is QuadrantTransform.IDENTITY:
         return seq
     n, r, degrees = seq.n, seq.r, seq.degrees
     if t.edge:
         m = seq.edge_count
+        lo = m - math.comb(n - 1, r)
+        if min(degrees) < lo or max(degrees) > m:
+            j = next(j for j, dj in enumerate(degrees) if not lo <= dj <= m)
+            raise RangeViolation(f"degree d_{j+1}={degrees[j]} outside [m - C(n-1, r)={lo}, "
+                                 f"m={m}]: no hypergraph has these degrees")
         r, degrees = n - r, tuple(m - dj for dj in degrees)
     if t.complement:
         cap = math.comb(n - 1, r - 1)

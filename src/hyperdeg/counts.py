@@ -4,12 +4,16 @@ Three evaluation routes are provided:
 
 * the general formula, which needs a solved parameter vector and the
   log-determinant of the assembled weight matrix;
-* the near-regular closed formula, which needs no solve and is exactly
-  invariant under both complement symmetries;
+* the near-regular closed formula, which needs no solve and gives the same
+  bits for an instance and its edge-complement image (under the set
+  complement it agrees to rounding, not bitwise);
 * the first-quadrant corollary form, which replaces the assembled
-  determinant by the regular closed form plus degree-deviation corrections.
+  determinant by the regular one, with corrections in the degree
+  deviations.
 
-All values are natural logs of estimated counts.  The error indicators are
+The two closed routes add their corrections to one regular part,
+``_regular_ln``, so on a regular instance they give the same bits.  All
+values are natural logs of estimated counts.  The error indicators are
 the formulas' error terms evaluated with implicit constant 1; they are
 indicators, not bounds.
 """
@@ -30,7 +34,7 @@ from .core import (
 )
 from .errors import DensityDegenerate
 from .fields import FieldSummary, logistic
-from .matrices import regular_closed_form, weight_logdet
+from .matrices import weight_logdet
 from .solver import SolveReport, apply_beta_symmetry, require_converged, solve
 from .subsets import colex_unrank
 
@@ -84,23 +88,6 @@ def _corollary_extra(params: DerivedParams) -> float:
     return params.delta_max * d ** (-0.6) if d > 0 else math.inf
 
 
-def _xlnx_entropy(lam: float) -> float:
-    """lambda*ln(lambda) + (1-lambda)*ln(1-lambda), 0 at the endpoints."""
-    out = 0.0
-    if 0.0 < lam < 1.0:
-        out = lam * math.log(lam) + (1.0 - lam) * math.log(1.0 - lam)
-    return out
-
-
-def _flags(params: DerivedParams) -> dict:
-    return {
-        "edge_size_in_range": params.flags["edge_size_in_range"],
-        "main_growth": params.flags["main_growth"],
-        "near_regular": params.flags["near_regular"],
-        "first_quadrant": params.flags["first_quadrant"],
-    }
-
-
 def _general_ln(field: FieldSummary, logdet: float) -> float:
     """``ln r - n ln 2 - (n/2) ln pi - (1/2) ln|A| + sum_W H(lambda_W)``.
 
@@ -118,6 +105,41 @@ def _general_ln(field: FieldSummary, logdet: float) -> float:
     )
 
 
+def _regular_ln(params: DerivedParams) -> float:
+    """The regular instance's count, the part both closed routes share.
+
+    ``(1/2) ln( r (n-r) (n-1)^{n-1} / (2^n pi^n Q^n) )
+    - C(n, r) (lam ln lam + (1-lam) ln(1-lam))``, in a float order
+    symmetric in r and n - r.
+    """
+    n, r, lam = params.n, params.r, params.lam
+    prefactor = 0.5 * (
+        math.log(r)
+        + math.log(n - r)
+        + (n - 1) * math.log(n - 1)
+        - n * math.log(2.0)
+        - n * math.log(math.pi)
+        - n * math.log(params.q)
+    )
+    xlnx = lam * math.log(lam) + (1.0 - lam) * math.log(1.0 - lam)
+    return prefactor - math.comb(n, r) * xlnx
+
+
+def _estimate(params: DerivedParams, method: str, ln_value, extra=None) -> LogEstimate:
+    """A route's estimate: ``ln_value()`` once the density is inside (0, 1).
+
+    ``extra(params)``, if given, is the route's ``near_regular_term``.
+    """
+    if not (0.0 < params.lam < 1.0):
+        raise DensityDegenerate("empty or complete instance; use the exact oracle")
+    terms = error_indicators(params)
+    if extra is not None:
+        terms["near_regular_term"] = extra(params)
+    flags = {key: params.flags[key] for key in
+             ("edge_size_in_range", "main_growth", "near_regular", "first_quadrant")}
+    return LogEstimate(ln_value(), method, terms, flags)
+
+
 def estimate_general(
     seq: DegreeSequence,
     report: SolveReport | None = None,
@@ -133,97 +155,59 @@ def estimate_general(
     route (the classes of ``seq.params``) and from the n x n Cholesky on
     singletons.
     """
-    params = seq.params
-    if not (0.0 < params.lam < 1.0):
-        raise DensityDegenerate("empty or complete instance; use the exact oracle")
-    if report is None:
-        canonical, _ = canonicalize_first_quadrant(seq)
-        field = solve(canonical).field
-    else:
-        field = require_converged(report, seq).field
-    return LogEstimate(
-        ln_value=_general_ln(field, weight_logdet(field)),
-        method="general",
-        error_terms=error_indicators(params),
-        assumption_flags=_flags(params),
-    )
+
+    def ln_value() -> float:
+        if report is None:
+            field = solve(canonicalize_first_quadrant(seq)[0]).field
+        else:
+            field = require_converged(report, seq).field
+        return _general_ln(field, weight_logdet(field))
+
+    return _estimate(seq.params, "general", ln_value)
 
 
 def estimate_near_regular(seq: DegreeSequence) -> LogEstimate:
-    """Closed near-regular formula; no solve, invariant in all quadrants.
+    """Closed near-regular formula; no solve, the same bits under the edge
+    complement.
 
-    ``ln H = (1/2) ln( r (n-r) (n-1)^{n-1} / (2^n pi^n Q^n) )
-             - C(n, r) (lam ln lam + (1-lam) ln(1-lam))
-             - (n-1) R2 / (2Q) + n^2 R2 / (4Q^2)
+    ``ln H = _regular_ln - (n-1) R2 / (2Q) + n^2 R2 / (4Q^2)
              + (1-2 lam)(n-2r) n R3 / (6Q^2) - n^3 R4 / (12Q^3)``.
     """
     params = seq.params
-    n, r = params.n, params.r
-    lam, q = params.lam, params.q
-    if not (0.0 < lam < 1.0):
-        raise DensityDegenerate("empty or complete instance; use the exact oracle")
-    prefactor = 0.5 * (
-        math.log(r)
-        + math.log(n - r)
-        + (n - 1) * math.log(n - 1)
-        - n * math.log(2.0)
-        - n * math.log(math.pi)
-        - n * math.log(q)
-    )
-    entropy = -math.comb(n, r) * _xlnx_entropy(lam)
-    r2, r3, r4 = params.r2, params.r3, params.r4
-    corrections = (
-        -(n - 1) * r2 / (2.0 * q)
-        + n**2 * r2 / (4.0 * q**2)
-        + (1.0 - 2.0 * lam) * (n - 2 * r) * n * r3 / (6.0 * q**2)
-        - n**3 * r4 / (12.0 * q**3)
-    )
-    terms = error_indicators(params)
-    terms["near_regular_term"] = _near_regular_extra(params)
-    return LogEstimate(
-        ln_value=prefactor + entropy + corrections,
-        method="near-regular",
-        error_terms=terms,
-        assumption_flags=_flags(params),
-    )
+
+    def ln_value() -> float:
+        n, r, lam, q = params.n, params.r, params.lam, params.q
+        r2, r3, r4 = params.r2, params.r3, params.r4
+        return _regular_ln(params) + (
+            -(n - 1) * r2 / (2.0 * q)
+            + n**2 * r2 / (4.0 * q**2)
+            + (1.0 - 2.0 * lam) * (n - 2 * r) * n * r3 / (6.0 * q**2)
+            - n**3 * r4 / (12.0 * q**3)
+        )
+
+    return _estimate(params, "near-regular", ln_value, _near_regular_extra)
 
 
 def estimate_corollary(seq: DegreeSequence) -> LogEstimate:
-    """First-quadrant corollary form with the regular determinant.
+    """First-quadrant corollary form: the regular count plus degree-deviation
+    corrections in d.
 
     Inputs outside the first quadrant are canonicalized first; the returned
     value is the canonical instance's, which equals the input's count.
     """
-    canonical, _ = canonicalize_first_quadrant(seq)
-    params = canonical.params
-    n, r = params.n, params.r
-    lam, d = params.lam, params.d
-    if not (0.0 < lam < 1.0):
-        raise DensityDegenerate("empty or complete instance; use the exact oracle")
-    _, _, logdet0 = regular_closed_form(params)
-    r2, r3, r4 = params.r2, params.r3, params.r4
-    corrections = (
-        -(n - 1) * r2 / (2.0 * (1.0 - lam) * (n - r) * d)
-        + r2 / (4.0 * d**2)
-        + (1.0 - 2.0 * lam) * r3 / (6.0 * (1.0 - lam) ** 2 * d**2)
-        - r4 / (12.0 * d**3)
-    )
-    ln_value = (
-        math.log(r)
-        - n * math.log(2.0)
-        - 0.5 * n * math.log(math.pi)
-        - 0.5 * logdet0
-        - math.comb(n, r) * _xlnx_entropy(lam)
-        + corrections
-    )
-    terms = error_indicators(params)
-    terms["near_regular_term"] = _corollary_extra(params)
-    return LogEstimate(
-        ln_value=ln_value,
-        method="corollary",
-        error_terms=terms,
-        assumption_flags=_flags(params),
-    )
+    params = canonicalize_first_quadrant(seq)[0].params
+
+    def ln_value() -> float:
+        n, r, lam, d = params.n, params.r, params.lam, params.d
+        r2, r3, r4 = params.r2, params.r3, params.r4
+        return _regular_ln(params) + (
+            -(n - 1) * r2 / (2.0 * (1.0 - lam) * (n - r) * d)
+            + r2 / (4.0 * d**2)
+            + (1.0 - 2.0 * lam) * r3 / (6.0 * (1.0 - lam) ** 2 * d**2)
+            - r4 / (12.0 * d**3)
+        )
+
+    return _estimate(params, "corollary", ln_value, _corollary_extra)
 
 
 @dataclass

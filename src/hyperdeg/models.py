@@ -7,10 +7,11 @@ Three laws on degree vectors are compared:
 * independent binomials Bin(C(n-1, r-1), p) conditioned on sum n*d,
   which is p-free and has the closed product-of-binomials form;
 * independent per-vertex hypergeometrics conditioned on sum n*d, whose
-  normalizer has no closed form and is computed by exact convolution
-  (or a central-limit approximation beyond budget).
+  normalizer has no closed form: the dp budget alone picks it, exact
+  convolution within the budget and a central-limit approximation beyond.
 
-The hypergeometric log-pmf has one form, ``_log_pmf``, evaluated at the
+``log_comb`` is the one log-binomial, at a scalar or at an array.  The
+hypergeometric log-pmf has one form, ``_log_pmf``, evaluated at the
 degrees a caller needs; ``sample_degree_batch`` is the one sampler.
 
 Everything is carried in natural-log domain: the binomial normalizers
@@ -39,11 +40,20 @@ SAMPLE_BATCH = 1024
 KLW_PHI = 0.47
 
 
-def log_comb(a: float, b: float) -> float:
-    """log C(a, b) via log-gamma; -inf outside the support."""
-    if b < 0 or b > a:
-        return LOG_ZERO
-    return math.lgamma(a + 1.0) - math.lgamma(b + 1.0) - math.lgamma(a - b + 1.0)
+def log_comb(a: int, b):
+    """log C(a, b) via log-gamma at an integer b or at each entry of an integer
+    array b, with the same bits either way; -inf outside [0, a].  Exact
+    integer arithmetic beyond int64, where a needs it."""
+    # numpy's own dtype keeps a b beyond int64 as Python ints
+    b = np.asarray(b, dtype=None if a < 2**63 else object)
+    on = (b >= 0) & (b <= a)
+    out = np.full(b.shape, LOG_ZERO)
+    out[on] = math.lgamma(a + 1.0) - _lgamma_each(b[on] + 1.0) - _lgamma_each(a - b[on] + 1.0)
+    return out if out.ndim else float(out)
+
+
+def _lgamma_each(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x.tolist()), np.float64, x.size)
 
 
 @dataclass(frozen=True)
@@ -104,32 +114,19 @@ def _log_pmf(spec: HypergeomSpec, ks) -> np.ndarray:
     """The hypergeometric log-pmf at each degree in ``ks``; -inf off the support.
 
     The only form of the pmf: log C(marked, k) + log C(rest, m - k)
-    - log C(population, m), each log-binomial formed as ``log_comb`` forms
-    it, so an entry has the same bits wherever it is evaluated.  Exact
-    integer arithmetic beyond int64, where C(n, r) needs it.
+    - log C(population, m), each term a ``log_comb``, so an entry has the
+    same bits wherever it is evaluated.  Exact integer arithmetic beyond
+    int64, where C(n, r) needs it.
     """
     ks = np.asarray(ks, dtype=np.int64 if spec.population < 2**63 else object)
-    support = spec.support()
-    on = (ks >= support.start) & (ks < support.stop)
-    out = np.full(ks.shape, LOG_ZERO)
     rest = spec.population - spec.marked
-    out[on] = (_log_comb_each(spec.marked, ks[on]) + _log_comb_each(rest, spec.m - ks[on])
-               - log_comb(spec.population, spec.m))
-    return out
+    return (log_comb(spec.marked, ks) + log_comb(rest, spec.m - ks)
+            - log_comb(spec.population, spec.m))
 
 
 def _log_pmf_vector(spec: HypergeomSpec) -> np.ndarray:
     """``_log_pmf`` at every degree 0..marked, the convolutions' operand."""
     return _log_pmf(spec, np.arange(spec.marked + 1))
-
-
-def _lgamma_each(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.lgamma, x.tolist()), np.float64, x.size)
-
-
-def _log_comb_each(a: int, b: np.ndarray) -> np.ndarray:
-    """``log_comb(a, b)`` at each entry of b in [0, a], bit-identical to it."""
-    return math.lgamma(a + 1.0) - _lgamma_each(b + 1.0) - _lgamma_each(a - b + 1.0)
 
 
 def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,8 +195,12 @@ class ModelPoint:
     components: dict = field(default_factory=dict)
 
 
-def prob_model(seq: DegreeSequence, model: str, normalizer: str = "dp") -> ModelPoint:
-    """Log-probability of one degree vector under one model (D-asymptotic: near-regular)."""
+def prob_model(seq: DegreeSequence, model: str) -> ModelPoint:
+    """Log-probability of one degree vector under one model (D-asymptotic: near-regular).
+
+    T's normalizer is the exact convolution (dp) within the dp budget and the
+    local limit (clt) beyond it; ``components["normalizer_method"]`` names it.
+    """
     n, r = seq.n, seq.r
     m = seq.edge_count
     marked = math.comb(n - 1, r - 1)
@@ -207,19 +208,16 @@ def prob_model(seq: DegreeSequence, model: str, normalizer: str = "dp") -> Model
     nd = r * m
 
     if model == "B":
-        ln = sum(log_comb(marked, dj) for dj in seq.degrees)
-        ln -= log_comb(n * marked, nd)
+        # the per-degree terms summed left to right
+        ln = sum(log_comb(marked, seq.degrees).tolist()) - log_comb(n * marked, nd)
         return ModelPoint(model="B", ln_prob=ln, components={})
 
     if model == "T":
         spec = HypergeomSpec(n, r, m)
-        method = normalizer
         try:
-            ln_p = conditioned_sum_log_prob(spec, method)
+            method, ln_p = "dp", conditioned_sum_log_prob(spec, "dp")
         except BudgetExceeded:
-            # exact convolution where affordable, local limit beyond
-            method = "clt"
-            ln_p = conditioned_sum_log_prob(spec, "clt")
+            method, ln_p = "clt", conditioned_sum_log_prob(spec, "clt")
         ln = float(_log_pmf(spec, seq.degrees).sum()) - ln_p
         return ModelPoint(
             model="T", ln_prob=ln,
@@ -271,11 +269,11 @@ def predicted_ratio(seq: DegreeSequence, pair: str) -> dict:
         value = (n - 1) / 2.0 * math.log((n - 1) / (n - r)) - (r - 1) * r2 / (
             2.0 * (1.0 - lam) * (n - r) * d
         )
-        indicator = eps + params.delta_max * d ** (-0.6)
+        indicator = eps + counts._corollary_extra(params)
         extras = {}
     elif pair == "d-vs-t":
         value = (n - 1) / 2.0 * math.log((n - 1) / n) + r2 / (2.0 * q)
-        indicator = eps + params.delta_max * n**0.6 * q ** (-0.6)
+        indicator = eps + counts._near_regular_extra(params)
         extras = {}
     elif pair == "klw":
         value = (r - 1) / 2.0 - (r - 1) * r2 / (2.0 * (1.0 - lam) * (n - r) * d)
@@ -304,7 +302,6 @@ def predicted_ratio(seq: DegreeSequence, pair: str) -> dict:
 def measured_ratio(
     seq: DegreeSequence,
     pair: str,
-    normalizer: str = "dp",
     d_model: str = "D-exact",
 ) -> float:
     """Measured ln(Prob_D / Prob_other) from the model probabilities."""
@@ -312,7 +309,7 @@ def measured_ratio(
         raise ValueError(f"unknown ratio pair {pair!r}")
     other = RATIO_PAIRS[pair]
     pd = prob_model(seq, d_model)
-    po = prob_model(seq, other, normalizer=normalizer)
+    po = prob_model(seq, other)
     return pd.ln_prob - po.ln_prob
 
 

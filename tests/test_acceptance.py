@@ -302,7 +302,7 @@ def test_criterion_09_model_identities():
         for degrees in compositions(r * m, n, cap):
             seq = DegreeSequence(n, r, degrees)
             total_b += math.exp(prob_model(seq, "B").ln_prob)
-            total_t += math.exp(prob_model(seq, "T", normalizer="dp").ln_prob)
+            total_t += math.exp(prob_model(seq, "T").ln_prob)
             point = prob_model(seq, "D-exact")
             expected = Fraction(
                 exact_count(seq).value, math.comb(math.comb(n, r), m)
@@ -325,7 +325,7 @@ def test_criterion_10_model_ratio_trend(monkeypatch):
     monkeypatch.setenv("HYPERDEG_BUDGET", str(LADDER_BUDGET))
 
     def gap(seq):
-        measured = measured_ratio(seq, "d-vs-t", normalizer="dp", d_model="D-exact")
+        measured = measured_ratio(seq, "d-vs-t", d_model="D-exact")
         return abs(measured - predicted_ratio(seq, "d-vs-t")["predicted_ln_ratio"])
 
     gaps, refused, blockers = _ladder(gap)

@@ -102,7 +102,7 @@ def test_quadrature_method():
 def test_models_command():
     code, out, _ = invoke(
         ["models", "--input", str(INSTANCES / "tiny4.json"),
-         "--compare", "d-vs-t,b-vs-d", "--normalizer", "dp"]
+         "--compare", "d-vs-t,b-vs-d"]
     )
     assert code == 0
     payload = json.loads(out)
@@ -180,17 +180,6 @@ def test_models_reports_the_normalizer_that_produced_t(monkeypatch):
     assert rows["d-vs-t"]["normalizer"] == "clt"
     assert rows["b-vs-d"]["normalizer"] == "dp"
     assert rows["klw"]["normalizer"] == "dp"
-
-
-def test_models_clt_normalizer_flag():
-    code, out, _ = invoke(
-        ["models", "--input", str(INSTANCES / "tiny4.json"),
-         "--compare", "d-vs-t", "--normalizer", "clt"]
-    )
-    assert code == 0
-    row = json.loads(out)["comparisons"][0]
-    assert row["normalizer"] == "clt"
-    assert math.isfinite(row["measured_ln_ratio"])
 
 
 def test_sample_csv_shape(tmp_path):
@@ -501,6 +490,27 @@ def test_outputs_validate_against_shipped_schemas():
     validate(json.loads(out), "quadrature.json")
     _, out, _ = invoke(["models", "--input", path, "--compare", "d-vs-t,klw"])
     validate(json.loads(out), "model_comparisons.json")
+    # exact count 0: the measured ratios print as the non-finite tokens
+    zero = '{"n": 6, "r": 3, "degrees": [9, 3, 3, 3, 3, 3]}'
+    _, out, _ = invoke(["models", "--input", zero])
+    validate(json.loads(out), "model_comparisons.json")
+    assert {row["measured_ln_ratio"] for row in json.loads(out)["comparisons"]} == {"nan", "-inf"}
+
+
+@pytest.mark.parametrize("method", ["general", "corollary"])
+def test_no_edge_complement_image_names_the_input_degree(method):
+    # d_1 = 6 < m - C(n-1, r) = 12 - 5: the exact count is 0, and the
+    # instance has no edge-complement image to canonicalize through
+    instance = '{"n": 6, "r": 4, "degrees": [6, 8, 8, 8, 9, 9]}'
+    code, out, _ = invoke(["count", "--method", "exact", "--input", instance])
+    assert code == 0 and json.loads(out)["count"] == 0
+    code, out, err = invoke(["count", "--method", method, "--input", instance])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "error: degree d_1=6 outside [m - C(n-1, r)=7, m=12]: "
+        "no hypergraph has these degrees"
+    )
 
 
 def test_pretty_mode_is_human_readable():
@@ -632,9 +642,10 @@ def test_budget_below_one_exits_two(monkeypatch, value):
     )
 
 
-def test_the_budget_is_set_only_by_the_environment(capsys):
-    # HYPERDEG_BUDGET is read at each check: no public function takes a
-    # budget, no field stores one, and there is no --budget flag
+def _public_functions_taking(parameter):
+    """Public functions and methods of every ``hyperdeg`` module that take
+    ``parameter``, by qualified name."""
+    found = []
     for info in pkgutil.iter_modules(hyperdeg.__path__):
         module = importlib.import_module(f"hyperdeg.{info.name}")
         for name, obj in vars(module).items():
@@ -644,14 +655,40 @@ def test_the_budget_is_set_only_by_the_environment(capsys):
                 members = [(name, obj)]
             for qualname, func in members:
                 if inspect.isfunction(func) and not qualname.split(".")[-1].startswith("_"):
-                    params = inspect.signature(func).parameters
-                    assert "budget" not in params, f"{module.__name__}.{qualname}"
+                    if parameter in inspect.signature(func).parameters:
+                        found.append(f"{module.__name__}.{qualname}")
+    return found
+
+
+def test_the_budget_is_set_only_by_the_environment(capsys):
+    # HYPERDEG_BUDGET is read at each check: no public function takes a
+    # budget, no field stores one, and there is no --budget flag
+    assert _public_functions_taking("budget") == []
     assert "budget" not in {f.name for f in dataclasses.fields(FieldSummary)}
     with pytest.raises(SystemExit) as exc:
         run(["--budget", "10", "count", "--input", str(INSTANCES / "reg6.json"),
              "--method", "exact"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_the_dp_budget_alone_picks_the_t_normalizer(monkeypatch, capsys):
+    from hyperdeg import models
+
+    # no switch picks it: no public function takes a normalizer, and there
+    # is no --normalizer flag
+    assert _public_functions_taking("normalizer") == []
+    with pytest.raises(SystemExit) as exc:
+        run(["models", "--input", str(INSTANCES / "tiny4.json"), "--normalizer", "dp"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    # dp up to the convolution's own operation count, clt one below it
+    seq = cli.load_instance(str(INSTANCES / "near8.json"))
+    ops = models._convolution_ops(models.HypergeomSpec(seq.n, seq.r, seq.edge_count), seq.n)
+    for budget, method in [(ops, "dp"), (ops - 1, "clt")]:
+        monkeypatch.setenv("HYPERDEG_BUDGET", str(budget))
+        point = models.prob_model(seq, "T")
+        assert point.components["normalizer_method"] == method, budget
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry
@@ -10,7 +11,8 @@ from hyperdeg.counts import (
     estimate_near_regular,
     symmetry_audit,
 )
-from hyperdeg.errors import DensityDegenerate
+from hyperdeg.errors import DensityDegenerate, RangeViolation
+from hyperdeg.matrices import regular_closed_form
 from hyperdeg.oracle import exact_count
 from hyperdeg.solver import solve
 
@@ -80,6 +82,56 @@ def test_near_regular_invariant_under_both_transforms():
         ):
             image = apply_symmetry(seq, t)
             assert abs(estimate_near_regular(image).ln_value - base) <= 1e-10, t
+
+
+def _regular_first_quadrant(n_max):
+    """Every regular instance with 6 <= n <= n_max, r <= n/2, 0 < d < C(n-1, r-1)
+    and m <= C(n, r)/2."""
+    for n in range(6, n_max + 1):
+        for r in range(2, n // 2 + 1):
+            for d in range(1, math.comb(n - 1, r - 1)):
+                if n * d % r == 0 and 2 * (n * d // r) <= math.comb(n, r):
+                    yield DegreeSequence(n, r, (d,) * n)
+
+
+def test_closed_routes_share_the_regular_part_bit_for_bit():
+    # on a regular instance every correction is zero, so both closed routes
+    # print the one regular part; the determinant form agrees to rounding
+    seqs = list(_regular_first_quadrant(12))
+    assert len(seqs) == 573
+    for seq in seqs:
+        near = estimate_near_regular(seq).ln_value
+        assert estimate_corollary(seq).ln_value == near, seq
+        n, r, lam = seq.n, seq.r, seq.params.lam
+        _, _, logdet0 = regular_closed_form(seq.params)
+        via_det = (
+            math.log(r) - n * math.log(2.0) - 0.5 * n * math.log(math.pi) - 0.5 * logdet0
+            - math.comb(n, r) * (lam * math.log(lam) + (1 - lam) * math.log(1 - lam))
+        )
+        assert near == pytest.approx(via_det, rel=1e-12, abs=1e-12), seq
+
+
+def test_near_regular_same_bits_under_the_edge_complement():
+    rng = np.random.default_rng(24)
+    checked = 0
+    while checked < 300:
+        n = int(rng.integers(6, 40))
+        r = int(rng.integers(2, min(9, n - 1)))
+        cap = math.comb(n - 1, r - 1)
+        degrees = np.clip(int(rng.integers(1, cap)) + rng.integers(-2, 3, size=n), 0, cap)
+        degrees[0] -= degrees.sum() % r
+        if degrees[0] < 0:
+            continue
+        seq = DegreeSequence(n, r, tuple(degrees.tolist()))
+        if not 0 < seq.params.lam < 1:
+            continue
+        try:
+            image = apply_symmetry(seq, QuadrantTransform.EDGE_COMPLEMENT)
+        except RangeViolation:
+            continue  # no hypergraph has these degrees
+        base = estimate_near_regular(seq).ln_value
+        assert estimate_near_regular(image).ln_value == base, seq
+        checked += 1
 
 
 def test_set_complement_pair_with_sign_flips():

@@ -95,7 +95,7 @@ def test_dp_and_clt_close_at_desk_scale():
     assert abs(dp - clt) <= 0.2
 
 
-def test_prob_model_values():
+def test_prob_model_values(monkeypatch):
     b = prob_model(TINY, "B")
     assert b.ln_prob == pytest.approx(math.log(81 / 924), abs=1e-12)
 
@@ -103,7 +103,7 @@ def test_prob_model_values():
     assert d_exact.ln_prob == pytest.approx(math.log(1 / 6), abs=1e-12)
     assert d_exact.components["exact"] == Fraction(1, 6)
 
-    t = prob_model(TINY, "T", normalizer="dp")
+    t = prob_model(TINY, "T")
     assert t.ln_prob == pytest.approx(math.log(1 / 6), abs=1e-12)
     assert t.components["normalizer_method"] == "dp"
 
@@ -111,7 +111,10 @@ def test_prob_model_values():
     assert math.isfinite(d_asym.ln_prob)
     assert d_asym.ln_prob <= 0.0
 
-    t_clt = prob_model(TINY, "T", normalizer="clt")
+    # one operation short of the dp convolution, T takes the clt normalizer
+    spec = HypergeomSpec(TINY.n, TINY.r, TINY.edge_count)
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(models._convolution_ops(spec, TINY.n) - 1))
+    t_clt = prob_model(TINY, "T")
     assert t_clt.components["normalizer_method"] == "clt"
     assert abs(t_clt.ln_prob - t.ln_prob) <= 0.2
 
@@ -131,7 +134,7 @@ def test_t_model_sums_to_one():
         total = 0.0
         for degrees in compositions(r * m, n, cap):
             total += math.exp(
-                prob_model(DegreeSequence(n, r, degrees), "T", normalizer="dp").ln_prob
+                prob_model(DegreeSequence(n, r, degrees), "T").ln_prob
             )
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -145,7 +148,7 @@ def test_exact_model_ratio_is_an_algebraic_identity():
         population = math.comb(n, r)
         via_models = (
             prob_model(seq, "D-exact").ln_prob
-            - prob_model(seq, "T", normalizer="dp").ln_prob
+            - prob_model(seq, "T").ln_prob
         )
         spec = HypergeomSpec(n, r, m)
         ln_p = conditioned_sum_log_prob(spec, "dp")
@@ -189,7 +192,7 @@ def test_measured_ratio_gap_shrinks_with_n():
     gaps = []
     for n, d in [(5, 3), (6, 5), (7, 6)]:
         seq = DegreeSequence(n, 3, (d,) * n)
-        measured = measured_ratio(seq, "d-vs-t", normalizer="dp", d_model="D-exact")
+        measured = measured_ratio(seq, "d-vs-t", d_model="D-exact")
         predicted = predicted_ratio(seq, "d-vs-t")["predicted_ln_ratio"]
         gaps.append(abs(measured - predicted))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -417,6 +420,18 @@ def test_log_gamma_forms_match_the_scipy_reference():
                 assert np.abs(_log_pmf_vector(spec)[support] - want).max() <= tol
                 for a, b in [(population, m), (spec.marked, 1), (spec.marked, spec.marked // 2)]:
                     assert abs(models.log_comb(a, b) - reference(a, b)) <= tol
+
+
+@pytest.mark.parametrize("a", [0, 7, 10**6, 2**70])
+def test_log_comb_takes_an_integer_or_an_array(a):
+    # one log-binomial: an array entry has the bits of the scalar call, and
+    # anything off [0, a] is -inf, a b beyond int64 included
+    bs = [-(2**70), -1, 0, 1, a // 2, a, a + 1, 2**70 + 1]
+    scalars = [models.log_comb(a, b) for b in bs]
+    assert all(type(x) is float for x in scalars)
+    assert [x == models.LOG_ZERO for x in scalars] == [b < 0 or b > a for b in bs]
+    assert models.log_comb(a, bs).tobytes() == np.array(scalars).tobytes()
+    assert scalars[2] == scalars[5] == 0.0
 
 
 @pytest.mark.parametrize("n,r,m", [(12, 4, 100), (60, 4, 10**5), (20, 3, 0), (20, 3, 1140)])
