@@ -41,7 +41,7 @@ print("average edge weight:", field.avg_lambda)
 general = estimate_general(seq, report=report)
 near = estimate_near_regular(seq)
 corollary = estimate_corollary(seq)
-exact = exact_count(seq).value
+exact = exact_count(seq)
 print(f"\nln H (general formula)      = {general.ln_value:.6f}")
 print(f"ln H (near-regular formula) = {near.ln_value:.6f}")
 print(f"ln H (corollary grouping)   = {corollary.ln_value:.6f}")

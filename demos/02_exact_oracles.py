@@ -21,7 +21,7 @@ from hyperdeg import (
 
 print("exact counts on four vertices (edge size 3):")
 for degrees in [(3, 3, 3, 3), (2, 2, 1, 1), (1, 1, 1, 0), (3, 1, 1, 1)]:
-    value = exact_count(DegreeSequence(4, 3, degrees)).value
+    value = exact_count(DegreeSequence(4, 3, degrees))
     print(f"  H{degrees} = {value}")
 
 print("\ncompleteness: sum of H over all degree vectors with m edges")
@@ -30,13 +30,13 @@ for m in range(4):
     total = 0
     for degrees in product(range(math.comb(n - 1, r - 1) + 1), repeat=n):
         if sum(degrees) == r * m:
-            total += exact_count(DegreeSequence(n, r, degrees)).value
+            total += exact_count(DegreeSequence(n, r, degrees))
     rhs = math.comb(math.comb(n, r), m)
     print(f"  m={m}: sum = {total}, C(C(5,3),{m}) = {rhs}, equal: {total == rhs}")
 
 print("\ncontour independence of the quadrature oracle:")
 seq = DegreeSequence(5, 3, (3, 3, 2, 2, 2))
-exact = exact_count(seq).value
+exact = exact_count(seq)
 beta = solve(seq).beta_star
 for label, contour in [("zero contour", None), ("solved contour", beta)]:
     res = cauchy_quadrature(seq, beta=contour)
@@ -47,7 +47,7 @@ for label, contour in [("zero contour", None), ("solved contour", beta)]:
 print("\nasymptotic versus exact along half-density regular instances:")
 for n, d in [(5, 3), (6, 5), (7, 6)]:
     seq = DegreeSequence(n, 3, (d,) * n)
-    h = exact_count(seq).value
+    h = exact_count(seq)
     est = estimate_near_regular(seq).ln_value
     print(f"  n={n}, d={d}: ln H_exact = {math.log(h):.4f}, "
           f"estimate = {est:.4f}, |gap| = {abs(est - math.log(h)):.4f}")

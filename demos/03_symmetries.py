@@ -29,7 +29,7 @@ print("\nquadrant images (degrees, edge size, Q, exact count):")
 for t in QuadrantTransform:
     image = apply_symmetry(seq, t)
     p = derive(image)
-    h = exact_count(image).value
+    h = exact_count(image)
     print(f"  {t.value:16s} r={image.r} degrees={image.degrees} "
           f"Q={p.q} H={h}")
 

@@ -3,8 +3,8 @@
 Near-regular degrees (d +- 2 around density 0.3) have at most five distinct
 values, so the general formula runs on degree classes: the solve and the
 sums go over the C(k+r-1, r) class compositions instead of all C(n, r)
-subsets, and the log-determinant goes through the k x k determinant lemma.
-That reaches n = 10^5.
+subsets, and the log-determinant is a per-class diagonal term plus one
+Cholesky of the k x k Newton Jacobian.  That reaches n = 10^5.
 
 At large n, ln H is dominated by the leading term C(n, r) * H(lam), whose
 float64 ulp grows with C(n, r).  A gap between two routes that is a few

@@ -50,7 +50,7 @@ from .models import (
     prob_model,
     sample_degree_batch,
 )
-from .oracle import ExactCount, cauchy_quadrature, exact_count, total_identity_check
+from .oracle import cauchy_quadrature, exact_count, total_identity_check
 from .solver import SolveReport, solve
 
 __version__ = "0.1.0"
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DegreeSequence",
     "DerivedParams",
-    "ExactCount",
     "FieldSummary",
     "HypergeomSpec",
     "LogEstimate",

@@ -114,6 +114,19 @@ class DegreeSequence:
     def degree_cap(self) -> int:
         return math.comb(self.n - 1, self.r - 1)
 
+    def check_edge_bounds(self) -> None:
+        """``RangeViolation`` unless every d_j lies in [m - C(n-1, r), m]: a
+        vertex misses at most the C(n-1, r) subsets without it.  The bounds
+        hold for both complement images or for neither; construction leaves
+        them unchecked, as the exact oracles count such degrees as 0."""
+        m = self.edge_count
+        lo = m - math.comb(self.n - 1, self.r)
+        degrees = self.degrees
+        if min(degrees) < lo or max(degrees) > m:
+            j = next(j for j, dj in enumerate(degrees) if not lo <= dj <= m)
+            raise RangeViolation(f"degree d_{j+1}={degrees[j]} outside [m - C(n-1, r)={lo}, "
+                                 f"m={m}]: no hypergraph has these degrees")
+
     def to_json_dict(self) -> dict:
         return {"n": self.n, "r": self.r, "degrees": list(self.degrees)}
 
@@ -293,19 +306,14 @@ def derive(seq: DegreeSequence) -> DerivedParams:
 def apply_symmetry(seq: DegreeSequence, t: QuadrantTransform) -> DegreeSequence:
     """Image of an instance under a quadrant transform (exact integers).
 
-    The edge complement needs every d_j in [m - C(n-1, r), m], else no
-    hypergraph has these degrees and ``RangeViolation`` names the vertex.
+    The edge complement needs ``seq.check_edge_bounds()`` to pass.
     """
     if t is QuadrantTransform.IDENTITY:
         return seq
     n, r, degrees = seq.n, seq.r, seq.degrees
     if t.edge:
+        seq.check_edge_bounds()
         m = seq.edge_count
-        lo = m - math.comb(n - 1, r)
-        if min(degrees) < lo or max(degrees) > m:
-            j = next(j for j, dj in enumerate(degrees) if not lo <= dj <= m)
-            raise RangeViolation(f"degree d_{j+1}={degrees[j]} outside [m - C(n-1, r)={lo}, "
-                                 f"m={m}]: no hypergraph has these degrees")
         r, degrees = n - r, tuple(m - dj for dj in degrees)
     if t.complement:
         cap = math.comb(n - 1, r - 1)

@@ -49,14 +49,10 @@ class LogEstimate:
     error_terms: dict = field(default_factory=dict)
     assumption_flags: dict = field(default_factory=dict)
 
-    @property
-    def log10_value(self) -> float:
-        return self.ln_value / math.log(10.0)
-
     def to_json_dict(self) -> dict:
         return {
             "ln": self.ln_value,
-            "log10": self.log10_value,
+            "log10": self.ln_value / math.log(10.0),
             "method": self.method,
             "error_terms": self.error_terms,
             "flags": self.assumption_flags,
@@ -125,11 +121,17 @@ def _regular_ln(params: DerivedParams) -> float:
     return prefactor - math.comb(n, r) * xlnx
 
 
-def _estimate(params: DerivedParams, method: str, ln_value, extra=None) -> LogEstimate:
-    """A route's estimate: ``ln_value()`` once the density is inside (0, 1).
+def _estimate(seq: DegreeSequence, method: str, ln_value, extra=None,
+              canonical: bool = False) -> LogEstimate:
+    """A route's estimate of ``seq``: ``ln_value(params)`` once every degree
+    lies within the edge bounds and the density is inside (0, 1).
 
+    ``params`` are those of ``seq``, or of its first-quadrant image if
+    ``canonical``; the edge bounds hold for both or for neither.
     ``extra(params)``, if given, is the route's ``near_regular_term``.
     """
+    seq.check_edge_bounds()
+    params = (canonicalize_first_quadrant(seq)[0] if canonical else seq).params
     if not (0.0 < params.lam < 1.0):
         raise DensityDegenerate("empty or complete instance; use the exact oracle")
     terms = error_indicators(params)
@@ -137,7 +139,7 @@ def _estimate(params: DerivedParams, method: str, ln_value, extra=None) -> LogEs
         terms["near_regular_term"] = extra(params)
     flags = {key: params.flags[key] for key in
              ("edge_size_in_range", "main_growth", "near_regular", "first_quadrant")}
-    return LogEstimate(ln_value(), method, terms, flags)
+    return LogEstimate(ln_value(params), method, terms, flags)
 
 
 def estimate_general(
@@ -151,19 +153,30 @@ def estimate_general(
     solves another instance) is evaluated from its field sweep in its own
     frame, with no transform and no further sweep;
     the formula is exactly frame-invariant, so both agree to rounding.  The
-    log-determinant comes from the k x k determinant lemma on the class
-    route (the classes of ``seq.params``) and from the n x n Cholesky on
-    singletons.
+    log-determinant is ``weight_logdet``'s: one Cholesky of the k x k class
+    Jacobian (the classes of ``seq.params``), which on singletons is the
+    n x n weight matrix.
     """
 
-    def ln_value() -> float:
+    def ln_value(_: DerivedParams) -> float:
         if report is None:
             field = solve(canonicalize_first_quadrant(seq)[0]).field
         else:
             field = require_converged(report, seq).field
         return _general_ln(field, weight_logdet(field))
 
-    return _estimate(seq.params, "general", ln_value)
+    return _estimate(seq, "general", ln_value)
+
+
+def _near_regular_ln(params: DerivedParams) -> float:
+    n, r, lam, q = params.n, params.r, params.lam, params.q
+    r2, r3, r4 = params.r2, params.r3, params.r4
+    return _regular_ln(params) + (
+        -(n - 1) * r2 / (2.0 * q)
+        + n**2 * r2 / (4.0 * q**2)
+        + (1.0 - 2.0 * lam) * (n - 2 * r) * n * r3 / (6.0 * q**2)
+        - n**3 * r4 / (12.0 * q**3)
+    )
 
 
 def estimate_near_regular(seq: DegreeSequence) -> LogEstimate:
@@ -173,19 +186,18 @@ def estimate_near_regular(seq: DegreeSequence) -> LogEstimate:
     ``ln H = _regular_ln - (n-1) R2 / (2Q) + n^2 R2 / (4Q^2)
              + (1-2 lam)(n-2r) n R3 / (6Q^2) - n^3 R4 / (12Q^3)``.
     """
-    params = seq.params
+    return _estimate(seq, "near-regular", _near_regular_ln, _near_regular_extra)
 
-    def ln_value() -> float:
-        n, r, lam, q = params.n, params.r, params.lam, params.q
-        r2, r3, r4 = params.r2, params.r3, params.r4
-        return _regular_ln(params) + (
-            -(n - 1) * r2 / (2.0 * q)
-            + n**2 * r2 / (4.0 * q**2)
-            + (1.0 - 2.0 * lam) * (n - 2 * r) * n * r3 / (6.0 * q**2)
-            - n**3 * r4 / (12.0 * q**3)
-        )
 
-    return _estimate(params, "near-regular", ln_value, _near_regular_extra)
+def _corollary_ln(params: DerivedParams) -> float:
+    n, r, lam, d = params.n, params.r, params.lam, params.d
+    r2, r3, r4 = params.r2, params.r3, params.r4
+    return _regular_ln(params) + (
+        -(n - 1) * r2 / (2.0 * (1.0 - lam) * (n - r) * d)
+        + r2 / (4.0 * d**2)
+        + (1.0 - 2.0 * lam) * r3 / (6.0 * (1.0 - lam) ** 2 * d**2)
+        - r4 / (12.0 * d**3)
+    )
 
 
 def estimate_corollary(seq: DegreeSequence) -> LogEstimate:
@@ -195,19 +207,7 @@ def estimate_corollary(seq: DegreeSequence) -> LogEstimate:
     Inputs outside the first quadrant are canonicalized first; the returned
     value is the canonical instance's, which equals the input's count.
     """
-    params = canonicalize_first_quadrant(seq)[0].params
-
-    def ln_value() -> float:
-        n, r, lam, d = params.n, params.r, params.lam, params.d
-        r2, r3, r4 = params.r2, params.r3, params.r4
-        return _regular_ln(params) + (
-            -(n - 1) * r2 / (2.0 * (1.0 - lam) * (n - r) * d)
-            + r2 / (4.0 * d**2)
-            + (1.0 - 2.0 * lam) * r3 / (6.0 * (1.0 - lam) ** 2 * d**2)
-            - r4 / (12.0 * d**3)
-        )
-
-    return _estimate(params, "corollary", ln_value, _corollary_extra)
+    return _estimate(seq, "corollary", _corollary_ln, _corollary_extra, canonical=True)
 
 
 @dataclass
@@ -216,14 +216,6 @@ class QuadrantAudit:
     max_ln_gap: float
     det_ratio_checks: dict
     lambda_identity_gap: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ln_values": self.ln_values,
-            "max_ln_gap": self.max_ln_gap,
-            "det_ratio_checks": self.det_ratio_checks,
-            "lambda_identity_gap": self.lambda_identity_gap,
-        }
 
 
 def symmetry_audit(

@@ -4,9 +4,10 @@ The weight matrix (``FieldSummary.weight_matrix``) has entries a_jj = half
 the variance-weight sum over subsets containing j, and a_jk = half the sum
 over subsets containing both j and k.  Its determinant enters the general
 counting formula.  For a regular instance the matrix is a closed-form
-combination aI + bJ with an explicit determinant; with vertex classes it is
-a per-class diagonal plus a block-constant part, whose determinant the
-matrix determinant lemma reduces to k x k.
+combination aI + bJ with an explicit determinant.  On any classes it is a
+per-class diagonal on the vectors that sum to zero within every class and
+the k x k Newton Jacobian on the class indicators, so one Cholesky of that
+Jacobian gives the determinant (on singletons, of the n x n matrix itself).
 """
 
 from __future__ import annotations
@@ -77,28 +78,28 @@ def logdet_pd(matrix: np.ndarray) -> float:
 
 
 def weight_logdet(field: FieldSummary) -> float:
-    """log |A| of a field's weight matrix, without the n x n matrix on classes.
+    """log |A| of a field's weight matrix, from the k x k class Jacobian.
 
-    On singletons this is ``logdet_pd(field.weight_matrix)``.  With classes,
-    A = diag(e_i / 2 on class i) + U (O / 2) U^T, where O is the k x k
-    matrix of pair blocks, U the class indicator matrix and
-    e_i = (variance sum of a vertex of class i) - O_ii > 0; by the matrix
-    determinant lemma
-    ``log |A| = sum_i n_i log(e_i / 2) + log |I_k + S O S|`` with
-    S = diag(sqrt(n_i / e_i)), and I_k + S O S is positive definite
-    exactly when A is.
+    A = D + U (O / 2) U^T, with U the n x k class indicator matrix, O the
+    pair blocks and D = e_i / 2 on class i, e_i = (variance sum of a vertex
+    of class i) - O_ii.  A preserves span(U) and its orthogonal complement,
+    and on the complement it is D, so with N = U^T U = diag(n_i)
+    ``log |A| = sum_i (n_i - 1) log(e_i / 2) - log |N| + log |U^T A U|``,
+    where U^T A U is half the Newton Jacobian ``field.class_jacobian()``.
+    One-vertex classes add nothing to the sums, so on singletons this is
+    ``logdet_pd(field.weight_matrix)`` bit for bit.
     """
-    classes = field.classes
-    if classes.k == classes.n:
-        return logdet_pd(field.weight_matrix)
-    sizes = classes.sizes.astype(np.float64)
-    blocks = field.pair_blocks
-    e = field.class_variance - np.diag(blocks)
+    sizes = field.classes.sizes
+    shared = sizes > 1
+    e = (field.class_variance - np.diag(field.pair_blocks))[shared]
     if np.any(e <= 0):
         raise NotPositiveDefinite("non-positive class diagonal")
-    s = np.sqrt(sizes / e)
-    core = np.eye(classes.k) + s[:, None] * blocks * s[None, :]
-    return float(sizes @ np.log(0.5 * e)) + logdet_pd(core)
+    n_i = sizes[shared].astype(np.float64)
+    return (
+        float((n_i - 1.0) @ np.log(0.5 * e))
+        - float(np.log(n_i).sum())
+        + logdet_pd(0.5 * field.class_jacobian())
+    )
 
 
 @dataclass
@@ -158,7 +159,7 @@ def bound_suite(field: FieldSummary, delta_hat: float) -> MatrixBoundReport:
     row_gap = float(np.abs(row - diag).max())
     row_slack = 1e-10 * max(1.0, float(diag.max())) - row_gap
 
-    logdet_a = logdet_pd(a)
+    logdet_a = weight_logdet(field)
     ap = 0.5 * math.exp(2.0 * delta_hat) * big
     comparison = aI_bJ_logdet(ap * math.comb(n - 2, r - 1), ap * math.comb(n - 2, r - 2), n)
     # at delta_hat = 0 the two matrices coincide and the two log-determinant

@@ -225,7 +225,7 @@ def prob_model(seq: DegreeSequence, model: str) -> ModelPoint:
         )
 
     if model == "D-exact":
-        count = oracle.exact_count(seq).value
+        count = oracle.exact_count(seq)
         total = math.comb(population, m)
         ln = (math.log(count) if count else LOG_ZERO) - math.log(total)
         return ModelPoint(

@@ -46,14 +46,6 @@ VECTOR_MIN_STATES = 128
 GRID_CHUNK = 1 << 15
 
 
-@dataclass
-class ExactCount:
-    value: int
-    n: int
-    r: int
-    degrees: tuple[int, ...]
-
-
 @lru_cache(maxsize=64)
 def _colex_plan(n: int, r: int, width: int):
     """Bit masks for each colex position, for the packed states of
@@ -179,7 +171,7 @@ def _count_sparse(n: int, r: int, degrees: tuple[int, ...]) -> int:
     return int(counts[0]) if keys.size and keys[0] == 0 else 0
 
 
-def exact_count(seq: DegreeSequence) -> ExactCount:
+def exact_count(seq: DegreeSequence) -> int:
     """Exact number of hypergraphs with the given degrees (big integer).
 
     The DP bound ``prod_j (d_j + 1) * C(n, r)`` is checked against the
@@ -198,8 +190,7 @@ def exact_count(seq: DegreeSequence) -> ExactCount:
         work, bound = mirror, mirror_bound
     check_dp_budget(bound * total)
 
-    value = _count_sparse(seq.n, seq.r, work)
-    return ExactCount(value=value, n=seq.n, r=seq.r, degrees=tuple(seq.degrees))
+    return _count_sparse(seq.n, seq.r, work)
 
 
 def _sorted_degree_vectors(total: int, parts: int, cap: int):
@@ -243,7 +234,7 @@ def total_identity_check(n: int, r: int, m: int) -> bool:
     acc = 0
     for degrees in _sorted_degree_vectors(r * m, n, cap):
         seq = DegreeSequence(n, r, degrees)
-        acc += _arrangements(degrees) * exact_count(seq).value
+        acc += _arrangements(degrees) * exact_count(seq)
     return acc == math.comb(total_subsets, m)
 
 

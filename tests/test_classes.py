@@ -124,7 +124,7 @@ def test_agreement_check_fails_when_one_multiplicity_is_off_by_one(monkeypatch):
 
 @pytest.mark.parametrize("n,r,sizes", [
     (8, 3, (4, 4)), (10, 3, (9, 1)), (12, 4, (3, 1, 5, 2, 1)), (7, 2, (1, 6)),
-    (9, 5, (2, 2, 2, 3)),
+    (9, 5, (2, 2, 2, 3)), (60, 4, (15, 15, 15, 15)),
 ])
 def test_class_sweep_equals_the_subset_sweep_at_the_same_beta(n, r, sizes):
     rng = np.random.default_rng(n * r)

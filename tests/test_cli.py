@@ -490,6 +490,13 @@ def test_outputs_validate_against_shipped_schemas():
     validate(json.loads(out), "quadrature.json")
     _, out, _ = invoke(["models", "--input", path, "--compare", "d-vs-t,klw"])
     validate(json.loads(out), "model_comparisons.json")
+    # one class-route audit and one on singletons (all degrees distinct)
+    _, out, _ = invoke(["audit", "--input", path])
+    validate(json.loads(out), "audit.json")
+    colex = '{"n": 8, "r": 3, "degrees": [4, 5, 6, 7, 8, 9, 10, 11]}'
+    code, out, _ = invoke(["audit", "--input", colex])
+    assert code == 0
+    validate(json.loads(out), "audit.json")
     # exact count 0: the measured ratios print as the non-finite tokens
     zero = '{"n": 6, "r": 3, "degrees": [9, 3, 3, 3, 3, 3]}'
     _, out, _ = invoke(["models", "--input", zero])
@@ -511,6 +518,22 @@ def test_no_edge_complement_image_names_the_input_degree(method):
         "error: degree d_1=6 outside [m - C(n-1, r)=7, m=12]: "
         "no hypergraph has these degrees"
     )
+
+
+@pytest.mark.parametrize("instance,message", [
+    ('{"n": 6, "r": 3, "degrees": [9, 3, 3, 3, 3, 3]}',
+     "degree d_1=9 outside [m - C(n-1, r)=-2, m=8]"),
+    ('{"n": 6, "r": 4, "degrees": [6, 8, 8, 8, 9, 9]}',
+     "degree d_1=6 outside [m - C(n-1, r)=7, m=12]"),
+], ids=["above-m", "below-m-minus-complement"])
+@pytest.mark.parametrize("method", ["general", "near-regular", "corollary"])
+def test_every_estimate_refuses_degrees_no_hypergraph_has(instance, message, method):
+    # exact count 0; the closed routes once printed an estimate for these
+    code, out, _ = invoke(["count", "--method", "exact", "--input", instance])
+    assert code == 0 and json.loads(out)["count"] == 0
+    code, out, err = invoke(["count", "--method", method, "--input", instance])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: {message}: no hypergraph has these degrees"
 
 
 def test_pretty_mode_is_human_readable():

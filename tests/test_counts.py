@@ -200,8 +200,8 @@ def test_density_degenerate_paths():
         with pytest.raises(DensityDegenerate):
             estimate_general(seq)
     # the exact oracle still works there
-    assert exact_count(empty).value == 1
-    assert exact_count(full).value == 1
+    assert exact_count(empty) == 1
+    assert exact_count(full) == 1
 
 
 def test_error_indicator_fields():
@@ -248,8 +248,8 @@ def test_estimate_from_an_image_report_matches_the_canonical_solve(seq, t):
 
 
 def test_symmetry_audit_reuses_a_given_base_report():
-    fresh = symmetry_audit(SKEW6).to_json_dict()
-    assert symmetry_audit(SKEW6, report=solve(SKEW6)).to_json_dict() == fresh
+    fresh = vars(symmetry_audit(SKEW6))
+    assert vars(symmetry_audit(SKEW6, report=solve(SKEW6))) == fresh
 
 
 def test_general_formula_against_high_precision_oracle():
@@ -298,7 +298,7 @@ def test_asymptotic_vs_exact_trend_feasible_family():
     gaps = []
     for n, d in [(5, 3), (6, 5), (7, 6)]:
         seq = DegreeSequence(n, 3, (d,) * n)
-        h = exact_count(seq).value
+        h = exact_count(seq)
         est = estimate_near_regular(seq).ln_value
         gaps.append(abs(est - math.log(h)))
     assert all(math.isfinite(g) for g in gaps)

@@ -5,8 +5,14 @@ import pytest
 
 from hyperdeg.core import DegreeSequence, derive
 from hyperdeg.errors import NotPositiveDefinite
-from hyperdeg.fields import field_summary
-from hyperdeg.matrices import aI_bJ_logdet, bound_suite, logdet_pd, regular_closed_form
+from hyperdeg.fields import VertexClasses, field_summary
+from hyperdeg.matrices import (
+    aI_bJ_logdet,
+    bound_suite,
+    logdet_pd,
+    regular_closed_form,
+    weight_logdet,
+)
 from hyperdeg.solver import solve
 
 REG6_LOGDET = math.log(0.889892578125)  # 3 * 7.5^6 / (2^6 * 3 * 5^5), exact dyadic
@@ -137,3 +143,42 @@ def test_logdet_requires_symmetry():
     m = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
         logdet_pd(m)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_weight_logdet_on_singletons_has_the_bits_of_the_dense_cholesky(n):
+    rng = np.random.default_rng(n)
+    for r in range(1, n):
+        field = field_summary(rng.normal(scale=0.5, size=n) - 0.3, n, r)
+        assert field.classes.k == n
+        assert weight_logdet(field) == logdet_pd(field.weight_matrix), r
+
+
+def test_weight_logdet_factors_through_the_class_jacobian():
+    # (11, 4) with classes (3, 1, 5, 2): A preserves span(U) and its
+    # complement, acting there as U^T A U = class_jacobian() / 2 and D
+    sizes = (3, 1, 5, 2)
+    index = np.repeat(np.arange(4), sizes)
+    classes = VertexClasses(index, np.array(sizes), np.array([0, 3, 4, 9]))
+    field = field_summary(np.array([-0.6, 0.1, -0.2, 0.3]), 11, 4, classes=classes)
+    a = field.weight_matrix
+    u = np.eye(4)[index]
+    assert np.allclose(u.T @ a @ u, 0.5 * field.class_jacobian(), rtol=1e-13, atol=0)
+    assert weight_logdet(field) == pytest.approx(logdet_pd(a), rel=1e-13)
+
+
+@pytest.mark.parametrize("degrees", [(10,) * 4 + (11,) * 4, (4, 5, 6, 7, 8, 9, 10, 11)],
+                         ids=["classes", "colex"])
+def test_determinant_comparison_slack_reads_weight_logdet(degrees):
+    seq = DegreeSequence(8, 3, degrees)
+    report = solve(seq)
+    field = report.field
+    assert (field.classes.k < seq.n) == (len(set(degrees)) < seq.n)
+    delta_hat = max(report.spread * seq.r, 1e-6)
+    check = next(c for c in bound_suite(field, delta_hat).checks
+                 if c.name == "determinant-comparison")
+    n, r = seq.n, seq.r
+    ap = 0.5 * math.exp(2.0 * delta_hat) * field.big_lambda
+    comparison = aI_bJ_logdet(ap * math.comb(n - 2, r - 1), ap * math.comb(n - 2, r - 2), n)
+    assert check.status == "pass"
+    assert check.slack == comparison - weight_logdet(field)
