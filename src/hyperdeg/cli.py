@@ -36,7 +36,11 @@ from .errors import (
     SingularJacobian,
     Unsolved,
 )
-from .fields import check_weight_ratio_bounds, field_summary
+from .fields import (
+    check_expansion_budget,
+    check_weight_ratio_bounds,
+    field_summary,
+)
 from .matrices import bound_suite
 from .oracle import cauchy_quadrature, exact_count, total_identity_check
 from .solver import solve
@@ -242,9 +246,12 @@ def cmd_audit(args) -> int:
     seq = load_instance(args.input)
     warn_hypotheses(seq)
     # one refusal rule on every route, checked before any solve so that an
-    # audit too large refuses at once: all C(n, r) subsets fit the budget.
-    # The bound checks themselves read the base solve's field.
+    # audit too large refuses at once: all C(n, r) subsets fit the budget,
+    # and so does the n x n weight matrix that the bound suite expands from
+    # the class blocks.  The bound checks themselves read the base solve's
+    # field.
     budgets.check_subset_budget(math.comb(seq.n, seq.r))
+    check_expansion_budget(seq.params.classes)
     report = solve(seq)
     audit = symmetry_audit(seq, report=report)
     delta_hat = max(report.spread * seq.r, 1e-6)

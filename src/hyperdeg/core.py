@@ -118,11 +118,14 @@ class DegreeSequence:
         """``RangeViolation`` unless every d_j lies in [m - C(n-1, r), m]: a
         vertex misses at most the C(n-1, r) subsets without it.  The bounds
         hold for both complement images or for neither; construction leaves
-        them unchecked, as the exact oracles count such degrees as 0."""
+        them unchecked, as the exact oracles count such degrees as 0.  The
+        least and greatest degree come from ``params``; the degrees are
+        scanned only to name an offending vertex."""
         m = self.edge_count
         lo = m - math.comb(self.n - 1, self.r)
-        degrees = self.degrees
-        if min(degrees) < lo or max(degrees) > m:
+        params = self.params
+        if params.min_degree < lo or params.max_degree > m:
+            degrees = self.degrees
             j = next(j for j, dj in enumerate(degrees) if not lo <= dj <= m)
             raise RangeViolation(f"degree d_{j+1}={degrees[j]} outside [m - C(n-1, r)={lo}, "
                                  f"m={m}]: no hypergraph has these degrees")
@@ -218,6 +221,8 @@ class DerivedParams:
     lambda_exact: Fraction
     q_exact: Fraction
     delta_max: float
+    min_degree: int
+    max_degree: int
     r2: float
     r3: float
     r4: float
@@ -294,6 +299,8 @@ def derive(seq: DegreeSequence) -> DerivedParams:
         lambda_exact=lam,
         q_exact=q,
         delta_max=delta_max,
+        min_degree=distinct[0],
+        max_degree=distinct[-1],
         r2=r2,
         r3=r3,
         r4=r4,

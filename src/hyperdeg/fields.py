@@ -76,6 +76,19 @@ def softplus(s):
     return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
 
 
+def check_expansion_budget(classes: VertexClasses) -> None:
+    """``BudgetExceeded`` if expanding the class blocks of ``classes`` to
+    the n x n weight matrix needs more than the subset budget of entries;
+    singletons (k = n) expand nothing."""
+    n, k = classes.n, classes.k
+    limit = subset_budget()
+    if k < n and n * n > limit:
+        raise BudgetExceeded(
+            f"expanding {k}x{k} class blocks to the {n}x{n} weight matrix "
+            f"({n * n} entries) exceeds budget {limit}"
+        )
+
+
 @dataclass
 class FieldSummary:
     """Subset sums observed at one beta, per vertex class.
@@ -113,13 +126,8 @@ class FieldSummary:
         budget in force when the matrix is read; beyond it ``BudgetExceeded``
         is raised.
         """
-        n, k, index = self.n, self.classes.k, self.classes.index
-        limit = subset_budget()
-        if k < n and n * n > limit:
-            raise BudgetExceeded(
-                f"expanding {k}x{k} class blocks to the {n}x{n} weight matrix "
-                f"({n * n} entries) exceeds budget {limit}"
-            )
+        index = self.classes.index
+        check_expansion_budget(self.classes)
         pw = self.pair_blocks[np.ix_(index, index)]
         np.fill_diagonal(pw, self.class_variance[index])
         return pw

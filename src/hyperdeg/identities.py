@@ -64,32 +64,21 @@ class IdentityFamily:
             )
 
 
-class _Checked(tuple):
-    """Deviations already converted to Fractions and checked to sum to zero."""
-
-
-def _as_fractions(delta: Sequence) -> tuple[Fraction, ...]:
-    if isinstance(delta, _Checked):
-        return delta
-    out = tuple(Fraction(x) for x in delta)
-    if sum(out) != 0:
+def _lattice(delta: Sequence, n: int) -> tuple[int, list[int]]:
+    """The lcm L of the deviations' denominators and the integers L·delta_v;
+    ``ValueError`` unless there are n deviations summing to zero exactly."""
+    d = [Fraction(x) for x in delta]
+    scale = math.lcm(*(x.denominator for x in d))
+    e = [x.numerator * (scale // x.denominator) for x in d]
+    if sum(e) != 0:
         raise ValueError("deviations must sum to zero exactly")
-    return _Checked(out)
+    if len(e) != n:
+        raise ValueError(f"{len(e)} deviations for n={n}")
+    return scale, e
 
 
-def _lattice(delta: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    """The lcm L of the denominators and the integers L·delta_v."""
-    scale = math.lcm(*(x.denominator for x in delta))
-    return scale, [x.numerator * (scale // x.denominator) for x in delta]
-
-
-def _power_sums(delta: tuple[Fraction, ...], top: int) -> list[Fraction]:
-    scale, e = _lattice(delta)
-    return [Fraction(sum(x**s for x in e), scale**s) for s in range(top + 1)]
-
-
-def _denominator(n: int, *factors: int) -> Fraction:
-    prod = Fraction(1)
+def _denominator(n: int, *factors: int) -> int:
+    prod = 1
     for f in factors:
         if n - f == 0:
             raise DegenerateDenominator(
@@ -97,6 +86,23 @@ def _denominator(n: int, *factors: int) -> Fraction:
             )
         prod *= n - f
     return prod
+
+
+# Each expression is the product of the subset power sums G_s for the
+# listed s; None stands for ell.  The sum of the s is its homogeneous degree.
+_FACTORS: dict[str, tuple[int | None, ...]] = {
+    "gamma_l": (None,),
+    "gamma1_gamma_l": (1, None),
+    "gamma1_sq": (1, 1),
+    "gamma1_cube": (1, 1, 1),
+    "gamma1_quartic": (1, 1, 1, 1),
+    "gamma2_sq": (2, 2),
+    "gamma1sq_gamma2": (1, 1, 2),
+}
+
+
+def _powers(family: IdentityFamily) -> list[int]:
+    return [family.ell if s is None else s for s in _FACTORS[family.expression]]
 
 
 def closed_sum(
@@ -112,56 +118,71 @@ def closed_sum(
     The normalization is 1 / C(n-1, r-1) for every scope.  ``j`` (and
     ``k``) select the pinned vertices for the vertex and pair scopes.
     """
-    d = _as_fractions(delta)
-    if len(d) != n:
-        raise ValueError(f"{len(d)} deviations for n={n}")
+    return _closed_lattice(family, n, r, *_lattice(delta, n), j, k)
+
+
+def _closed_lattice(
+    family: IdentityFamily, n: int, r: int, scale: int, e: list[int],
+    j: int | None, k: int | None,
+) -> Fraction:
+    """``closed_sum`` at the deviations e_v / scale.
+
+    Each closed form is homogeneous of degree deg in the deviations, so its
+    numerator is formed from the integer power sums R_s = sum e_v^s and the
+    pinned e_j, and the result is one Fraction over the integer
+    denominator times scale**deg.
+    """
     scope, expr, ell = family.scope, family.expression, family.ell
     nr = n - r
-    rs = _power_sums(d, max(4, (ell or 1) + 1))
+    rs = [sum(x**s for x in e) for s in range(max(4, (ell or 1) + 1) + 1)]
+    lattice = scale ** sum(_powers(family))
+
+    def value(num: int, *factors: int) -> Fraction:
+        return Fraction(num, _denominator(n, *factors) * lattice)
 
     if scope == "all":
         if expr == "gamma_l":
-            return rs[ell]
+            return value(rs[ell])
         if expr == "gamma1_gamma_l":
-            return nr * rs[ell + 1] / _denominator(n, 1)
+            return value(nr * rs[ell + 1], 1)
         if expr == "gamma1_sq":
-            return nr * rs[2] / _denominator(n, 1)
+            return value(nr * rs[2], 1)
         if expr == "gamma1_cube":
-            return nr * (n - 2 * r) * rs[3] / _denominator(n, 1, 2)
+            return value(nr * (n - 2 * r) * rs[3], 1, 2)
         if expr == "gamma1_quartic":
             num = 3 * (r - 1) * nr * (nr - 1) * rs[2] ** 2 + nr * (
                 n * n - 6 * r * n + 6 * r * r + n
             ) * rs[4]
-            return num / _denominator(n, 1, 2, 3)
+            return value(num, 1, 2, 3)
         if expr == "gamma2_sq":
-            return ((r - 1) * rs[2] ** 2 + nr * rs[4]) / _denominator(n, 1)
+            return value((r - 1) * rs[2] ** 2 + nr * rs[4], 1)
         if expr == "gamma1sq_gamma2":
             num = (r - 1) * nr * rs[2] ** 2 + nr * (n - 2 * r) * rs[4]
-            return num / _denominator(n, 1, 2)
+            return value(num, 1, 2)
 
     if scope == "vertex":
         if j is None:
             raise ValueError("vertex scope needs j")
-        dj = d[j]
+        dj = e[j]
         if expr == "gamma_l":
-            return ((r - 1) * rs[ell] + nr * dj**ell) / _denominator(n, 1)
+            return value((r - 1) * rs[ell] + nr * dj**ell, 1)
         if expr == "gamma1_gamma_l":
             num = (
                 (r - 1) * nr * dj * rs[ell]
                 + (r - 1) * nr * rs[ell + 1]
                 + nr * (n - 2 * r) * dj ** (ell + 1)
             )
-            return num / _denominator(n, 1, 2)
+            return value(num, 1, 2)
         if expr == "gamma1_sq":
             num = (r - 1) * nr * rs[2] + nr * (n - 2 * r) * dj**2
-            return num / _denominator(n, 1, 2)
+            return value(num, 1, 2)
         if expr == "gamma1_cube":
             num = (
                 3 * (r - 1) * nr * (nr - 1) * dj * rs[2]
                 + (r - 1) * nr * (n - 2 * r + 1) * rs[3]
                 + nr * (n * n - 6 * r * n + 6 * r * r + n) * dj**3
             )
-            return num / _denominator(n, 1, 2, 3)
+            return value(num, 1, 2, 3)
         if expr == "gamma1_quartic":
             num = (
                 3 * (r - 2) * (r - 1) * nr * (nr - 1) * rs[2] ** 2
@@ -170,35 +191,22 @@ def closed_sum(
                 + (r - 1) * nr * (n * n - 6 * r * n + 6 * r * r + 5 * n - 6 * r) * rs[4]
                 + nr * (n - 2 * r) * (n * n - 12 * r * n + 12 * r * r + 5 * n) * dj**4
             )
-            return num / _denominator(n, 1, 2, 3, 4)
+            return value(num, 1, 2, 3, 4)
 
     if scope == "pair":
         if j is None or k is None or j == k:
             raise ValueError("pair scope needs distinct j, k")
-        dj, dk = d[j], d[k]
+        dj, dk = e[j], e[k]
         if expr == "gamma_l":
             num = (r - 2) * (r - 1) * rs[ell] + (r - 1) * nr * (dj**ell + dk**ell)
-            return num / _denominator(n, 1, 2)
+            return value(num, 1, 2)
         if expr == "gamma1_sq":
             num = (r - 2) * (r - 1) * nr * rs[2] + (r - 1) * nr * (
                 (n - 2 * r + 1) * (dj**2 + dk**2) + 2 * (nr - 1) * dj * dk
             )
-            return num / _denominator(n, 1, 2, 3)
+            return value(num, 1, 2, 3)
 
     raise ValueError(f"no closed form for {scope}/{expr}")
-
-
-# Each expression is the product of the subset power sums G_s for the
-# listed s; None stands for ell.  The sum of the s is its homogeneous degree.
-_FACTORS: dict[str, tuple[int | None, ...]] = {
-    "gamma_l": (None,),
-    "gamma1_gamma_l": (1, None),
-    "gamma1_sq": (1, 1),
-    "gamma1_cube": (1, 1, 1),
-    "gamma1_quartic": (1, 1, 1, 1),
-    "gamma2_sq": (2, 2),
-    "gamma1sq_gamma2": (1, 1, 2),
-}
 
 
 def brute_sum(
@@ -219,19 +227,22 @@ def brute_sum(
     stays below 2**62, so no partial value can overflow, and Python ints
     otherwise; either way the result is exact.
     """
-    d = _as_fractions(delta)
-    if len(d) != n:
-        raise ValueError(f"{len(d)} deviations for n={n}")
+    return _brute_lattice(family, n, r, *_lattice(delta, n), j, k)
+
+
+def _brute_lattice(
+    family: IdentityFamily, n: int, r: int, scale: int, e: list[int],
+    j: int | None, k: int | None,
+) -> Fraction:
+    """``brute_sum`` at the deviations e_v / scale."""
     check_subset_budget(math.comb(n, r))
-    scope, expr, ell = family.scope, family.expression, family.ell
-    powers = [ell if s is None else s for s in _FACTORS[expr]]
+    powers = _powers(family)
     degree = sum(powers)
     rows = all_subsets(n, r)
-    if scope == "vertex":
+    if family.scope == "vertex":
         rows = rows[(rows == j).any(axis=1)]
-    elif scope == "pair":
+    elif family.scope == "pair":
         rows = rows[(rows == j).any(axis=1) & (rows == k).any(axis=1)]
-    scale, e = _lattice(d)
     bound = (r * max(map(abs, e), default=0)) ** degree * max(len(rows), 1)
     values = np.array(e, dtype=np.int64 if bound < 2**62 else object)[rows]
     gammas = {s: (values**s).sum(axis=1) for s in set(powers)}
@@ -242,9 +253,13 @@ def brute_sum(
 def selftest(rng, trials_per_family: int = 50) -> list[dict]:
     """Randomized exact-equality sweep over every listed family.
 
-    Deviations are random small integers (occasionally halves) adjusted to
-    zero sum.  Returns one record per family with the number of trials and
-    failures; a failure means closed and brute values differ as rationals.
+    Each trial draws n, r, ell (for the families that take it), integer
+    deviations in [-9, 9], a coin for halves, and the pinned j and k, in
+    that order.  The deviations are drawn on their lattice: integers e_v
+    with e_n adjusted to zero sum, at scale 2 (halves) or 1.  Both sides
+    are evaluated on that lattice, with no Fraction until their results.
+    Returns one record per family with the number of trials and failures;
+    a failure means closed and brute values differ as rationals.
     """
     results = []
     for scope, expr, takes_ell in FAMILIES:
@@ -254,16 +269,14 @@ def selftest(rng, trials_per_family: int = 50) -> list[dict]:
             n = int(rng.choice(SELFTEST_N))
             r = int(rng.choice(SELFTEST_R))
             ell = int(rng.integers(1, 4)) if takes_ell else None
-            raw = [Fraction(int(x)) for x in rng.integers(-9, 10, size=n)]
-            if rng.integers(0, 2):
-                raw = [x / 2 for x in raw]
-            raw[-1] -= sum(raw)
-            raw = _as_fractions(raw)  # once per trial, for both sides
+            e = rng.integers(-9, 10, size=n).tolist()
+            scale = 2 if rng.integers(0, 2) else 1
+            e[-1] -= sum(e)
             j = int(rng.integers(0, n))
             k = int((j + 1 + rng.integers(0, n - 1)) % n)
             family = IdentityFamily(scope, expr, ell)
-            closed = closed_sum(family, n, r, raw, j=j, k=k)
-            brute = brute_sum(family, n, r, raw, j=j, k=k)
+            closed = _closed_lattice(family, n, r, scale, e, j, k)
+            brute = _brute_lattice(family, n, r, scale, e, j, k)
             trials += 1
             if closed != brute:
                 failures += 1

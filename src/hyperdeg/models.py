@@ -31,7 +31,7 @@ from . import counts, oracle
 from .budgets import check_dp_budget
 from .core import DegreeSequence
 from .errors import BudgetExceeded, DensityDegenerate
-from .subsets import colex_unrank
+from .subsets import CHUNK, colex_unrank
 
 LOG_ZERO = -math.inf
 # samples per spawned random stream in sample_degree_batch
@@ -319,10 +319,13 @@ def sample_degree_batch(
     """Degrees of ``count`` uniform random simple m-edge hypergraphs, one per row.
 
     Each sample is one ``Generator.choice`` of m distinct colex ranks of the
-    r-subsets, unranked in one call; rejection-free and deterministic given
-    the seed.  The arguments are checked once, before any draw.  Sample i
-    is drawn from the stream spawned for batch i // SAMPLE_BATCH, so a row
-    depends only on the seed and its index, not on ``count``.
+    r-subsets; rejection-free and deterministic given the seed.  The ranks
+    of max(1, CHUNK // m) samples are unranked in one call and tallied by
+    one ``np.bincount`` with each sample offset into its own n bins, so a
+    block holds about CHUNK ranks and never spans two batches.  The
+    arguments are checked once, before any draw.  Sample i is drawn from
+    the stream spawned for batch i // SAMPLE_BATCH, so a row depends only
+    on the seed and its index, not on ``count``.
     """
     if n < 2 or not 1 <= r <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
@@ -336,9 +339,19 @@ def sample_degree_batch(
     batches = (count + SAMPLE_BATCH - 1) // SAMPLE_BATCH
     seeds = np.random.SeedSequence(rng_seed).spawn(batches)
     out = np.empty((count, n), dtype=np.int64)
+    block = max(1, CHUNK // max(m, 1))
     for b, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        for i in range(b * SAMPLE_BATCH, min((b + 1) * SAMPLE_BATCH, count)):
-            edges = colex_unrank(rng.choice(population, size=m, replace=False), n, r)
-            out[i] = np.bincount(edges.ravel(), minlength=n)
+        end = min((b + 1) * SAMPLE_BATCH, count)
+        for lo in range(b * SAMPLE_BATCH, end, block):
+            hi = min(lo + block, end)
+            ranks = np.empty((hi - lo, m), dtype=np.int64)
+            for row in ranks:
+                row[:] = rng.choice(population, size=m, replace=False)
+            edges = colex_unrank(ranks.ravel(), n, r).reshape(hi - lo, m * r)
+            # offset each sample's vertices into its own n bins
+            edges += n * np.arange(hi - lo, dtype=np.int64)[:, None]
+            out[lo:hi] = np.bincount(
+                edges.ravel(), minlength=(hi - lo) * n
+            ).reshape(hi - lo, n)
     return out

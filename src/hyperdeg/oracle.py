@@ -7,7 +7,11 @@ colex order, in exact integer arithmetic.  Its states are residual-degree
 vectors, pruned by the supply of later subsets and merged up to the vertex
 permutations that fix the rest of the family (orbit compression); the
 peak state count is 70, 733, 16,023, 178,745 and 1.9 million for
-half-density r = 3 instances at n = 6..10.
+half-density r = 3 instances at n = 6..10.  Before the DP it removes
+trivial-face vertices, which decide their own subsets: a vertex of degree
+0 lies in no edge, and one of degree C(n-1, r-1) lies in every subset
+through it, so each other vertex gets C(n-2, r-2) edges from those.  The
+budget guard still charges the instance as given.
 
 ``total_identity_check`` checks the completeness identity: the counts of
 all degree vectors with m edges sum to ``C(C(n, r), m)``.  It counts each
@@ -171,6 +175,31 @@ def _count_sparse(n: int, r: int, degrees: tuple[int, ...]) -> int:
     return int(counts[0]) if keys.size and keys[0] == 0 else 0
 
 
+def _drop_trivial_faces(n: int, r: int, degrees: list[int]) -> int | None:
+    """Remove trivial-face vertices from ``degrees`` in place, while n > r.
+
+    A vertex of degree 0 is in no edge and is dropped.  A vertex of degree
+    C(n-1, r-1) is in every subset through it: it is dropped and each other
+    vertex loses the C(n-2, r-2) of those subsets it lies in (none at
+    r = 1).  The count is unchanged.  Returns the vertices left, or None
+    when a degree goes negative, so that the count is 0.
+    """
+    while n > r:
+        full = math.comb(n - 1, r - 1)
+        if 0 in degrees:
+            degrees.remove(0)
+        elif full in degrees:
+            degrees.remove(full)
+            shared = math.comb(n - 2, r - 2) if r >= 2 else 0
+            degrees[:] = [d - shared for d in degrees]
+            if min(degrees) < 0:
+                return None
+        else:
+            break
+        n -= 1
+    return n
+
+
 def exact_count(seq: DegreeSequence) -> int:
     """Exact number of hypergraphs with the given degrees (big integer).
 
@@ -178,19 +207,24 @@ def exact_count(seq: DegreeSequence) -> int:
     budget before any state is built, and it is the only check: an
     instance within budget is counted.  The set-complement degrees
     C(n-1, r-1) - d_j are counted instead whenever their bound is smaller
-    (the two counts are equal).  The count itself is the orbit-compressed
-    DP of ``_count_sparse``, which holds far fewer states than the bound.
+    (the two counts are equal).  Trivial-face vertices are then removed
+    (``_drop_trivial_faces``), and what is left is counted by the
+    orbit-compressed DP of ``_count_sparse``, which holds far fewer states
+    than the bound.  The guard charges the instance before the reduction.
     """
     total, cap = math.comb(seq.n, seq.r), seq.degree_cap
-    work = tuple(seq.degrees)
+    work = list(seq.degrees)
     bound = math.prod(d + 1 for d in work)
-    mirror = tuple(cap - d for d in work)
+    mirror = [cap - d for d in work]
     mirror_bound = math.prod(d + 1 for d in mirror)
     if mirror_bound < bound:
         work, bound = mirror, mirror_bound
     check_dp_budget(bound * total)
 
-    return _count_sparse(seq.n, seq.r, work)
+    n = _drop_trivial_faces(seq.n, seq.r, work)
+    if n is None:
+        return 0
+    return _count_sparse(n, seq.r, tuple(work))
 
 
 def _sorted_degree_vectors(total: int, parts: int, cap: int):
@@ -221,11 +255,12 @@ def total_identity_check(n: int, r: int, m: int) -> bool:
     must equal ``C(C(n, r), m)`` exactly.  The sum runs over the sorted
     degree vectors, each counted once and weighted by its number of
     arrangements.  That is the same integer as the sum over every vector:
-    the DP sorts its input before its first step, and the mirror choice
-    and the state width of ``exact_count`` read only the multiset of the
-    degrees, so every arrangement of a vector has the same count.  The
-    budget guard still charges C(r·m + n - 1, n - 1) · C(n, r), as if
-    every composition of r·m were counted.
+    the DP sorts its input before its first step, and the mirror choice,
+    the trivial-face reduction and the state width of ``exact_count`` read
+    only the multiset of the degrees, so every arrangement of a vector has
+    the same count.  The budget guard still charges
+    C(r·m + n - 1, n - 1) · C(n, r), as if every composition of r·m were
+    counted.
     """
     total_subsets = math.comb(n, r)
     cap = math.comb(n - 1, r - 1)

@@ -295,6 +295,20 @@ def test_audit_solves_the_base_instance_once(monkeypatch):
     assert seeded == [False] + [True] * 3
 
 
+def test_over_budget_audit_refuses_before_any_solve(monkeypatch):
+    # C(30, 2) = 435 subsets fit a budget of 500; the 30x30 weight matrix
+    # that the bound suite expands from the 2x2 class blocks does not
+    solved = []
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: solved.append(a))
+    monkeypatch.setenv("HYPERDEG_BUDGET", "500")
+    text = json.dumps({"n": 30, "r": 2, "degrees": [10] * 15 + [12] * 15})
+    code, _, err = invoke(["audit", "--input", text])
+    assert code == 4
+    assert ("expanding 2x2 class blocks to the 30x30 weight matrix "
+            "(900 entries) exceeds budget 500") in err
+    assert solved == []
+
+
 def test_selftest_commands():
     for suite in ("identities", "bounds", "oracle"):
         code, out, _ = invoke(["selftest", suite, "--trials", "5"])

@@ -197,19 +197,71 @@ def test_int64_bound_is_exact_on_both_sides():
 
 @pytest.mark.parametrize("target", FAMILIES, ids=lambda f: f"{f[0]}-{f[1]}")
 def test_selftest_catches_one_lattice_step(monkeypatch, target):
-    """A closed form off by the smallest lattice step fails every trial."""
-    exact = identities.closed_sum
+    """A closed form off by the smallest lattice step fails every trial.
 
-    def off_by_one_step(family, n, r, delta, j=None, k=None):
-        value = exact(family, n, r, delta, j=j, k=k)
+    ``selftest`` evaluates the closed forms at lattice deviations e_v /
+    scale; the step is taken on the smallest lattice of those deviations."""
+    exact = identities._closed_lattice
+
+    def off_by_one_step(family, n, r, scale, e, j, k):
+        value = exact(family, n, r, scale, e, j, k)
         if (family.scope, family.expression) != target[:2]:
             return value
-        scale = math.lcm(*(Fraction(x).denominator for x in delta))
+        step = math.lcm(*(Fraction(x, scale).denominator for x in e))
         degree = DEGREE[family.expression] + (family.ell or 0)
-        return value + Fraction(1, scale**degree * math.comb(n - 1, r - 1))
+        return value + Fraction(1, step**degree * math.comb(n - 1, r - 1))
 
-    monkeypatch.setattr(identities, "closed_sum", off_by_one_step)
+    monkeypatch.setattr(identities, "_closed_lattice", off_by_one_step)
     results = selftest(np.random.default_rng(5), trials_per_family=6)
     for row in results:
         hit = (row["scope"], row["expression"]) == target[:2]
         assert row["failures"] == (row["trials"] if hit else 0), row
+
+
+# (n, r, ell, deviations, j, k) of the first two trials of each family, in
+# FAMILIES order, as ``selftest(default_rng(5), 2)`` draws them
+SELFTEST_SEED5_DRAWS = [
+    (9, 4, 1, '3 -1/2 0 1 -2 9/2 -4 -2 0', 3, 5),
+    (6, 3, 1, '-7 9 -6 3 5 -4', 2, 4),
+    (10, 3, 3, '3 7/2 -7/2 -1 1 0 3/2 3/2 3/2 -15/2', 5, 4),
+    (7, 3, 3, '-6 -8 -2 3 -7 7 13', 3, 2),
+    (10, 4, None, '-2 -9/2 5/2 2 5/2 -9/2 -9/2 0 -3/2 10', 2, 7),
+    (7, 3, None, '3 -7/2 -3/2 -7/2 -7/2 -2 11', 3, 5),
+    (9, 4, None, '-5/2 -4 -3/2 -7/2 3 0 0 -2 21/2', 2, 0),
+    (6, 3, None, '8 7 -8 7 7 -21', 5, 4),
+    (9, 3, None, '-3 4 -2 1/2 3/2 -5/2 -2 5/2 1', 8, 5),
+    (9, 3, None, '9/2 -5/2 -3/2 3/2 3/2 -7/2 -3 2 1', 8, 3),
+    (7, 4, None, '-9 -6 -6 -2 -7 6 24', 0, 5),
+    (6, 4, None, '-6 8 3 9 2 -16', 4, 5),
+    (6, 3, None, '2 0 7/2 4 -1 -17/2', 3, 0),
+    (9, 4, None, '2 -3/2 -1/2 -1 -7/2 -9/2 3 -1 7', 5, 4),
+    (9, 4, 2, '-3/2 -3/2 9/2 1 -3 3 3 -9/2 -1', 3, 6),
+    (6, 3, 3, '3 3 1/2 -7/2 -3/2 -3/2', 1, 4),
+    (8, 4, 2, '4 -7 9 7 5 -4 -1 -13', 0, 6),
+    (6, 4, 1, '3 -3 -5 8 0 -3', 2, 4),
+    (8, 3, None, '3 -3 7 -5 -3 -9 6 4', 7, 4),
+    (10, 4, None, '1 0 -3 2 3 2 -1 -9/2 2 -3/2', 1, 4),
+    (7, 4, None, '-6 -5 -9 9 -5 -6 22', 6, 4),
+    (7, 3, None, '-3 4 -2 -4 3 -7 9', 6, 1),
+    (7, 4, None, '2 -9/2 -3/2 -9/2 3 -1 13/2', 6, 0),
+    (8, 3, None, '4 8 1 5 -3 2 0 -17', 1, 2),
+    (10, 4, 2, '0 -9/2 3 7/2 -9/2 1 1/2 -1 0 2', 4, 1),
+    (9, 4, 3, '1 2 0 2 2 8 -5 -3 -7', 6, 4),
+    (6, 3, None, '9 0 5 5 9 -28', 5, 2),
+    (7, 3, None, '-9/2 -9/2 9/2 -9/2 -7/2 -5/2 15', 2, 3),
+]
+
+
+def test_selftest_draws_are_pinned(monkeypatch):
+    draws = []
+    exact = identities._closed_lattice
+
+    def recording(family, n, r, scale, e, j, k):
+        deviations = " ".join(str(Fraction(x, scale)) for x in e)
+        draws.append((n, r, family.ell, deviations, j, k))
+        return exact(family, n, r, scale, e, j, k)
+
+    monkeypatch.setattr(identities, "_closed_lattice", recording)
+    results = selftest(np.random.default_rng(5), trials_per_family=2)
+    assert all(row["failures"] == 0 for row in results)
+    assert draws == SELFTEST_SEED5_DRAWS

@@ -162,6 +162,63 @@ def test_budget_guard_raises():
         exact_count(seq)
 
 
+def _trivial_face_vectors(n, r):
+    """Every sorted degree vector at (n, r) with a degree 0 or C(n-1, r-1)."""
+    cap = math.comb(n - 1, r - 1)
+    return [d for m in range(math.comb(n, r) + 1)
+            for d in _sorted_degree_vectors(r * m, n, cap) if 0 in d or cap in d]
+
+
+def _assert_reduction_exact(n, r, degrees):
+    cap = math.comb(n - 1, r - 1)
+    expected = _count_sparse(n, r, degrees)
+    assert exact_count(DegreeSequence(n, r, degrees)) == expected, degrees
+    mirror = tuple(cap - d for d in degrees)
+    assert exact_count(DegreeSequence(n, r, mirror)) == expected, mirror
+
+
+@pytest.mark.parametrize("n, r", [(4, 1), (6, 1), (5, 2), (6, 2), (6, 3)])
+def test_trivial_face_reduction_keeps_every_count(n, r):
+    vectors = _trivial_face_vectors(n, r)
+    assert vectors
+    for degrees in vectors:
+        _assert_reduction_exact(n, r, degrees)
+
+
+def test_trivial_face_reduction_on_seeded_vectors_at_n7():
+    vectors = _trivial_face_vectors(7, 3)
+    rng = np.random.default_rng(7)
+    for i in rng.choice(len(vectors), size=200, replace=False):
+        _assert_reduction_exact(7, 3, vectors[i])
+
+
+def test_trivial_faces_reduce_repeatedly():
+    # the full vertex gives each other vertex C(4, 0) = 1 edge, which leaves
+    # a 0; dropping it leaves the 2-regular graphs on 4 vertices, the 4-cycles
+    degrees = [5, 3, 3, 3, 3, 1]
+    assert oracle._drop_trivial_faces(6, 2, degrees) == 4
+    assert degrees == [2, 2, 2, 2]
+    assert exact_count(DegreeSequence(6, 2, (5, 3, 3, 3, 3, 1))) == 3
+
+
+def test_full_vertex_leaving_a_negative_degree_counts_zero():
+    # d_1 = C(4, 2) = 6 puts C(3, 1) = 3 edges on every other vertex
+    degrees = (6, 2, 2, 1, 1)
+    assert oracle._drop_trivial_faces(5, 3, list(degrees)) is None
+    assert exact_count(DegreeSequence(5, 3, degrees)) == 0 == _count_sparse(5, 3, degrees)
+
+
+def test_budget_guard_charges_the_unreduced_instance(monkeypatch):
+    # the (16, 4) matching reduces to (8, 4) but is charged 2^8 * C(16, 4)
+    seq = DegreeSequence(16, 4, (1,) * 8 + (0,) * 8)
+    work = 2**8 * math.comb(16, 4)
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(work - 1))
+    with pytest.raises(BudgetExceeded, match=f"DP bound of {work} "):
+        exact_count(seq)
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(work))
+    assert exact_count(seq) == 35
+
+
 def test_total_identity_small_cases():
     assert total_identity_check(4, 3, 0)
     assert total_identity_check(4, 3, 2)
