@@ -231,7 +231,7 @@ def cmd_sample(args) -> int:
         args.n, args.r, args.m, args.seed, args.count
     )
     header = ",".join(f"d_{j+1}" for j in range(args.n))
-    lines = [header] + [",".join(str(x) for x in row) for row in batch]
+    lines = [header] + [",".join(map(str, row)) for row in batch.tolist()]
     text = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:

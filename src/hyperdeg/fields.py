@@ -18,11 +18,15 @@ Every field sweep folds one chunk kernel, ``_chunk_terms``, over fixed
 4096-row chunks, serially, in chunk order, with twofold compensation, so
 every result is a fixed function of its inputs.  The kernel returns one
 vector ``[lam, q, entropy, vertex_lam (k), vertex_q (k), pair_q (k^2)]``
-and one ``Twofold`` folds it, entry by entry.
+and one ``Twofold`` folds it, entry by entry.  It scatters straight from
+the row plan: one ``np.add.at`` per pair position, and one complex
+``np.add.at`` per vertex position for both vertex sums, with no workspace.
 
 The rows and pair keys of a sweep depend on no beta, so they are unranked
 once into a read-only row plan per (k, r, colex or multisets) and read from
-it by every later sweep; two plans are cached.  A plan stores each chunk's
+it by every later sweep.  The plans stay cached up to ``PLAN_CACHE_BYTES``,
+least recently used evicted first, so the frames a process cycles through
+are unranked once.  A plan stores each chunk's
 rows column-major, as a contiguous (r, rows) array; the sweeps read its
 transposed (rows, r) view and sum rows with ``row_sums``, in numpy's order
 for a row-major row: left to right below 8 terms, pairwise from 8 on.  A
@@ -35,8 +39,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -50,6 +54,10 @@ from .subsets import CHUNK, iter_chunks, iter_multisets
 # it are unranked again by every sweep, so a sweep of any size keeps bounded
 # memory.  The largest plan of a (40, 4) solve is C(40, 4) * 10 = 913,900.
 PLAN_LIMIT = 1 << 20
+# Bytes the cached row plans hold at most: four full int16 plans of
+# PLAN_LIMIT entries.  One fit round of (20..40, 4) solves and their audits
+# cycles through 12 plans of 5.6 MB in all, (40, 4) the largest at 1.74 MB.
+PLAN_CACHE_BYTES = 8 << 20
 
 
 def as_beta_array(beta, n: int | None = None) -> np.ndarray:
@@ -249,15 +257,57 @@ def _row_chunks(
         yield np.ascontiguousarray(idx.T, dtype=dtype), keys.astype(dtype)
 
 
-@lru_cache(maxsize=2)
+PlanCacheInfo = namedtuple("PlanCacheInfo", "hits misses plans nbytes")
+
+
+class _PlanCache:
+    """Row plans by key, least recently used first, bounded by stored bytes.
+
+    A new plan evicts the least recently used ones while the plans hold more
+    than ``PLAN_CACHE_BYTES``; the newest is kept whatever its size.
+    ``cache_info()`` and ``cache_clear()`` read and reset the cache as
+    ``functools.lru_cache`` does.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.cache_clear()
+
+    def __call__(self, *key):
+        plan = self.plans.get(key)
+        if plan is not None:
+            self.hits += 1
+            self.plans.move_to_end(key)
+            return plan
+        self.misses += 1
+        plan = self.plans[key] = self.build(*key)
+        while len(self.plans) > 1 and self.nbytes() > PLAN_CACHE_BYTES:
+            self.plans.popitem(last=False)
+        return plan
+
+    def nbytes(self) -> int:
+        return sum(arr.nbytes for plan in self.plans.values()
+                   for arrays in plan for arr in arrays)
+
+    def cache_info(self) -> PlanCacheInfo:
+        return PlanCacheInfo(self.hits, self.misses, len(self.plans), self.nbytes())
+
+    def cache_clear(self) -> None:
+        self.plans: OrderedDict[tuple, tuple] = OrderedDict()
+        self.hits = self.misses = 0
+
+
+@_PlanCache
 def _row_plan(k: int, r: int, multisets: bool) -> tuple:
     """The first chunks of ``_row_chunks(k, r, multisets, 0)``, read-only.
 
     Rows and pair keys depend on no beta, so every sweep over the same
     (k, r, multisets) reads them from here.  A chunk stores r(r+1)/2
     entries per row; the plan holds the whole chunks that fit in
-    ``PLAN_LIMIT`` entries.  Two plans are kept: a solve's own frame and
-    its image under the edge complement (r -> n - r) in an audit.
+    ``PLAN_LIMIT`` entries.  The plans stay cached up to
+    ``PLAN_CACHE_BYTES``, enough for the frames a process cycles through:
+    the solves at each (n, r) and their images under the edge complement
+    (r -> n - r) in an audit.
     """
     chunks = PLAN_LIMIT // (CHUNK * max(1, r * (r + 1) // 2))
     plan = tuple(itertools.islice(_row_chunks(k, r, multisets, 0), chunks))
@@ -301,10 +351,13 @@ def _chunk_terms(
     Each row counts ``mult`` times (once if ``mult`` is None).  One
     ``exp(-|s|)`` per row gives the weight, its complement and the softplus
     by the same operations as ``logistic(s)``, ``logistic(-s)`` and
-    ``softplus(s)``, so each is bit-identical to them.  Vertex and pair sums
-    are ``np.bincount`` over the column-major indices and pair ``keys`` (pairs
-    in (a, b) order, a < b), so every entry adds its rows in the same order
-    as a per-column ``np.add.at`` loop, starting from zero.
+    ``softplus(s)``, so each is bit-identical to them.  Every vertex and pair
+    sum is one ``np.add.at`` per row position into a zeroed vector, read
+    straight from the plan's column-major indices and pair ``keys`` (pairs
+    in (a, b) order, a < b), so each entry adds its rows in column-major
+    order, starting from zero.  Both vertex sums come from one complex
+    pass: its real part adds ``lam`` and its imaginary part ``q``, each
+    rounded on its own, so each has the bits of a pass of its own.
     """
     k, (rows, r) = beta.size, idx.shape
     s = row_sums(beta, idx)
@@ -320,24 +373,19 @@ def _chunk_terms(
     entropy = np.maximum(s, 0.0) + np.log1p(e) - lam * s
     if mult is not None:
         lam, q, entropy = lam * mult, q * mult, entropy * mult
-    # one weight buffer and one intp bin buffer serve the three bincounts:
-    # the pair keys with q, which fill the vector from entry 3 + 2k on, then
-    # the vertex indices with q, then with lam
-    pairs, head = r * (r - 1) // 2, 3 + 2 * k
-    weights = np.empty((max(r, pairs), rows))
-    bins = np.empty((max(r, pairs), rows), dtype=np.intp)
-    weights[:] = q
-    bins[:pairs] = keys.reshape(pairs, rows)
-    bins[:pairs] += head
-    # with no pair entries (r < 2, or no rows) bincount returns integers
-    out = np.bincount(
-        bins[:pairs].ravel(), weights[:pairs].ravel(), minlength=head + k * k
-    ).astype(np.float64, copy=False)
+    head = 3 + 2 * k
+    out = np.zeros(head + k * k)
     out[:3] = lam.sum(), q.sum(), entropy.sum()
-    bins[:r] = idx.T
-    out[3 + k:head] = np.bincount(bins[:r].ravel(), weights[:r].ravel(), minlength=k)
-    weights[:r] = lam
-    out[3:3 + k] = np.bincount(bins[:r].ravel(), weights[:r].ravel(), minlength=k)
+    # the pair sums fill the vector from entry 3 + 2k on
+    pair_q = out[head:]
+    for keys_row in keys.reshape(r * (r - 1) // 2, rows):
+        np.add.at(pair_q, keys_row, q)
+    w = np.empty(rows, dtype=np.complex128)
+    w.real, w.imag = lam, q
+    both = np.zeros(k, dtype=np.complex128)
+    for col in idx.T:
+        np.add.at(both, col, w)
+    out[3:3 + k], out[3 + k:head] = both.real, both.imag
     return out
 
 

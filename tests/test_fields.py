@@ -215,8 +215,8 @@ def test_logistic_extreme_arguments_saturate_without_overflow():
 
 
 def reference_field_summary(beta, n, r):
-    """Reference: the per-column ``np.add.at`` chunk kernel that the
-    bincount kernel replaces, folded in chunk order."""
+    """Reference: a per-column ``np.add.at`` chunk kernel on row-major
+    int64 rows, folded in chunk order."""
     beta = np.asarray(beta, dtype=np.float64)
     acc = [Twofold(0.0), Twofold(0.0), Twofold(np.zeros(n)), Twofold(np.zeros(n)),
            Twofold(np.zeros((n, n))), Twofold(0.0)]
@@ -285,7 +285,10 @@ EXTREME_BETA = np.repeat([0.0, 15.0, -15.0, 372.5, -372.5, 400.0, -400.0], 2)
     )
     for n, r in [(9, 1), (9, 2), (20, 4), (12, 5), (24, 5),
                  (16, 7), (16, 8), (15, 9), (16, 12)]
-] + [pytest.param(14, 2, EXTREME_BETA, id="extreme-beta")])
+] + [pytest.param(14, 2, EXTREME_BETA, id="extreme-beta"),
+     # every q of the first chunk underflows to 0 (subset sum 800); the
+     # second adds rows through the last vertex, of q = e^-400
+     pytest.param(21, 4, np.r_[np.full(20, 200.0), -200.0], id="q-underflow")])
 def test_bincount_kernel_is_bit_identical_to_add_at(n, r, beta):
     f = field_summary(beta, n, r)
     vertex, pair, avg, big, entropy = reference_field_summary(beta, n, r)
@@ -334,9 +337,11 @@ def reference_class_field(values, sizes, r):
 
 
 # 4368 compositions (two chunks) at r = 5, and pairwise row sums at r = 8;
-# classes of size 1 leave compositions of multiplicity 0
+# classes of size 1 leave compositions of multiplicity 0; r = 1 has no pair
+# positions; C(4000, 5) = 8.5e15 is within 6% of both 2^53 and the cap C(n, r)
 @pytest.mark.parametrize("sizes,r", [
     ((3, 1, 5, 2, 1, 4, 2, 6, 1, 3, 2, 5), 5), ((3, 1, 5, 2, 1), 8),
+    ((3, 1, 5, 2, 1), 1), ((4000, 1, 2, 1), 5),
 ])
 def test_class_kernel_is_bit_identical_to_a_per_composition_reference(sizes, r):
     k = len(sizes)
@@ -606,10 +611,12 @@ def field_bits(field):
 
 
 # colex at r = 2..5 and 12..16 (the edge complements of the r = 4 audits),
-# then the class route
+# then the class route; r = 1 has no pair positions, and the compositions of
+# 12 classes at r = 5 fill two chunks
 @pytest.mark.parametrize("n,r,sizes", [(20, r, None) for r in range(2, 6)]
                          + [(18, r, None) for r in range(12, 17)]
-                         + [(12, 4, (3, 1, 5, 2, 1)), (60, 4, (15, 15, 15, 15))])
+                         + [(12, 4, (3, 1, 5, 2, 1)), (60, 4, (15, 15, 15, 15))]
+                         + [(20, 1, None), (35, 5, (3, 1, 5, 2, 1, 4, 2, 6, 1, 3, 2, 5))])
 def test_sweeps_read_the_same_bits_from_a_cold_a_warm_and_a_capped_row_plan(
     n, r, sizes, monkeypatch
 ):
@@ -656,3 +663,43 @@ def test_a_solve_unranks_its_rows_once():
         info = fields._row_plan.cache_info()
         assert report.field.classes.k == 12 and report.iterations >= 2
         assert info.misses == 1 and info.hits >= report.iterations, degrees
+
+
+def test_the_frames_a_process_cycles_through_stay_resident(monkeypatch):
+    # a (20, 4) solve, its audit's edge-complement frame, a (30, 4) solve,
+    # then the first frame again
+    frames = [(20, 4), (20, 16), (30, 4), (20, 4)]
+    beta = {n: np.random.default_rng(n).normal(scale=0.3, size=n) - 0.2 for n in (20, 30)}
+
+    def sweep(n, r):
+        return field_bits(field_summary(beta[n], n, r))
+
+    fields._row_plan.cache_clear()
+    bits = {frame: sweep(*frame) for frame in frames}
+    info = fields._row_plan.cache_info()
+    assert (info.misses, info.hits, info.plans) == (3, 1, 3)
+    nbytes = {}
+    for n, r in bits:
+        fields._row_plan.cache_clear()
+        fields._row_plan(n, r, False)
+        nbytes[n, r] = fields._row_plan.cache_info().nbytes
+    # room for (20, 4) beside either other plan but not for all three: after
+    # (20, 4), (20, 16) and (20, 4) again, the (30, 4) plan evicts the least
+    # recently used (20, 16), not the older (20, 4)
+    monkeypatch.setattr(fields, "PLAN_CACHE_BYTES", nbytes[20, 4] + nbytes[20, 16])
+    fields._row_plan.cache_clear()
+    for frame in [(20, 4), (20, 16), (20, 4), (30, 4), (20, 4)]:
+        assert sweep(*frame) == bits[frame]
+    info = fields._row_plan.cache_info()
+    assert (info.misses, info.plans, info.nbytes) == (3, 2, nbytes[20, 4] + nbytes[30, 4])
+    assert sweep(20, 16) == bits[20, 16]
+    assert fields._row_plan.cache_info().misses == 4
+    # below the two smallest plans only the newest stays, and every frame
+    # is rebuilt with the same bits
+    monkeypatch.setattr(fields, "PLAN_CACHE_BYTES", nbytes[20, 4] + nbytes[30, 4] - 1)
+    fields._row_plan.cache_clear()
+    for frame in frames:
+        assert sweep(*frame) == bits[frame]
+    info = fields._row_plan.cache_info()
+    assert (info.misses, info.hits, info.plans) == (4, 0, 1)
+    fields._row_plan.cache_clear()
