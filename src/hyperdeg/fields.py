@@ -30,7 +30,8 @@ are unranked once.  A plan stores each chunk's
 rows column-major, as a contiguous (r, rows) array; the sweeps read its
 transposed (rows, r) view and sum rows with ``row_sums``, in numpy's order
 for a row-major row: left to right below 8 terms, pairwise from 8 on.  A
-plan stops at ``PLAN_LIMIT`` stored entries, and the chunks past it are
+plan holds a whole family of at most ``PLAN_LIMIT`` stored entries, and
+otherwise stops at the last whole chunk within it; the chunks past it are
 unranked again on every sweep, so memory stays bounded however many rows a
 sweep visits.
 """
@@ -302,14 +303,16 @@ def _row_plan(k: int, r: int, multisets: bool) -> tuple:
     """The first chunks of ``_row_chunks(k, r, multisets, 0)``, read-only.
 
     Rows and pair keys depend on no beta, so every sweep over the same
-    (k, r, multisets) reads them from here.  A chunk stores r(r+1)/2
-    entries per row; the plan holds the whole chunks that fit in
-    ``PLAN_LIMIT`` entries.  The plans stay cached up to
-    ``PLAN_CACHE_BYTES``, enough for the frames a process cycles through:
-    the solves at each (n, r) and their images under the edge complement
-    (r -> n - r) in an audit.
+    (k, r, multisets) reads them from here.  A row stores r(r+1)/2
+    entries; the plan holds the whole family if its entries fit in
+    ``PLAN_LIMIT``, else the whole chunks that do.  The plans stay cached
+    up to ``PLAN_CACHE_BYTES``, enough for the frames a process cycles
+    through: the solves at each (n, r) and their images under the edge
+    complement (r -> n - r) in an audit.
     """
-    chunks = PLAN_LIMIT // (CHUNK * max(1, r * (r + 1) // 2))
+    rows = math.comb(k + r - 1 if multisets else k, r)
+    fit = PLAN_LIMIT // max(1, r * (r + 1) // 2)
+    chunks = -(-rows // CHUNK) if rows <= fit else fit // CHUNK
     plan = tuple(itertools.islice(_row_chunks(k, r, multisets, 0), chunks))
     for arrays in plan:
         for arr in arrays:

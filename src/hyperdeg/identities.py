@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -231,15 +230,6 @@ def brute_sum(
     return _brute_lattice(family, n, r, *_lattice(delta, n), j, k)
 
 
-@lru_cache(maxsize=len(SELFTEST_N) * len(SELFTEST_R))
-def _selftest_rows(n: int, r: int) -> np.ndarray:
-    """``all_subsets(n, r)`` at a size ``selftest`` draws, built once per
-    (n, r) and shared, so read-only."""
-    rows = all_subsets(n, r)
-    rows.setflags(write=False)
-    return rows
-
-
 def _brute_lattice(
     family: IdentityFamily, n: int, r: int, scale: int, e: list[int],
     j: int | None, k: int | None,
@@ -248,7 +238,7 @@ def _brute_lattice(
     check_subset_budget(math.comb(n, r))
     powers = _powers(family)
     degree = sum(powers)
-    rows = _selftest_rows(n, r) if n in SELFTEST_N and r in SELFTEST_R else all_subsets(n, r)
+    rows = all_subsets(n, r)
     if family.scope == "vertex":
         rows = rows[(rows == j).any(axis=1)]
     elif family.scope == "pair":

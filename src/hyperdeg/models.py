@@ -9,6 +9,8 @@ Three laws on degree vectors are compared:
 * independent per-vertex hypergeometrics conditioned on sum n*d, whose
   normalizer has no closed form: the dp budget alone picks it, exact
   convolution within the budget and a central-limit approximation beyond.
+  The convolution computes only the partial sums that can still reach
+  n*d, and the budget is charged exactly that work.
 
 ``log_comb`` is the one log-binomial, at a scalar or at an array.  The
 hypergeometric log-pmf has one form, ``_log_pmf``, evaluated at the
@@ -125,48 +127,38 @@ def _log_pmf(spec: HypergeomSpec, ks) -> np.ndarray:
 
 
 def _log_pmf_vector(spec: HypergeomSpec) -> np.ndarray:
-    """``_log_pmf`` at every degree 0..marked, the convolutions' operand."""
+    """``_log_pmf`` at every degree 0..marked, the normalizer's operand."""
     return _log_pmf(spec, np.arange(spec.marked + 1))
 
 
-def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Log-domain convolution of two log-pmf vectors.
+def _target_windows(spec: HypergeomSpec) -> list[tuple[int, int]]:
+    """For i = 0..n-1, the [lo, hi] of the partial sums of i+1 degrees that
+    can still reach the target r m: the remaining n-i-1 degrees add at most
+    marked each.  Empty (lo > hi) at every i when r m > n marked."""
+    n, c, target = spec.n, spec.marked, spec.r * spec.m
+    return [(max(0, target - (n - i - 1) * c), min((i + 1) * c, target)) for i in range(n)]
 
-    One in-place ``logaddexp`` of a shifted copy of the longer operand per
-    finite entry of the shorter; ``-inf`` entries add nothing and are skipped.
+
+def _convolution_ops(spec: HypergeomSpec) -> int:
+    """``logaddexp`` element operations of the windowed convolution.
+
+    Step i (i = 1..n-1) adds one shifted operand per support degree over
+    the whole window i, one operation per window entry.
     """
-    if a.size < b.size:
-        a, b = b, a
-    out = np.full(a.size + b.size - 1, LOG_ZERO)
-    for j in np.flatnonzero(b > LOG_ZERO):
-        seg = out[j:j + a.size]
-        np.logaddexp(seg, a + b[j], out=seg)
-    return out
-
-
-def _convolution_ops(spec: HypergeomSpec, copies: int) -> int:
-    """``logaddexp`` element operations of the ``copies``-fold convolution.
-
-    Convolution i (i = 1..copies-1) adds the (marked+1)-entry pmf into an
-    accumulator of i·marked + 1 entries, one operation per entry pair.
-    """
-    c = spec.marked
-    return (c + 1) * ((copies - 1) + c * copies * (copies - 1) // 2)
-
-
-def _log_sum_pmf(pmf: np.ndarray, copies: int) -> np.ndarray:
-    """Log-pmf of the sum of ``copies`` iid draws, by repeated convolution."""
-    acc = pmf.copy()
-    for _ in range(copies - 1):
-        acc = _log_convolve(acc, pmf)
-    return acc
+    steps = _target_windows(spec)[1:]
+    return len(spec.support()) * sum(max(0, hi - lo + 1) for lo, hi in steps)
 
 
 def conditioned_sum_log_prob(spec: HypergeomSpec, method: str = "dp") -> float:
     """log Prob(n iid per-vertex degrees sum to r m), with the n, r, m of ``spec``.
 
-    ``dp`` convolves the exact pmf n times in log domain; ``clt`` uses the
-    local-limit approximation ``(sigma sqrt(2 pi n))^{-1}
+    ``dp`` convolves the exact pmf n times in log domain, step i computing
+    only the partial sums of ``_target_windows`` that can still reach r m:
+    each entry folds one in-place ``logaddexp`` per support degree j, in
+    ascending j, from -inf.  A partial sum outside the previous window is
+    read as -inf, and ``logaddexp(x, -inf) == x`` exactly, so every entry
+    has the bits of the same entry of the full convolution.  ``clt`` uses
+    the local-limit approximation ``(sigma sqrt(2 pi n))^{-1}
     exp(-y^2 / (2 n sigma^2))`` with y the offset from the mean sum.
     """
     n, target = spec.n, spec.r * spec.m
@@ -181,11 +173,23 @@ def conditioned_sum_log_prob(spec: HypergeomSpec, method: str = "dp") -> float:
         )
     if method != "dp":
         raise ValueError(f"unknown normalizer method {method!r}")
-    check_dp_budget(_convolution_ops(spec, n))
-    acc = _log_sum_pmf(_log_pmf_vector(spec), n)
-    if not 0 <= target < acc.size:
+    check_dp_budget(_convolution_ops(spec))
+    (lo, hi), *steps = _target_windows(spec)
+    if lo > hi:
         return LOG_ZERO
-    return float(acc[target])
+    c, pmf = spec.marked, _log_pmf_vector(spec)
+    acc = pmf[lo:hi + 1]
+    for step_lo, step_hi in steps:
+        size = step_hi - step_lo + 1
+        # the previous window among the partial sums step_lo - c .. step_hi,
+        # -inf elsewhere, so degree j reads its operand from offset c - j
+        src = np.full(size + c, LOG_ZERO)
+        src[lo - step_lo + c:][:acc.size] = acc
+        acc = np.full(size, LOG_ZERO)
+        for j in spec.support():
+            np.logaddexp(acc, src[c - j:c - j + size] + pmf[j], out=acc)
+        lo = step_lo
+    return float(acc[target - lo])
 
 
 @dataclass

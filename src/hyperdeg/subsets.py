@@ -4,6 +4,10 @@ Colex order compares subsets by their largest element first, so all subsets
 contained in {0, ..., c-1} precede every subset whose maximum is c.  This is
 the fixed enumeration order used by every subset sweep in the library: the
 deterministic-reduction contract relies on all callers agreeing on it.
+
+A family of at most ``CHUNK`` subsets is unranked once into a shared,
+read-only table, which ``all_subsets`` returns and ``colex_unrank``
+gathers from; a larger one is unranked by searching the colex rank tables.
 """
 
 from __future__ import annotations
@@ -60,9 +64,23 @@ def colex_unrank(ranks, n: int, r: int) -> np.ndarray:
     """The r-subsets of {0..n-1} with the given colex ranks, one per row.
 
     Every rank must lie in [0, C(n, r)); the result is a (len(ranks), r)
-    int64 array with each row in increasing order.
+    int64 array with each row in increasing order.  A family of at most
+    ``CHUNK`` subsets is one gather from its shared table of all subsets; a
+    larger one is unranked column by column.
     """
-    return _unrank(np.array(ranks, dtype=np.int64), r, _rank_tables(n, r))
+    ranks = np.array(ranks, dtype=np.int64)
+    if comb(n, r) <= CHUNK:
+        return _subset_table(n, r).take(ranks, axis=0)
+    return _unrank(ranks, r, _rank_tables(n, r))
+
+
+@lru_cache(maxsize=16)
+def _subset_table(n: int, r: int) -> np.ndarray:
+    """All r-subsets in colex order, read-only; cached for the families of
+    at most ``CHUNK`` subsets, which share it."""
+    table = _unrank(np.arange(comb(n, r), dtype=np.int64), r, _rank_tables(n, r))
+    table.setflags(write=False)
+    return table
 
 
 def iter_chunks(
@@ -98,8 +116,11 @@ def iter_multisets(
 
 
 def all_subsets(n: int, r: int) -> np.ndarray:
-    """All r-subsets in colex order as one (comb(n, r), r) array."""
-    return _unrank(np.arange(comb(n, r), dtype=np.int64), r, _rank_tables(n, r))
+    """All r-subsets in colex order as one read-only (comb(n, r), r) array,
+    built once and shared for a family of at most ``CHUNK`` subsets."""
+    if comb(n, r) <= CHUNK:
+        return _subset_table(n, r)
+    return _subset_table.__wrapped__(n, r)
 
 
 def incidence(n: int, r: int) -> np.ndarray:

@@ -233,6 +233,39 @@ def test_sample_stdout_is_pinned():
     )
 
 
+MODELS_RECORDED = json.loads(
+    (Path(__file__).resolve().parent / "data" / "models_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(MODELS_RECORDED["models"]))
+def test_models_prints_the_recorded_bytes_on_each_demo_instance(name):
+    code, out, err = invoke(["models", "--compare", MODELS_RECORDED["compare"],
+                             "--input", str(INSTANCES / name)])
+    assert code == 0, err
+    assert out == MODELS_RECORDED["models"][name]
+
+
+def test_models_prints_the_recorded_bytes_where_t_convolves_further():
+    # every instance file the command accepts is pinned, and two inline
+    # instances whose dp normalizer convolves 14 and 20 degrees
+    accepted = {p.name for p in INSTANCES.glob("*.json")} - {"bad-parity.json"}
+    assert set(MODELS_RECORDED["models"]) == accepted
+    for text, want in MODELS_RECORDED["inline"].items():
+        code, out, err = invoke(["models", "--compare", MODELS_RECORDED["compare"],
+                                 "--input", text])
+        assert code == 0, err
+        assert out == want
+
+
+@pytest.mark.parametrize("case", MODELS_RECORDED["sample"], ids=lambda c: " ".join(c["argv"]))
+def test_sample_prints_the_recorded_bytes(case):
+    # (12, 4) gathers its subsets from the shared table, (20, 4) is above it
+    code, out, err = invoke(["sample", *case["argv"]])
+    assert code == 0, err
+    assert len(out.splitlines()) == case["lines"]
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["-n", "70", "-r", "35", "-m", "2"], "C(n, r) = 112186277816662845432"),
     (["-n", "0", "-r", "0", "-m", "1"], "need n >= 2"),
@@ -721,7 +754,7 @@ def test_the_dp_budget_alone_picks_the_t_normalizer(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
     # dp up to the convolution's own operation count, clt one below it
     seq = cli.load_instance(str(INSTANCES / "near8.json"))
-    ops = models._convolution_ops(models.HypergeomSpec(seq.n, seq.r, seq.edge_count), seq.n)
+    ops = models._convolution_ops(models.HypergeomSpec(seq.n, seq.r, seq.edge_count))
     for budget, method in [(ops, "dp"), (ops - 1, "clt")]:
         monkeypatch.setenv("HYPERDEG_BUDGET", str(budget))
         point = models.prob_model(seq, "T")

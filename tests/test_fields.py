@@ -641,6 +641,33 @@ def test_sweeps_read_the_same_bits_from_a_cold_a_warm_and_a_capped_row_plan(
     fields._row_plan.cache_clear()
 
 
+def test_a_family_within_the_plan_limit_is_planned_whole(monkeypatch):
+    # C(20, 16) = 4845 rows of 16 indices and 120 pair keys: 658,920
+    # entries, two chunks, neither unranked again by a later sweep
+    beta = np.random.default_rng(16).normal(scale=0.3, size=20) - 0.2
+    fields._row_plan.cache_clear()
+    whole = field_bits(field_summary(beta, 20, 16))
+    plan = fields._row_plan(20, 16, False)
+    assert [idx.shape[1] for idx, _ in plan] == [fields.CHUNK, 749]
+    info = fields._row_plan.cache_info()
+    assert (info.misses, info.plans, info.nbytes) == (1, 1, 4845 * 136 * 2)
+    seen = []
+    real = fields._row_chunks
+    monkeypatch.setattr(fields, "_row_chunks", lambda *a: seen.append(a) or real(*a))
+    assert field_bits(field_summary(beta, 20, 16)) == whole
+    assert seen == []
+    # one entry short of the whole family, the plan keeps its first chunk
+    # and every sweep unranks the rest, with the same bits
+    monkeypatch.setattr(fields, "PLAN_LIMIT", 4845 * 136 - 1)
+    fields._row_plan.cache_clear()
+    for _ in range(2):
+        assert field_bits(field_summary(beta, 20, 16)) == whole
+    assert len(fields._row_plan(20, 16, False)) == 1
+    assert seen == [(20, 16, False, 0), (20, 16, False, fields.CHUNK),
+                    (20, 16, False, fields.CHUNK)]
+    fields._row_plan.cache_clear()
+
+
 def test_row_plans_are_read_only_in_the_smallest_dtype_that_holds_every_key():
     fields._row_plan.cache_clear()
     for k, r, multisets, dtype in [(4, 4, True, np.int8), (20, 4, False, np.int16),

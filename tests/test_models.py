@@ -10,9 +10,7 @@ from hyperdeg import models
 from hyperdeg.errors import BudgetExceeded
 from hyperdeg.models import (
     HypergeomSpec,
-    _log_convolve,
     _log_pmf_vector,
-    _log_sum_pmf,
     conditioned_sum_log_prob,
     hypergeom_pmf,
     measured_ratio,
@@ -113,7 +111,7 @@ def test_prob_model_values(monkeypatch):
 
     # one operation short of the dp convolution, T takes the clt normalizer
     spec = HypergeomSpec(TINY.n, TINY.r, TINY.edge_count)
-    monkeypatch.setenv("HYPERDEG_BUDGET", str(models._convolution_ops(spec, TINY.n) - 1))
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(models._convolution_ops(spec) - 1))
     t_clt = prob_model(TINY, "T")
     assert t_clt.components["normalizer_method"] == "clt"
     assert abs(t_clt.ln_prob - t.ln_prob) <= 0.2
@@ -280,13 +278,43 @@ def test_tail_bound_holds_everywhere():
         assert tail <= 2.0 * math.exp(-t * t / (2.0 * (d + t / 3.0))), t
 
 
-def conditioning_factor(spec, ys):
-    """C(y) = Prob(n - 1 iid degrees sum to r m - y) / Prob(n sum to r m), by
-    exact convolution through the module's ``_log_convolve``."""
-    pmf = _log_pmf_vector(spec)
-    partial = _log_sum_pmf(pmf, spec.n - 1)
+def log_convolve(a, b):
+    """Reference log-domain convolution of two log-pmf vectors, every entry.
+
+    One in-place ``logaddexp`` of a shifted copy of the longer operand per
+    finite entry of the shorter, in ascending order; ``-inf`` entries add
+    nothing and are skipped.
+    """
+    if a.size < b.size:
+        a, b = b, a
+    out = np.full(a.size + b.size - 1, -math.inf)
+    for j in np.flatnonzero(b > -math.inf):
+        seg = out[j:j + a.size]
+        np.logaddexp(seg, a + b[j], out=seg)
+    return out
+
+
+def log_sum_pmf(pmf, copies, convolve=log_convolve):
+    """Reference log-pmf of the sum of ``copies`` iid draws, every entry, by
+    repeated full convolution."""
+    acc = pmf.copy()
+    for _ in range(copies - 1):
+        acc = convolve(acc, pmf)
+    return acc
+
+
+def full_convolution_entry(spec, convolve=log_convolve):
+    """Entry r m of the full n-fold convolution."""
+    return float(log_sum_pmf(_log_pmf_vector(spec), spec.n, convolve)[spec.r * spec.m])
+
+
+def conditioning_factor(spec, ys, convolve=log_convolve, ln_p=None):
+    """C(y) = Prob(n - 1 iid degrees sum to r m - y) / Prob(n sum to r m),
+    the partial sums by ``convolve`` and the normalizer from the library."""
+    partial = log_sum_pmf(_log_pmf_vector(spec), spec.n - 1, convolve)
     target = spec.r * spec.m
-    ln_p = models._log_convolve(partial, pmf)[target]
+    if ln_p is None:
+        ln_p = conditioned_sum_log_prob(spec)
     return np.array([math.exp(partial[target - y] - ln_p) if 0 <= target - y < partial.size
                      else 0.0 for y in ys])
 
@@ -337,8 +365,8 @@ def test_log_convolve_matches_per_shift_reference(sizes, holes):
     a = random_log_vector(rng, sizes[0], holes)
     b = random_log_vector(rng, sizes[1], holes)
     want = per_shift_log_convolve(a, b)
-    assert_log_close(_log_convolve(a, b), want, 1e-13)
-    assert_log_close(_log_convolve(b, a), want, 1e-13)
+    assert_log_close(log_convolve(a, b), want, 1e-13)
+    assert_log_close(log_convolve(b, a), want, 1e-13)
 
 
 def test_log_convolve_with_an_all_zero_operand():
@@ -346,7 +374,7 @@ def test_log_convolve_with_an_all_zero_operand():
     a = random_log_vector(rng, 12, 0.2)
     empty = np.full(4, -math.inf)
     for x, y in ((a, empty), (empty, a), (empty, empty)):
-        got = _log_convolve(x, y)
+        got = log_convolve(x, y)
         assert got.size == x.size + y.size - 1
         assert np.isneginf(got).all()
         assert np.isneginf(per_shift_log_convolve(x, y)).all()
@@ -374,7 +402,7 @@ def exact_sum_counts(n, r, m):
 @pytest.mark.parametrize("n,r,m", [(7, 3, 14), (10, 3, 48), (12, 4, 100)])
 def test_normalizer_matches_exact_integer_convolution(n, r, m):
     spec = HypergeomSpec(n, r, m)
-    got = _log_sum_pmf(_log_pmf_vector(spec), n)
+    got = log_sum_pmf(_log_pmf_vector(spec), n)
     counts = exact_sum_counts(n, r, m)
     assert got.size == len(counts)
     ln_total = n * math.log(math.comb(spec.population, m))
@@ -384,21 +412,42 @@ def test_normalizer_matches_exact_integer_convolution(n, r, m):
         else:
             want = math.log(count) - ln_total
             assert abs(got[s] - want) <= 1e-11 * max(1.0, abs(want))
+    assert conditioned_sum_log_prob(spec) == got[r * m]
 
 
-def test_normalizer_and_conditioning_factor_match_per_shift_reference(monkeypatch):
-    instances = [(4, 3, 2), (5, 3, 3), (6, 3, 10), (7, 3, 6), (7, 3, 12), (8, 4, 20)]
-    fast = []
-    for n, r, m in instances:
+def test_normalizer_and_conditioning_factor_match_per_shift_reference():
+    # the windowed normalizer itself, and the conditioning factor formed
+    # from it, against one logsumexp per output shift of the full convolution
+    for n, r, m in [(4, 3, 2), (5, 3, 3), (6, 3, 10), (7, 3, 6), (7, 3, 12), (8, 4, 20)]:
         spec = HypergeomSpec(n, r, m)
+        want = full_convolution_entry(spec, per_shift_log_convolve)
+        assert conditioned_sum_log_prob(spec) == pytest.approx(want, rel=1e-13)
         ys = range(0, 2 * spec.marked)
-        fast.append((conditioned_sum_log_prob(spec), conditioning_factor(spec, ys)))
-    monkeypatch.setattr(models, "_log_convolve", per_shift_log_convolve)
-    for (n, r, m), (ln_p, factors) in zip(instances, fast):
+        reference = conditioning_factor(spec, ys, per_shift_log_convolve, want)
+        assert conditioning_factor(spec, ys) == pytest.approx(reference, rel=1e-13)
+
+
+def normalizer_grid():
+    """(n, r, m) for n = 2..16, r = 2..4: m = 0, 1, C(n, r) - 1, C(n, r) and
+    densities 1/5, 1/3 and 1/2."""
+    for n in range(2, 17):
+        for r in range(2, min(n, 4) + 1):
+            population = math.comb(n, r)
+            for m in sorted({0, 1, population // 5, population // 3, population // 2,
+                             population - 1, population}):
+                yield n, r, m
+
+
+def test_windowed_normalizer_has_the_bits_of_the_full_convolution_entry():
+    # each window entry folds the same logaddexp operations in the same
+    # order as the full convolution's, plus no-ops with -inf
+    grid = list(normalizer_grid())
+    assert len(grid) == 271
+    for n, r, m in grid:
         spec = HypergeomSpec(n, r, m)
-        assert ln_p == pytest.approx(conditioned_sum_log_prob(spec), rel=1e-13)
-        want = conditioning_factor(spec, range(0, 2 * spec.marked))
-        assert factors == pytest.approx(want, rel=1e-13)
+        got = conditioned_sum_log_prob(spec)
+        want = full_convolution_entry(spec)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, r, m)
 
 
 def test_log_gamma_forms_match_the_scipy_reference():
@@ -452,31 +501,54 @@ def test_log_pmf_vector_has_the_bits_of_a_per_entry_lgamma_sum(n, r, m):
     assert models._log_pmf(spec, degrees).tobytes() == np.array(want)[degrees].tobytes()
 
 
+class RecordingNumpy:
+    """numpy as ``models`` sees it, with every ``logaddexp`` element operation
+    counted."""
+
+    def __init__(self):
+        self.ops = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def logaddexp(self, *args, **kwargs):
+        out = np.logaddexp(*args, **kwargs)
+        self.ops += out.size
+        return out
+
+
 def _recorded_guard_and_work(monkeypatch, call):
-    """The count passed to the dp guard, and the summed operand size products
-    of every convolution the call then makes."""
-    guards, work = [], []
-    guard, convolve = models.check_dp_budget, models._log_convolve
+    """The counts passed to the dp guard, and the ``logaddexp`` element
+    operations the normalizer then makes."""
+    guards, recorder = [], RecordingNumpy()
+    guard = models.check_dp_budget
 
     def recording_guard(count):
         guards.append(count)
         return guard(count)
 
-    def recording_convolve(a, b):
-        work.append(a.size * b.size)
-        return convolve(a, b)
-
     monkeypatch.setattr(models, "check_dp_budget", recording_guard)
-    monkeypatch.setattr(models, "_log_convolve", recording_convolve)
-    call()
-    return guards, sum(work)
+    monkeypatch.setattr(models, "np", recorder)
+    try:
+        call()
+    finally:
+        monkeypatch.setattr(models, "np", np)
+    return guards, recorder.ops
 
 
 def test_normalizer_guard_counts_the_convolution_work(monkeypatch):
     spec = HypergeomSpec(6, 3, 8)
     guards, work = _recorded_guard_and_work(monkeypatch, lambda: conditioned_sum_log_prob(spec))
-    # (marked + 1) · sum_{i=1}^{n-1} (i · marked + 1) = 11 · 155
-    assert guards == [work] == [1705]
+    # |support| · sum_{i=1}^{n-1} |window i| = 9 · (9 + 19 + 19 + 19 + 13);
+    # the full convolution made 11 · 155 = 1705
+    assert [len(spec.support())] == [9]
+    assert guards == [work] == [711]
+    for n, r, m in [(4, 3, 2), (7, 3, 12), (10, 3, 36), (14, 3, 138)]:
+        spec = HypergeomSpec(n, r, m)
+        guards, work = _recorded_guard_and_work(
+            monkeypatch, lambda: conditioned_sum_log_prob(spec))
+        assert guards == [work], (n, r, m)
+    assert work == 277_843
 
 
 def test_normalizer_guard_admits_n30_and_refuses_n60(monkeypatch):
@@ -484,12 +556,14 @@ def test_normalizer_guard_admits_n30_and_refuses_n60(monkeypatch):
     spec = HypergeomSpec(30, 3, 1624)
     guards, work = _recorded_guard_and_work(
         monkeypatch, lambda: conditioned_sum_log_prob(spec))
-    assert guards == [work] == [71_892_073]
+    assert guards == [work] == [35_538_833]
 
-    def no_convolution(*args):
-        raise AssertionError("convolved past the budget")
-
-    monkeypatch.setattr(models, "_log_convolve", no_convolution)
     big = HypergeomSpec(60, 3, 13_690)
-    with pytest.raises(BudgetExceeded):
-        conditioned_sum_log_prob(big)
+
+    def refused():
+        with pytest.raises(BudgetExceeded):
+            conditioned_sum_log_prob(big)
+
+    # refused by the guard, before any logaddexp
+    guards, work = _recorded_guard_and_work(monkeypatch, refused)
+    assert guards == [2_528_141_216] and work == 0

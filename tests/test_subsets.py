@@ -2,10 +2,13 @@ import math
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperdeg import subsets
 from hyperdeg.subsets import (
+    CHUNK,
     all_subsets,
     colex_rank,
     colex_unrank,
@@ -92,6 +95,37 @@ def test_unrank_of_no_ranks_is_an_empty_array():
         got = colex_unrank(np.array([], dtype=np.int64), n, r)
         assert got.shape == (0, r) and got.dtype == np.int64
         assert colex_unrank([], n, r).shape == (0, r)
+
+
+@pytest.mark.parametrize("n,r", [(12, 4), (70, 68), (20, 4), (40, 3)])
+def test_unrank_gathers_and_searches_the_same_rows(n, r, monkeypatch):
+    # up to CHUNK subsets colex_unrank gathers from the shared table, above
+    # it it searches the rank tables; each side, forced onto the other path
+    # by moving CHUNK, returns the same rows
+    total = math.comb(n, r)
+    gathers = total <= CHUNK
+    assert gathers == ((n, r) in [(12, 4), (70, 68)])
+    ranks = np.random.default_rng(n * r).integers(0, total, size=4000)
+    for asked in (ranks, np.array([], dtype=np.int64), [total - 1, 0]):
+        got = colex_unrank(asked, n, r)
+        monkeypatch.setattr(subsets, "CHUNK", 0 if gathers else total)
+        other = colex_unrank(asked, n, r)
+        monkeypatch.undo()
+        assert got.dtype == other.dtype == np.int64
+        assert got.shape == other.shape == (len(asked), r)
+        assert np.array_equal(got, other)
+    assert rows(got) == [colex_unrank_scalar(total - 1, n, r), colex_unrank_scalar(0, n, r)]
+    assert rows(colex_unrank(ranks[:50], n, r)) == [
+        colex_unrank_scalar(int(k), n, r) for k in ranks[:50]]
+    # only a family within CHUNK caches the table all_subsets returns; the
+    # gathered rows are the caller's own, and the table stays read-only
+    subsets._subset_table.cache_clear()
+    colex_unrank(ranks, n, r)
+    assert subsets._subset_table.cache_info().misses == int(gathers)
+    got[0, 0] = -1
+    table = all_subsets(n, r)
+    assert not table.flags.writeable and table[total - 1, 0] != -1
+    assert (table is all_subsets(n, r)) == gathers
 
 
 @settings(max_examples=80, deadline=None)
