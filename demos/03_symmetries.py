@@ -16,9 +16,9 @@ from hyperdeg import (
     derive,
     estimate_near_regular,
     exact_count,
-    logdet_pd,
     solve,
     symmetry_audit,
+    weight_logdet,
 )
 
 seq = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
@@ -43,10 +43,10 @@ print("\ndeterminant transfer (the ratio ((n-r)/r)^2 is 1 at n = 6,")
 print("so the interesting case is n = 7):")
 seven = DegreeSequence(7, 3, (7, 6, 6, 6, 6, 6, 5))
 rep7 = solve(seven)
-base = logdet_pd(rep7.field.weight_matrix)
+base = weight_logdet(rep7.field)
 image7 = apply_symmetry(seven, QuadrantTransform.EDGE_COMPLEMENT)
 rep7c = solve(image7)
-moved = logdet_pd(rep7c.field.weight_matrix)
+moved = weight_logdet(rep7c.field)
 print(f"  log|A| base {base:.8f}, image {moved:.8f}, "
       f"difference {moved - base:.8f}, 2 log((n-r)/r) = "
       f"{2 * math.log(4 / 3):.8f}")

@@ -4,7 +4,8 @@ The analysis behind the counting formulas rests on weight-ratio bounds,
 matrix entry sandwiches, a determinant comparison, and a family of exact
 rational summation identities over subsets.  This script runs all of them
 on concrete inputs.  Both bound suites read one field summary at the
-solved point: its weight matrix, average weight and average variance weight.
+solved point: the class blocks of its weight matrix, average weight and
+average variance weight.
 """
 
 from fractions import Fraction

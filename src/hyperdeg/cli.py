@@ -36,11 +36,7 @@ from .errors import (
     SingularJacobian,
     Unsolved,
 )
-from .fields import (
-    check_expansion_budget,
-    check_weight_ratio_bounds,
-    field_summary,
-)
+from .fields import check_weight_ratio_bounds, field_summary
 from .matrices import bound_suite
 from .oracle import cauchy_quadrature, exact_count, total_identity_check
 from .solver import solve
@@ -154,7 +150,7 @@ def cmd_solve(args) -> int:
     if args.dump_field:
         payload["field"] = report.field.to_json_dict()
     if args.dump_matrix:
-        matrix = report.field.weight_matrix  # may refuse before the file opens
+        matrix = 0.5 * report.field.pair_weights  # may refuse before the file opens
         with open(args.dump_matrix, "w", encoding="utf-8") as handle:
             for row in matrix:
                 handle.write(",".join(format(x, ".17g") for x in row) + "\n")
@@ -246,12 +242,9 @@ def cmd_audit(args) -> int:
     seq = load_instance(args.input)
     warn_hypotheses(seq)
     # one refusal rule on every route, checked before any solve so that an
-    # audit too large refuses at once: all C(n, r) subsets fit the budget,
-    # and so does the n x n weight matrix that the bound suite expands from
-    # the class blocks.  The bound checks themselves read the base solve's
-    # field.
+    # audit too large refuses at once: all C(n, r) subsets fit the budget.
+    # The bound checks read the base solve's field in class form.
     budgets.check_subset_budget(math.comb(seq.n, seq.r))
-    check_expansion_budget(seq.params.classes)
     report = solve(seq)
     audit = symmetry_audit(seq, report=report)
     delta_hat = max(report.spread * seq.r, 1e-6)

@@ -3,12 +3,12 @@
 Three evaluation routes are provided:
 
 * the general formula, which needs a solved parameter vector and the
-  log-determinant of the assembled weight matrix;
+  log-determinant of the weight matrix;
 * the near-regular closed formula, which needs no solve and gives the same
   bits for an instance and its edge-complement image (under the set
   complement it agrees to rounding, not bitwise);
-* the first-quadrant corollary form, which replaces the assembled
-  determinant by the regular one, with corrections in the degree
+* the first-quadrant corollary form, which replaces that determinant
+  by the regular one, with corrections in the degree
   deviations.
 
 The two closed routes add their corrections to one regular part,

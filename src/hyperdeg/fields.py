@@ -85,19 +85,6 @@ def softplus(s):
     return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
 
 
-def check_expansion_budget(classes: VertexClasses) -> None:
-    """``BudgetExceeded`` if expanding the class blocks of ``classes`` to
-    the n x n weight matrix needs more than the subset budget of entries;
-    singletons (k = n) expand nothing."""
-    n, k = classes.n, classes.k
-    limit = subset_budget()
-    if k < n and n * n > limit:
-        raise BudgetExceeded(
-            f"expanding {k}x{k} class blocks to the {n}x{n} weight matrix "
-            f"({n * n} entries) exceeds budget {limit}"
-        )
-
-
 @dataclass
 class FieldSummary:
     """Subset sums observed at one beta, per vertex class.
@@ -129,22 +116,24 @@ class FieldSummary:
 
     @property
     def pair_weights(self) -> np.ndarray:
-        """The symmetric n x n matrix of per-vertex (diagonal) and per-pair sums.
+        """The symmetric n x n matrix of per-vertex (diagonal) and per-pair
+        sums: twice the weight matrix A, the Jacobian of the degree system.
 
-        Class blocks are expanded only when the n^2 entries fit the subset
-        budget in force when the matrix is read; beyond it ``BudgetExceeded``
-        is raised.
+        This is the one n x n expansion of the class blocks, read only by
+        ``solve --dump-field`` and ``--dump-matrix``.  Class blocks are
+        expanded only when the n^2 entries fit the subset budget in force
+        when the matrix is read; beyond it ``BudgetExceeded`` is raised.
         """
-        index = self.classes.index
-        check_expansion_budget(self.classes)
+        n, k, index = self.n, self.classes.k, self.classes.index
+        limit = subset_budget()
+        if k < n and n * n > limit:
+            raise BudgetExceeded(
+                f"expanding {k}x{k} class blocks to the {n}x{n} weight matrix "
+                f"({n * n} entries) exceeds budget {limit}"
+            )
         pw = self.pair_blocks[np.ix_(index, index)]
         np.fill_diagonal(pw, self.class_variance[index])
         return pw
-
-    @property
-    def weight_matrix(self) -> np.ndarray:
-        """The weight matrix A; the Jacobian of the degree system is 2A."""
-        return 0.5 * self.pair_weights
 
     def class_jacobian(self) -> np.ndarray:
         """U^T (2A) U, with U the n x k class indicator matrix.

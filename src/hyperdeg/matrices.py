@@ -1,13 +1,15 @@
 """Log-determinants of the weight matrix, its regular closed form, and bounds.
 
-The weight matrix (``FieldSummary.weight_matrix``) has entries a_jj = half
-the variance-weight sum over subsets containing j, and a_jk = half the sum
-over subsets containing both j and k.  Its determinant enters the general
-counting formula.  For a regular instance the matrix is a closed-form
-combination aI + bJ with an explicit determinant.  On any classes it is a
+The weight matrix A has entries a_jj = half the variance-weight sum over
+subsets containing j, and a_jk = half the sum over subsets containing both
+j and k.  Its determinant enters the general counting formula.  For a
+regular instance the matrix is a closed-form combination aI + bJ with an
+explicit determinant.  On any classes A is constant on class blocks: a
 per-class diagonal on the vectors that sum to zero within every class and
-the k x k Newton Jacobian on the class indicators, so one Cholesky of that
-Jacobian gives the determinant (on singletons, of the n x n matrix itself).
+the k x k Newton Jacobian on the class indicators.  One Cholesky of that
+Jacobian gives the determinant, its inverse and the per-class diagonal give
+A^{-1} in class form, and the bound checks read the k x k blocks, so
+nothing here is n x n (on singletons the Jacobian is 2A itself).
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def weight_logdet(field: FieldSummary) -> float:
     ``log |A| = sum_i (n_i - 1) log(e_i / 2) - log |N| + log |U^T A U|``,
     where U^T A U is half the Newton Jacobian ``field.class_jacobian()``.
     One-vertex classes add nothing to the sums, so on singletons this is
-    ``logdet_pd(field.weight_matrix)`` bit for bit.
+    ``logdet_pd`` of the n x n matrix bit for bit.
     """
     sizes = field.classes.sizes
     shared = sizes > 1
@@ -116,67 +118,68 @@ MATRIX_CHECKS = ("offdiag-entry-ratio", "diag-entry-ratio", "offdiag-sandwich",
 def bound_suite(field: FieldSummary, delta_hat: float) -> MatrixBoundReport:
     """Entry-ratio, sandwich, determinant, and inverse-entry checks.
 
-    Reads the weight matrix and ``big_lambda`` of the field at beta; with
+    Reads ``big_lambda`` and the class form of the weight matrix A of the
+    field at beta, and builds nothing n x n: on class i, a_vv is
+    class_variance_i / 2, an off-diagonal entry is pair_blocks_ij / 2
+    (within class i only if n_i > 1), and the row sums are those of
+    M / n_i, with M = U^T A U = ``class_jacobian() / 2``.  With
     spread(beta) * r <= delta_hat:
 
     * all off-diagonal entries lie within a factor e^{4 delta_hat / r} of
       each other, and likewise all diagonal entries;
     * entries are sandwiched by (big_lambda/2) C(n-2, r-2) e^{+-4d/r}
       (off-diagonal) and (big_lambda/2) C(n-1, r-1) e^{+-4d/r} (diagonal);
-    * log|A| is at most log of the comparison determinant
-      |e^{2 delta_hat}/2 big_lambda (C(n-2, r-1) I + C(n-2, r-2) J)|;
+    * a_vv is the sum of the other entries of row v over r - 1;
+    * log|A| (``weight_logdet``) is at most log of the comparison
+      determinant |e^{2 delta_hat}/2 big_lambda (C(n-2, r-1) I + C(n-2, r-2) J)|;
     * inverse entries scaled by big_lambda C(n-1, r-1) e^{-35 delta_hat}
       (and additionally n off-diagonal) give the measured constants of the
       inverse-entry bound; they are reported, not asserted, because the
-      constant in that bound is existential.
+      constant in that bound is existential.  With D, U and N as in
+      ``weight_logdet``, A^{-1} = D^{-1} (I - U N^{-1} U^T) + U M^{-1} U^T:
+      (A^{-1})_vv = (2/e_i)(1 - 1/n_i) + (M^{-1})_ii on class i, within
+      class i off the diagonal -2/(e_i n_i) + (M^{-1})_ii, and between
+      classes i and j (M^{-1})_ij.
 
-    If r < 2 or the spread precondition fails, all checks are reported
-    skipped.
+    On singletons M is A and the D terms are exact zeros, so every value
+    has the bits of the n x n computation.  If r < 2 or the spread
+    precondition fails, all checks are reported skipped.
     """
     skipped = skipped_checks(MATRIX_CHECKS, field, delta_hat, pairs=True)
     if skipped is not None:
         return MatrixBoundReport(checks=skipped)
 
-    n, r = field.n, field.r
-    a = field.weight_matrix
+    n, r, sizes = field.n, field.r, field.classes.sizes
     big = field.big_lambda
     ratio_cap = 4.0 * delta_hat / r
-
-    off = a[~np.eye(n, dtype=bool)]
-    log_off = np.log(off)
-    slack_off = float(ratio_cap - (log_off.max() - log_off.min()))
-    diag = np.diag(a)
-    log_diag = np.log(diag)
-    slack_diag = float(ratio_cap - (log_diag.max() - log_diag.min()))
-
-    mid_off = 0.5 * big * math.comb(n - 2, r - 2)
-    mid_diag = 0.5 * big * math.comb(n - 1, r - 1)
-    slack_off_sand = float(ratio_cap - np.abs(np.log(off / mid_off)).max())
-    slack_diag_sand = float(ratio_cap - np.abs(np.log(diag / mid_diag)).max())
+    # the distinct off-diagonal entries: every block between classes, and
+    # the one within each class of more than one vertex
+    present = ~np.eye(sizes.size, dtype=bool) | np.diag(sizes > 1)
+    off, diag = 0.5 * field.pair_blocks[present], 0.5 * field.class_variance
+    mids = 0.5 * big * math.comb(n - 2, r - 2), 0.5 * big * math.comb(n - 1, r - 1)
+    slacks = [ratio_cap - np.ptp(np.log(x)) for x in (off, diag)]
+    slacks += [ratio_cap - np.abs(np.log(x / mid)).max() for x, mid in zip((off, diag), mids)]
 
     # a_jj = sum of off-diagonal row entries / (r-1); exact identity
-    row = (a.sum(axis=1) - diag) / (r - 1)
-    row_gap = float(np.abs(row - diag).max())
-    row_slack = 1e-10 * max(1.0, float(diag.max())) - row_gap
+    m = 0.5 * field.class_jacobian()
+    row = (m.sum(axis=1) / sizes - diag) / (r - 1)
+    slacks.append(1e-10 * max(1.0, float(diag.max())) - float(np.abs(row - diag).max()))
+    checks = [graded(name, slack) for name, slack in zip(MATRIX_CHECKS, slacks)]
 
-    logdet_a = weight_logdet(field)
     ap = 0.5 * math.exp(2.0 * delta_hat) * big
     comparison = aI_bJ_logdet(ap * math.comb(n - 2, r - 1), ap * math.comb(n - 2, r - 2), n)
     # at delta_hat = 0 the two matrices coincide and the two log-determinant
     # routes differ only by rounding; allow that much
-    slack_det = float(comparison - logdet_a)
-    det_tol = 1e-10 * max(1.0, abs(comparison))
+    checks.append(graded("determinant-comparison", comparison - weight_logdet(field),
+                         1e-10 * max(1.0, abs(comparison))))
 
-    inv = np.linalg.inv(a)
+    e = field.class_variance - np.diag(field.pair_blocks)
+    inv = np.linalg.inv(m)
+    inv_diag = (2.0 / e) * (1.0 - 1.0 / sizes) + np.diag(inv)
+    np.fill_diagonal(inv, -2.0 / (e * sizes) + np.diag(inv))
     scale = big * math.comb(n - 1, r - 1) * math.exp(-35.0 * delta_hat)
-    measured_diag = float(np.abs(np.diag(inv)).max() * scale)
-    measured_off = float(np.abs(inv[~np.eye(n, dtype=bool)]).max() * scale * n)
-
-    slacks = (slack_off, slack_diag, slack_off_sand, slack_diag_sand, row_slack)
-    checks = [graded(name, slack) for name, slack in zip(MATRIX_CHECKS, slacks)]
-    checks.append(graded("determinant-comparison", slack_det, det_tol))
     return MatrixBoundReport(
         checks=checks,
-        measured_inverse_constant=measured_diag,
-        measured_offdiag_constant=measured_off,
+        measured_inverse_constant=float(np.abs(inv_diag).max() * scale),
+        measured_offdiag_constant=float(np.abs(inv[present]).max() * scale * n),
     )

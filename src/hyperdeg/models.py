@@ -32,7 +32,7 @@ import numpy as np
 from . import counts, oracle
 from .budgets import check_dp_budget
 from .core import DegreeSequence
-from .errors import BudgetExceeded, DensityDegenerate
+from .errors import BudgetExceeded, DensityDegenerate, InvalidInstance
 from .subsets import CHUNK, colex_unrank
 
 LOG_ZERO = -math.inf
@@ -63,12 +63,20 @@ class HypergeomSpec:
     """Per-vertex degree law of a uniform random m-edge hypergraph.
 
     Sampling m edges out of C(n, r), of which C(n-1, r-1) contain a fixed
-    vertex; the vertex degree counts the marked edges drawn.
+    vertex; the vertex degree counts the marked edges drawn.  Needs
+    1 <= r <= n and 0 <= m <= C(n, r), else ``InvalidInstance``.
     """
 
     n: int
     r: int
     m: int
+
+    def __post_init__(self):
+        if not (1 <= self.r <= self.n and 0 <= self.m <= self.population):
+            raise InvalidInstance(
+                f"need 1 <= r <= n and 0 <= m <= C(n, r), got n={self.n}, "
+                f"r={self.r}, m={self.m}"
+            )
 
     @property
     def population(self) -> int:

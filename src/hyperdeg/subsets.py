@@ -21,11 +21,6 @@ import numpy as np
 CHUNK = 4096
 
 
-def colex_rank(subset) -> int:
-    """Rank of a sorted subset in colex order."""
-    return sum(comb(c, i + 1) for i, c in enumerate(subset))
-
-
 @lru_cache(maxsize=16)
 def _rank_tables(n: int, r: int) -> tuple[np.ndarray, ...]:
     """``tables[k][c] = min(C(c, k), C(n, r))`` for c < n and k = 1..r.

@@ -1,13 +1,15 @@
 """Lemma formulas that the tests check and no command computes: the
 Stirling series of a log binomial, the entropy's curvature along a segment
-of weights, the degree-spread proxy and the enumeration of every capped
-degree vector.  Shared by the acceptance suite and the unit tests."""
+of weights, the degree-spread proxy, the enumeration of every capped
+degree vector, and the bound suite on the n x n weight matrix.  Shared by
+the acceptance suite and the unit tests."""
 
 import math
 
 import numpy as np
 
-from hyperdeg.fields import logistic
+from hyperdeg.fields import graded, logistic, skipped_checks
+from hyperdeg.matrices import MATRIX_CHECKS, MatrixBoundReport, aI_bJ_logdet, weight_logdet
 from hyperdeg.subsets import all_subsets
 
 
@@ -62,3 +64,53 @@ def compositions(total, parts, cap):
     for head in range(min(total, cap) + 1):
         for rest in compositions(total - head, parts - 1, cap):
             yield (head,) + rest
+
+
+def dense_bound_suite(field, delta_hat):
+    """Reference: ``matrices.bound_suite`` on the n x n weight matrix
+    A = pair_weights / 2, its entries read off A and its inverse-entry
+    constants off ``np.linalg.inv(A)``."""
+    skipped = skipped_checks(MATRIX_CHECKS, field, delta_hat, pairs=True)
+    if skipped is not None:
+        return MatrixBoundReport(checks=skipped)
+
+    n, r = field.n, field.r
+    a = 0.5 * field.pair_weights
+    big = field.big_lambda
+    ratio_cap = 4.0 * delta_hat / r
+
+    off = a[~np.eye(n, dtype=bool)]
+    log_off = np.log(off)
+    slack_off = float(ratio_cap - (log_off.max() - log_off.min()))
+    diag = np.diag(a)
+    log_diag = np.log(diag)
+    slack_diag = float(ratio_cap - (log_diag.max() - log_diag.min()))
+
+    mid_off = 0.5 * big * math.comb(n - 2, r - 2)
+    mid_diag = 0.5 * big * math.comb(n - 1, r - 1)
+    slack_off_sand = float(ratio_cap - np.abs(np.log(off / mid_off)).max())
+    slack_diag_sand = float(ratio_cap - np.abs(np.log(diag / mid_diag)).max())
+
+    row = (a.sum(axis=1) - diag) / (r - 1)
+    row_gap = float(np.abs(row - diag).max())
+    row_slack = 1e-10 * max(1.0, float(diag.max())) - row_gap
+
+    logdet_a = weight_logdet(field)
+    ap = 0.5 * math.exp(2.0 * delta_hat) * big
+    comparison = aI_bJ_logdet(ap * math.comb(n - 2, r - 1), ap * math.comb(n - 2, r - 2), n)
+    slack_det = float(comparison - logdet_a)
+    det_tol = 1e-10 * max(1.0, abs(comparison))
+
+    inv = np.linalg.inv(a)
+    scale = big * math.comb(n - 1, r - 1) * math.exp(-35.0 * delta_hat)
+    measured_diag = float(np.abs(np.diag(inv)).max() * scale)
+    measured_off = float(np.abs(inv[~np.eye(n, dtype=bool)]).max() * scale * n)
+
+    slacks = (slack_off, slack_diag, slack_off_sand, slack_diag_sand, row_slack)
+    checks = [graded(name, slack) for name, slack in zip(MATRIX_CHECKS, slacks)]
+    checks.append(graded("determinant-comparison", slack_det, det_tol))
+    return MatrixBoundReport(
+        checks=checks,
+        measured_inverse_constant=measured_diag,
+        measured_offdiag_constant=measured_off,
+    )

@@ -122,7 +122,7 @@ def test_criterion_02_cauchy_integral_identity():
 def test_criterion_03_regular_closed_form():
     seq = DegreeSequence(6, 3, (5,) * 6)
     rep = solve(seq)
-    det = math.exp(logdet_pd(field_summary(rep.beta_star, 6, 3).weight_matrix))
+    det = math.exp(logdet_pd(0.5 * field_summary(rep.beta_star, 6, 3).pair_weights))
     general = estimate_general(seq, report=rep).ln_value
     near = estimate_near_regular(seq).ln_value
     ok = (

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from hyperdeg import core, fields
+from lemmas import dense_bound_suite
 from hyperdeg.cli import run
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry, derive
 from hyperdeg.counts import estimate_general, symmetry_audit
@@ -141,7 +142,7 @@ def test_class_sweep_equals_the_subset_sweep_at_the_same_beta(n, r, sizes):
     assert got.avg_lambda == pytest.approx(want.avg_lambda, rel=RTOL)
     assert got.big_lambda == pytest.approx(want.big_lambda, rel=RTOL)
     assert got.entropy == pytest.approx(want.entropy, rel=RTOL)
-    assert weight_logdet(got) == pytest.approx(logdet_pd(want.weight_matrix), rel=RTOL)
+    assert weight_logdet(got) == pytest.approx(logdet_pd(0.5 * want.pair_weights), rel=RTOL)
 
 
 @pytest.mark.parametrize("n,r", [(6, 3), (9, 4), (30, 3), (1000, 4)])
@@ -204,7 +205,7 @@ def test_expanding_class_blocks_is_held_to_the_subset_budget(tmp_path, monkeypat
     monkeypatch.setenv("HYPERDEG_BUDGET", "1599")
     field = solve(seq).field
     with pytest.raises(BudgetExceeded, match="1600 entries"):
-        field.weight_matrix
+        field.pair_weights
     text = json.dumps(seq.to_json_dict())
     matrix = tmp_path / "matrix.csv"
     for extra in (["--dump-field"], ["--dump-matrix", str(matrix)]):
@@ -365,6 +366,69 @@ def test_bound_suites_read_the_solve_field_bit_for_bit_at_k_equal_n(name):
     assert got.measured_offdiag_constant == want.measured_offdiag_constant
     assert (check_weight_ratio_bounds(report.field, delta_hat)
             == check_weight_ratio_bounds(fresh, delta_hat))
+
+
+def solved_suite_input(seq):
+    report = solve(seq)
+    return report.field, max(report.spread * seq.r, 1e-6)
+
+
+def singleton_fields():
+    yield from (solved_suite_input(DegreeSequence.from_json_dict(RECORDED["instances"][name]))
+                for name in ("distinct16", "distinct20"))
+    rng = np.random.default_rng(30)
+    for n in (8, 9, 10):
+        for r in (3, 4):
+            delta_hat = float(rng.uniform(0.05, 1.0))
+            beta = rng.uniform(-1.0, 0.1) + rng.uniform(
+                -delta_hat / (2 * r), delta_hat / (2 * r), size=n)
+            yield field_summary(beta, n, r), delta_hat
+
+
+def test_class_form_bound_suite_has_the_bits_of_the_dense_one_on_singletons():
+    for field, delta_hat in singleton_fields():
+        assert field.classes.k == field.n
+        got = bound_suite(field, delta_hat)
+        assert "skipped" not in {c.status for c in got.checks}
+        assert got == dense_bound_suite(field, delta_hat)
+
+
+@pytest.mark.parametrize("seq", [
+    load("skew6.json"), load("near8.json"),
+    near_regular(12, 3, 1), near_regular(20, 4, 1), near_regular(30, 5, 1),
+], ids=case_id)
+def test_class_form_bound_suite_matches_the_dense_one_on_classes(seq):
+    field, delta_hat = solved_suite_input(seq)
+    assert field.classes.k < seq.n
+    got, want = bound_suite(field, delta_hat), dense_bound_suite(field, delta_hat)
+    assert [c.status for c in got.checks] == [c.status for c in want.checks]
+    assert "skipped" not in {c.status for c in got.checks}
+    for a, b in zip(got.checks, want.checks):
+        # the row identity's slack is 1e-10 max diag less a rounding residue
+        tol = 1e-12 * (field.class_variance.max() / 2 if a.name == "row-identity"
+                       else abs(b.slack))
+        assert abs(a.slack - b.slack) <= tol, a.name
+    for name in ("measured_inverse_constant", "measured_offdiag_constant"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0)
+
+
+def test_class_form_bound_suite_builds_nothing_n_by_n(monkeypatch):
+    n, r = 200, 3
+    index = np.repeat([0, 1], n // 2)
+    classes = VertexClasses(index, np.array([n // 2, n // 2]), np.array([0, n // 2]))
+    field = field_summary(np.array([-0.5, -0.4]), n, r, classes=classes)
+    want = dense_bound_suite(field, 0.3)
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(n * n - 1))
+
+    def refuse(self):
+        raise AssertionError("the n x n weight matrix was built")
+
+    monkeypatch.setattr(fields.FieldSummary, "pair_weights", property(refuse))
+    got = bound_suite(field, 0.3)
+    assert [c.status for c in got.checks] == [c.status for c in want.checks]
+    assert "skipped" not in {c.status for c in got.checks}
+    assert got.measured_inverse_constant == pytest.approx(
+        want.measured_inverse_constant, rel=1e-12, abs=0)
 
 
 def two_class_audit_input(n):

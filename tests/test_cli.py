@@ -329,17 +329,23 @@ def test_audit_solves_the_base_instance_once(monkeypatch):
 
 
 def test_over_budget_audit_refuses_before_any_solve(monkeypatch):
-    # C(30, 2) = 435 subsets fit a budget of 500; the 30x30 weight matrix
-    # that the bound suite expands from the 2x2 class blocks does not
-    solved = []
-    monkeypatch.setattr(cli, "solve", lambda *a, **k: solved.append(a))
-    monkeypatch.setenv("HYPERDEG_BUDGET", "500")
+    # audit's one up-front rule: all C(30, 2) = 435 subsets fit the budget.
+    # The bound suite reads the 2x2 class blocks, so the 30x30 weight
+    # matrix is charged nowhere.
     text = json.dumps({"n": 30, "r": 2, "degrees": [10] * 15 + [12] * 15})
-    code, _, err = invoke(["audit", "--input", text])
-    assert code == 4
-    assert ("expanding 2x2 class blocks to the 30x30 weight matrix "
-            "(900 entries) exceeds budget 500") in err
+    solved = []
+    real = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: solved.append(a) or real(*a, **k))
+    monkeypatch.setenv("HYPERDEG_BUDGET", "400")
+    code, out, err = invoke(["audit", "--input", text])
+    assert (code, out) == (4, "")
+    assert err.splitlines()[-1] == "error: enumeration of 435 subsets exceeds budget 400"
     assert solved == []
+    monkeypatch.setenv("HYPERDEG_BUDGET", "500")
+    code, out, err = invoke(["audit", "--input", text])
+    assert code == 0, err
+    assert len(solved) == 1
+    assert "fail" not in {c["status"] for c in json.loads(out)["matrix_checks"]}
 
 
 def test_selftest_commands():

@@ -14,11 +14,14 @@ from hyperdeg.fields import (
 from hyperdeg import fields
 from hyperdeg.fields import Twofold
 from hyperdeg.solver import solve
-from hyperdeg.subsets import (
-    all_subsets, colex_rank, incidence, iter_chunks, iter_multisets,
-)
+from hyperdeg.subsets import all_subsets, incidence, iter_chunks, iter_multisets
 
 E = math.e
+
+
+def colex_rank(subset):
+    """Reference: the rank of a sorted subset in colex order."""
+    return sum(math.comb(c, i + 1) for i, c in enumerate(subset))
 
 
 def test_lambda_of_subset_closed_values():

@@ -19,16 +19,16 @@ REG6_LOGDET = math.log(0.889892578125)  # 3 * 7.5^6 / (2^6 * 3 * 5^5), exact dya
 
 
 def test_assembled_entries_uniform():
-    mat = field_summary(np.zeros(6), 6, 3).weight_matrix
+    mat = 0.5 * field_summary(np.zeros(6), 6, 3).pair_weights
     assert mat[0, 0] == pytest.approx(1.25)
     assert mat[0, 1] == pytest.approx(0.5)
-    mat4 = field_summary(np.zeros(4), 4, 3).weight_matrix
+    mat4 = 0.5 * field_summary(np.zeros(4), 4, 3).pair_weights
     assert mat4[0, 0] == pytest.approx(3 / 8)
     assert mat4[0, 1] == pytest.approx(2 / 8)
 
 
 def test_single_subset_instance_is_rank_one():
-    mat = field_summary(np.zeros(3), 3, 3).weight_matrix
+    mat = 0.5 * field_summary(np.zeros(3), 3, 3).pair_weights
     assert np.allclose(mat, mat[0, 0])
     with pytest.raises(NotPositiveDefinite):
         logdet_pd(mat)
@@ -38,7 +38,7 @@ def test_regular_closed_form_matches_assembly_and_dense_determinant():
     params = derive(DegreeSequence(6, 3, (5,) * 6))
     a, b, logdet0 = regular_closed_form(params)
     mat0 = a * np.eye(6) + b * np.ones((6, 6))
-    assembled = field_summary(np.zeros(6), 6, 3).weight_matrix
+    assembled = 0.5 * field_summary(np.zeros(6), 6, 3).pair_weights
     assert np.allclose(mat0, assembled, atol=1e-14)
     assert logdet0 == pytest.approx(REG6_LOGDET, abs=1e-13)
     sign, dense = np.linalg.slogdet(mat0)
@@ -87,7 +87,7 @@ def test_assembled_matrix_positive_definite_and_symmetric():
         n = int(rng.integers(5, 9))
         r = int(rng.integers(2, n - 1))
         beta = rng.normal(scale=0.5, size=n)
-        a = field_summary(beta, n, r).weight_matrix
+        a = 0.5 * field_summary(beta, n, r).pair_weights
         assert np.array_equal(a, a.T)
         assert (a > 0).all()
         logdet_pd(a)  # must not raise for n > r
@@ -125,7 +125,7 @@ def test_determinant_symmetry_on_solved_instance():
 
     seq = DegreeSequence(7, 3, (7, 6, 6, 6, 6, 6, 5))
     rep = solve(seq)
-    base = logdet_pd(field_summary(rep.beta_star, 7, 3).weight_matrix)
+    base = logdet_pd(0.5 * field_summary(rep.beta_star, 7, 3).pair_weights)
     for t, factor in [
         (QuadrantTransform.EDGE_COMPLEMENT, 2 * math.log((7 - 3) / 3)),
         (QuadrantTransform.SET_COMPLEMENT, 0.0),
@@ -134,7 +134,7 @@ def test_determinant_symmetry_on_solved_instance():
         image = apply_symmetry(seq, t)
         beta_image = apply_beta_symmetry(rep.beta_star, t, 7, 3)
         image_logdet = logdet_pd(
-            field_summary(beta_image, image.n, image.r).weight_matrix
+            0.5 * field_summary(beta_image, image.n, image.r).pair_weights
         )
         assert image_logdet == pytest.approx(base + factor, abs=1e-8)
 
@@ -151,7 +151,7 @@ def test_weight_logdet_on_singletons_has_the_bits_of_the_dense_cholesky(n):
     for r in range(1, n):
         field = field_summary(rng.normal(scale=0.5, size=n) - 0.3, n, r)
         assert field.classes.k == n
-        assert weight_logdet(field) == logdet_pd(field.weight_matrix), r
+        assert weight_logdet(field) == logdet_pd(0.5 * field.pair_weights), r
 
 
 def test_weight_logdet_factors_through_the_class_jacobian():
@@ -161,7 +161,7 @@ def test_weight_logdet_factors_through_the_class_jacobian():
     index = np.repeat(np.arange(4), sizes)
     classes = VertexClasses(index, np.array(sizes), np.array([0, 3, 4, 9]))
     field = field_summary(np.array([-0.6, 0.1, -0.2, 0.3]), 11, 4, classes=classes)
-    a = field.weight_matrix
+    a = 0.5 * field.pair_weights
     u = np.eye(4)[index]
     assert np.allclose(u.T @ a @ u, 0.5 * field.class_jacobian(), rtol=1e-13, atol=0)
     assert weight_logdet(field) == pytest.approx(logdet_pd(a), rel=1e-13)

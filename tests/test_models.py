@@ -7,7 +7,7 @@ from scipy.special import gammaln, logsumexp
 
 from hyperdeg.core import DegreeSequence
 from hyperdeg import models
-from hyperdeg.errors import BudgetExceeded
+from hyperdeg.errors import BudgetExceeded, InvalidInstance
 from hyperdeg.models import (
     HypergeomSpec,
     _log_pmf_vector,
@@ -35,6 +35,15 @@ def test_pmf_examples():
     assert hypergeom_pmf(wide, -1) == 0.0
     assert hypergeom_pmf(wide, 11) == 0.0
     assert hypergeom_pmf(wide, 10) > 0.0
+
+
+@pytest.mark.parametrize("n,r,m", [(5, 3, 11), (5, 6, 1), (5, 0, 0), (5, 3, -1)])
+def test_spec_outside_its_range_is_refused(n, r, m):
+    # (5, 3, 11) drew 11 edges of C(5, 3) = 10: an empty support and a
+    # variance of -0.293; (5, 6, 1) has no 6-subsets of 5 vertices
+    with pytest.raises(InvalidInstance, match="0 <= m <= C"):
+        HypergeomSpec(n, r, m)
+    assert HypergeomSpec(5, 3, 10).support() == range(6, 7)
 
 
 def test_pmf_takes_integer_degrees_only():

@@ -10,11 +10,15 @@ from hyperdeg import subsets
 from hyperdeg.subsets import (
     CHUNK,
     all_subsets,
-    colex_rank,
     colex_unrank,
     incidence,
     iter_chunks,
 )
+
+
+def colex_rank(subset):
+    """Reference: the rank of a sorted subset in colex order."""
+    return sum(math.comb(c, i + 1) for i, c in enumerate(subset))
 
 
 def iter_colex(n, r):
