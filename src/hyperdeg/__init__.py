@@ -37,7 +37,6 @@ from .fields import (
 from .matrices import (
     bound_suite,
     logdet_pd,
-    regular_closed_form,
     weight_logdet,
 )
 from .models import (
@@ -81,7 +80,6 @@ __all__ = [
     "measured_ratio",
     "predicted_ratio",
     "prob_model",
-    "regular_closed_form",
     "sample_degree_batch",
     "solve",
     "symmetry_audit",

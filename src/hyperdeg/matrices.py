@@ -1,26 +1,22 @@
-"""Log-determinants of the weight matrix, its regular closed form, and bounds.
+"""The weight matrix in class form: its log-determinant and its bounds.
 
 The weight matrix A has entries a_jj = half the variance-weight sum over
 subsets containing j, and a_jk = half the sum over subsets containing both
-j and k.  Its determinant enters the general counting formula.  For a
-regular instance the matrix is a closed-form combination aI + bJ with an
-explicit determinant.  On any classes A is constant on class blocks: a
-per-class diagonal on the vectors that sum to zero within every class and
-the k x k Newton Jacobian on the class indicators.  One Cholesky of that
-Jacobian gives the determinant, its inverse and the per-class diagonal give
-A^{-1} in class form, and the bound checks read the k x k blocks, so
-nothing here is n x n (on singletons the Jacobian is 2A itself).
+j and k.  Its determinant enters the general counting formula, and the
+bound checks read its entries and those of its inverse.  All three come
+from ``class_form``, the one reading of A from a field: a per-class
+diagonal plus the k x k matrix U^T A U, so nothing here is n x n.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DerivedParams
-from .errors import DensityDegenerate, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .fields import BoundCheck, FieldSummary, graded, skipped_checks
 
 PIVOT_RTOL = 1e-13
@@ -31,26 +27,6 @@ def aI_bJ_logdet(a: float, b: float, n: int) -> float:
     if a <= 0 or a + b * n <= 0:
         raise NotPositiveDefinite("aI + bJ has a non-positive eigenvalue")
     return (n - 1) * math.log(a) + math.log(a + b * n)
-
-
-def regular_closed_form(params: DerivedParams) -> tuple[float, float, float]:
-    """The regular instance's weight matrix aI + bJ, as (a, b, log-determinant).
-
-    ``a = (1-lam)(n-r)d/(2(n-1))`` and ``b = (1-lam)(r-1)d/(2(n-1))``; the
-    determinant equals ``r Q^n / (2^n (n-r) (n-1)^{n-1})``.  No n x n array
-    is built, so this is O(1) at any n.
-    """
-    n, r = params.n, params.r
-    lam, d, q = params.lam, params.d, params.q
-    if not (0.0 < lam < 1.0):
-        raise DensityDegenerate(f"density {lam} admits no closed-form matrix")
-    a = (1.0 - lam) * (n - r) * d / (2.0 * (n - 1))
-    b = (1.0 - lam) * (r - 1) * d / (2.0 * (n - 1))
-    logdet = (
-        math.log(r) + n * math.log(q) - n * math.log(2.0)
-        - math.log(n - r) - (n - 1) * math.log(n - 1)
-    )
-    return a, b, logdet
 
 
 def logdet_pd(matrix: np.ndarray) -> float:
@@ -79,29 +55,41 @@ def logdet_pd(matrix: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def weight_logdet(field: FieldSummary) -> float:
-    """log |A| of a field's weight matrix, from the k x k class Jacobian.
+ClassForm = namedtuple("ClassForm", "sizes d m logdet")
 
-    A = D + U (O / 2) U^T, with U the n x k class indicator matrix, O the
-    pair blocks and D = e_i / 2 on class i, e_i = (variance sum of a vertex
-    of class i) - O_ii.  A preserves span(U) and its orthogonal complement,
-    and on the complement it is D, so with N = U^T U = diag(n_i)
-    ``log |A| = sum_i (n_i - 1) log(e_i / 2) - log |N| + log |U^T A U|``,
-    where U^T A U is half the Newton Jacobian ``field.class_jacobian()``.
-    One-vertex classes add nothing to the sums, so on singletons this is
-    ``logdet_pd`` of the n x n matrix bit for bit.
+
+def class_form(field: FieldSummary) -> ClassForm:
+    """The weight matrix A of a field in class form: (n_i, d_i, M, log |A|).
+
+    With U the n x k class indicators, N = U^T U = diag(n_i), P = U N^{-1} U^T
+    and O the pair blocks, A = D + U (O / 2) U^T, where D = d_i on class i,
+    d_i = e_i / 2 and e_i = (variance sum of a vertex of class i) - O_ii.
+    A preserves span(U) and its complement, acting on span(U) through
+    M = U^T A U, half the Newton Jacobian ``class_jacobian()``, and as D on
+    the complement.  So A = D (I - P) + U N^{-1} M N^{-1} U^T,
+    A^{-1} = D^{-1} (I - P) + U M^{-1} U^T and
+    log |A| = sum_i (n_i - 1) log d_i - log |N| + log |M|.  On class i
+    (A^{-1})_vv = (1/d_i)(1 - 1/n_i) + (M^{-1})_ii, an entry off the diagonal
+    is (M^{-1})_ii - 1/(d_i n_i), and one between classes i and j (M^{-1})_ij.
+    One-vertex classes add nothing to the sums and their D terms are exact
+    zeros, so on singletons M is A and every value has the bits of the n x n
+    computation.  Raises ``NotPositiveDefinite`` if d_i <= 0 where n_i > 1,
+    or if ``logdet_pd`` refuses M.
     """
     sizes = field.classes.sizes
     shared = sizes > 1
-    e = (field.class_variance - np.diag(field.pair_blocks))[shared]
-    if np.any(e <= 0):
+    d = 0.5 * (field.class_variance - np.diag(field.pair_blocks))
+    if np.any(d[shared] <= 0):
         raise NotPositiveDefinite("non-positive class diagonal")
     n_i = sizes[shared].astype(np.float64)
-    return (
-        float((n_i - 1.0) @ np.log(0.5 * e))
-        - float(np.log(n_i).sum())
-        + logdet_pd(0.5 * field.class_jacobian())
-    )
+    m = 0.5 * field.class_jacobian()
+    return ClassForm(sizes, d, m, float((n_i - 1.0) @ np.log(d[shared]))
+                     - float(np.log(n_i).sum()) + logdet_pd(m))
+
+
+def weight_logdet(field: FieldSummary) -> float:
+    """log |A| of a field's weight matrix, read from ``class_form``."""
+    return class_form(field).logdet
 
 
 @dataclass
@@ -118,11 +106,10 @@ MATRIX_CHECKS = ("offdiag-entry-ratio", "diag-entry-ratio", "offdiag-sandwich",
 def bound_suite(field: FieldSummary, delta_hat: float) -> MatrixBoundReport:
     """Entry-ratio, sandwich, determinant, and inverse-entry checks.
 
-    Reads ``big_lambda`` and the class form of the weight matrix A of the
-    field at beta, and builds nothing n x n: on class i, a_vv is
-    class_variance_i / 2, an off-diagonal entry is pair_blocks_ij / 2
-    (within class i only if n_i > 1), and the row sums are those of
-    M / n_i, with M = U^T A U = ``class_jacobian() / 2``.  With
+    Reads ``big_lambda`` and the ``class_form`` of the field's weight matrix
+    A and builds nothing n x n: on class i, a_vv is class_variance_i / 2, an
+    off-diagonal entry is pair_blocks_ij / 2 (within class i only if
+    n_i > 1), and the row sums are those of M / n_i.  With
     spread(beta) * r <= delta_hat:
 
     * all off-diagonal entries lie within a factor e^{4 delta_hat / r} of
@@ -130,27 +117,21 @@ def bound_suite(field: FieldSummary, delta_hat: float) -> MatrixBoundReport:
     * entries are sandwiched by (big_lambda/2) C(n-2, r-2) e^{+-4d/r}
       (off-diagonal) and (big_lambda/2) C(n-1, r-1) e^{+-4d/r} (diagonal);
     * a_vv is the sum of the other entries of row v over r - 1;
-    * log|A| (``weight_logdet``) is at most log of the comparison
-      determinant |e^{2 delta_hat}/2 big_lambda (C(n-2, r-1) I + C(n-2, r-2) J)|;
-    * inverse entries scaled by big_lambda C(n-1, r-1) e^{-35 delta_hat}
-      (and additionally n off-diagonal) give the measured constants of the
-      inverse-entry bound; they are reported, not asserted, because the
-      constant in that bound is existential.  With D, U and N as in
-      ``weight_logdet``, A^{-1} = D^{-1} (I - U N^{-1} U^T) + U M^{-1} U^T:
-      (A^{-1})_vv = (2/e_i)(1 - 1/n_i) + (M^{-1})_ii on class i, within
-      class i off the diagonal -2/(e_i n_i) + (M^{-1})_ii, and between
-      classes i and j (M^{-1})_ij.
+    * log|A| is at most log of the comparison determinant
+      |e^{2 delta_hat}/2 big_lambda (C(n-2, r-1) I + C(n-2, r-2) J)|;
+    * inverse entries (A^{-1} in class form) scaled by big_lambda
+      C(n-1, r-1) e^{-35 delta_hat}, and by n off the diagonal, give the
+      measured constants of the inverse-entry bound, reported and not
+      asserted because the constant in that bound is existential.
 
-    On singletons M is A and the D terms are exact zeros, so every value
-    has the bits of the n x n computation.  If r < 2 or the spread
-    precondition fails, all checks are reported skipped.
+    If r < 2 or the spread precondition fails, all checks are skipped.
     """
     skipped = skipped_checks(MATRIX_CHECKS, field, delta_hat, pairs=True)
     if skipped is not None:
         return MatrixBoundReport(checks=skipped)
 
-    n, r, sizes = field.n, field.r, field.classes.sizes
-    big = field.big_lambda
+    sizes, d, m, logdet = class_form(field)
+    n, r, big = field.n, field.r, field.big_lambda
     ratio_cap = 4.0 * delta_hat / r
     # the distinct off-diagonal entries: every block between classes, and
     # the one within each class of more than one vertex
@@ -161,7 +142,6 @@ def bound_suite(field: FieldSummary, delta_hat: float) -> MatrixBoundReport:
     slacks += [ratio_cap - np.abs(np.log(x / mid)).max() for x, mid in zip((off, diag), mids)]
 
     # a_jj = sum of off-diagonal row entries / (r-1); exact identity
-    m = 0.5 * field.class_jacobian()
     row = (m.sum(axis=1) / sizes - diag) / (r - 1)
     slacks.append(1e-10 * max(1.0, float(diag.max())) - float(np.abs(row - diag).max()))
     checks = [graded(name, slack) for name, slack in zip(MATRIX_CHECKS, slacks)]
@@ -170,13 +150,12 @@ def bound_suite(field: FieldSummary, delta_hat: float) -> MatrixBoundReport:
     comparison = aI_bJ_logdet(ap * math.comb(n - 2, r - 1), ap * math.comb(n - 2, r - 2), n)
     # at delta_hat = 0 the two matrices coincide and the two log-determinant
     # routes differ only by rounding; allow that much
-    checks.append(graded("determinant-comparison", comparison - weight_logdet(field),
+    checks.append(graded("determinant-comparison", comparison - logdet,
                          1e-10 * max(1.0, abs(comparison))))
 
-    e = field.class_variance - np.diag(field.pair_blocks)
     inv = np.linalg.inv(m)
-    inv_diag = (2.0 / e) * (1.0 - 1.0 / sizes) + np.diag(inv)
-    np.fill_diagonal(inv, -2.0 / (e * sizes) + np.diag(inv))
+    inv_diag = (1.0 / d) * (1.0 - 1.0 / sizes) + np.diag(inv)
+    np.fill_diagonal(inv, -1.0 / (d * sizes) + np.diag(inv))
     scale = big * math.comb(n - 1, r - 1) * math.exp(-35.0 * delta_hat)
     return MatrixBoundReport(
         checks=checks,

@@ -1,13 +1,15 @@
 """Lemma formulas that the tests check and no command computes: the
 Stirling series of a log binomial, the entropy's curvature along a segment
 of weights, the degree-spread proxy, the enumeration of every capped
-degree vector, and the bound suite on the n x n weight matrix.  Shared by
-the acceptance suite and the unit tests."""
+degree vector, the regular closed form of the weight matrix, and the bound
+suite on the n x n weight matrix.  Shared by the acceptance suite and the
+unit tests."""
 
 import math
 
 import numpy as np
 
+from hyperdeg.errors import DensityDegenerate
 from hyperdeg.fields import graded, logistic, skipped_checks
 from hyperdeg.matrices import MATRIX_CHECKS, MatrixBoundReport, aI_bJ_logdet, weight_logdet
 from hyperdeg.subsets import all_subsets
@@ -64,6 +66,27 @@ def compositions(total, parts, cap):
     for head in range(min(total, cap) + 1):
         for rest in compositions(total - head, parts - 1, cap):
             yield (head,) + rest
+
+
+def regular_closed_form(params):
+    """The regular instance's weight matrix aI + bJ, as (a, b, log-determinant).
+
+    ``a = (1-lam)(n-r)d/(2(n-1))`` and ``b = (1-lam)(r-1)d/(2(n-1))``; the
+    determinant equals ``r Q^n / (2^n (n-r) (n-1)^{n-1})``.  No n x n array
+    is built, so this is O(1) at any n.  It is the one-class case of
+    ``matrices.class_form``.
+    """
+    n, r = params.n, params.r
+    lam, d, q = params.lam, params.d, params.q
+    if not (0.0 < lam < 1.0):
+        raise DensityDegenerate(f"density {lam} admits no closed-form matrix")
+    a = (1.0 - lam) * (n - r) * d / (2.0 * (n - 1))
+    b = (1.0 - lam) * (r - 1) * d / (2.0 * (n - 1))
+    logdet = (
+        math.log(r) + n * math.log(q) - n * math.log(2.0)
+        - math.log(n - r) - (n - 1) * math.log(n - 1)
+    )
+    return a, b, logdet
 
 
 def dense_bound_suite(field, delta_hat):

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 from hyperdeg import core, fields
-from lemmas import dense_bound_suite
+from lemmas import dense_bound_suite, regular_closed_form
 from hyperdeg.cli import run
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry, derive
 from hyperdeg.counts import estimate_general, symmetry_audit
 from hyperdeg.errors import BudgetExceeded
 from hyperdeg.fields import VertexClasses, check_weight_ratio_bounds, field_summary
-from hyperdeg.matrices import bound_suite, logdet_pd, regular_closed_form, weight_logdet
+from hyperdeg.matrices import bound_suite, logdet_pd, weight_logdet
 from hyperdeg.solver import solve
 from hyperdeg.subsets import iter_multisets
 

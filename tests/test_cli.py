@@ -835,4 +835,5 @@ def test_every_command_ends_in_a_documented_exit_code(instance):
     runs += [["count", "--method", m] for m in ("general", "near-regular", "corollary", "exact")]
     for argv in runs:
         code, _, err = invoke(argv[:1] + ["--input", text] + argv[1:])
-        assert code in (0, 2, 3, 4, 5), (argv, code, err)
+        # exit 5 is an internal error, which no valid instance may reach
+        assert code in (0, 2, 3, 4), (argv, code, err)

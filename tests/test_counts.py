@@ -12,9 +12,9 @@ from hyperdeg.counts import (
     symmetry_audit,
 )
 from hyperdeg.errors import DensityDegenerate, RangeViolation
-from hyperdeg.matrices import regular_closed_form
 from hyperdeg.oracle import exact_count
 from hyperdeg.solver import solve
+from lemmas import regular_closed_form
 
 REG6 = DegreeSequence(6, 3, (5,) * 6)
 SKEW6 = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))

@@ -1,19 +1,23 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from hyperdeg import fields, matrices
 from hyperdeg.core import DegreeSequence, derive
 from hyperdeg.errors import NotPositiveDefinite
 from hyperdeg.fields import VertexClasses, field_summary
 from hyperdeg.matrices import (
     aI_bJ_logdet,
     bound_suite,
+    class_form,
     logdet_pd,
-    regular_closed_form,
     weight_logdet,
 )
 from hyperdeg.solver import solve
+from lemmas import regular_closed_form
 
 REG6_LOGDET = math.log(0.889892578125)  # 3 * 7.5^6 / (2^6 * 3 * 5^5), exact dyadic
 
@@ -154,17 +158,63 @@ def test_weight_logdet_on_singletons_has_the_bits_of_the_dense_cholesky(n):
         assert weight_logdet(field) == logdet_pd(0.5 * field.pair_weights), r
 
 
-def test_weight_logdet_factors_through_the_class_jacobian():
-    # (11, 4) with classes (3, 1, 5, 2): A preserves span(U) and its
-    # complement, acting there as U^T A U = class_jacobian() / 2 and D
+def eleven_on_four_classes():
+    """The (11, 4) field on classes (3, 1, 5, 2), its class index and
+    indicators U; spread(beta) * r = 3.6."""
     sizes = (3, 1, 5, 2)
     index = np.repeat(np.arange(4), sizes)
     classes = VertexClasses(index, np.array(sizes), np.array([0, 3, 4, 9]))
     field = field_summary(np.array([-0.6, 0.1, -0.2, 0.3]), 11, 4, classes=classes)
+    return field, index, np.eye(4)[index]
+
+
+def test_weight_logdet_factors_through_the_class_jacobian():
+    # A preserves span(U) and its complement, acting there as
+    # U^T A U = class_jacobian() / 2 and D
+    field, index, u = eleven_on_four_classes()
     a = 0.5 * field.pair_weights
-    u = np.eye(4)[index]
     assert np.allclose(u.T @ a @ u, 0.5 * field.class_jacobian(), rtol=1e-13, atol=0)
     assert weight_logdet(field) == pytest.approx(logdet_pd(a), rel=1e-13)
+    # the class form rebuilds A, and its formula for A^{-1} inverts it
+    form = class_form(field)
+    assert form.logdet == weight_logdet(field)
+    u_n = u / form.sizes  # U N^{-1}
+    complement = np.eye(11) - u_n @ u.T
+    rebuilt = np.diag(form.d[index]) @ complement + u_n @ form.m @ u_n.T
+    assert np.abs(rebuilt - a).max() <= 1e-12 * np.abs(a).max()
+    inverse = np.diag(1.0 / form.d[index]) @ complement + u @ np.linalg.inv(form.m) @ u.T
+    assert np.abs(inverse @ a - np.eye(11)).max() <= 1e-12
+
+
+def test_a_non_positive_class_diagonal_is_refused():
+    # e_i = class_variance_i - pair_blocks_ii forced to 0 on the class of five
+    field, _, _ = eleven_on_four_classes()
+    variance = field.class_variance.copy()
+    variance[2] = field.pair_blocks[2, 2]
+    broken = dataclasses.replace(field, class_variance=variance)
+    with pytest.raises(NotPositiveDefinite, match="non-positive class diagonal"):
+        weight_logdet(broken)
+    with pytest.raises(NotPositiveDefinite, match="non-positive class diagonal"):
+        bound_suite(broken, 4.0)
+
+
+def test_bound_suite_reads_one_class_form(monkeypatch):
+    # one class Jacobian and one checked Cholesky per suite
+    field, _, _ = eleven_on_four_classes()
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(fields.FieldSummary, "class_jacobian",
+                        counted("class_jacobian", fields.FieldSummary.class_jacobian))
+    monkeypatch.setattr(matrices, "logdet_pd", counted("logdet_pd", matrices.logdet_pd))
+    report = bound_suite(field, 4.0)
+    assert "skipped" not in {c.status for c in report.checks}
+    assert calls == {"class_jacobian": 1, "logdet_pd": 1}
 
 
 @pytest.mark.parametrize("degrees", [(10,) * 4 + (11,) * 4, (4, 5, 6, 7, 8, 9, 10, 11)],
