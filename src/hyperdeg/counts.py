@@ -276,12 +276,12 @@ def symmetry_audit(
         # weight transfer: full subsets map to complements under the
         # edge-size-changing transforms, and weights to 1 - weight under
         # the set complement
-        rows = colex_unrank(rng.integers(0, total, size=min(SPOT_CHECKS, total)), n, r)
+        ranks = rng.integers(0, total, size=min(SPOT_CHECKS, total))
+        rows = colex_unrank(ranks, n, r)
         expected_lw = logistic(base_beta[rows].sum(axis=1))
         if t.edge:
-            outside = np.ones((rows.shape[0], n), dtype=bool)
-            np.put_along_axis(outside, rows, False, axis=1)
-            rows = np.nonzero(outside)[1].reshape(rows.shape[0], n - r)
+            # complementing reverses colex order: rank p maps to C(n, r) - 1 - p
+            rows = colex_unrank(total - 1 - ranks, n, n - r)
         if t.complement:
             expected_lw = 1.0 - expected_lw
         other = logistic(image_beta[rows].sum(axis=1))

@@ -24,21 +24,19 @@ the row plan: one ``np.add.at`` per pair position, and one complex
 
 The rows and pair keys of a sweep depend on no beta, so they are unranked
 once into a read-only row plan per (k, r, colex or multisets) and read from
-it by every later sweep.  The plans stay cached up to ``PLAN_CACHE_BYTES``,
-least recently used evicted first, so the frames a process cycles through
-are unranked once.  A plan stores each chunk's
-rows column-major, as a contiguous (r, rows) array; the sweeps read its
-transposed (rows, r) view and sum rows with ``row_sums``, in numpy's order
-for a row-major row: left to right below 8 terms, pairwise from 8 on.  A
-plan holds a whole family of at most ``PLAN_LIMIT`` stored entries, and
-otherwise stops at the last whole chunk within it; the chunks past it are
-unranked again on every sweep, so memory stays bounded however many rows a
-sweep visits.
+it by every later sweep.  A plan stores each chunk's rows column-major, as
+a contiguous (r, rows) array; the sweeps read its transposed (rows, r) view
+and sum rows with ``row_sums``, in numpy's order for a row-major row: left
+to right below 8 terms, pairwise from 8 on.  ``PLAN_CACHE_BYTES`` is the
+one bound on the plans.  A family whose plan fits it is planned whole, and
+the plans stay cached within it, least recently used evicted first, so the
+frames a process cycles through are unranked once.  A family whose plan
+does not fit is streamed: every sweep unranks its chunks again, so memory
+stays bounded however many rows a sweep visits.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
@@ -49,15 +47,12 @@ import numpy as np
 from .budgets import check_subset_budget, subset_budget
 from .core import VertexClasses
 from .errors import BudgetExceeded
-from .subsets import CHUNK, iter_chunks, iter_multisets
+from .subsets import iter_chunks, iter_multisets
 
-# Entries (row indices and pair keys) a row plan stores at most; chunks past
-# it are unranked again by every sweep, so a sweep of any size keeps bounded
-# memory.  The largest plan of a (40, 4) solve is C(40, 4) * 10 = 913,900.
-PLAN_LIMIT = 1 << 20
-# Bytes the cached row plans hold at most: four full int16 plans of
-# PLAN_LIMIT entries.  One fit round of (20..40, 4) solves and their audits
-# cycles through 12 plans of 5.6 MB in all, (40, 4) the largest at 1.74 MB.
+# Bytes the row plans hold at most, one plan or all the cached ones; a
+# family whose plan would hold more is streamed, unranked again by every
+# sweep.  One fit round of (20..40, 4) solves and their audits cycles
+# through 12 plans of 5.6 MB in all, (40, 4) the largest at 1.74 MB.
 PLAN_CACHE_BYTES = 8 << 20
 
 
@@ -227,10 +222,8 @@ def row_sums(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return s
 
 
-def _row_chunks(
-    k: int, r: int, multisets: bool, start: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (rows, pair keys) chunks of a sweep over k classes, from row ``start``.
+def _row_chunks(k: int, r: int, multisets: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (rows, pair keys) chunks of a sweep over k classes.
 
     The rows are the size-r multisets of the k classes if ``multisets``,
     else the colex r-subsets of k vertices, stored column-major: each chunk
@@ -242,7 +235,7 @@ def _row_chunks(
     dtype = np.min_scalar_type(-k * k)
     a, b = np.triu_indices(r, 1)
     source = iter_multisets if multisets else iter_chunks
-    for idx in source(k, r, CHUNK, start):
+    for idx in source(k, r):
         keys = (idx[:, a] * k + idx[:, b]).T.ravel()
         yield np.ascontiguousarray(idx.T, dtype=dtype), keys.astype(dtype)
 
@@ -254,7 +247,8 @@ class _PlanCache:
     """Row plans by key, least recently used first, bounded by stored bytes.
 
     A new plan evicts the least recently used ones while the plans hold more
-    than ``PLAN_CACHE_BYTES``; the newest is kept whatever its size.
+    than ``PLAN_CACHE_BYTES``; the build keeps every plan within it, so the
+    newest always stays.
     ``cache_info()`` and ``cache_clear()`` read and reset the cache as
     ``functools.lru_cache`` does.
     """
@@ -271,7 +265,7 @@ class _PlanCache:
             return plan
         self.misses += 1
         plan = self.plans[key] = self.build(*key)
-        while len(self.plans) > 1 and self.nbytes() > PLAN_CACHE_BYTES:
+        while self.nbytes() > PLAN_CACHE_BYTES:
             self.plans.popitem(last=False)
         return plan
 
@@ -289,20 +283,22 @@ class _PlanCache:
 
 @_PlanCache
 def _row_plan(k: int, r: int, multisets: bool) -> tuple:
-    """The first chunks of ``_row_chunks(k, r, multisets, 0)``, read-only.
+    """All the chunks of ``_row_chunks(k, r, multisets)``, read-only, or ().
 
     Rows and pair keys depend on no beta, so every sweep over the same
-    (k, r, multisets) reads them from here.  A row stores r(r+1)/2
-    entries; the plan holds the whole family if its entries fit in
-    ``PLAN_LIMIT``, else the whole chunks that do.  The plans stay cached
-    up to ``PLAN_CACHE_BYTES``, enough for the frames a process cycles
-    through: the solves at each (n, r) and their images under the edge
-    complement (r -> n - r) in an audit.
+    (k, r, multisets) reads them from here.  A row stores r(r+1)/2 entries
+    (r class indices and r(r-1)/2 pair keys) in the dtype of
+    ``_row_chunks``, so a plan's bytes are known before it is built.  A
+    plan that fits in ``PLAN_CACHE_BYTES`` holds the whole family; one that
+    does not is empty, stored at 0 bytes, and its sweeps stream the chunks.
+    The plans stay cached up to ``PLAN_CACHE_BYTES``, enough for the frames
+    a process cycles through: the solves at each (n, r) and their images
+    under the edge complement (r -> n - r) in an audit.
     """
     rows = math.comb(k + r - 1 if multisets else k, r)
-    fit = PLAN_LIMIT // max(1, r * (r + 1) // 2)
-    chunks = -(-rows // CHUNK) if rows <= fit else fit // CHUNK
-    plan = tuple(itertools.islice(_row_chunks(k, r, multisets, 0), chunks))
+    if rows * (r * (r + 1) // 2) * np.min_scalar_type(-k * k).itemsize > PLAN_CACHE_BYTES:
+        return ()
+    plan = tuple(_row_chunks(k, r, multisets))
     for arrays in plan:
         for arr in arrays:
             arr.setflags(write=False)
@@ -318,18 +314,16 @@ def class_chunks(
     None (each row is one subset); otherwise the rows are the size-r
     multisets of classes, one per composition, each with its
     prod C(n_i, a_i) from exact ``math.comb``.  Rows and pair keys come
-    from the cached row plan; chunks past its cap are unranked here on
-    every sweep.  The rows are the (rows, r) transposed view of the plan's
-    column-major chunk.
+    from the cached row plan, or, for a family too large to plan, are
+    unranked here on every sweep, in the same chunks.  The rows are the
+    (rows, r) transposed view of the column-major chunk.
     """
     k, multisets = classes.k, classes.k < classes.n
-    plan = _row_plan(k, r, multisets)
-    start = len(plan) * CHUNK
-    tail = _row_chunks(k, r, multisets, start) if start < classes.rows(r) else ()
+    chunks = _row_plan(k, r, multisets) or _row_chunks(k, r, multisets)
     if multisets:
         total = math.comb(classes.n, r)
         table = _comb_table(classes.sizes, r, total)
-    for cols, keys in itertools.chain(plan, tail):
+    for cols, keys in chunks:
         idx = cols.T
         yield idx, keys, _multiplicities(idx, table, float(total)) if multisets else None
 
@@ -392,13 +386,17 @@ def field_summary(
     Without ``classes`` beta is per vertex and the sweep visits all C(n, r)
     subsets.  With ``classes`` beta holds one value per class and the sweep
     visits the compositions.  The budget counts the rows visited.
+    ``ValueError`` if r > n or ``classes`` partition other than n vertices.
     """
     classes = VertexClasses.singletons(n) if classes is None else classes
+    if classes.n != n:
+        raise ValueError(f"classes partition {classes.n} vertices, expected n = {n}")
+    if r > n:
+        raise ValueError(f"no {r}-subsets of {n} vertices to sweep")
     arr = as_beta_array(beta, classes.k)
     check_subset_budget(classes.rows(r))
     k = classes.k
-    # chunks fold serially, in chunk order, entry by entry; with no rows at
-    # all (r > n) every sum stays zero
+    # chunks fold serially, in chunk order, entry by entry
     acc = Twofold(np.zeros(3 + 2 * k + k * k))
     for idx, keys, mult in class_chunks(classes, r):
         acc.add(_chunk_terms(idx, keys, arr, mult))

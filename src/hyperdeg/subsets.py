@@ -78,35 +78,30 @@ def _subset_table(n: int, r: int) -> np.ndarray:
     return table
 
 
-def iter_chunks(
-    n: int, r: int, chunk: int = CHUNK, start: int = 0
-) -> Iterator[np.ndarray]:
-    """Yield (c, r) integer arrays of consecutive colex subsets from rank ``start``.
+def iter_chunks(n: int, r: int) -> Iterator[np.ndarray]:
+    """Yield (c, r) integer arrays of consecutive colex subsets from rank 0.
 
-    Every chunk except possibly the last has exactly ``chunk`` rows; chunk
-    boundaries depend only on (n, r, chunk), never on the consumer, when
-    ``start`` is a multiple of ``chunk``.  Each chunk is unranked from its
-    rank range in vectorised form.
+    Every chunk except possibly the last has exactly ``CHUNK`` rows, so chunk
+    boundaries depend only on (n, r), never on the consumer.  Each chunk is
+    unranked from its rank range in vectorised form.
     """
     total = comb(n, r)
     tables = _rank_tables(n, r)
-    for first in range(start, total, chunk):
-        rank = np.arange(first, min(first + chunk, total), dtype=np.int64)
+    for first in range(0, total, CHUNK):
+        rank = np.arange(first, min(first + CHUNK, total), dtype=np.int64)
         yield _unrank(rank, r, tables)
 
 
-def iter_multisets(
-    k: int, r: int, chunk: int = CHUNK, start: int = 0
-) -> Iterator[np.ndarray]:
+def iter_multisets(k: int, r: int) -> Iterator[np.ndarray]:
     """Yield (c, r) arrays of the size-r multisets of {0..k-1}, rows sorted.
 
     Stars and bars: subtracting (0, 1, ..., r-1) from a sorted r-subset of
     {0..k+r-2} gives a sorted multiset and every multiset once, so the
-    C(k+r-1, r) multisets come in the colex order of those subsets, from
-    the one of rank ``start``.
+    C(k+r-1, r) multisets come in the colex order of those subsets, in the
+    chunks of ``iter_chunks``.
     """
     shift = np.arange(r, dtype=np.int64)
-    for idx in iter_chunks(k + r - 1, r, chunk, start):
+    for idx in iter_chunks(k + r - 1, r):
         yield idx - shift
 
 

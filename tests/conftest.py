@@ -1,5 +1,6 @@
 import pytest
 
+from hyperdeg import fields
 from hyperdeg.core import VertexClasses
 
 
@@ -12,3 +13,12 @@ def colex_route(monkeypatch):
         VertexClasses, "route",
         classmethod(lambda cls, grouped, r: cls.singletons(grouped.n)),
     )
+
+
+@pytest.fixture
+def plan_cache():
+    """The row-plan cache, empty when the test starts and when it ends, so its
+    ``cache_info()`` counts only the test's own sweeps."""
+    fields._row_plan.cache_clear()
+    yield fields._row_plan
+    fields._row_plan.cache_clear()

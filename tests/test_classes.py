@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperdeg import core, fields
+from hyperdeg import core, fields, subsets
 from lemmas import dense_bound_suite, regular_closed_form
 from hyperdeg.cli import run
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry, derive
@@ -157,8 +157,9 @@ def test_one_class_reproduces_the_regular_closed_form(n, r):
 
 
 @pytest.mark.parametrize("k,r", [(1, 3), (3, 1), (4, 3), (5, 4), (2, 0)])
-def test_multisets_in_order(k, r):
-    rows = np.concatenate(list(iter_multisets(k, r, chunk=7)))
+def test_multisets_in_order(k, r, monkeypatch):
+    monkeypatch.setattr(subsets, "CHUNK", 7)
+    rows = np.concatenate(list(iter_multisets(k, r)))
     assert rows.shape == (math.comb(k + r - 1, r), r)
     want = sorted(combinations_with_replacement(range(k), r),
                   key=lambda row: tuple(reversed(row)))

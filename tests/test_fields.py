@@ -14,7 +14,7 @@ from hyperdeg.fields import (
 from hyperdeg import fields
 from hyperdeg.fields import Twofold
 from hyperdeg.solver import solve
-from hyperdeg.subsets import all_subsets, incidence, iter_chunks, iter_multisets
+from hyperdeg.subsets import CHUNK, all_subsets, incidence, iter_chunks, iter_multisets
 
 E = math.e
 
@@ -147,6 +147,19 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setenv("HYPERDEG_BUDGET", str(10**6))
     with pytest.raises(BudgetExceeded):
         field_summary(np.zeros(40), 40, 20)
+
+
+def test_field_summary_refuses_an_edge_size_above_n():
+    # no subsets: every average would divide by C(3, 4) = 0
+    with pytest.raises(ValueError, match="no 4-subsets of 3 vertices"):
+        field_summary(np.zeros(3), 3, 4)
+
+
+def test_field_summary_refuses_classes_of_another_n():
+    # the averages would divide by C(10, 3) the sums over C(8, 3) subsets
+    with pytest.raises(ValueError, match="classes partition 8 vertices, expected n = 10"):
+        field_summary(np.zeros(8), 10, 3, classes=fields.VertexClasses.singletons(8))
+    assert field_summary(np.zeros(8), 8, 3).avg_lambda == 0.5
 
 
 def test_complement_weight_identities():
@@ -621,81 +634,123 @@ def field_bits(field):
                          + [(12, 4, (3, 1, 5, 2, 1)), (60, 4, (15, 15, 15, 15))]
                          + [(20, 1, None), (35, 5, (3, 1, 5, 2, 1, 4, 2, 6, 1, 3, 2, 5))])
 def test_sweeps_read_the_same_bits_from_a_cold_a_warm_and_a_capped_row_plan(
-    n, r, sizes, monkeypatch
+    n, r, sizes, monkeypatch, plan_cache
 ):
     rng = np.random.default_rng(n * r)
-    classes = None
+    classes = fields.VertexClasses.singletons(n)
     if sizes is not None:
         index = np.repeat(np.arange(len(sizes)), sizes)
         first = np.cumsum((0,) + sizes[:-1])
         classes = fields.VertexClasses(index, np.array(sizes), first)
-    beta = rng.normal(scale=0.3, size=n if sizes is None else len(sizes)) - 0.2
-    fields._row_plan.cache_clear()
+    k = classes.k
+    beta = rng.normal(scale=0.3, size=k) - 0.2
     cold = field_bits(field_summary(beta, n, r, classes=classes))
     assert field_bits(field_summary(beta, n, r, classes=classes)) == cold
-    assert fields._row_plan.cache_info().misses == 1
-    # no chunk planned, then one, the rest unranked again by every sweep
-    for chunks in (0, 1):
-        monkeypatch.setattr(fields, "PLAN_LIMIT", chunks * fields.CHUNK * r * (r + 1) // 2)
-        fields._row_plan.cache_clear()
-        for _ in range(2):
-            assert field_bits(field_summary(beta, n, r, classes=classes)) == cold
-        assert len(fields._row_plan(len(beta), r, classes is not None)) == chunks
-    fields._row_plan.cache_clear()
+    info = plan_cache.cache_info()
+    # the plan holds r(r + 1)/2 entries a row, in the dtype that holds -k^2
+    itemsize = np.min_scalar_type(-k * k).itemsize
+    assert (info.misses, info.nbytes) == (1, classes.rows(r) * r * (r + 1) // 2 * itemsize)
+    # with the bound one byte below the plan nothing is planned, and every
+    # sweep streams the family again
+    monkeypatch.setattr(fields, "PLAN_CACHE_BYTES", info.nbytes - 1)
+    plan_cache.cache_clear()
+    for _ in range(2):
+        assert field_bits(field_summary(beta, n, r, classes=classes)) == cold
+    assert plan_cache(k, r, sizes is not None) == ()
+    assert plan_cache.cache_info().nbytes == 0
 
 
-def test_a_family_within_the_plan_limit_is_planned_whole(monkeypatch):
-    # C(20, 16) = 4845 rows of 16 indices and 120 pair keys: 658,920
-    # entries, two chunks, neither unranked again by a later sweep
-    beta = np.random.default_rng(16).normal(scale=0.3, size=20) - 0.2
-    fields._row_plan.cache_clear()
-    whole = field_bits(field_summary(beta, 20, 16))
-    plan = fields._row_plan(20, 16, False)
-    assert [idx.shape[1] for idx, _ in plan] == [fields.CHUNK, 749]
-    info = fields._row_plan.cache_info()
-    assert (info.misses, info.plans, info.nbytes) == (1, 1, 4845 * 136 * 2)
+def record_row_chunks(monkeypatch) -> list:
+    """The argument tuples of every ``_row_chunks`` call from here on."""
     seen = []
     real = fields._row_chunks
     monkeypatch.setattr(fields, "_row_chunks", lambda *a: seen.append(a) or real(*a))
+    return seen
+
+
+def test_a_family_within_the_plan_limit_is_planned_whole(monkeypatch, plan_cache):
+    # C(20, 16) = 4845 rows of 16 indices and 120 pair keys in int16:
+    # 1,317,840 bytes, two chunks, neither unranked again by a later sweep
+    beta = np.random.default_rng(16).normal(scale=0.3, size=20) - 0.2
+    whole = field_bits(field_summary(beta, 20, 16))
+    plan = plan_cache(20, 16, False)
+    assert [idx.shape[1] for idx, _ in plan] == [CHUNK, 749]
+    info = plan_cache.cache_info()
+    assert (info.misses, info.plans, info.nbytes) == (1, 1, 4845 * 136 * 2)
+    seen = record_row_chunks(monkeypatch)
     assert field_bits(field_summary(beta, 20, 16)) == whole
     assert seen == []
-    # one entry short of the whole family, the plan keeps its first chunk
-    # and every sweep unranks the rest, with the same bits
-    monkeypatch.setattr(fields, "PLAN_LIMIT", 4845 * 136 - 1)
-    fields._row_plan.cache_clear()
+    # one byte short of the whole family, nothing is planned and every
+    # sweep unranks all of it again, with the same bits
+    monkeypatch.setattr(fields, "PLAN_CACHE_BYTES", 4845 * 136 * 2 - 1)
+    plan_cache.cache_clear()
     for _ in range(2):
         assert field_bits(field_summary(beta, 20, 16)) == whole
-    assert len(fields._row_plan(20, 16, False)) == 1
-    assert seen == [(20, 16, False, 0), (20, 16, False, fields.CHUNK),
-                    (20, 16, False, fields.CHUNK)]
-    fields._row_plan.cache_clear()
+    assert plan_cache(20, 16, False) == ()
+    assert seen == [(20, 16, False)] * 2
 
 
-def test_row_plans_are_read_only_in_the_smallest_dtype_that_holds_every_key():
-    fields._row_plan.cache_clear()
+def test_a_family_past_two_to_the_twenty_entries_within_the_bound_is_planned_whole(
+    monkeypatch, plan_cache
+):
+    # C(45, 4) = 148,995 rows of 4 indices and 6 pair keys in int16: 1.49
+    # million entries in 2.98 MB, within PLAN_CACHE_BYTES, so after one
+    # sweep no later one unranks a row
+    beta = np.random.default_rng(45).normal(scale=0.3, size=45) - 0.2
+    first = field_bits(field_summary(beta, 45, 4))
+    seen = record_row_chunks(monkeypatch)
+    assert field_bits(field_summary(beta, 45, 4)) == first
+    assert seen == []
+    assert plan_cache.cache_info().nbytes == 148_995 * 10 * 2
+
+
+def test_a_family_above_the_bound_is_streamed_and_the_cache_stays_within_it(
+    monkeypatch, plan_cache
+):
+    beta = {n: np.random.default_rng(n).normal(scale=0.3, size=n) - 0.2 for n in (12, 20)}
+
+    def sweep(n):
+        return field_bits(field_summary(beta[n], n, 4))
+
+    bits = {n: sweep(n) for n in (12, 20)}
+    # 495 and 4845 rows of 10 int16 entries
+    nbytes = {n: sum(arr.nbytes for arrays in plan_cache(n, 4, False) for arr in arrays)
+              for n in (12, 20)}
+    assert nbytes == {12: 9900, 20: 96900}
+    monkeypatch.setattr(fields, "PLAN_CACHE_BYTES", nbytes[20] - 1)
+    plan_cache.cache_clear()
+    for n in (12, 20, 12, 20):
+        assert sweep(n) == bits[n]
+        assert plan_cache.cache_info().nbytes <= fields.PLAN_CACHE_BYTES
+    # the (20, 4) plan is empty, and the (12, 4) one stays beside it
+    assert plan_cache(20, 4, False) == ()
+    info = plan_cache.cache_info()
+    assert (info.misses, info.plans, info.nbytes) == (2, 2, nbytes[12])
+
+
+def test_row_plans_are_read_only_in_the_smallest_dtype_that_holds_every_key(plan_cache):
     for k, r, multisets, dtype in [(4, 4, True, np.int8), (20, 4, False, np.int16),
                                    (182, 2, False, np.int32)]:
-        plan = fields._row_plan(k, r, multisets)
+        plan = plan_cache(k, r, multisets)
         for idx, keys in plan:
             assert idx.dtype == keys.dtype == dtype
             assert not idx.flags.writeable and not keys.flags.writeable
         with pytest.raises(ValueError):
             plan[0][0][0, 0] = 1
-    fields._row_plan.cache_clear()
 
 
-def test_a_solve_unranks_its_rows_once():
+def test_a_solve_unranks_its_rows_once(plan_cache):
     # the sparse degrees too: no (r - 1)-subset sweep seeds them from a
     # second plan
     for degrees in [(20, 22, 25, 27, 30, 31, 33, 35, 36, 38, 41, 43), tuple(range(3, 15))]:
-        fields._row_plan.cache_clear()
+        plan_cache.cache_clear()
         report = solve(DegreeSequence(12, 3, degrees))
-        info = fields._row_plan.cache_info()
+        info = plan_cache.cache_info()
         assert report.field.classes.k == 12 and report.iterations >= 2
         assert info.misses == 1 and info.hits >= report.iterations, degrees
 
 
-def test_the_frames_a_process_cycles_through_stay_resident(monkeypatch):
+def test_the_frames_a_process_cycles_through_stay_resident(monkeypatch, plan_cache):
     # a (20, 4) solve, its audit's edge-complement frame, a (30, 4) solve,
     # then the first frame again
     frames = [(20, 4), (20, 16), (30, 4), (20, 4)]
@@ -704,32 +759,27 @@ def test_the_frames_a_process_cycles_through_stay_resident(monkeypatch):
     def sweep(n, r):
         return field_bits(field_summary(beta[n], n, r))
 
-    fields._row_plan.cache_clear()
     bits = {frame: sweep(*frame) for frame in frames}
-    info = fields._row_plan.cache_info()
+    info = plan_cache.cache_info()
     assert (info.misses, info.hits, info.plans) == (3, 1, 3)
-    nbytes = {}
-    for n, r in bits:
-        fields._row_plan.cache_clear()
-        fields._row_plan(n, r, False)
-        nbytes[n, r] = fields._row_plan.cache_info().nbytes
+    nbytes = {(n, r): sum(arr.nbytes for arrays in plan_cache(n, r, False) for arr in arrays)
+              for n, r in bits}
     # room for (20, 4) beside either other plan but not for all three: after
     # (20, 4), (20, 16) and (20, 4) again, the (30, 4) plan evicts the least
     # recently used (20, 16), not the older (20, 4)
     monkeypatch.setattr(fields, "PLAN_CACHE_BYTES", nbytes[20, 4] + nbytes[20, 16])
-    fields._row_plan.cache_clear()
+    plan_cache.cache_clear()
     for frame in [(20, 4), (20, 16), (20, 4), (30, 4), (20, 4)]:
         assert sweep(*frame) == bits[frame]
-    info = fields._row_plan.cache_info()
+    info = plan_cache.cache_info()
     assert (info.misses, info.plans, info.nbytes) == (3, 2, nbytes[20, 4] + nbytes[30, 4])
     assert sweep(20, 16) == bits[20, 16]
-    assert fields._row_plan.cache_info().misses == 4
-    # below the two smallest plans only the newest stays, and every frame
-    # is rebuilt with the same bits
+    assert plan_cache.cache_info().misses == 4
+    # below the two smallest plans only the newest stays, (20, 16) is
+    # streamed, and every frame is rebuilt with the same bits
     monkeypatch.setattr(fields, "PLAN_CACHE_BYTES", nbytes[20, 4] + nbytes[30, 4] - 1)
-    fields._row_plan.cache_clear()
+    plan_cache.cache_clear()
     for frame in frames:
         assert sweep(*frame) == bits[frame]
-    info = fields._row_plan.cache_info()
+    info = plan_cache.cache_info()
     assert (info.misses, info.hits, info.plans) == (4, 0, 1)
-    fields._row_plan.cache_clear()

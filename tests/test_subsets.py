@@ -149,25 +149,31 @@ def test_unrank_rank_round_trip(data):
     assert colex_rank(subset) == rank
 
 
-def test_chunk_boundaries_fixed():
-    chunks = list(iter_chunks(8, 3, chunk=10))
+def test_chunk_boundaries_fixed(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(subsets, "CHUNK", 10)
+        chunks = list(iter_chunks(8, 3))
     sizes = [c.shape[0] for c in chunks]
     assert sizes == [10] * 5 + [6]
     stacked = np.vstack(chunks)
     assert np.array_equal(stacked, all_subsets(8, 3))
 
 
-def test_chunks_match_the_recursive_reference():
+def test_chunks_match_the_recursive_reference(monkeypatch):
     for n, r, chunk in [(9, 4, 7), (12, 3, 64), (20, 4, 4096), (11, 1, 3), (10, 6, 50)]:
-        chunks = list(iter_chunks(n, r, chunk=chunk))
+        monkeypatch.setattr(subsets, "CHUNK", chunk)
+        chunks = list(iter_chunks(n, r))
         assert all(c.dtype == np.int64 and c.shape[1] == r for c in chunks)
         assert [c.shape[0] for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
         assert rows(np.vstack(chunks)) == list(iter_colex(n, r))
 
 
-def test_unranking_without_int64_overflow_near_r_equals_n():
-    # C(69, 34) > 2^63 while C(70, 68) = 2415
-    got = rows(np.vstack(list(iter_chunks(70, 68, chunk=1000))))
+def test_unranking_without_int64_overflow_near_r_equals_n(monkeypatch):
+    # C(69, 34) > 2^63 while C(70, 68) = 2415; chunks of 1000 rows unrank
+    # by searching the rank tables, and all_subsets reads the shared table
+    with monkeypatch.context() as m:
+        m.setattr(subsets, "CHUNK", 1000)
+        got = rows(np.vstack(list(iter_chunks(70, 68))))
     assert got == colex_combinations(70, 68)
     assert rows(all_subsets(70, 68)) == got
     assert rows(all_subsets(66, 64)[-3:]) == colex_combinations(66, 64)[-3:]
@@ -183,6 +189,17 @@ def test_degenerate_edge_sizes():
         assert rows(all_subsets(n, n)) == [tuple(range(n))]
         assert list(iter_chunks(n, n + 1)) == []
         assert all_subsets(n, n + 2).shape == (0, n + 2)
+
+
+def test_complementing_reverses_colex_order():
+    # the complement of the r-subset of rank p is the (n - r)-subset of rank
+    # C(n, r) - 1 - p
+    for n in range(13):
+        for r in range(n):
+            ranks = np.arange(math.comb(n, r))
+            complements = [sorted(set(range(n)) - set(row))
+                           for row in colex_unrank(ranks, n, r).tolist()]
+            assert colex_unrank(ranks[::-1], n, n - r).tolist() == complements
 
 
 def test_incidence_rows_mark_the_colex_subsets():
