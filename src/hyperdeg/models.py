@@ -10,11 +10,13 @@ Three laws on degree vectors are compared:
   normalizer has no closed form: the dp budget alone picks it, exact
   convolution within the budget and a central-limit approximation beyond.
   The convolution computes only the partial sums that can still reach
-  n*d, and the budget is charged exactly that work.
+  n*d, one ``logaddexp.reduce`` per step and block of support degrees,
+  and the budget is charged exactly that work.
 
 ``log_comb`` is the one log-binomial, at a scalar or at an array.  The
 hypergeometric log-pmf has one form, ``_log_pmf``, evaluated at the
-degrees a caller needs; ``sample_degree_batch`` is the one sampler.
+degrees a caller needs; ``sample_degree_batch`` is the one sampler, which
+draws the ranks of a block of samples in one vectorised pass.
 
 Everything is carried in natural-log domain: the binomial normalizers
 overflow binary64 immediately at desk scale.
@@ -30,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import counts, oracle
-from .budgets import check_dp_budget
+from .budgets import check_dp_budget, check_subset_budget
 from .core import DegreeSequence
 from .errors import BudgetExceeded, DensityDegenerate, InvalidInstance
 from .subsets import CHUNK, colex_unrank
@@ -38,6 +40,8 @@ from .subsets import CHUNK, colex_unrank
 LOG_ZERO = -math.inf
 # samples per spawned random stream in sample_degree_batch
 SAMPLE_BATCH = 1024
+# entries of one logaddexp.reduce operand in the dp normalizer
+FOLD_ENTRIES = 2**20
 # the degree-spread exponent phi of the klw error indicator
 KLW_PHI = 0.47
 
@@ -150,8 +154,9 @@ def _target_windows(spec: HypergeomSpec) -> list[tuple[int, int]]:
 def _convolution_ops(spec: HypergeomSpec) -> int:
     """``logaddexp`` element operations of the windowed convolution.
 
-    Step i (i = 1..n-1) adds one shifted operand per support degree over
-    the whole window i, one operation per window entry.
+    Step i (i = 1..n-1) folds one shifted operand per support degree into
+    the whole window i, one operation per window entry, however the
+    support is split into reduction blocks.
     """
     steps = _target_windows(spec)[1:]
     return len(spec.support()) * sum(max(0, hi - lo + 1) for lo, hi in steps)
@@ -162,10 +167,13 @@ def conditioned_sum_log_prob(spec: HypergeomSpec, method: str = "dp") -> float:
 
     ``dp`` convolves the exact pmf n times in log domain, step i computing
     only the partial sums of ``_target_windows`` that can still reach r m:
-    each entry folds one in-place ``logaddexp`` per support degree j, in
-    ascending j, from -inf.  A partial sum outside the previous window is
-    read as -inf, and ``logaddexp(x, -inf) == x`` exactly, so every entry
-    has the bits of the same entry of the full convolution.  ``clt`` uses
+    each entry folds one ``logaddexp`` per support degree j, in ascending
+    j, from -inf.  The operands of up to FOLD_ENTRIES // |window| - 1
+    degrees are stacked below the running row and folded by one
+    ``logaddexp.reduce`` over the rows, the same sequential fold.  A
+    partial sum outside the previous window is read as -inf, and
+    ``logaddexp(x, -inf) == x`` exactly, so every entry has the bits of
+    the same entry of the full convolution.  ``clt`` uses
     the local-limit approximation ``(sigma sqrt(2 pi n))^{-1}
     exp(-y^2 / (2 n sigma^2))`` with y the offset from the mean sum.
     """
@@ -185,17 +193,26 @@ def conditioned_sum_log_prob(spec: HypergeomSpec, method: str = "dp") -> float:
     (lo, hi), *steps = _target_windows(spec)
     if lo > hi:
         return LOG_ZERO
-    c, pmf = spec.marked, _log_pmf_vector(spec)
+    c, pmf, support = spec.marked, _log_pmf_vector(spec), spec.support()
     acc = pmf[lo:hi + 1]
     for step_lo, step_hi in steps:
         size = step_hi - step_lo + 1
         # the previous window among the partial sums step_lo - c .. step_hi,
-        # -inf elsewhere, so degree j reads its operand from offset c - j
+        # -inf elsewhere, so degree j reads its operand from offset c - j,
+        # row c - j of the windows
         src = np.full(size + c, LOG_ZERO)
         src[lo - step_lo + c:][:acc.size] = acc
+        windows = np.lib.stride_tricks.sliding_window_view(src, size)
         acc = np.full(size, LOG_ZERO)
-        for j in spec.support():
-            np.logaddexp(acc, src[c - j:c - j + size] + pmf[j], out=acc)
+        rows = max(1, FOLD_ENTRIES // size - 1)
+        for first in range(support.start, support.stop, rows):
+            last = min(first + rows, support.stop) - 1
+            # the running row, then degrees first..last ascending
+            buf = np.empty((last - first + 2, size))
+            buf[0] = acc
+            np.add(windows[c - last:c - first + 1][::-1], pmf[first:last + 1, None],
+                   out=buf[1:])
+            acc = np.logaddexp.reduce(buf, axis=0)
         lo = step_lo
     return float(acc[target - lo])
 
@@ -330,14 +347,18 @@ def sample_degree_batch(
 ) -> np.ndarray:
     """Degrees of ``count`` uniform random simple m-edge hypergraphs, one per row.
 
-    Each sample is one ``Generator.choice`` of m distinct colex ranks of the
-    r-subsets; rejection-free and deterministic given the seed.  The ranks
-    of max(1, CHUNK // m) samples are unranked in one call and tallied by
-    one ``np.bincount`` with each sample offset into its own n bins, so a
-    block holds about CHUNK ranks and never spans two batches.  The
-    arguments are checked once, before any draw.  Sample i is drawn from
-    the stream spawned for batch i // SAMPLE_BATCH, so a row depends only
-    on the seed and its index, not on ``count``.
+    A sample is a uniform m'-subset of the colex ranks of the r-subsets,
+    m' = min(m, C(n, r) - m): the m edges, or the C(n, r) - m left out when
+    2m > C(n, r), whose degrees are then C(n-1, r-1) minus their tally.
+    Deterministic given the seed.  Sample i is drawn
+    from the stream spawned for batch i // SAMPLE_BATCH, in blocks of
+    max(1, CHUNK // m') samples from the start of the batch: a block's
+    ranks are one ``_distinct_ranks`` draw, unranked in one call and tallied
+    by one ``np.bincount`` with each sample offset into its own n bins.
+    Every block is drawn whole and the rows past ``count`` dropped, so a
+    row depends only on the seed and its index, not on ``count``.  The
+    arguments are checked, and count * m' ranks charged to the subset
+    budget, once, before any draw.
     """
     if n < 2 or not 1 <= r <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= r <= n-1, got n={n}, r={r}")
@@ -348,22 +369,40 @@ def sample_degree_batch(
         raise ValueError(f"need 0 <= m <= C(n, r) = {population}")
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
+    drawn = min(m, population - m)
+    check_subset_budget(count * drawn)
     batches = (count + SAMPLE_BATCH - 1) // SAMPLE_BATCH
     seeds = np.random.SeedSequence(rng_seed).spawn(batches)
     out = np.empty((count, n), dtype=np.int64)
-    block = max(1, CHUNK // max(m, 1))
+    block = max(1, CHUNK // max(drawn, 1))
     for b, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        end = min((b + 1) * SAMPLE_BATCH, count)
-        for lo in range(b * SAMPLE_BATCH, end, block):
-            hi = min(lo + block, end)
-            ranks = np.empty((hi - lo, m), dtype=np.int64)
-            for row in ranks:
-                row[:] = rng.choice(population, size=m, replace=False)
-            edges = colex_unrank(ranks.ravel(), n, r).reshape(hi - lo, m * r)
+        end = (b + 1) * SAMPLE_BATCH
+        for lo in range(b * SAMPLE_BATCH, min(end, count), block):
+            rows = min(block, end - lo)
+            ranks = _distinct_ranks(rng, population, rows, drawn)
+            edges = colex_unrank(ranks.ravel(), n, r).reshape(rows, drawn * r)
             # offset each sample's vertices into its own n bins
-            edges += n * np.arange(hi - lo, dtype=np.int64)[:, None]
-            out[lo:hi] = np.bincount(
-                edges.ravel(), minlength=(hi - lo) * n
-            ).reshape(hi - lo, n)
-    return out
+            edges += n * np.arange(rows, dtype=np.int64)[:, None]
+            tally = np.bincount(edges.ravel(), minlength=rows * n).reshape(rows, n)
+            out[lo:lo + rows] = tally[:count - lo]
+    return out if drawn == m else math.comb(n - 1, r - 1) - out
+
+
+def _distinct_ranks(rng, population: int, rows: int, size: int) -> np.ndarray:
+    """``rows`` uniform size-subsets of range(population), one sorted row each.
+
+    Every rank is drawn at once, uniform on range(population); each row is
+    sorted, and every entry equal to its left neighbour is drawn again,
+    until no row repeats a rank.  A row keeps the set of values it holds
+    and redraws uniformly, so the law of its final set is unchanged by any
+    relabelling of the population: a uniform size-subset.
+    """
+    ranks = rng.integers(0, population, size=(rows, size))
+    ranks.sort(axis=1)
+    repeat = ranks[:, 1:] == ranks[:, :-1]
+    while repeat.any():
+        ranks[:, 1:][repeat] = rng.integers(0, population, size=int(repeat.sum()))
+        ranks.sort(axis=1)
+        repeat = ranks[:, 1:] == ranks[:, :-1]
+    return ranks

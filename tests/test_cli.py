@@ -209,11 +209,11 @@ def test_sample_stdout_matches_csv(tmp_path):
 
 SAMPLE_12_4_100_SEED3 = """\
 d_1,d_2,d_3,d_4,d_5,d_6,d_7,d_8,d_9,d_10,d_11,d_12
-32,37,28,36,35,36,39,28,29,32,33,35
-34,37,38,32,34,32,34,31,36,30,31,31
-30,25,27,33,35,29,37,40,33,32,39,40
-25,44,27,35,36,34,29,29,32,34,37,38
-35,39,30,35,29,34,38,32,32,38,28,30
+35,28,33,35,31,31,35,35,34,36,33,34
+32,30,34,33,33,41,32,31,34,32,35,33
+27,35,32,34,37,33,35,38,30,38,32,29
+37,43,31,33,34,25,27,31,39,34,30,36
+29,34,33,28,24,35,33,33,32,40,42,37
 """
 
 
@@ -229,7 +229,7 @@ def test_sample_stdout_is_pinned():
     assert code == 0
     assert len(out.splitlines()) == 1031
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "58756495ef00b9ec249ebfab36a202ef9a2c7239086a7e0ab23d2bc2791d6d52"
+        "b765b26e3162769b53b997abcce1a79cd8542af84ee9e20d6a57a07984b67594"
     )
 
 
@@ -264,6 +264,23 @@ def test_sample_prints_the_recorded_bytes(case):
     assert code == 0, err
     assert len(out.splitlines()) == case["lines"]
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+def test_sample_charges_its_ranks_to_the_subset_budget(monkeypatch):
+    # 10^10 ranks for one sample refuse before any draw, not in an allocation
+    code, out, err = invoke(["sample", "-n", "40", "-r", "20", "-m", "10000000000",
+                             "--count", "1", "--seed", "1"])
+    assert code == 4
+    assert out == ""
+    assert err.splitlines()[-1] == "error: enumeration of 10000000000 subsets exceeds budget 100000000"
+    # count x m' ranks, m' = min(m, C(n, r) - m): 3 x 6 at (6, 3, 14)
+    argv = ["sample", "-n", "6", "-r", "3", "-m", "14", "--count", "3", "--seed", "1"]
+    monkeypatch.setenv("HYPERDEG_BUDGET", "18")
+    assert invoke(argv)[0] == 0
+    monkeypatch.setenv("HYPERDEG_BUDGET", "17")
+    code, out, err = invoke(argv)
+    assert code == 4 and out == ""
+    assert "enumeration of 18 subsets exceeds budget 17" in err
 
 
 @pytest.mark.parametrize("argv, message", [

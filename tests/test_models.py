@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from hyperdeg.models import (
     sample_degree_batch,
 )
 from hyperdeg.oracle import exact_count
+from hyperdeg.subsets import CHUNK, colex_unrank, incidence
 from lemmas import compositions, stirling_log_binom
 
 TINY = DegreeSequence(4, 3, (2, 2, 1, 1))
@@ -275,6 +277,115 @@ def test_sampler_marginal_matches_pmf():
     assert not marginal_within_band(np.minimum(batch[:, 0] + 1, 10), spec, 11)
 
 
+def subsets_within_band(subsets, population):
+    """Whether every size-subset of range(population) has a share of the
+    sorted rows ``subsets`` within 5 standard errors of uniform."""
+    draws, size = subsets.shape
+    index = {c: i for i, c in enumerate(itertools.combinations(range(population), size))}
+    counts = np.bincount([index[tuple(row)] for row in subsets.tolist()], minlength=len(index))
+    p = 1.0 / len(index)
+    return bool(np.all(np.abs(counts / draws - p) <= 5 * math.sqrt(p * (1 - p) / draws)))
+
+
+def recorded_subsets(monkeypatch, n, r, m, seed, count):
+    """The sampled rows, and the ranks each block unranked, one row per sample."""
+    blocks = []
+
+    def recording(ranks, n_, r_):
+        blocks.append(np.array(ranks))
+        return colex_unrank(ranks, n_, r_)
+
+    monkeypatch.setattr(models, "colex_unrank", recording)
+    batch = sample_degree_batch(n, r, m, seed, count)
+    drawn = min(m, math.comb(n, r) - m)
+    return batch, np.concatenate(blocks).reshape(-1, drawn)[:count]
+
+
+@pytest.mark.parametrize("m", [3, 7])
+def test_sampler_draws_uniform_subsets(monkeypatch, m):
+    # C(5, 2) = 10 edges; m = 7 draws the 3 left out and tallies the rest
+    count = 20 * models.SAMPLE_BATCH
+    batch, ranks = recorded_subsets(monkeypatch, 5, 2, m, 17, count)
+    assert (np.diff(ranks, axis=1) > 0).all()
+    assert subsets_within_band(ranks, 10)
+    held = np.zeros((count, 10), dtype=bool)
+    np.put_along_axis(held, ranks, True, axis=1)
+    # the degrees are those of the drawn edges, or of the edges not left out
+    assert np.array_equal(batch, (held if m == 3 else ~held) @ incidence(5, 2))
+    # negative control: a repeat redrawn as the next value not held
+    rng = np.random.default_rng(5)
+    biased = []
+    for row in rng.integers(0, 10, size=(count, 3)).tolist():
+        held_set = set()
+        for v in row:
+            while v in held_set:
+                v = (v + 1) % 10
+            held_set.add(v)
+        biased.append(sorted(held_set))
+    assert not subsets_within_band(np.array(biased), 10)
+
+
+@pytest.mark.parametrize("m", [14, 19])
+def test_sampler_marginal_matches_pmf_on_dense_specs(m):
+    # m' = C(6, 3) - m left-out edges: 6 at m = 14 and 1 at m = C(n, r) - 1
+    spec = HypergeomSpec(6, 3, m)
+    batch = sample_degree_batch(6, 3, m, 23, 20000)
+    assert (batch.sum(axis=1) == 3 * m).all()
+    assert marginal_within_band(batch[:, 0], spec, 11)
+    assert not marginal_within_band(np.maximum(batch[:, 0] - 1, 0), spec, 11)
+
+
+@pytest.mark.parametrize("n,r,m,block", [(12, 4, 100, 40), (6, 3, 14, 682)])
+def test_rows_do_not_depend_on_count_at_block_edges(n, r, m, block):
+    # a block holds max(1, CHUNK // m') samples from the start of its stream;
+    # at (6, 3, 14) the third block starts the second stream, at 1024
+    assert block == max(1, CHUNK // min(m, math.comb(n, r) - m))
+    assert np.array_equal(sample_degree_batch(n, r, m, 3, 1)[0],
+                          sample_degree_batch(n, r, m, 3, 500)[0])
+    long = sample_degree_batch(n, r, m, 3, 3 * block)
+    for count in (block - 1, block, block + 1, 2 * block + 3):
+        assert np.array_equal(sample_degree_batch(n, r, m, 3, count), long[:count]), count
+
+
+class RecordingGenerator:
+    """A numpy ``Generator`` that logs its ``integers`` and ``choice`` calls."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def integers(self, *args, **kwargs):
+        self.log.append("integers")
+        return self.rng.integers(*args, **kwargs)
+
+    def choice(self, *args, **kwargs):
+        self.log.append("choice")
+        return self.rng.choice(*args, **kwargs)
+
+
+def test_sampler_draws_each_block_in_a_few_integers_calls(monkeypatch):
+    log = []
+
+    def unrank(ranks, n, r):
+        log.append("unrank")
+        return colex_unrank(ranks, n, r)
+
+    monkeypatch.setattr(models, "colex_unrank", unrank)
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: RecordingGenerator(default_rng(seed), log))
+    batch = sample_degree_batch(12, 4, 100, 3, 500)
+    monkeypatch.undo()
+    assert np.array_equal(batch, sample_degree_batch(12, 4, 100, 3, 500))
+    assert "choice" not in log
+    # 13 blocks of 40 samples; a block of 40 x 100 ranks of 495 holds about
+    # 40 C(100, 2) / 495 = 400 repeats, and a redraw repeats again about
+    # one time in five, so a block ends in about five rounds
+    per_block = " ".join(log).split(" unrank")
+    assert len(per_block) == 13 + 1 and per_block[-1] == ""
+    rounds = [part.split().count("integers") for part in per_block[:-1]]
+    assert all(1 <= k <= 10 for k in rounds), rounds
+
+
 def test_tail_bound_holds_everywhere():
     # exact two-sided tails Prob(|k - d| >= t), from the public pmf, against
     # 2 exp(-t^2 / (2(d + t/3)))
@@ -512,17 +623,26 @@ def test_log_pmf_vector_has_the_bits_of_a_per_entry_lgamma_sum(n, r, m):
 
 class RecordingNumpy:
     """numpy as ``models`` sees it, with every ``logaddexp`` element operation
-    counted."""
+    counted: one per entry folded in by a ``logaddexp.reduce``, (rows - 1)
+    per column, whose operand shapes are kept in ``reductions``."""
 
     def __init__(self):
         self.ops = 0
+        self.reductions = []
+        self.logaddexp = RecordingLogaddexp(self)
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def logaddexp(self, *args, **kwargs):
-        out = np.logaddexp(*args, **kwargs)
-        self.ops += out.size
+
+class RecordingLogaddexp:
+    def __init__(self, recorder):
+        self.recorder = recorder
+
+    def reduce(self, array, axis=0, **kwargs):
+        out = np.logaddexp.reduce(array, axis=axis, **kwargs)
+        self.recorder.reductions.append(array.shape)
+        self.recorder.ops += array.size - out.size
         return out
 
 
@@ -558,6 +678,33 @@ def test_normalizer_guard_counts_the_convolution_work(monkeypatch):
             monkeypatch, lambda: conditioned_sum_log_prob(spec))
         assert guards == [work], (n, r, m)
     assert work == 277_843
+
+
+@pytest.mark.parametrize("fold", [models.FOLD_ENTRIES, 64, 1])
+@pytest.mark.parametrize("n,r,m", [(6, 3, 8), (14, 3, 138)])
+def test_normalizer_folds_each_step_in_one_reduction_per_support_block(monkeypatch, n, r, m, fold):
+    # step i reduces the running row and up to max(1, fold // |window i| - 1)
+    # support degrees at a time; folding in smaller blocks keeps every bit
+    spec = HypergeomSpec(n, r, m)
+    want, default = conditioned_sum_log_prob(spec), models.FOLD_ENTRIES
+    monkeypatch.setattr(models, "FOLD_ENTRIES", fold)
+    recorder = RecordingNumpy()
+    monkeypatch.setattr(models, "np", recorder)
+    got = conditioned_sum_log_prob(spec)
+    monkeypatch.setattr(models, "np", np)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert recorder.ops == models._convolution_ops(spec)
+    support = len(spec.support())
+    shapes = []
+    for lo, hi in models._target_windows(spec)[1:]:
+        size = hi - lo + 1
+        rows = max(1, fold // size - 1)
+        blocks = [min(rows, support - first) for first in range(0, support, rows)]
+        shapes += [(k + 1, size) for k in blocks]
+    assert recorder.reductions == shapes
+    if fold == default:
+        assert len(shapes) == n - 1
+    assert all(rows * size <= max(fold, 2 * size) for rows, size in shapes)
 
 
 def test_normalizer_guard_admits_n30_and_refuses_n60(monkeypatch):
