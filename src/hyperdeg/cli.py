@@ -3,8 +3,8 @@
 JSON goes to stdout (floats printed with 17 significant digits for
 round-trip fidelity); the invocation echo, hypothesis warnings, and errors
 go to stderr.  Exit codes: 0 success, 2 invalid input or a file that
-cannot be read or written, 3 solver non-convergence, 4 budget exceeded,
-5 internal assertion.
+cannot be read or written, 3 solver non-convergence, 4 budget exceeded or
+out of memory, 5 internal assertion.
 """
 
 from __future__ import annotations
@@ -388,6 +388,9 @@ def run(argv=None) -> int:
         return 3
     except BudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 4
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 4
     except HyperdegError as exc:
         sys.stderr.write(f"internal error: {exc}\n")

@@ -149,7 +149,9 @@ def estimate_general(
     """General-formula estimate: solve, assemble, take logs.
 
     Without a report the instance is moved to the first quadrant and solved
-    there.  A given converged report for ``seq`` (``ValueError`` if it
+    there; if that solve repeats the process's last converged one (same
+    classes, class degrees, start, ``tol`` and ``max_iter``, as ``solve``
+    states), it returns that one's bits with no sweep.  A given converged report for ``seq`` (``ValueError`` if it
     solves another instance) is evaluated from its field sweep in its own
     frame, with no transform and no further sweep;
     the formula is exactly frame-invariant, so both agree to rounding.  The

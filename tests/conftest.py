@@ -1,7 +1,14 @@
 import pytest
 
-from hyperdeg import fields
+from hyperdeg import fields, solver
 from hyperdeg.core import VertexClasses
+
+
+@pytest.fixture(autouse=True)
+def empty_solve_slot(monkeypatch):
+    """Every test starts with no remembered solve, so a test that patches the
+    sweep or the solver's internals sees its first solve of an instance run."""
+    monkeypatch.setattr(solver, "_last", None)
 
 
 @pytest.fixture

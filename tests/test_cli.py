@@ -365,6 +365,19 @@ def test_over_budget_audit_refuses_before_any_solve(monkeypatch):
     assert "fail" not in {c["status"] for c in json.loads(out)["matrix_checks"]}
 
 
+def test_an_allocation_that_fails_exits_four_without_a_traceback(monkeypatch):
+    def starved(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.34 GiB for an array")
+
+    monkeypatch.setattr(cli, "solve", starved)
+    code, out, err = invoke(["audit", "--input", str(INSTANCES / "skew6.json")])
+    assert (code, out) == (4, "")
+    assert err.splitlines()[-1] == (
+        "error: out of memory: Unable to allocate 1.34 GiB for an array"
+    )
+    assert "Traceback" not in err
+
+
 def test_selftest_commands():
     for suite in ("identities", "bounds", "oracle"):
         code, out, _ = invoke(["selftest", suite, "--trials", "5"])

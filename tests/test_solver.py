@@ -1,12 +1,14 @@
+import json
 import math
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry
-from hyperdeg import fields
+from hyperdeg import fields, solver
 from hyperdeg.errors import DensityDegenerate, NonConvergence, SingularJacobian
 from hyperdeg.fields import field_summary
 from hyperdeg.matrices import bound_suite
@@ -247,3 +249,184 @@ def test_converged_report_without_a_field_is_unsolved():
         estimate_general(REG6, report=bare)
     with pytest.raises(Unsolved, match="no field"):
         symmetry_audit(REG6, report=bare)
+
+
+# --- the remembered solve -------------------------------------------------
+
+RECORDED = json.loads(
+    (Path(__file__).resolve().parent / "data" / "colex_stdout.json").read_text()
+)
+DISTINCT16 = DegreeSequence.from_json_dict(RECORDED["instances"]["distinct16"])
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The solver's field sweeps, counted: a list that grows by one per call."""
+    calls = []
+    real = solver.field_summary
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "field_summary", counted)
+    return calls
+
+
+def same_bits(a, b):
+    assert a.beta_star.tobytes() == b.beta_star.tobytes()
+    assert (a.iterations, a.spread, a.converged, a.seed_used) == (
+        b.iterations, b.spread, b.converged, b.seed_used)
+    assert a.residual_inf.hex() == b.residual_inf.hex()
+    for name in ("beta", "class_sums", "class_variance", "pair_blocks"):
+        assert getattr(a.field, name).tobytes() == getattr(b.field, name).tobytes()
+    for name in ("avg_lambda", "big_lambda", "entropy"):
+        assert getattr(a.field, name).hex() == getattr(b.field, name).hex()
+
+
+@pytest.mark.parametrize("seq", [SKEW6, DISTINCT16], ids=["classes", "singletons"])
+def test_a_repeated_solve_sweeps_nothing_and_keeps_every_bit(seq, sweeps, monkeypatch):
+    first = solve(seq)
+    assert len(sweeps) == 1 + first.iterations
+    again = solve(DegreeSequence(seq.n, seq.r, seq.degrees))
+    assert len(sweeps) == 1 + first.iterations
+    assert again.field.classes is not first.field.classes
+    monkeypatch.setattr(solver, "_last", None)
+    fresh = solve(seq)
+    assert len(sweeps) == 2 * (1 + first.iterations)
+    same_bits(again, fresh)
+    same_bits(first, fresh)
+
+
+def test_max_iter_must_be_a_non_negative_integer():
+    for bad in (-1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(SKEW6, max_iter=bad)
+    assert solve(SKEW6, max_iter=np.int64(100)).converged
+
+
+def test_each_part_of_the_key_makes_its_own_miss(sweeps, request):
+    def misses(*args, **kwargs):
+        before = len(sweeps)
+        report = solve(*args, **kwargs)
+        assert report.converged
+        return len(sweeps) > before
+
+    assert misses(SKEW6)
+    assert not misses(SKEW6)
+    assert misses(SKEW6, tol=1e-11)
+    assert misses(SKEW6, tol=1e-11, max_iter=99)
+    assert not misses(SKEW6, tol=1e-11, max_iter=99)
+
+    # the regular start at half density is +0.0; a custom seed with the same
+    # bytes hits under its own label, one starting at -0.0 misses and keeps
+    # its sign
+    assert misses(REG6)
+    assert not misses(REG6, seed_beta=np.zeros(6))
+    assert solve(REG6, seed_beta=np.zeros(6)).seed_used == "custom"
+    signed = np.zeros(6)
+    signed[0] = -0.0
+    assert misses(REG6, seed_beta=signed)
+    assert np.signbit(solve(REG6, seed_beta=signed).beta_star).all()
+
+    # singletons keep the degrees in vertex order, so a permutation misses
+    assert misses(DISTINCT16)
+    assert misses(DegreeSequence(16, 4, DISTINCT16.degrees[::-1]))
+
+    # the same distinct degrees and start, with other multiplicities
+    solve(SKEW6)
+    assert misses(DegreeSequence(6, 3, (6, 6, 5, 5, 4, 4)))
+
+    # on classes a permutation of the same degrees hits, its beta permuted
+    base = solve(SKEW6)
+    permuted = DegreeSequence(6, 3, SKEW6.degrees[::-1])
+    assert not misses(permuted)
+    assert solve(permuted).beta_star.tobytes() == base.beta_star[::-1].tobytes()
+
+    # the same degrees forced onto singletons have k = n classes
+    request.getfixturevalue("colex_route")
+    assert misses(DegreeSequence(6, 3, SKEW6.degrees))
+
+
+def test_a_would_be_hit_still_refuses(sweeps, monkeypatch):
+    from hyperdeg.errors import BudgetExceeded
+
+    seed = np.array([0.1, 0.0, 0.0, 0.0, 0.0, -0.1])
+    solve(SKEW6, seed_beta=seed)
+    solved = len(sweeps)
+    # a class-splitting seed starts from the same class vector
+    split = seed.copy()
+    split[4] = 0.05
+    with pytest.raises(ValueError, match="equal on vertices of equal degree"):
+        solve(SKEW6, seed_beta=split)
+    # three classes of edge size 3: C(5, 3) = 10 rows
+    monkeypatch.setenv("HYPERDEG_BUDGET", "9")
+    with pytest.raises(BudgetExceeded, match="10 subsets"):
+        solve(SKEW6, seed_beta=seed)
+    monkeypatch.delenv("HYPERDEG_BUDGET")
+    assert solve(SKEW6, seed_beta=seed).converged
+    assert len(sweeps) == solved
+
+
+def test_what_a_solve_returns_cannot_change_a_later_hit(sweeps):
+    first = solve(SKEW6)
+    beta, sums = first.beta_star.copy(), first.field.class_sums.copy()
+    for arr in (first.beta_star, first.field.beta, first.field.class_sums,
+                first.field.class_variance, first.field.pair_blocks):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    first.field.entropy = 0.0
+    solved = len(sweeps)
+    hit = solve(SKEW6)
+    assert len(sweeps) == solved
+    assert hit.beta_star.tobytes() == beta.tobytes()
+    assert hit.field.class_sums.tobytes() == sums.tobytes()
+    assert hit.field.entropy != 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        hit.beta_star[0] = 1.0
+
+
+def test_a_solve_that_fails_raises_every_time_and_keeps_the_slot(sweeps):
+    hopeless = DegreeSequence(6, 3, (6, 6, 6, 6, 6, 0))
+    base = solve(SKEW6)
+    for _ in range(2):
+        before = len(sweeps)
+        with pytest.raises(NonConvergence):
+            solve(hopeless)
+        assert len(sweeps) > before
+    solved = len(sweeps)
+    assert solve(SKEW6).beta_star.tobytes() == base.beta_star.tobytes()
+    assert len(sweeps) == solved
+
+
+def test_one_process_prints_the_bytes_of_each_command_run_alone(monkeypatch):
+    from contextlib import redirect_stderr, redirect_stdout
+    from io import StringIO
+
+    from hyperdeg.cli import run
+
+    argv = {"solve": ["solve"], "count": ["count", "--method", "general"],
+            "audit": ["audit"]}
+
+    def stdout(command, name):
+        out = StringIO()
+        with redirect_stdout(out), redirect_stderr(StringIO()):
+            code = run(argv[command] + ["--input",
+                                        json.dumps(RECORDED["instances"][name])])
+        assert code == 0
+        return out.getvalue()
+
+    alone = {}
+    for name in RECORDED["instances"]:
+        for command in argv:
+            monkeypatch.setattr(solver, "_last", None)
+            alone[name, command] = stdout(command, name)
+    # skew6 solves on classes and its solve and audit moved at rounding level
+    # with that route; every other recorded output holds bytewise
+    pinned = {key for key in alone if key[0] != "skew6" or key[1] == "count"}
+    for name, command in pinned:
+        assert alone[name, command] == RECORDED["stdout"][name][command]
+    monkeypatch.setattr(solver, "_last", None)
+    for name in RECORDED["instances"]:
+        for command in ("solve", "count", "audit", "count"):
+            assert stdout(command, name) == alone[name, command], (name, command)
