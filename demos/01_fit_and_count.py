@@ -11,17 +11,15 @@ import numpy as np
 
 from hyperdeg import (
     DegreeSequence,
-    derive,
     estimate_corollary,
     estimate_general,
     estimate_near_regular,
     exact_count,
-    field_summary,
     solve,
 )
 
 seq = DegreeSequence(6, 3, (6, 5, 5, 5, 5, 4))
-params = derive(seq)
+params = seq.params
 print("instance:", seq.to_json_dict())
 print(f"average degree d = {params.d}, edges m = {params.m}, "
       f"density = {params.lam}, Q = {params.q}")
@@ -34,11 +32,14 @@ print(f"\nsolved in {report.iterations} Newton steps, "
       f"residual {report.residual_inf:.2e}, spread {report.spread:.3f}")
 print("beta* =", np.round(beta, 6))
 
-field = field_summary(beta, seq.n, seq.r)
+# the solve's last sweep is at beta*: it holds the fitted degrees
+field = report.field
 print("fitted expected degrees:", np.round(field.vertex_sums, 8))
 print("average edge weight:", field.avg_lambda)
 
-general = estimate_general(seq, report=report)
+# the instance is in the first quadrant, so this repeats the solve above
+# and makes no sweep
+general = estimate_general(seq)
 near = estimate_near_regular(seq)
 corollary = estimate_corollary(seq)
 exact = exact_count(seq)

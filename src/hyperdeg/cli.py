@@ -34,7 +34,6 @@ from .errors import (
     DensityDegenerate,
     NonConvergence,
     SingularJacobian,
-    Unsolved,
 )
 from .fields import check_weight_ratio_bounds, field_summary
 from .matrices import bound_suite
@@ -223,6 +222,8 @@ def cmd_models(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 0:
         raise InvalidInstance(f"--count must be at least 0, got {args.count}")
+    if args.seed < 0:
+        raise InvalidInstance(f"--seed must be at least 0, got {args.seed}")
     batch = models.sample_degree_batch(
         args.n, args.r, args.m, args.seed, args.count
     )
@@ -246,7 +247,7 @@ def cmd_audit(args) -> int:
     # The bound checks read the base solve's field in class form.
     budgets.check_subset_budget(math.comb(seq.n, seq.r))
     report = solve(seq)
-    audit = symmetry_audit(seq, report=report)
+    audit = symmetry_audit(seq)  # its base solve hits the slot
     delta_hat = max(report.spread * seq.r, 1e-6)
     matrix_checks = bound_suite(report.field, delta_hat)
     ratio_checks = check_weight_ratio_bounds(report.field, delta_hat)
@@ -266,6 +267,8 @@ def cmd_audit(args) -> int:
 def cmd_selftest(args) -> int:
     if args.trials < 0:
         raise InvalidInstance(f"--trials must be at least 0, got {args.trials}")
+    if args.seed < 0:
+        raise InvalidInstance(f"--seed must be at least 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     if args.suite == "identities":
         results = identities.selftest(rng, trials_per_family=args.trials)
@@ -383,7 +386,7 @@ def run(argv=None) -> int:
     except (InvalidInstance, DensityDegenerate, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (NonConvergence, Unsolved, SingularJacobian) as exc:
+    except (NonConvergence, SingularJacobian) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except BudgetExceeded as exc:

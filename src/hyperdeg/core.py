@@ -66,6 +66,10 @@ class DegreeSequence:
     _degree_sum: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        degrees = self.degrees
+        if isinstance(degrees, np.ndarray) and degrees.ndim == 1 and degrees.dtype.kind in "iu":
+            # an integer array converts to Python ints in one pass
+            object.__setattr__(self, "degrees", tuple(degrees.tolist()))
         named = (("n", (self.n,)), ("r", (self.r,)), ("degree", self.degrees))
         plain = True
         for name, values in named:

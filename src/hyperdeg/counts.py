@@ -35,7 +35,7 @@ from .core import (
 from .errors import DensityDegenerate
 from .fields import FieldSummary, logistic
 from .matrices import weight_logdet
-from .solver import SolveReport, apply_beta_symmetry, require_converged, solve
+from .solver import apply_beta_symmetry, solve
 from .subsets import colex_unrank
 
 # random subsets per quadrant image on which the audit checks weight transfer
@@ -142,29 +142,21 @@ def _estimate(seq: DegreeSequence, method: str, ln_value, extra=None,
     return LogEstimate(ln_value(params), method, terms, flags)
 
 
-def estimate_general(
-    seq: DegreeSequence,
-    report: SolveReport | None = None,
-) -> LogEstimate:
+def estimate_general(seq: DegreeSequence) -> LogEstimate:
     """General-formula estimate: solve, assemble, take logs.
 
-    Without a report the instance is moved to the first quadrant and solved
-    there; if that solve repeats the process's last converged one (same
-    classes, class degrees, start, ``tol`` and ``max_iter``, as ``solve``
-    states), it returns that one's bits with no sweep.  A given converged report for ``seq`` (``ValueError`` if it
-    solves another instance) is evaluated from its field sweep in its own
-    frame, with no transform and no further sweep;
-    the formula is exactly frame-invariant, so both agree to rounding.  The
-    log-determinant is ``weight_logdet``'s: one Cholesky of the k x k class
-    Jacobian (the classes of ``seq.params``), which on singletons is the
-    n x n weight matrix.
+    The instance is moved to the first quadrant and solved there; if that
+    solve repeats the process's last converged one (same classes, class
+    degrees, start, ``tol`` and ``max_iter``, as ``solve`` states), it
+    returns that one's bits with no sweep.  The formula is exactly
+    frame-invariant, so any image's solve gives the same value to rounding.
+    The log-determinant is ``weight_logdet``'s: one Cholesky of the k x k
+    class Jacobian (the classes of ``seq.params``), which on singletons is
+    the n x n weight matrix.
     """
 
     def ln_value(_: DerivedParams) -> float:
-        if report is None:
-            field = solve(canonicalize_first_quadrant(seq)[0]).field
-        else:
-            field = require_converged(report, seq).field
+        field = solve(canonicalize_first_quadrant(seq)[0]).field
         return _general_ln(field, weight_logdet(field))
 
     return _estimate(seq, "general", ln_value)
@@ -220,17 +212,13 @@ class QuadrantAudit:
     lambda_identity_gap: float
 
 
-def symmetry_audit(
-    seq: DegreeSequence,
-    rng_seed: int = 2024,
-    report: SolveReport | None = None,
-) -> QuadrantAudit:
+def symmetry_audit(seq: DegreeSequence, rng_seed: int = 2024) -> QuadrantAudit:
     """Solve all four quadrant images and compare the general estimates.
 
-    The identity image is the base solve (a given converged ``report`` for
-    ``seq``, ``ValueError`` if it solves another instance, else a fresh
-    one); each other image is solved once, seeded with
-    the base solution moved by the exact solution symmetry.  Each image's
+    The identity image is the base solve, ``solve(seq)``, which sweeps
+    nothing if it repeats the process's last converged solve; each other
+    image is solved once, seeded with the base solution moved by the exact
+    solution symmetry.  Each image's
     general formula is evaluated from its own solve's field sweep in its own
     frame, so ``max_ln_gap`` measures how well four independent evaluations
     agree.  Also verifies the determinant ratios ((n-r)/r)^2 between images
@@ -238,10 +226,7 @@ def symmetry_audit(
     random subsets.
     """
     n, r = seq.n, seq.r
-    if report is None:
-        base_report = solve(seq)
-    else:
-        base_report = require_converged(report, seq)
+    base_report = solve(seq)
     base_beta = base_report.beta_star
     base_logdet = weight_logdet(base_report.field)
 

@@ -45,9 +45,5 @@ class NotPositiveDefinite(HyperdegError):
     """A symmetric factorization met a non-positive pivot."""
 
 
-class Unsolved(HyperdegError):
-    """An operation requiring a converged solve got an unconverged report."""
-
-
 class DegenerateDenominator(HyperdegError):
     """A closed-form summation denominator factor is zero at this (n, r)."""

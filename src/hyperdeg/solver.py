@@ -9,8 +9,7 @@ equal degree share one unknown, so the step is k x k in the k distinct
 degrees when that is cheaper.  A solution is unique when it
 exists (the segment entropy between two candidate solutions is strictly
 concave), which justifies single-solution semantics: a report is the
-solution of its instance, and ``require_converged`` refuses it for any
-other.
+solution of its instance.
 
 The iteration starts from the solution of the regular instance of the
 same density, logit(lam) / r on every vertex, unless a custom seed is
@@ -18,7 +17,8 @@ given.  Since the solution is unique, the seed only picks the path to it.
 
 The process keeps its last converged solve at the class level, and a solve
 that would repeat that iteration from the same start returns it with no
-sweep (see ``solve``).
+sweep (see ``solve``).  That slot is the one way to reuse a solve: a
+caller that needs the solution of an instance calls ``solve`` on it.
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ import numpy as np
 
 from .budgets import check_subset_budget
 from .core import DegreeSequence, DerivedParams, QuadrantTransform
-from .errors import (
-    DensityDegenerate,
-    NonConvergence,
-    SingularJacobian,
-    Unsolved,
-)
+from .errors import DensityDegenerate, NonConvergence, SingularJacobian
 from .fields import FieldSummary, as_beta_array, field_summary
 
 SPREAD_GUARD = 50.0
@@ -56,7 +51,7 @@ class SolveReport:
     converged: bool
     seed_used: str
     # the field sweep at beta_star, taken by the last Newton evaluation
-    field: FieldSummary | None = None
+    field: FieldSummary
 
     def to_json_dict(self) -> dict:
         return {
@@ -212,33 +207,6 @@ def _on_classes(report: SolveReport, classes, seed_used: str) -> SolveReport:
         report, beta_star=beta_star, seed_used=seed_used,
         field=dataclasses.replace(report.field, classes=classes),
     )
-
-
-def require_converged(report: SolveReport, seq: DegreeSequence) -> SolveReport:
-    """The report itself, if it converged, carries its field sweep and solves ``seq``.
-
-    A report of another instance raises ``ValueError``: its field must have
-    the n and r of ``seq``, and its vertex sums must meet the degrees of
-    ``seq`` to within the report's own ``residual_inf``.
-    """
-    if not report.converged:
-        raise Unsolved("operation requires a converged solve report")
-    field = report.field
-    if field is None:
-        raise Unsolved("converged solve report carries no field sweep")
-    if (field.n, field.r) != (seq.n, seq.r):
-        raise ValueError(
-            f"solve report is for (n, r) = ({field.n}, {field.r}), "
-            f"not ({seq.n}, {seq.r})"
-        )
-    degrees = np.asarray(seq.degrees, dtype=np.float64)
-    miss = float(np.abs(field.vertex_sums - degrees).max())
-    if miss > report.residual_inf:
-        raise ValueError(
-            f"solve report misses the degrees by {miss:.3e}, "
-            f"more than its residual {report.residual_inf:.3e}"
-        )
-    return report
 
 
 def apply_beta_symmetry(beta, t: QuadrantTransform, n: int, r: int) -> np.ndarray:

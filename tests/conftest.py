@@ -12,6 +12,20 @@ def empty_solve_slot(monkeypatch):
 
 
 @pytest.fixture
+def sweeps(monkeypatch):
+    """The solver's field sweeps, counted: a list that grows by one per call."""
+    calls = []
+    real = solver.field_summary
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "field_summary", counted)
+    return calls
+
+
+@pytest.fixture
 def colex_route(monkeypatch):
     """Every instance derived from here on sweeps all C(n, r) subsets (k = n
     classes).  An instance fixes its route when first derived, so build it in

@@ -123,7 +123,7 @@ def test_criterion_03_regular_closed_form():
     seq = DegreeSequence(6, 3, (5,) * 6)
     rep = solve(seq)
     det = math.exp(logdet_pd(0.5 * field_summary(rep.beta_star, 6, 3).pair_weights))
-    general = estimate_general(seq, report=rep).ln_value
+    general = estimate_general(seq).ln_value
     near = estimate_near_regular(seq).ln_value
     ok = (
         rep.iterations <= 1

@@ -326,23 +326,29 @@ def test_audit_within_budget_for_subsets_not_for_pairs():
     assert checks["pair-ratio-complement"]["status"] == "pass"
 
 
-def test_audit_solves_the_base_instance_once(monkeypatch):
-    from hyperdeg import cli, counts
+def test_audit_solves_the_base_instance_once(sweeps, monkeypatch):
+    from hyperdeg import cli, counts, solver
 
-    seeded = []
-    original = counts.solve
+    solves = []
 
-    def counted(*args, **kwargs):
-        seeded.append(kwargs.get("seed_beta") is not None)
-        return original(*args, **kwargs)
+    def counted(caller):
+        def call(*args, **kwargs):
+            before = len(sweeps)
+            report = solver.solve(*args, **kwargs)
+            solves.append((caller, "seed_beta" in kwargs, len(sweeps) - before))
+            return report
+        return call
 
-    monkeypatch.setattr(counts, "solve", counted)
-    monkeypatch.setattr(cli, "solve", counted)
+    monkeypatch.setattr(cli, "solve", counted("cli"))
+    monkeypatch.setattr(counts, "solve", counted("counts"))
     code, _, _ = invoke(["audit", "--input", str(INSTANCES / "skew6.json")])
     assert code == 0
-    # one base solve, which is the identity image, then one seeded solve
-    # per other quadrant image
-    assert seeded == [False] + [True] * 3
+    # cmd_audit's solve sweeps the base instance; the audit's base solve hits
+    # the slot, and each other quadrant image gets one seeded solve
+    assert [s[:2] for s in solves] == (
+        [("cli", False), ("counts", False)] + [("counts", True)] * 3)
+    made = [s[2] for s in solves]
+    assert made[0] > 0 and made[1] == 0 and len(sweeps) == sum(made)
 
 
 def test_over_budget_audit_refuses_before_any_solve(monkeypatch):
@@ -778,6 +784,14 @@ def test_the_budget_is_set_only_by_the_environment(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_a_solve_is_reused_only_through_the_solver_slot():
+    # no public function takes a solve report, and no error names one
+    import hyperdeg.errors
+
+    assert _public_functions_taking("report") == []
+    assert not hasattr(hyperdeg.errors, "Unsolved")
+
+
 def test_the_dp_budget_alone_picks_the_t_normalizer(monkeypatch, capsys):
     from hyperdeg import models
 
@@ -802,6 +816,9 @@ def test_the_dp_budget_alone_picks_the_t_normalizer(monkeypatch, capsys):
     (["selftest", "identities", "--trials", "-1"], "--trials"),
     (["sample", "-n", "6", "-r", "3", "-m", "4", "--seed", "1", "--count", "-1"],
      "--count"),
+    (["sample", "-n", "6", "-r", "3", "-m", "4", "--seed", "-1"], "--seed"),
+    (["selftest", "identities", "--seed", "-3"], "--seed"),
+    (["selftest", "bounds", "--trials", "1", "--seed", "-3"], "--seed"),
 ])
 def test_negative_counts_exit_two_naming_the_flag(argv, flag):
     code, out, err = invoke(argv)

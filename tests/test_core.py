@@ -96,6 +96,7 @@ def test_dimension_mismatch():
     (4.0, 3, (1, 1, 1, 0)),
     (4, True, (1, 1, 1, 0)),
     (4, 3, ("1", 1, 1, 0)),
+    (4, 3, np.array([True, True, True, False])),
 ])
 def test_library_construction_rejects_non_integers(n, r, degrees):
     with pytest.raises(NonIntegral):
@@ -105,6 +106,12 @@ def test_library_construction_rejects_non_integers(n, r, degrees):
 def test_library_construction_accepts_numpy_integers():
     seq = DegreeSequence(np.int64(4), 3, tuple(np.array([1, 1, 1, 0])))
     assert derive(seq).m == 1
+    # an integer array is read whole, into the tuple instance's Python ints
+    for dtype in (np.int64, np.uint16):
+        given = DegreeSequence(4, 3, np.array([1, 1, 1, 0], dtype=dtype))
+        assert given == DegreeSequence(4, 3, (1, 1, 1, 0))
+        assert isinstance(given.degrees, tuple)
+        assert {type(x) for x in given.degrees} == {int}
     # at n = 10^5 the degree sum (r = 5) and R4 (r = 4) leave int64: given as
     # np.int64, the instance still holds Python ints and derives exactly
     for r in (4, 5):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hyperdeg import counts
 from hyperdeg.core import DegreeSequence, QuadrantTransform, apply_symmetry
 from hyperdeg.counts import (
+    _general_ln,
     error_indicators,
     estimate_corollary,
     estimate_general,
@@ -12,6 +14,7 @@ from hyperdeg.counts import (
     symmetry_audit,
 )
 from hyperdeg.errors import DensityDegenerate, RangeViolation
+from hyperdeg.matrices import weight_logdet
 from hyperdeg.oracle import exact_count
 from hyperdeg.solver import solve
 from lemmas import regular_closed_form
@@ -175,13 +178,6 @@ def test_corollary_canonicalizes_non_first_quadrant_input():
     assert estimate_corollary(image).ln_value == estimate_corollary(SKEW6).ln_value
 
 
-def test_passing_report_matches_internal_solve():
-    report = solve(SKEW6)
-    with_report = estimate_general(SKEW6, report=report).ln_value
-    without = estimate_general(SKEW6).ln_value
-    assert abs(with_report - without) <= 1e-12
-
-
 def test_near_regular_and_general_within_indicator_on_preferred_instances():
     seq = DegreeSequence(8, 3, (11, 11, 10, 10, 10, 10, 10, 12))
     near = estimate_near_regular(seq)
@@ -243,13 +239,29 @@ def test_audit_values_agree_with_the_general_estimate(seq):
 def test_estimate_from_an_image_report_matches_the_canonical_solve(seq, t):
     image = apply_symmetry(seq, t)
     want = estimate_general(image).ln_value
-    got = estimate_general(image, report=solve(image)).ln_value
+    # the image's own solve, evaluated in its own frame
+    field = solve(image).field
+    got = _general_ln(field, weight_logdet(field))
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_symmetry_audit_reuses_a_given_base_report():
+def test_symmetry_audit_after_a_solve_sweeps_only_its_images(sweeps, monkeypatch):
     fresh = vars(symmetry_audit(SKEW6))
-    assert vars(symmetry_audit(SKEW6, report=solve(SKEW6))) == fresh
+    solve(SKEW6)
+    del sweeps[:]
+    solves = []
+
+    def counted(*args, **kwargs):
+        before = len(sweeps)
+        report = solve(*args, **kwargs)
+        solves.append(("seed_beta" in kwargs, len(sweeps) - before))
+        return report
+
+    monkeypatch.setattr(counts, "solve", counted)
+    assert vars(symmetry_audit(SKEW6)) == fresh
+    # the base solve hits the slot, so every sweep is a seeded image's
+    assert [seeded for seeded, _ in solves] == [False, True, True, True]
+    assert solves[0][1] == 0 and len(sweeps) == sum(made for _, made in solves) > 0
 
 
 def test_general_formula_against_high_precision_oracle():
@@ -282,7 +294,7 @@ def test_general_formula_against_high_precision_oracle():
         - mpmath.log(mpmath.det(matrix)) / 2
         + entropy
     )
-    got = estimate_general(SKEW6, report=report).ln_value
+    got = _general_ln(report.field, weight_logdet(report.field))
     assert abs(got - float(oracle)) <= 1e-12
 
 
