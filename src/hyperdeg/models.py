@@ -9,9 +9,8 @@ Three laws on degree vectors are compared:
 * independent per-vertex hypergeometrics conditioned on sum n*d, whose
   normalizer has no closed form: the dp budget alone picks it, exact
   convolution within the budget and a central-limit approximation beyond.
-  The convolution computes only the partial sums that can still reach
-  n*d, one ``logaddexp.reduce`` per step and block of support degrees,
-  and the budget is charged exactly that work.
+  The exact one is the n-th convolution power of the pmf, by binary
+  powering with real FFTs, and the budget is charged a bound on that work.
 
 ``log_comb`` is the one log-binomial, at a scalar or at an array.  The
 hypergeometric log-pmf has one form, ``_log_pmf``, evaluated at the
@@ -25,7 +24,7 @@ overflow binary64 immediately at desk scale.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,14 +33,12 @@ import numpy as np
 from . import counts, oracle
 from .budgets import check_dp_budget, check_subset_budget
 from .core import DegreeSequence
-from .errors import BudgetExceeded, DensityDegenerate, InvalidInstance
+from .errors import BudgetExceeded, DensityDegenerate, InvalidInstance, NonIntegral
 from .subsets import CHUNK, colex_unrank
 
 LOG_ZERO = -math.inf
 # samples per spawned random stream in sample_degree_batch
 SAMPLE_BATCH = 1024
-# entries of one logaddexp.reduce operand in the dp normalizer
-FOLD_ENTRIES = 2**20
 # the degree-spread exponent phi of the klw error indicator
 KLW_PHI = 0.47
 
@@ -68,7 +65,8 @@ class HypergeomSpec:
 
     Sampling m edges out of C(n, r), of which C(n-1, r-1) contain a fixed
     vertex; the vertex degree counts the marked edges drawn.  Needs
-    1 <= r <= n and 0 <= m <= C(n, r), else ``InvalidInstance``.
+    integers (not bools) n, r and m, else ``NonIntegral``, kept as Python
+    ints, and 1 <= r <= n and 0 <= m <= C(n, r), else ``InvalidInstance``.
     """
 
     n: int
@@ -76,6 +74,12 @@ class HypergeomSpec:
     m: int
 
     def __post_init__(self):
+        for name in ("n", "r", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise NonIntegral(f"{name} {value!r} is not an integer")
+            # numpy integers would wrap in int64 products: keep Python ints
+            object.__setattr__(self, name, int(value))
         if not (1 <= self.r <= self.n and 0 <= self.m <= self.population):
             raise InvalidInstance(
                 f"need 1 <= r <= n and 0 <= m <= C(n, r), got n={self.n}, "
@@ -113,13 +117,13 @@ class HypergeomSpec:
 def hypergeom_pmf(spec: HypergeomSpec, k: int) -> float:
     """Prob(degree = k); 0.0 off the support, so outside [0, marked].
 
-    k must be an integer, Python or numpy; anything else, a float such as
-    2.5 included, raises ``ValueError`` rather than being truncated.
+    k must be an integer, Python or numpy; anything else, a bool or a
+    float such as 2.5 included, raises ``ValueError`` rather than being
+    truncated.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"degree {k!r} is not an integer") from None
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"degree {k!r} is not an integer")
+    k = int(k)
     # off the support before any int64 conversion, which a huge k overflows
     return math.exp(_log_pmf(spec, [k])[0]) if k in spec.support() else 0.0
 
@@ -138,42 +142,39 @@ def _log_pmf(spec: HypergeomSpec, ks) -> np.ndarray:
             - log_comb(spec.population, spec.m))
 
 
-def _log_pmf_vector(spec: HypergeomSpec) -> np.ndarray:
-    """``_log_pmf`` at every degree 0..marked, the normalizer's operand."""
-    return _log_pmf(spec, np.arange(spec.marked + 1))
+def _power_ops(spec: HypergeomSpec) -> int:
+    """The dp budget charge of the convolution power, from n and the support
+    width alone: at most 2 bit_length(n) products, each L log2 L, where L is
+    the power of two that holds the n-fold support."""
+    size = spec.n * (len(spec.support()) - 1) + 1
+    log_length = (size - 1).bit_length()
+    return (2 * spec.n.bit_length() * log_length) << log_length
 
 
-def _target_windows(spec: HypergeomSpec) -> list[tuple[int, int]]:
-    """For i = 0..n-1, the [lo, hi] of the partial sums of i+1 degrees that
-    can still reach the target r m: the remaining n-i-1 degrees add at most
-    marked each.  Empty (lo > hi) at every i when r m > n marked."""
-    n, c, target = spec.n, spec.marked, spec.r * spec.m
-    return [(max(0, target - (n - i - 1) * c), min((i + 1) * c, target)) for i in range(n)]
-
-
-def _convolution_ops(spec: HypergeomSpec) -> int:
-    """``logaddexp`` element operations of the windowed convolution.
-
-    Step i (i = 1..n-1) folds one shifted operand per support degree into
-    the whole window i, one operation per window entry, however the
-    support is split into reduction blocks.
-    """
-    steps = _target_windows(spec)[1:]
-    return len(spec.support()) * sum(max(0, hi - lo + 1) for lo, hi in steps)
+def _scaled_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """The convolution a * b by one real FFT pair at the power-of-two length
+    that holds it, scaled to a largest entry of 1, and the log of the scale."""
+    size = a.size + b.size - 1
+    length = 1 << (size - 1).bit_length()
+    fa = np.fft.rfft(a, length)
+    fa *= fa if b is a else np.fft.rfft(b, length)
+    out = np.fft.irfft(fa, length)[:size]
+    top = out.max()
+    out /= top
+    return out, math.log(top)
 
 
 def conditioned_sum_log_prob(spec: HypergeomSpec, method: str = "dp") -> float:
     """log Prob(n iid per-vertex degrees sum to r m), with the n, r, m of ``spec``.
 
-    ``dp`` convolves the exact pmf n times in log domain, step i computing
-    only the partial sums of ``_target_windows`` that can still reach r m:
-    each entry folds one ``logaddexp`` per support degree j, in ascending
-    j, from -inf.  The operands of up to FOLD_ENTRIES // |window| - 1
-    degrees are stacked below the running row and folded by one
-    ``logaddexp.reduce`` over the rows, the same sequential fold.  A
-    partial sum outside the previous window is read as -inf, and
-    ``logaddexp(x, -inf) == x`` exactly, so every entry has the bits of
-    the same entry of the full convolution.  ``clt`` uses
+    ``dp`` is exact: the pmf on its support, scaled to a largest entry of
+    1 with the scale kept in log domain, is raised to the n-th convolution
+    power by the bits of n.  Each product is a ``_scaled_product``, its
+    scale added in log domain; the power of k copies starts at k times the
+    least support degree.  r m is the mean of the sum, so the entry read
+    is within a constant factor of the largest, and no underflow in the
+    far tails reaches it.  The dp budget is charged ``_power_ops`` once,
+    before any transform.  ``clt`` uses
     the local-limit approximation ``(sigma sqrt(2 pi n))^{-1}
     exp(-y^2 / (2 n sigma^2))`` with y the offset from the mean sum.
     """
@@ -189,32 +190,25 @@ def conditioned_sum_log_prob(spec: HypergeomSpec, method: str = "dp") -> float:
         )
     if method != "dp":
         raise ValueError(f"unknown normalizer method {method!r}")
-    check_dp_budget(_convolution_ops(spec))
-    (lo, hi), *steps = _target_windows(spec)
-    if lo > hi:
-        return LOG_ZERO
-    c, pmf, support = spec.marked, _log_pmf_vector(spec), spec.support()
-    acc = pmf[lo:hi + 1]
-    for step_lo, step_hi in steps:
-        size = step_hi - step_lo + 1
-        # the previous window among the partial sums step_lo - c .. step_hi,
-        # -inf elsewhere, so degree j reads its operand from offset c - j,
-        # row c - j of the windows
-        src = np.full(size + c, LOG_ZERO)
-        src[lo - step_lo + c:][:acc.size] = acc
-        windows = np.lib.stride_tricks.sliding_window_view(src, size)
-        acc = np.full(size, LOG_ZERO)
-        rows = max(1, FOLD_ENTRIES // size - 1)
-        for first in range(support.start, support.stop, rows):
-            last = min(first + rows, support.stop) - 1
-            # the running row, then degrees first..last ascending
-            buf = np.empty((last - first + 2, size))
-            buf[0] = acc
-            np.add(windows[c - last:c - first + 1][::-1], pmf[first:last + 1, None],
-                   out=buf[1:])
-            acc = np.logaddexp.reduce(buf, axis=0)
-        lo = step_lo
-    return float(acc[target - lo])
+    check_dp_budget(_power_ops(spec))
+    support = spec.support()
+    log_pmf = _log_pmf(spec, support)
+    power_log = float(log_pmf.max())
+    power = np.exp(log_pmf - power_log)
+    # power holds 2^i copies at bit i of n; acc gathers those of the set bits
+    acc, acc_log, bits = None, 0.0, n
+    while True:
+        if bits & 1 and acc is None:
+            acc, acc_log = power, power_log
+        elif bits & 1:
+            acc, scale = _scaled_product(acc, power)
+            acc_log += power_log + scale
+        bits >>= 1
+        if not bits:
+            break
+        power, scale = _scaled_product(power, power)
+        power_log = 2.0 * power_log + scale
+    return acc_log + math.log(acc[target - n * support.start])
 
 
 @dataclass
@@ -227,8 +221,9 @@ class ModelPoint:
 def prob_model(seq: DegreeSequence, model: str) -> ModelPoint:
     """Log-probability of one degree vector under one model (D-asymptotic: near-regular).
 
-    T's normalizer is the exact convolution (dp) within the dp budget and the
-    local limit (clt) beyond it; ``components["normalizer_method"]`` names it.
+    T's normalizer is the exact convolution power (dp) within the dp budget
+    and the local limit (clt) beyond it; ``components["normalizer_method"]``
+    names it.
     """
     n, r = seq.n, seq.r
     m = seq.edge_count

@@ -168,8 +168,8 @@ def test_models_falls_back_once_for_all_pairs(monkeypatch):
 
 
 def test_models_reports_the_normalizer_that_produced_t(monkeypatch):
-    # the 8-fold convolution of the 22-entry pmf takes 13,090 operations, over
-    # the budget, so T falls back to clt
+    # the 8-fold convolution power of the 22-entry pmf is charged 16,384
+    # operations, over the budget, so T falls back to clt
     monkeypatch.setenv("HYPERDEG_BUDGET", "1000")
     code, out, _ = invoke(
         ["models", "--input", str(INSTANCES / "near8.json"),
@@ -722,6 +722,29 @@ def test_importing_the_package_loads_no_tooling_modules():
         assert proc.stdout.strip() == "[]", module
 
 
+def test_importing_the_package_leaves_numpy_fft_unloaded():
+    # the T normalizer reaches np.fft at call time, so a start that never
+    # convolves does not pay for loading it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(hyperdeg.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+
+    def loads_fft(module):
+        code = f"import sys, {module}; print('numpy.fft' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip() == "True"
+
+    if loads_fft("numpy"):
+        pytest.skip("this numpy loads numpy.fft on its own import")
+    assert not loads_fft("hyperdeg")
+    assert not loads_fft("hyperdeg.cli")
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_importing_the_cli_starts_no_blas_threads():
     # the package pins the BLAS pools before numpy loads; with the variables
@@ -802,9 +825,10 @@ def test_the_dp_budget_alone_picks_the_t_normalizer(monkeypatch, capsys):
         run(["models", "--input", str(INSTANCES / "tiny4.json"), "--normalizer", "dp"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
-    # dp up to the convolution's own operation count, clt one below it
+    # dp up to the convolution power's charge, clt one below it
     seq = cli.load_instance(str(INSTANCES / "near8.json"))
-    ops = models._convolution_ops(models.HypergeomSpec(seq.n, seq.r, seq.edge_count))
+    ops = models._power_ops(models.HypergeomSpec(seq.n, seq.r, seq.edge_count))
+    assert ops == 16_384
     for budget, method in [(ops, "dp"), (ops - 1, "clt")]:
         monkeypatch.setenv("HYPERDEG_BUDGET", str(budget))
         point = models.prob_model(seq, "T")

@@ -8,10 +8,9 @@ from scipy.special import gammaln, logsumexp
 
 from hyperdeg.core import DegreeSequence
 from hyperdeg import models
-from hyperdeg.errors import BudgetExceeded, InvalidInstance
+from hyperdeg.errors import BudgetExceeded, InvalidInstance, NonIntegral
 from hyperdeg.models import (
     HypergeomSpec,
-    _log_pmf_vector,
     conditioned_sum_log_prob,
     hypergeom_pmf,
     measured_ratio,
@@ -25,6 +24,11 @@ from lemmas import compositions, stirling_log_binom
 
 TINY = DegreeSequence(4, 3, (2, 2, 1, 1))
 REG6 = DegreeSequence(6, 3, (5,) * 6)
+
+
+def log_pmf_vector(spec):
+    """The log-pmf at every degree 0..marked, the references' operand."""
+    return models._log_pmf(spec, np.arange(spec.marked + 1))
 
 
 def test_pmf_examples():
@@ -48,10 +52,26 @@ def test_spec_outside_its_range_is_refused(n, r, m):
     assert HypergeomSpec(5, 3, 10).support() == range(6, 7)
 
 
+def test_spec_takes_integers_only():
+    # a float m reached numpy's untyped TypeError in the normalizer, a bool n
+    # was read as 1, and an np.int64 m wrapped the mean in int64 products
+    for args in [(6, 3, 10.0), (True, 1, 0), (6, True, 10), (6, 3, False),
+                 (6.0, 3, 10), (6, 3, "10"), (6, 3, Fraction(10)), (6, 3, None)]:
+        with pytest.raises(NonIntegral, match="is not an integer"):
+            HypergeomSpec(*args)
+    spec = HypergeomSpec(np.int64(2000), np.int32(4), np.int64(10**11))
+    assert [type(x) for x in (spec.n, spec.r, spec.m)] == [int] * 3
+    assert spec == HypergeomSpec(2000, 4, 10**11)
+    assert spec.mean == 2 * 10**8
+    # the parsed ints are the ones validated: the range check still applies
+    with pytest.raises(InvalidInstance, match="0 <= m <= C"):
+        HypergeomSpec(np.int64(5), np.int64(3), np.int64(11))
+
+
 def test_pmf_takes_integer_degrees_only():
     spec = HypergeomSpec(6, 3, 10)
     # a non-integer was truncated: 2.5 read P(2), -0.5 P(0) and 10.9 P(10)
-    for k in (2.5, -0.5, 10.9, 2.0, np.float64(3.0), "3", None):
+    for k in (2.5, -0.5, 10.9, 2.0, np.float64(3.0), "3", None, True, False):
         with pytest.raises(ValueError, match="not an integer"):
             hypergeom_pmf(spec, k)
     for k in range(-1, 12):
@@ -120,9 +140,9 @@ def test_prob_model_values(monkeypatch):
     assert math.isfinite(d_asym.ln_prob)
     assert d_asym.ln_prob <= 0.0
 
-    # one operation short of the dp convolution, T takes the clt normalizer
+    # one operation short of the dp charge, T takes the clt normalizer
     spec = HypergeomSpec(TINY.n, TINY.r, TINY.edge_count)
-    monkeypatch.setenv("HYPERDEG_BUDGET", str(models._convolution_ops(spec) - 1))
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(models._power_ops(spec) - 1))
     t_clt = prob_model(TINY, "T")
     assert t_clt.components["normalizer_method"] == "clt"
     assert abs(t_clt.ln_prob - t.ln_prob) <= 0.2
@@ -425,13 +445,13 @@ def log_sum_pmf(pmf, copies, convolve=log_convolve):
 
 def full_convolution_entry(spec, convolve=log_convolve):
     """Entry r m of the full n-fold convolution."""
-    return float(log_sum_pmf(_log_pmf_vector(spec), spec.n, convolve)[spec.r * spec.m])
+    return float(log_sum_pmf(log_pmf_vector(spec), spec.n, convolve)[spec.r * spec.m])
 
 
 def conditioning_factor(spec, ys, convolve=log_convolve, ln_p=None):
     """C(y) = Prob(n - 1 iid degrees sum to r m - y) / Prob(n sum to r m),
     the partial sums by ``convolve`` and the normalizer from the library."""
-    partial = log_sum_pmf(_log_pmf_vector(spec), spec.n - 1, convolve)
+    partial = log_sum_pmf(log_pmf_vector(spec), spec.n - 1, convolve)
     target = spec.r * spec.m
     if ln_p is None:
         ln_p = conditioned_sum_log_prob(spec)
@@ -519,24 +539,32 @@ def exact_sum_counts(n, r, m):
     return acc
 
 
-@pytest.mark.parametrize("n,r,m", [(7, 3, 14), (10, 3, 48), (12, 4, 100)])
+# m = 1 and m = C(n, r) - 1 at r = 5: a two-point pmf at either end
+SPARSE_R5 = [(n, 5, m) for n in range(6, 11) for m in (1, math.comb(n, 5) - 1)]
+
+
+@pytest.mark.parametrize("n,r,m", [(7, 3, 14), (10, 3, 48), (12, 4, 100)] + SPARSE_R5)
 def test_normalizer_matches_exact_integer_convolution(n, r, m):
     spec = HypergeomSpec(n, r, m)
-    got = log_sum_pmf(_log_pmf_vector(spec), n)
+    got = log_sum_pmf(log_pmf_vector(spec), n)
     counts = exact_sum_counts(n, r, m)
     assert got.size == len(counts)
     ln_total = n * math.log(math.comb(spec.population, m))
+
+    def close(value, count):
+        want = math.log(count) - ln_total
+        return abs(value - want) <= 1e-11 * max(1.0, abs(want))
+
     for s, count in enumerate(counts):
         if count == 0:
             assert got[s] == -math.inf
         else:
-            want = math.log(count) - ln_total
-            assert abs(got[s] - want) <= 1e-11 * max(1.0, abs(want))
-    assert conditioned_sum_log_prob(spec) == got[r * m]
+            assert close(got[s], count), s
+    assert close(conditioned_sum_log_prob(spec), counts[r * m])
 
 
 def test_normalizer_and_conditioning_factor_match_per_shift_reference():
-    # the windowed normalizer itself, and the conditioning factor formed
+    # the normalizer itself, and the conditioning factor formed
     # from it, against one logsumexp per output shift of the full convolution
     for n, r, m in [(4, 3, 2), (5, 3, 3), (6, 3, 10), (7, 3, 6), (7, 3, 12), (8, 4, 20)]:
         spec = HypergeomSpec(n, r, m)
@@ -558,16 +586,32 @@ def normalizer_grid():
                 yield n, r, m
 
 
-def test_windowed_normalizer_has_the_bits_of_the_full_convolution_entry():
-    # each window entry folds the same logaddexp operations in the same
-    # order as the full convolution's, plus no-ops with -inf
+def test_normalizer_is_within_1e13_of_the_full_convolution_entry():
+    # the FFT power rounds differently from the log-domain reference, so
+    # the gate is a band, not the bits
     grid = list(normalizer_grid())
     assert len(grid) == 271
-    for n, r, m in grid:
+    for n, r, m in grid + SPARSE_R5:
         spec = HypergeomSpec(n, r, m)
         got = conditioned_sum_log_prob(spec)
         want = full_convolution_entry(spec)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, r, m)
+        if want == -math.inf:
+            assert got == -math.inf, (n, r, m)
+        else:
+            assert abs(got - want) <= 1e-13, (n, r, m)
+
+
+@pytest.mark.parametrize("n,r,m,want", [
+    (40, 3, 3952, -5.31489792680188),
+    (20, 4, 1938, -5.029919371622181),
+    (60, 3, 13688, -5.949339569668812),
+    (30, 4, 10962, -5.936237585394069),
+])
+def test_normalizer_matches_the_recorded_windowed_dp(n, r, m, want):
+    # recorded from the former windowed logaddexp fold, every entry of which
+    # had the bits of the full log-domain convolution, run with the budget
+    # raised: it took 37 s and 40 s on the last two
+    assert abs(conditioned_sum_log_prob(HypergeomSpec(n, r, m)) - want) <= 1e-12
 
 
 def test_log_gamma_forms_match_the_scipy_reference():
@@ -586,7 +630,7 @@ def test_log_gamma_forms_match_the_scipy_reference():
                 rest = population - spec.marked
                 want = (reference(spec.marked, support) + reference(rest, m - support)
                         - reference(population, m))
-                assert np.abs(_log_pmf_vector(spec)[support] - want).max() <= tol
+                assert np.abs(log_pmf_vector(spec)[support] - want).max() <= tol
                 for a, b in [(population, m), (spec.marked, 1), (spec.marked, spec.marked // 2)]:
                     assert abs(models.log_comb(a, b) - reference(a, b)) <= tol
 
@@ -616,110 +660,95 @@ def test_log_pmf_vector_has_the_bits_of_a_per_entry_lgamma_sum(n, r, m):
         if k in support else models.LOG_ZERO
         for k in range(spec.marked + 1)
     ]
-    assert _log_pmf_vector(spec).tobytes() == np.array(want).tobytes()
+    assert log_pmf_vector(spec).tobytes() == np.array(want).tobytes()
     degrees = [0, 1, spec.marked // 2, spec.marked]
     assert models._log_pmf(spec, degrees).tobytes() == np.array(want)[degrees].tobytes()
 
 
 class RecordingNumpy:
-    """numpy as ``models`` sees it, with every ``logaddexp`` element operation
-    counted: one per entry folded in by a ``logaddexp.reduce``, (rows - 1)
-    per column, whose operand shapes are kept in ``reductions``."""
+    """numpy as ``models`` sees it, with every ``fft.rfft`` and ``fft.irfft``
+    call appended to ``log`` as (name, length)."""
 
-    def __init__(self):
-        self.ops = 0
-        self.reductions = []
-        self.logaddexp = RecordingLogaddexp(self)
+    def __init__(self, log):
+        self.fft = RecordingFFT(log)
 
     def __getattr__(self, name):
         return getattr(np, name)
 
 
-class RecordingLogaddexp:
-    def __init__(self, recorder):
-        self.recorder = recorder
+class RecordingFFT:
+    def __init__(self, log):
+        self.log = log
 
-    def reduce(self, array, axis=0, **kwargs):
-        out = np.logaddexp.reduce(array, axis=axis, **kwargs)
-        self.recorder.reductions.append(array.shape)
-        self.recorder.ops += array.size - out.size
-        return out
+    def rfft(self, a, n):
+        self.log.append(("rfft", n))
+        return np.fft.rfft(a, n)
+
+    def irfft(self, a, n):
+        self.log.append(("irfft", n))
+        return np.fft.irfft(a, n)
 
 
-def _recorded_guard_and_work(monkeypatch, call):
-    """The counts passed to the dp guard, and the ``logaddexp`` element
-    operations the normalizer then makes."""
-    guards, recorder = [], RecordingNumpy()
+def _recorded_calls(monkeypatch, call):
+    """The dp guard's calls, as ("guard", count), and the transforms, in order."""
+    log = []
     guard = models.check_dp_budget
 
     def recording_guard(count):
-        guards.append(count)
+        log.append(("guard", count))
         return guard(count)
 
     monkeypatch.setattr(models, "check_dp_budget", recording_guard)
-    monkeypatch.setattr(models, "np", recorder)
+    monkeypatch.setattr(models, "np", RecordingNumpy(log))
     try:
         call()
     finally:
         monkeypatch.setattr(models, "np", np)
-    return guards, recorder.ops
+    return log
 
 
 def test_normalizer_guard_counts_the_convolution_work(monkeypatch):
+    # (6, 3, 8): a 9-entry support, a 49-entry 6-fold support held by L = 64,
+    # so a charge of 2 bit_length(6) L log2 L = 2 * 3 * 64 * 6
     spec = HypergeomSpec(6, 3, 8)
-    guards, work = _recorded_guard_and_work(monkeypatch, lambda: conditioned_sum_log_prob(spec))
-    # |support| · sum_{i=1}^{n-1} |window i| = 9 · (9 + 19 + 19 + 19 + 13);
-    # the full convolution made 11 · 155 = 1705
-    assert [len(spec.support())] == [9]
-    assert guards == [work] == [711]
-    for n, r, m in [(4, 3, 2), (7, 3, 12), (10, 3, 36), (14, 3, 138)]:
+    log = _recorded_calls(monkeypatch, lambda: conditioned_sum_log_prob(spec))
+    assert len(spec.support()) == 9
+    # 6 = 110b: squares at 2 and 4 copies, one product 2 * 4; each square
+    # is one rfft and one irfft, the product two rffts and one irfft
+    assert log == [("guard", 2304), ("rfft", 32), ("irfft", 32), ("rfft", 64),
+                   ("irfft", 64), ("rfft", 64), ("rfft", 64), ("irfft", 64)]
+    for n, r, m in [(4, 3, 2), (7, 3, 12), (10, 3, 36), (14, 3, 138), (16, 4, 364),
+                    (12, 5, 1), (9, 5, 125)]:
         spec = HypergeomSpec(n, r, m)
-        guards, work = _recorded_guard_and_work(
+        (name, charge), *transforms = _recorded_calls(
             monkeypatch, lambda: conditioned_sum_log_prob(spec))
-        assert guards == [work], (n, r, m)
-    assert work == 277_843
+        # the guard first, once, with n and the support width alone
+        assert name == "guard" and charge == models._power_ops(spec), (n, r, m)
+        size = n * (len(spec.support()) - 1) + 1
+        length = 1 << (size - 1).bit_length()
+        products = [k for name, k in transforms if name == "irfft"]
+        assert len(products) <= 2 * n.bit_length()
+        assert all(k <= length and k & (k - 1) == 0 for _, k in transforms)
+        assert charge == 2 * n.bit_length() * length * int(math.log2(length))
+        assert charge >= sum(k * math.log2(k) for k in products), (n, r, m)
+    # 14 * 78 + 1 = 1093 sums at (14, 3, 138), held by L = 2048
+    assert models._power_ops(HypergeomSpec(14, 3, 138)) == 2 * 4 * 2048 * 11 == 180_224
 
 
-@pytest.mark.parametrize("fold", [models.FOLD_ENTRIES, 64, 1])
-@pytest.mark.parametrize("n,r,m", [(6, 3, 8), (14, 3, 138)])
-def test_normalizer_folds_each_step_in_one_reduction_per_support_block(monkeypatch, n, r, m, fold):
-    # step i reduces the running row and up to max(1, fold // |window i| - 1)
-    # support degrees at a time; folding in smaller blocks keeps every bit
-    spec = HypergeomSpec(n, r, m)
-    want, default = conditioned_sum_log_prob(spec), models.FOLD_ENTRIES
-    monkeypatch.setattr(models, "FOLD_ENTRIES", fold)
-    recorder = RecordingNumpy()
-    monkeypatch.setattr(models, "np", recorder)
-    got = conditioned_sum_log_prob(spec)
-    monkeypatch.setattr(models, "np", np)
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
-    assert recorder.ops == models._convolution_ops(spec)
-    support = len(spec.support())
-    shapes = []
-    for lo, hi in models._target_windows(spec)[1:]:
-        size = hi - lo + 1
-        rows = max(1, fold // size - 1)
-        blocks = [min(rows, support - first) for first in range(0, support, rows)]
-        shapes += [(k + 1, size) for k in blocks]
-    assert recorder.reductions == shapes
-    if fold == default:
-        assert len(shapes) == n - 1
-    assert all(rows * size <= max(fold, 2 * size) for rows, size in shapes)
-
-
-def test_normalizer_guard_admits_n30_and_refuses_n60(monkeypatch):
+def test_normalizer_guard_admits_n60_and_refuses_n200(monkeypatch):
     monkeypatch.delenv("HYPERDEG_BUDGET", raising=False)
-    spec = HypergeomSpec(30, 3, 1624)
-    guards, work = _recorded_guard_and_work(
-        monkeypatch, lambda: conditioned_sum_log_prob(spec))
-    assert guards == [work] == [35_538_833]
+    # 1712 support degrees at n = 60: 60 * 1711 + 1 sums, held by L = 2^17
+    spec = HypergeomSpec(60, 3, 13_690)
+    log = _recorded_calls(monkeypatch, lambda: conditioned_sum_log_prob(spec))
+    assert log[0] == ("guard", 2 * 6 * 17 << 17) == ("guard", 26_738_688)
+    assert len(log) > 1
 
-    big = HypergeomSpec(60, 3, 13_690)
+    big = HypergeomSpec(200, 3, 525_360)
 
     def refused():
         with pytest.raises(BudgetExceeded):
             conditioned_sum_log_prob(big)
 
-    # refused by the guard, before any logaddexp
-    guards, work = _recorded_guard_and_work(monkeypatch, refused)
-    assert guards == [2_528_141_216] and work == 0
+    # refused by the guard, before any transform: L = 2^22
+    assert _recorded_calls(monkeypatch, refused) == [("guard", 2 * 8 * 22 << 22)]
+    assert 2 * 8 * 22 << 22 == 1_476_395_008
