@@ -266,8 +266,8 @@ def selftest(rng, trials_per_family: int = 50) -> list[dict]:
         failures = 0
         trials = 0
         for _ in range(trials_per_family):
-            n = int(rng.choice(SELFTEST_N))
-            r = int(rng.choice(SELFTEST_R))
+            n = SELFTEST_N[rng.integers(0, len(SELFTEST_N))]
+            r = SELFTEST_R[rng.integers(0, len(SELFTEST_R))]
             ell = int(rng.integers(1, 4)) if takes_ell else None
             e = rng.integers(-9, 10, size=n).tolist()
             scale = 2 if rng.integers(0, 2) else 1

@@ -7,7 +7,9 @@ colex order, in exact integer arithmetic.  Its states are residual-degree
 vectors, pruned by the supply of later subsets and merged up to the vertex
 permutations that fix the rest of the family (orbit compression); the
 peak state count is 70, 733, 16,023, 178,745 and 1.9 million for
-half-density r = 3 instances at n = 6..10.  Before the DP it removes
+half-density r = 3 instances at n = 6..10.  A merge sorts a block of
+residuals, and the sorted form of each block is computed once per count and
+looked up for every later state that has it.  Before the DP it removes
 trivial-face vertices, which decide their own subsets: a vertex of degree
 0 lies in no edge, and one of degree C(n-1, r-1) lies in every subset
 through it, so each other vertex gets C(n-2, r-2) edges from those.  The
@@ -17,7 +19,8 @@ budget guard still charges the instance as given.
 all degree vectors with m edges sum to ``C(C(n, r), m)``.  It counts each
 sorted degree vector once and weights it by its number of arrangements,
 which is exact because the DP sorts its input and the mirror choice of
-``exact_count`` is symmetric in the degrees.
+``exact_count`` is symmetric in the degrees.  Its guard charges the sum of
+those vectors' own bounds.
 
 ``cauchy_quadrature`` evaluates the same coefficient as a prefactor times a
 tensor-grid sum of the extraction integrand.  Write T = C(n-1, r-1), the
@@ -26,7 +29,10 @@ frequencies on axis j are the T + 1 consecutive integers ``-d_j .. T - d_j``,
 and an M-point rule on that axis sums frequency k to 0 unless M divides k.
 With ``M = T + 1`` every nonzero frequency has ``|k| <= T < M``, so only
 frequency 0 survives, and the grid sum is the constant term exactly, up to
-floating rounding, for any finite contour vector beta.
+floating rounding, for any finite contour vector beta.  Every grid angle is
+a multiple of 2 pi / M up to a shift by pi, so every phase of the integrand
+is a signed power of the M-th root of unity: the factors are read from a
+table by integer digit sums, and no exponential is taken per point.
 """
 
 from __future__ import annotations
@@ -38,14 +44,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budgets import check_dp_budget, check_subset_budget
+from .budgets import check_dp_budget, check_subset_budget, dp_budget
 from .core import DegreeSequence
 from .fields import Twofold, as_beta_array, logistic, softplus
-from .subsets import all_subsets, incidence
+from .subsets import all_subsets
 
 # Below this many DP states a dict of Python ints beats the per-step
-# overhead of numpy arrays.
-VECTOR_MIN_STATES = 128
+# overhead of numpy arrays.  Measured on matchings to (16, 4, 2), which
+# peak at 9 states over up to 495 steps and must stay in the dict, and on
+# half-density (6..7, 3), which peak at 60 to 1,300 states.
+VECTOR_MIN_STATES = 16
 # quadrature grid points evaluated per chunk
 GRID_CHUNK = 1 << 15
 
@@ -110,6 +118,10 @@ def _count_sparse(n: int, r: int, degrees: tuple[int, ...]) -> int:
     States live in a dict of Python ints while they are few, and in sorted
     numpy arrays (int64 keys, exact Python-int counts) beyond
     ``VECTOR_MIN_STATES`` when a packed state fits in 63 bits.
+
+    The sorted form of the block depends only on the block's bits, so each
+    one is computed once: the dict form keeps a memo per block size, and
+    the array form sorts the distinct blocks of a step only.
     """
     width = max(max(degrees, default=0), 1).bit_length()
     field = width + 1
@@ -120,6 +132,8 @@ def _count_sparse(n: int, r: int, degrees: tuple[int, ...]) -> int:
         sum(d << sh for d, sh in zip(sorted(degrees), shifts)): 1
     }
     keys = counts = None
+    # the sorted form of each low block seen, per block size
+    canon: dict[int, dict[int, int]] = {}
     for guard, unit, excess, lo, hi in _colex_plan(n, r, width):
         if states is not None:
             if not states or states.keys() == {0}:
@@ -138,10 +152,16 @@ def _count_sparse(n: int, r: int, degrees: tuple[int, ...]) -> int:
                     nxt[s - unit] = nxt.get(s - unit, 0) + c
             if hi > lo:
                 low = (1 << shifts[hi - 1] + field) - 1
+                sorted_block = canon.setdefault(hi, {})
                 states = {}
                 for s, c in nxt.items():
-                    block = sorted((s >> sh) & ones for sh in shifts[:hi])
-                    s = (s & ~low) | sum(v << sh for v, sh in zip(block, shifts))
+                    b = s & low
+                    t = sorted_block.get(b)
+                    if t is None:
+                        block = sorted((b >> sh) & ones for sh in shifts[:hi])
+                        t = sum(v << sh for v, sh in zip(block, shifts))
+                        sorted_block[b] = t
+                    s ^= b ^ t
                     states[s] = states.get(s, 0) + c
             else:
                 states = nxt
@@ -151,12 +171,13 @@ def _count_sparse(n: int, r: int, degrees: tuple[int, ...]) -> int:
         source = np.concatenate([skip, take])
         keys = np.concatenate([keys[skip], keys[take] - unit])
         if hi > lo:
+            low = (1 << shifts[hi - 1] + field) - 1
+            blocks, inverse = np.unique(keys & low, return_inverse=True)
             sh = np.asarray(shifts[:hi], dtype=np.int64)
-            block = keys[:, None] >> sh
+            block = blocks[:, None] >> sh
             block &= ones
             block.sort(axis=1)
-            low = (1 << shifts[hi - 1] + field) - 1
-            keys = (keys & ~low) | (block @ (np.int64(1) << sh))
+            keys = (keys & ~low) | (block @ (np.int64(1) << sh))[inverse]
             order = np.argsort(keys)
         else:
             # both halves are already sorted; a stable sort merges two runs
@@ -200,6 +221,18 @@ def _drop_trivial_faces(n: int, r: int, degrees: list[int]) -> int | None:
     return n
 
 
+def _mirror_choice(degrees, cap: int) -> tuple[list[int], int]:
+    """The degrees ``exact_count`` counts, and their bound prod_j (d_j + 1):
+    the set-complement degrees cap - d_j when their bound is smaller."""
+    work = list(degrees)
+    bound = math.prod(d + 1 for d in work)
+    mirror = [cap - d for d in work]
+    mirror_bound = math.prod(d + 1 for d in mirror)
+    if mirror_bound < bound:
+        return mirror, mirror_bound
+    return work, bound
+
+
 def exact_count(seq: DegreeSequence) -> int:
     """Exact number of hypergraphs with the given degrees (big integer).
 
@@ -212,14 +245,8 @@ def exact_count(seq: DegreeSequence) -> int:
     orbit-compressed DP of ``_count_sparse``, which holds far fewer states
     than the bound.  The guard charges the instance before the reduction.
     """
-    total, cap = math.comb(seq.n, seq.r), seq.degree_cap
-    work = list(seq.degrees)
-    bound = math.prod(d + 1 for d in work)
-    mirror = [cap - d for d in work]
-    mirror_bound = math.prod(d + 1 for d in mirror)
-    if mirror_bound < bound:
-        work, bound = mirror, mirror_bound
-    check_dp_budget(bound * total)
+    work, bound = _mirror_choice(seq.degrees, seq.degree_cap)
+    check_dp_budget(bound * math.comb(seq.n, seq.r))
 
     n = _drop_trivial_faces(seq.n, seq.r, work)
     if n is None:
@@ -258,16 +285,23 @@ def total_identity_check(n: int, r: int, m: int) -> bool:
     the DP sorts its input before its first step, and the mirror choice,
     the trivial-face reduction and the state width of ``exact_count`` read
     only the multiset of the degrees, so every arrangement of a vector has
-    the same count.  The budget guard still charges
-    C(r·m + n - 1, n - 1) · C(n, r), as if every composition of r·m were
-    counted.
+    the same count.  The budget guard charges what those counts charge,
+    C(n, r) times the sum of each sorted vector's own bound (after the
+    mirror choice), before any of them is counted; the vectors are listed
+    only until that charge passes the budget.
     """
     total_subsets = math.comb(n, r)
     cap = math.comb(n - 1, r - 1)
-    n_compositions = math.comb(r * m + n - 1, n - 1)
-    check_dp_budget(n_compositions * total_subsets)
-    acc = 0
+    limit = dp_budget()
+    vectors, work = [], 0
     for degrees in _sorted_degree_vectors(r * m, n, cap):
+        vectors.append(degrees)
+        work += _mirror_choice(degrees, cap)[1] * total_subsets
+        if work > limit:
+            break  # refused below, without listing the rest
+    check_dp_budget(work)
+    acc = 0
+    for degrees in vectors:
         seq = DegreeSequence(n, r, degrees)
         acc += _arrangements(degrees) * exact_count(seq)
     return acc == math.comb(total_subsets, m)
@@ -288,8 +322,11 @@ def cauchy_quadrature(seq: DegreeSequence, beta=None) -> QuadratureResult:
     is independent of the contour because the summed integrand is the same
     trigonometric polynomial on every contour.  Each grid point evaluates
     one factor per r-subset, so the grid points times C(n, r) are charged
-    to the subset budget before any point is evaluated.  The grid is walked
-    in fixed chunks of ``GRID_CHUNK`` points, folded in order with twofold
+    to the subset budget before any point is evaluated.  Those factors,
+    1 + lambda_W (e^{i theta_W} - 1), take C(n, r) * (r (M - 1) + 1)
+    values in all, one per subset and digit sum; they are tabled once, and
+    each point gathers its row of the table.  The grid is walked in fixed
+    chunks of ``GRID_CHUNK`` points, folded in order with twofold
     compensation.  The imaginary part of the accumulated sum is returned as
     a residual diagnostic.
     """
@@ -303,8 +340,8 @@ def cauchy_quadrature(seq: DegreeSequence, beta=None) -> QuadratureResult:
     check_subset_budget(m_axis**n * subsets if bits < 1024 else math.inf)
     grid_total = m_axis**n
 
-    inc = incidence(n, r)
-    s_w = inc @ arr
+    rows = all_subsets(n, r)
+    s_w = arr[rows].sum(axis=1)
     lam = logistic(s_w)
     degrees = np.asarray(seq.degrees, dtype=np.float64)
 
@@ -314,18 +351,33 @@ def cauchy_quadrature(seq: DegreeSequence, beta=None) -> QuadratureResult:
     )
     scale = math.exp(log_scale)
 
-    thetas = -math.pi + 2.0 * math.pi * (np.arange(m_axis) + 1.0) / m_axis
-    powers = m_axis ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # theta_j = -pi + 2 pi (k_j + 1) / M at digit k_j, so every phase is a
+    # power of omega = e^{2 pi i / M}: e^{i theta_W} = (-1)^r omega^{t + r}
+    # with t = sum_{j in W} k_j in 0..r (M - 1), and each factor of the
+    # integrand is read from row W, column t of a table
+    omega = np.exp(2j * math.pi * np.arange(m_axis) / m_axis)
+    sums = r * (m_axis - 1) + 1
+    phase = (-1) ** r * omega[(np.arange(sums) + r) % m_axis]
+    factor_table = (1.0 + lam[:, None] * (phase[None, :] - 1.0)).ravel()
+    row_offsets = (np.arange(subsets, dtype=np.int64) * sums)[:, None]
+    # and e^{-i theta . d} = (-1)^{sum d} omega^{(-sum_j d_j k_j - sum d) mod M}
+    deg_int = np.asarray(seq.degrees, dtype=np.int64)
+    deg_sum = sum(seq.degrees)
+    twist_table = (-1) ** deg_sum * omega
 
     real_acc = Twofold(0.0)
     imag_acc = Twofold(0.0)
     for lo in range(0, grid_total, GRID_CHUNK):
-        linear = np.arange(lo, min(lo + GRID_CHUNK, grid_total), dtype=np.int64)
-        digits = (linear[:, None] // powers[None, :]) % m_axis
-        theta = thetas[digits]
-        phase = theta @ inc.T
-        factors = 1.0 + lam[None, :] * (np.exp(1j * phase) - 1.0)
-        values = factors.prod(axis=1) * np.exp(-1j * (theta @ degrees))
+        rest = np.arange(lo, min(lo + GRID_CHUNK, grid_total), dtype=np.int64)
+        # digits[j] is axis j's grid index, the last axis varying fastest
+        digits = np.empty((n, rest.size), dtype=np.int64)
+        for j in range(n - 1, -1, -1):
+            np.divmod(rest, m_axis, out=(rest, digits[j]))
+        index = digits[rows[:, 0]] + row_offsets
+        for q in range(1, r):
+            index += digits[rows[:, q]]
+        twist = twist_table[(-(deg_int @ digits) - deg_sum) % m_axis]
+        values = factor_table[index].prod(axis=0) * twist
         total_c = values.sum()
         real_acc.add(float(total_c.real))
         imag_acc.add(float(total_c.imag))

@@ -156,6 +156,28 @@ def test_half_density_n8_counts_agree_with_edge_complement(degrees, expected, mo
     assert _count_sparse(8, 5, image.degrees) == expected
 
 
+def _state_form_instances():
+    cap = math.comb(5, 2)
+    for m in range(math.comb(6, 3) + 1):
+        for degrees in _sorted_degree_vectors(3 * m, 6, cap):
+            yield 6, 3, degrees
+    for n, r, m in [(12, 3, 3), (14, 4, 3), (16, 4, 2)]:
+        yield n, r, (1,) * (r * m) + (0,) * (n - r * m)
+    yield 8, 3, (9,) * 8
+
+
+def test_dict_and_array_states_agree(monkeypatch):
+    """Every state held in the dict, every state in arrays from the first
+    step, and the default switch between them give the same counts."""
+    monkeypatch.setenv("HYPERDEG_BUDGET", str(10**11))  # (8, 3, 9^8): 2.4e9
+    instances = [DegreeSequence(*args) for args in _state_form_instances()]
+    default = [exact_count(seq) for seq in instances]
+    for threshold in (0, 10**9):
+        monkeypatch.setattr(oracle, "VECTOR_MIN_STATES", threshold)
+        assert [exact_count(seq) for seq in instances] == default
+    assert default[-1] == 155405550825
+
+
 def test_budget_guard_raises():
     seq = DegreeSequence(10, 3, (18,) * 10)
     with pytest.raises(BudgetExceeded):
@@ -275,7 +297,11 @@ def test_total_identity_detects_one_wrong_class_count(monkeypatch):
 
 
 def test_total_identity_budget_is_checked_before_any_count(exact_calls, monkeypatch):
-    work = math.comb(3 * 3 + 6 - 1, 6 - 1) * math.comb(6, 3)
+    # each sorted vector's bound, the smaller of prod(d + 1) and its mirror's
+    work = math.comb(6, 3) * sum(
+        min(math.prod(d + 1 for d in v), math.prod(10 - d + 1 for d in v))
+        for v in _sorted_degree_vectors(9, 6, 10)
+    )
     monkeypatch.setenv("HYPERDEG_BUDGET", str(work - 1))
     with pytest.raises(
         BudgetExceeded,
@@ -337,6 +363,21 @@ def test_quadrature_guards(monkeypatch):
     assert res.grid_points == 7**7
     assert exact_count(pairs) == 465
     assert res.value == pytest.approx(465, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, r", [(4, 2), (4, 3), (5, 2), (5, 3)])
+def test_quadrature_equals_exact_on_every_sorted_vector(n, r):
+    """At the zero contour and at a seeded random one, to 1e-12 relative."""
+    contours = [None, np.random.default_rng(10 * n + r).normal(scale=0.5, size=n)]
+    cap = math.comb(n - 1, r - 1)
+    for m in range(math.comb(n, r) + 1):
+        for degrees in _sorted_degree_vectors(r * m, n, cap):
+            seq = DegreeSequence(n, r, degrees)
+            count = exact_count(seq)
+            for beta in contours:
+                res = cauchy_quadrature(seq, beta)
+                assert abs(res.value - count) <= 1e-12 * max(1, count)
+                assert res.imag_residual <= 1e-12 * max(1, count)
 
 
 @pytest.mark.parametrize(
